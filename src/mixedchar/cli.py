@@ -44,7 +44,7 @@ from .filtrations import (
 )
 from .groebner import sv_containment_check
 from .monomials import power_ideal
-from .pipeline import annihilator_pipeline
+from .pipeline import annihilator_pipeline, check_deadline
 from .polynomials import Polynomial
 from .reports import FAILED, Claim, Report, verified
 from .scalars import DVR, PrimeField, RationalField
@@ -169,11 +169,6 @@ def _deadline(ns) -> Optional[float]:
     return time.monotonic() + ns.timeout_secs
 
 
-def _check_deadline(deadline: Optional[float], what: str):
-    if deadline is not None and time.monotonic() > deadline:
-        raise TimeoutError(f"{what} passed the --timeout-secs budget")
-
-
 def _piece_entry(piece, p: int) -> dict:
     free, exps = piece.dvr_invariants(p)
     entry = piece.describe()
@@ -251,7 +246,7 @@ def cmd_transition(ns) -> Report:
     deadline = _deadline(ns)
     complexes = {}
     for ell in range(1, ns.levels + 1):
-        _check_deadline(deadline, f"building level {ell}")
+        check_deadline(deadline, f"building level {ell}")
         complexes[ell] = TaylorComplex(power_ideal(ideal, ell))
     checks = []
     degrees = 0
@@ -259,7 +254,7 @@ def cmd_transition(ns) -> Report:
     all_injective = True
     complete = True
     for ell in range(1, ns.levels):
-        _check_deadline(deadline, f"level {ell} support scan")
+        check_deadline(deadline, f"level {ell} support scan")
         low, high = complexes[ell], complexes[ell + 1]
         scan = low.support_scan(ns.j)
         degrees += scan.degrees_scanned
@@ -300,7 +295,9 @@ def cmd_transition(ns) -> Report:
 def cmd_pipeline(ns) -> Report:
     ideal, source = _load_ideal(ns.ideal)
     box = _parse_box(ns.box, ideal.n) if ns.box else None
-    rep = annihilator_pipeline(ideal, p=ns.p, j=ns.j, levels=ns.levels, box=box)
+    rep = annihilator_pipeline(
+        ideal, p=ns.p, j=ns.j, levels=ns.levels, box=box, deadline=_deadline(ns)
+    )
     results = rep.describe()
     claims = []
     if rep.verdict is not None and rep.verdict.kind != "inconclusive":
@@ -664,11 +661,11 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         report = ns.handler(ns)
+    except TimeoutError as err:  # an OSError subclass, so it must come first
+        print(f"timeout: {err}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1
-    except TimeoutError as err:
-        print(f"timeout: {err}", file=sys.stderr)
         return 1
     sys.stdout.write(report.to_json())
     print(f"wall_seconds={time.monotonic() - start:.3f}", file=sys.stderr)

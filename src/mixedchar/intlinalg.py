@@ -1,14 +1,17 @@
 """Exact integer linear algebra: Smith normal form, kernels, cohomology.
 
 Everything here is over Z with arbitrary-precision integers.  Matrices are
-dense lists of lists; the strand-scale work goes through a sparse
-unit-pivot elimination that splits off invariant factor 1 repeatedly and
-leaves a small dense core.
+dense lists of lists, except at strand scale: there a sparse elimination
+splits off unit pivots (invariant factor 1), taking the shortest waiting
+row from a heap instead of searching the whole matrix, and hands the small
+dense core that is left to the Smith form.  Maps of cohomology groups test
+injectivity through an integer kernel on the presentation coordinates
+whose relation is not 1, the only ones the groups see.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from heapq import heapify, heappop, heappush
 
 
 class IntMatrix:
@@ -227,14 +230,15 @@ def _snf(M: IntMatrix, want_u=False, want_w=False, want_inv=False):
         # pivot divides its row and column; enforce divisibility into the rest
         d = A[t][t]
         bad = None
-        for i in range(t + 1, m):
-            Ai = A[i]
-            for j in range(t + 1, n):
-                if Ai[j] % d:
-                    bad = i
+        if d != 1:  # a unit pivot divides everything
+            for i in range(t + 1, m):
+                Ai = A[i]
+                for j in range(t + 1, n):
+                    if Ai[j] % d:
+                        bad = i
+                        break
+                if bad is not None:
                     break
-            if bad is not None:
-                break
         if bad is not None:
             row_add(t, bad, 1)
             continue
@@ -264,7 +268,15 @@ def invariant_factors_sparse(entries: dict, nrows: int, ncols: int):
 
     entries maps (i, j) to a nonzero value.  Unit pivots are split off with
     integer row eliminations (each contributes invariant factor 1); whatever
-    remains goes through the dense routine.  Pivot choice minimizes fill.
+    remains goes through the dense routine.
+
+    Candidate pivot rows wait in a heap keyed by row length.  The shortest
+    live row is popped and pivots on its unit entry whose column is
+    shortest.  A row with no unit entry is parked: it goes back into the
+    heap only when an elimination changes it.  Entries made stale by an
+    elimination are skipped when popped, so a pivot costs its own row
+    operations and never a scan of the whole matrix.  The invariant factors
+    do not depend on the pivot order.
     """
     rows: dict = {}
     cols: dict = {}
@@ -272,27 +284,30 @@ def invariant_factors_sparse(entries: dict, nrows: int, ncols: int):
         if v:
             rows.setdefault(i, {})[j] = v
             cols.setdefault(j, set()).add(i)
+    queue = [(len(r), i) for i, r in rows.items()]
+    heapify(queue)
     unit_count = 0
-    while True:
+    while queue:
+        length, pi = heappop(queue)
+        prow = rows.get(pi)
+        if prow is None or len(prow) != length:
+            continue  # eliminated or changed since it was queued
+        pj = None
         best = None
-        for i, r in rows.items():
-            li = len(r)
-            for j, v in r.items():
-                if v == 1 or v == -1:
-                    score = (li - 1) * (len(cols[j]) - 1)
-                    if best is None or score < best[0]:
-                        best = (score, i, j)
-                        if score == 0:
-                            break
-            if best is not None and best[0] == 0:
-                break
-        if best is None:
-            break
-        _, pi, pj = best
-        prow = rows.pop(pi)
+        for j, v in prow.items():
+            if v == 1 or v == -1:
+                height = len(cols[j])
+                if best is None or height < best:
+                    best, pj = height, j
+                    if height == 1:
+                        break
+        if pj is None:
+            continue  # parked until an elimination changes the row
+        del rows[pi]
         for j in prow:
-            cols[j].discard(pi)
-            if not cols[j]:
+            col = cols[j]
+            col.discard(pi)
+            if not col:
                 del cols[j]
         piv = prow[pj]  # +-1, so the quotient below stays integral
         for i2 in list(cols.get(pj, ())):
@@ -303,13 +318,15 @@ def invariant_factors_sparse(entries: dict, nrows: int, ncols: int):
                 if nv:
                     r2[j2] = nv
                     cols.setdefault(j2, set()).add(i2)
-                else:
-                    if j2 in r2:
-                        del r2[j2]
-                        cols[j2].discard(i2)
-                        if not cols[j2]:
-                            del cols[j2]
-            if not r2:
+                elif j2 in r2:
+                    del r2[j2]
+                    col = cols[j2]
+                    col.discard(i2)
+                    if not col:
+                        del cols[j2]
+            if r2:
+                heappush(queue, (len(r2), i2))
+            else:
                 del rows[i2]
         unit_count += 1
 
@@ -519,6 +536,11 @@ def _p_exp(d: int, p: int) -> int:
     return e
 
 
+def _surviving(xdiag) -> list:
+    """Presentation coordinates whose relation is not 1."""
+    return [i for i, d in enumerate(xdiag) if d != 1]
+
+
 def complex_cohomology(deltas: list, spot: int) -> FinAbGroup:
     """Cohomology at one spot of a complex of free Z-modules.
 
@@ -659,45 +681,60 @@ class InducedMap:
         )
 
     def _kernel_block(self):
-        """[pres | -target relations]: integer kernels project onto the map kernel."""
-        ks = self.source.presentation_rank()
-        kt = self.target.presentation_rank()
-        block = IntMatrix(kt, ks + kt)
-        for i in range(kt):
-            for j in range(ks):
-                block.rows[i][j] = self.pres_matrix.rows[i][j]
-            block.rows[i][ks + i] = -self.target.xdiag[i]
-        return ks, block
+        """Kept source coordinates and [pres | -target relations] on them.
+
+        Integer kernel vectors (y, z) of the block, pres y = relations * z,
+        project onto generators of {y : pres y in the target relation
+        lattice}; the map is injective when each y lies in the source
+        relation lattice.  Coordinates whose relation is 1 drop out exactly.
+        A target row with relation 1 imposes no condition.  A source
+        coordinate j with relation 1 is zero in the group, and
+        well-definedness puts pres[:, j] into the target relation lattice,
+        so that set splits off Z e_j, which the source relations contain.
+        """
+        src = _surviving(self.source.xdiag)
+        tgt = _surviving(self.target.xdiag)
+        ks = len(src)
+        block = IntMatrix(len(tgt), ks + len(tgt))
+        for a, i in enumerate(tgt):
+            prow = self.pres_matrix.rows[i]
+            brow = block.rows[a]
+            for b, j in enumerate(src):
+                brow[b] = prow[j]
+            brow[ks + a] = -self.target.xdiag[i]
+        return src, block
+
+    def _kernel_in(self, in_lattice) -> bool:
+        """Whether every kernel vector of the block passes in_lattice on the source."""
+        src, block = self._kernel_block()
+        y = [0] * self.source.presentation_rank()
+        for vec in integer_kernel(block):
+            for b, j in enumerate(src):
+                y[j] = vec[b]
+            if not in_lattice(y):
+                return False
+        return True
 
     def is_injective(self) -> bool:
         """Trivial kernel as a map of groups, checked through the presentations."""
         if self.source.group.is_trivial():
             return True
-        ks, block = self._kernel_block()
-        for vec in integer_kernel(block):
-            if not self.source.in_relation_lattice(vec[:ks]):
-                return False
-        return True
+        return self._kernel_in(self.source.in_relation_lattice)
 
     def is_injective_localized(self, p: int) -> bool:
         """Injectivity after tensoring with the p-local integers."""
         if all(d != 0 and _p_exp(d, p) == 0 for d in self.source.xdiag):
             return True
-        ks, block = self._kernel_block()
-        for vec in integer_kernel(block):
-            if not self.source.in_relation_lattice_localized(vec[:ks], p):
-                return False
-        return True
+        return self._kernel_in(lambda y: self.source.in_relation_lattice_localized(y, p))
 
     def component_matrix(self):
         """Rows/cols restricted to surviving components, torsion entries reduced."""
-        src_idx = [i for i, d in enumerate(self.source.xdiag) if d != 1]
-        tgt_idx = [i for i, d in enumerate(self.target.xdiag) if d != 1]
+        src = _surviving(self.source.xdiag)
         out = []
-        for i in tgt_idx:
+        for i in _surviving(self.target.xdiag):
             d = self.target.xdiag[i]
             row = []
-            for j in src_idx:
+            for j in src:
                 v = self.pres_matrix.rows[i][j]
                 row.append(v % d if d > 1 else v)
             out.append(row)

@@ -19,6 +19,7 @@ contradicted by deeper levels.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -73,6 +74,12 @@ class PipelineReport:
         }
 
 
+def check_deadline(deadline: Optional[float], what: str):
+    """Raise TimeoutError once time.monotonic() passes deadline (None: never)."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeoutError(f"{what} passed the --timeout-secs budget")
+
+
 def _transition_injective_over(report, p: int) -> bool:
     """p-local injectivity of a transition map report.
 
@@ -85,12 +92,13 @@ def _transition_injective_over(report, p: int) -> bool:
     return report.induced.is_injective_localized(p)
 
 
-def _scan_levels(complexes: dict, j: int, p: int, box) -> tuple:
+def _scan_levels(complexes: dict, j: int, p: int, box, deadline) -> tuple:
     levels = []
     support = {}
     kills = {}
     frees = {}
     for ell, tc in sorted(complexes.items()):
+        check_deadline(deadline, f"level {ell} support scan")
         scan = tc.support_scan(j, box=box)
         found = []
         free_total = 0
@@ -134,17 +142,23 @@ def annihilator_pipeline(
     j: int = 4,
     levels: int = 3,
     box=None,
+    deadline: Optional[float] = None,
 ) -> PipelineReport:
-    """Run the three evidence stages for Ext^j of the power-ideal system."""
+    """Run the three evidence stages for Ext^j of the power-ideal system.
+
+    deadline is a time.monotonic() value; past it the run stops with
+    TimeoutError between levels.
+    """
     if levels < 1:
         raise ValueError(f"need at least one level, got {levels}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    complexes = {
-        ell: TaylorComplex(power_ideal(ideal, ell)) for ell in range(1, levels + 1)
-    }
+    complexes = {}
+    for ell in range(1, levels + 1):
+        check_deadline(deadline, f"building level {ell}")
+        complexes[ell] = TaylorComplex(power_ideal(ideal, ell))
 
-    level_details, support, kills, frees = _scan_levels(complexes, j, p, box)
+    level_details, support, kills, frees = _scan_levels(complexes, j, p, box, deadline)
     complete = all(d["complete_support"] for d in level_details)
     # the level-one kill bound must persist at every deeper level
     consistent = None
@@ -167,6 +181,7 @@ def annihilator_pipeline(
         pairs = []
         all_injective = True
         for ell in range(1, levels):
+            check_deadline(deadline, f"level {ell} transitions")
             low, high = complexes[ell], complexes[ell + 1]
             transitions = []
             for k, alpha in enumerate(support[ell]):

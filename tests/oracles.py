@@ -8,6 +8,7 @@ the constants off an echelon basis.
 from itertools import product
 from math import comb
 
+from mixedchar.intlinalg import IntMatrix, integer_kernel
 from mixedchar.scalars import padic_valuation
 
 
@@ -125,3 +126,30 @@ def term_ideal_min_dividing_valuation(gens, e):
     """
     vals = [v for (g, v) in gens if all(a <= b for a, b in zip(g, e))]
     return min(vals) if vals else None
+
+
+def full_block_injective(induced, p=None):
+    """Injectivity of an InducedMap through the whole presentation.
+
+    The kernel block is [pres | -diag(target relations)] over every
+    presentation coordinate, relation-1 components included; each integer
+    kernel vector, cut to its source part, must lie in the source relation
+    lattice (after inverting every prime but p when p is given).  This is
+    the reference for the library's block on surviving components.
+    """
+    source, target, pres = induced.source, induced.target, induced.pres_matrix
+    ks = source.presentation_rank()
+    kt = target.presentation_rank()
+    block = IntMatrix(kt, ks + kt)
+    for i in range(kt):
+        block.rows[i][:ks] = pres.rows[i]
+        block.rows[i][ks + i] = -target.xdiag[i]
+    for vec in integer_kernel(block):
+        y = vec[:ks]
+        if p is None:
+            ok = source.in_relation_lattice(y)
+        else:
+            ok = source.in_relation_lattice_localized(y, p)
+        if not ok:
+            return False
+    return True

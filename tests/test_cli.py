@@ -121,6 +121,14 @@ def test_reports_are_byte_identical_across_runs_and_threads(capsys, tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_timeouts_are_reported_as_timeouts(capsys):
+    for command in ("pipeline", "transition"):
+        code, out, err = run(capsys, command, "--ideal", REISNER, "--levels", "2",
+                             "--timeout-secs", "0")
+        assert code == 1 and out == ""
+        assert err.startswith("timeout:")
+
+
 def test_transition_claim(capsys):
     code, data, _ = run_json(
         capsys, "transition", "--ideal", REISNER, "--j", "4", "--levels", "2"

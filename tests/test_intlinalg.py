@@ -1,7 +1,9 @@
 import random
+from math import gcd
 
 import pytest
 
+from mixedchar import intlinalg
 from mixedchar.intlinalg import (
     CohomologyBasis,
     FinAbGroup,
@@ -16,6 +18,12 @@ from mixedchar.intlinalg import (
     smith_normal_form,
     solve_exact,
 )
+from mixedchar.monomials import power_ideal
+from mixedchar.subsets import bits_to_subsets, coboundary_sign_entries, size_masks
+from mixedchar.taylor import TaylorComplex, transition_between
+from mixedchar.textio import reisner_ideal
+
+from .oracles import full_block_injective
 
 
 def _det(M):
@@ -94,6 +102,17 @@ def test_sparse_invariant_factors_agree_with_dense():
         r1, f1 = invariant_factors_sparse(entries, m, n)
         r2, f2 = invariant_factors_dense(M)
         assert (r1, f1) == (r2, f2)
+    # rows with no unit entry are parked until an elimination changes them
+    for _ in range(150):
+        m, n = rng.randint(2, 9), rng.randint(2, 9)
+        M = IntMatrix(m, n)
+        for i in range(m):
+            values = (-1, 1, 2, -3) if rng.random() < 0.4 else (2, -2, 3, -3, 5)
+            for j in range(n):
+                if rng.random() < 0.5:
+                    M.rows[i][j] = rng.choice(values)
+        entries = {(i, j): v for i, r in enumerate(M.rows) for j, v in enumerate(r) if v}
+        assert invariant_factors_sparse(entries, m, n) == invariant_factors_dense(M)
 
 
 def test_integer_kernel_is_saturated_basis():
@@ -192,3 +211,118 @@ def test_induced_map_through_kernel():
     m = InducedMap(basis, basis, swap)
     assert m.is_injective()
     assert m.component_matrix() in ([[1]], [[-1]])
+
+
+def _random_chain(rng):
+    """Divisibility chain with 1s, p-powers, composites and trailing zeros."""
+    chain = [1] * rng.randint(0, 3)
+    d = 1
+    for _ in range(rng.randint(0, 3)):
+        d *= rng.choice((1, 2, 2, 3, 4, 5, 6, 9))
+        chain.append(d)
+    chain += [0] * rng.randint(0, 2)
+    return chain or [1]
+
+
+def _diagonal_basis(chain):
+    """CohomologyBasis of Z^k / diag(chain), presented in its own coordinates."""
+    k = len(chain)
+    d_in = IntMatrix(k, k)
+    for i, d in enumerate(chain):
+        d_in.rows[i][i] = d
+    basis = CohomologyBasis(d_in, None, k)
+    assert basis.xdiag == chain
+    return basis
+
+
+def _well_defined_map(rng, xs, xt):
+    """Presentation matrix P with xs_j * P[:, j] in the target relation lattice."""
+    P = IntMatrix(len(xt), len(xs))
+    for i, t in enumerate(xt):
+        for j, s in enumerate(xs):
+            if t == 0:
+                step = 0 if s else 1
+            else:
+                step = t // gcd(t, s)  # gcd(t, 0) == t, so step 1 when s == 0
+            P.rows[i][j] = step * rng.randint(-3, 3)
+    return P
+
+
+def test_reduced_kernel_block_agrees_with_full_presentation_oracle():
+    rng = random.Random(20261017)
+    seen_injective = seen_not = 0
+    for _ in range(400):
+        xs, xt = _random_chain(rng), _random_chain(rng)
+        source, target = _diagonal_basis(xs), _diagonal_basis(xt)
+        induced = InducedMap(source, target, _well_defined_map(rng, xs, xt))
+        expected = full_block_injective(induced)
+        assert induced.is_injective() == expected
+        for p in (2, 3):
+            assert induced.is_injective_localized(p) == full_block_injective(induced, p)
+        seen_injective += expected
+        seen_not += not expected
+    assert seen_injective > 40 and seen_not > 40
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+def test_reduced_kernel_block_on_reisner_transitions(ell):
+    ideal = reisner_ideal()
+    low = TaylorComplex(power_ideal(ideal, ell))
+    high = TaylorComplex(power_ideal(ideal, ell + 1))
+    pieces = low.support_scan(4).pieces
+    assert len(pieces) == ell**6
+    for k, piece in enumerate(pieces):
+        induced = transition_between(low, high, ell, 4, piece.alpha, check_chain=k == 0).induced
+        assert induced is not None
+        assert induced.is_injective() == full_block_injective(induced)
+        for p in (2, 3):
+            assert induced.is_injective_localized(p) == full_block_injective(induced, p)
+
+
+def _strand_shaped(rng, r, density):
+    """Sign coboundary between random size-s and size-(s+1) subset families."""
+    s = (r - 1) // 2
+    masks = size_masks(r)
+    cols = rows = 0
+    for S in bits_to_subsets(masks[s]):
+        if rng.random() < density:
+            cols |= 1 << S
+    for T in bits_to_subsets(masks[s + 1]):
+        if rng.random() < density:
+            rows |= 1 << T
+    return coboundary_sign_entries(cols, rows)
+
+
+def _dense_of(entries, m, n):
+    M = IntMatrix(m, n)
+    for (i, j), v in entries.items():
+        M.rows[i][j] = v
+    return M
+
+
+def test_sparse_matches_dense_on_strand_shaped_matrices():
+    rng = random.Random(31)
+    biggest = 0
+    for r, density, reps in ((5, 0.7, 30), (6, 0.6, 20), (8, 0.8, 4), (10, 0.95, 1)):
+        for _ in range(reps):
+            entries, m, n = _strand_shaped(rng, r, density)
+            biggest = max(biggest, m)
+            expected = invariant_factors_dense(_dense_of(entries, m, n))
+            assert invariant_factors_sparse(entries, m, n) == expected
+            # pivot order follows row and column labels; the answer must not
+            rp, cp = list(range(m)), list(range(n))
+            rng.shuffle(rp)
+            rng.shuffle(cp)
+            moved = {(rp[i], cp[j]): v for (i, j), v in entries.items()}
+            assert invariant_factors_sparse(moved, m, n) == expected
+    assert biggest >= 200
+
+
+def test_parked_row_is_requeued_when_an_elimination_gives_it_a_unit(monkeypatch):
+    # row 0 has no unit entry and is popped first; eliminating with row 1
+    # turns it into (0, 1), which must then be pivoted on, leaving no core
+    def no_core(M):
+        raise AssertionError(f"dense core {M} left over")
+
+    monkeypatch.setattr(intlinalg, "invariant_factors_dense", no_core)
+    assert invariant_factors_sparse({(0, 0): 2, (0, 1): 3, (1, 0): 1, (1, 1): 1}, 2, 2) == (2, [])
