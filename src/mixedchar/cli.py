@@ -15,10 +15,10 @@ Subcommands
 Exit codes: 0 success, 1 usage or input error, 2 when a checked claim
 failed, meaning the computation ran and did not reproduce the statement.
 
-Reports are byte-identical across runs and across --threads values for
-identical inputs.  Tuning flags (--threads, --timeout-secs) are never
-echoed into the report; wall-clock seconds go to standard error only,
-while the report's "timing" field carries deterministic work counters.
+Reports are byte-identical across runs for identical inputs.  The
+tuning flag --timeout-secs is never echoed into the report; wall-clock
+seconds go to standard error only, while the report's "timing" field
+carries deterministic work counters.
 
 File arguments accept "-" for standard input.  Formats are documented in
 textio; generator lists may omit the "vars n" header, in which case the
@@ -44,7 +44,7 @@ from .filtrations import (
 )
 from .groebner import sv_containment_check
 from .monomials import power_ideal
-from .pipeline import annihilator_pipeline, check_deadline
+from .pipeline import annihilator_pipeline
 from .polynomials import Polynomial
 from .reports import FAILED, Claim, Report, verified
 from .scalars import DVR, PrimeField, RationalField
@@ -54,7 +54,7 @@ from .simplicial import (
     hochster_nonzero_levels,
     reduced_cohomology,
 )
-from .taylor import TaylorComplex, transition_between
+from .taylor import TaylorComplex, check_deadline, transition_between
 from .textio import (
     load_facets_text,
     load_generators_text,
@@ -179,6 +179,7 @@ def _piece_entry(piece, p: int) -> dict:
 def cmd_ext(ns) -> Report:
     ideal, source = _load_ideal(ns.ideal)
     alpha = _parse_alpha(ns.alpha, ideal.n)
+    check_deadline(_deadline(ns), "building the Taylor complex")
     piece = TaylorComplex(ideal).ext_piece(ns.j, alpha)
     return Report(
         command="ext",
@@ -193,7 +194,7 @@ def cmd_scan(ns) -> Report:
     ideal, source = _load_ideal(ns.ideal)
     tc = TaylorComplex(ideal)
     box = _parse_box(ns.box, ideal.n) if ns.box else tc.default_box()
-    scan = tc.support_scan(ns.j, box=box, shell=not ns.no_shell)
+    scan = tc.support_scan(ns.j, box=box, shell=not ns.no_shell, deadline=_deadline(ns))
     results = scan.describe()
     results["pieces"] = [_piece_entry(p, ns.p) for p in scan.pieces]
     claims = []
@@ -254,9 +255,8 @@ def cmd_transition(ns) -> Report:
     all_injective = True
     complete = True
     for ell in range(1, ns.levels):
-        check_deadline(deadline, f"level {ell} support scan")
         low, high = complexes[ell], complexes[ell + 1]
-        scan = low.support_scan(ns.j)
+        scan = low.support_scan(ns.j, deadline=deadline)
         degrees += scan.degrees_scanned
         complete = complete and scan.complete_support()
         entry = {
@@ -560,7 +560,6 @@ def cmd_radical_check(ns) -> Report:
 
 
 def _add_tuning(sp):
-    sp.add_argument("--threads", type=int, default=1, help="worker budget; results never depend on it")
     sp.add_argument("--timeout-secs", type=float, default=None, help="give up after this much wall time")
 
 
@@ -652,8 +651,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(_fuse_values(argv))
-        if ns.threads < 1:
-            raise UsageError("--threads must be >= 1")
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -609,25 +609,29 @@ class CohomologyBasis:
         self.group = FinAbGroup.from_diagonal(self.xdiag, k)
 
     def _solve_in_kernel(self, b: list):
+        """Integer x with K x = b, or None when b is outside the lattice.
+
+        With U K W = D, x = W y where D y = U b; b (a coboundary column or
+        an included kernel vector) is mostly zeros, so both products sum
+        only over nonzero entries.
+        """
         D, U, W = self.ksnf
         diag = diagonal_of(D)
-        c = [sum(U.rows[i][t] * b[t] for t in range(len(b))) for i in range(len(b))]
+        bnz = [(t, v) for t, v in enumerate(b) if v]
         y = [0] * self.K.ncols
-        for i in range(len(b)):
+        for i, urow in enumerate(U.rows):
+            c = sum(urow[t] * v for t, v in bnz)
             d = diag[i] if i < len(diag) else 0
             if d == 0:
-                if c[i] != 0:
+                if c != 0:
                     return None
             else:
-                q, r = divmod(c[i], d)
+                q, r = divmod(c, d)
                 if r:
                     return None
-                if i < self.K.ncols:
-                    y[i] = q
-        return [
-            sum(W.rows[i][t] * y[t] for t in range(self.K.ncols))
-            for i in range(self.K.ncols)
-        ]
+                y[i] = q
+        ynz = [(t, v) for t, v in enumerate(y) if v]
+        return [sum(wrow[t] * v for t, v in ynz) for wrow in W.rows]
 
     def presentation_rank(self) -> int:
         return self.K.ncols

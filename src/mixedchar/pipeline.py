@@ -19,14 +19,13 @@ contradicted by deeper levels.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
 from .diffops import Annihilator, AnnihilatorEvidence, infer_annihilator
 from .monomials import MonomialIdeal, power_ideal
 from .scalars import is_prime
-from .taylor import TaylorComplex, transition_between
+from .taylor import TaylorComplex, check_deadline, transition_between
 from .textio import reisner_ideal
 
 
@@ -74,12 +73,6 @@ class PipelineReport:
         }
 
 
-def check_deadline(deadline: Optional[float], what: str):
-    """Raise TimeoutError once time.monotonic() passes deadline (None: never)."""
-    if deadline is not None and time.monotonic() > deadline:
-        raise TimeoutError(f"{what} passed the --timeout-secs budget")
-
-
 def _transition_injective_over(report, p: int) -> bool:
     """p-local injectivity of a transition map report.
 
@@ -98,8 +91,7 @@ def _scan_levels(complexes: dict, j: int, p: int, box, deadline) -> tuple:
     kills = {}
     frees = {}
     for ell, tc in sorted(complexes.items()):
-        check_deadline(deadline, f"level {ell} support scan")
-        scan = tc.support_scan(j, box=box)
+        scan = tc.support_scan(j, box=box, deadline=deadline)
         found = []
         free_total = 0
         exp_top = 0
@@ -147,7 +139,7 @@ def annihilator_pipeline(
     """Run the three evidence stages for Ext^j of the power-ideal system.
 
     deadline is a time.monotonic() value; past it the run stops with
-    TimeoutError between levels.
+    TimeoutError, checked between levels and inside each support scan.
     """
     if levels < 1:
         raise ValueError(f"need at least one level, got {levels}")

@@ -10,6 +10,15 @@ every strand matrix has entries in {-1, 0, 1}.  Cohomology of a strand is
 exact integer linear algebra, and support scans, multiplication maps and
 level transition maps all reduce to strands.
 
+A strand depends on alpha only through its basis sets, and the basis set
+at spot j is the size-j subsets ANDed with one threshold mask per
+coordinate: all subsets when tau_i = 0, the subsets with (a_S)_i >= tau_i
+when 0 < tau_i <= (a_full)_i, none beyond.  Degrees whose coordinates
+select the same masks therefore share one strand, which is how support
+scans run: once per class product of masks, not once per degree (the
+graded piece depends only on the support pattern of tau, as in Mustata,
+"Local cohomology at monomial ideals", J. Symb. Comput. 2000).
+
 Basis sets are bigint bitmasks over the 2^r subset indices.  A strand's
 matrices depend only on those bitmasks, not on the ideal, so invariant
 factors and presentation bases are cached globally and shared across
@@ -19,8 +28,11 @@ degrees, levels, and ideals whose subset combinatorics agree.
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
+from operator import attrgetter
+from typing import Optional
 
 from .intlinalg import (
     CohomologyBasis,
@@ -38,6 +50,12 @@ MAX_GENERATORS = 12
 _STATS_CACHE: dict = {}
 _BASIS_CACHE: dict = {}
 _INDUCED_CACHE: dict = {}
+
+
+def check_deadline(deadline: Optional[float], what: str):
+    """Raise TimeoutError once time.monotonic() passes deadline (None: never)."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeoutError(f"{what} passed the --timeout-secs budget")
 
 
 def _strand_stats(col_bits: int, row_bits: int):
@@ -222,33 +240,56 @@ class TaylorComplex:
     def default_box(self):
         return tuple((-self.a_full[i], 0) for i in range(self.n))
 
-    def support_scan(self, j: int, box=None, shell: bool = True) -> "ExtScanResult":
+    def _mask_classes(self, i: int, lo: int, hi: int) -> list:
+        """The values lo..hi of coordinate i, grouped by the threshold mask
+        they select, each group ascending."""
+        groups: dict = {}
+        for v in range(lo, hi + 1):
+            t = -v if v < 0 else 0
+            mask = self._thr[i][t] if t <= self.a_full[i] else 0
+            groups.setdefault(mask, []).append(v)
+        return list(groups.values())
+
+    def support_scan(
+        self, j: int, box=None, shell: bool = True, deadline: Optional[float] = None
+    ) -> "ExtScanResult":
         """All nonzero Ext pieces in the box, ascending in alpha.
 
         With shell=True the scan also walks the one-step enlargement of the
         box; nonzero pieces found there are reported as offenders, meaning
         the box truncates the support.
+
+        Each coordinate's scanned values are grouped by the threshold mask
+        they select.  level_bits is the AND of exactly these masks with the
+        size-j subsets, so every degree in a product of classes has the
+        same strand triple, hence the same group: one ext_piece per class
+        product is exact, and only the nonzero ones are expanded into
+        degrees.  degrees_scanned still counts degrees.  deadline is a
+        time.monotonic() value, checked once per class product.
         """
         if box is None:
             box = self.default_box()
         box = tuple((int(lo), int(hi)) for lo, hi in box)
         if len(box) != self.n or any(lo > hi for lo, hi in box):
             raise ValueError("invalid scan box")
+        pad = 1 if shell else 0
+        classes = [
+            self._mask_classes(i, lo - pad, hi + pad) for i, (lo, hi) in enumerate(box)
+        ]
         pieces = []
-        count = 0
-        for alpha in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
-            count += 1
-            piece = self.ext_piece(j, alpha)
-            if piece.is_nonzero():
-                pieces.append(piece)
         offenders = []
-        if shell:
-            for alpha in itertools.product(*(range(lo - 1, hi + 2) for lo, hi in box)):
+        for combo in itertools.product(*classes):
+            check_deadline(deadline, f"Ext^{j} support scan")
+            found = self.ext_piece(j, tuple(values[0] for values in combo))
+            if not found.is_nonzero():
+                continue
+            for alpha in itertools.product(*combo):
                 if all(lo <= a <= hi for a, (lo, hi) in zip(alpha, box)):
-                    continue
-                count += 1
-                if self.ext_piece(j, alpha).is_nonzero():
+                    pieces.append(GradedExtPiece(self, j, alpha, found.group, found.triple))
+                else:
                     offenders.append(alpha)
+        pieces.sort(key=attrgetter("alpha"))
+        offenders.sort()
         return ExtScanResult(
             j=j,
             box=box,
@@ -256,7 +297,7 @@ class TaylorComplex:
             shell_checked=shell,
             shell_clean=not offenders,
             shell_offenders=tuple(offenders),
-            degrees_scanned=count,
+            degrees_scanned=prod(hi - lo + 1 + 2 * pad for lo, hi in box),
         )
 
     def mult_map(self, j: int, alpha, i: int) -> "MultMapReport":
@@ -267,7 +308,7 @@ class TaylorComplex:
         target_alpha = tuple(a + (1 if k == i else 0) for k, a in enumerate(alpha))
         src = self.ext_piece(j, alpha)
         tgt = self.ext_piece(j, target_alpha)
-        induced, matrix, zero = _maybe_induced(src, tgt)
+        induced, matrix = _maybe_induced(src, tgt)
         return MultMapReport(
             j=j,
             alpha=alpha,
@@ -276,7 +317,7 @@ class TaylorComplex:
             source_group=src.group,
             target_group=tgt.group,
             matrix=matrix,
-            zero=zero,
+            zero=induced is None or induced.is_zero(),
             induced=induced,
             source=src,
             target=tgt,
@@ -330,14 +371,14 @@ class GradedExtPiece:
 
 
 def _maybe_induced(src: GradedExtPiece, tgt: GradedExtPiece):
-    """(InducedMap or None, component matrix, zero flag), skipping dense work
-    whenever one side has no surviving components."""
+    """(InducedMap or None, component matrix), skipping dense work whenever
+    one side has no surviving components; None means the map is zero."""
     scomp = src.group.free_rank + len(src.group.factors)
     tcomp = tgt.group.free_rank + len(tgt.group.factors)
     if scomp == 0 or tcomp == 0:
-        return None, [[0] * scomp for _ in range(tcomp)], True
+        return None, [[0] * scomp for _ in range(tcomp)]
     induced = _induced_inclusion(src.triple, tgt.triple)
-    return induced, induced.component_matrix(), induced.is_zero()
+    return induced, induced.component_matrix()
 
 
 @dataclass(frozen=True)
@@ -469,7 +510,7 @@ def transition_between(
     tgt = high.ext_piece(j, alpha)
     if src.triple[1] & ~tgt.triple[1]:
         raise ValueError("strand basis does not embed under the comparison map")
-    induced, matrix, _ = _maybe_induced(src, tgt)
+    induced, matrix = _maybe_induced(src, tgt)
     if induced is None:
         injective = src.group.is_trivial()
     else:

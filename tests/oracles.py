@@ -10,6 +10,7 @@ from math import comb
 
 from mixedchar.intlinalg import IntMatrix, integer_kernel
 from mixedchar.scalars import padic_valuation
+from mixedchar.taylor import ExtScanResult
 
 
 def monomial_box(n, cap):
@@ -153,3 +154,39 @@ def full_block_injective(induced, p=None):
         if not ok:
             return False
     return True
+
+
+def degree_by_degree_scan(tc, j, box=None, shell=True):
+    """TaylorComplex.support_scan computed one degree at a time.
+
+    Every degree of the box, then every degree of its one-step enlargement
+    outside the box, gets its own ext_piece; no grouping by threshold mask.
+    This is the reference for the library's class-grouped scan.
+    """
+    if box is None:
+        box = tc.default_box()
+    box = tuple((int(lo), int(hi)) for lo, hi in box)
+    pieces = []
+    count = 0
+    for alpha in product(*(range(lo, hi + 1) for lo, hi in box)):
+        count += 1
+        piece = tc.ext_piece(j, alpha)
+        if piece.is_nonzero():
+            pieces.append(piece)
+    offenders = []
+    if shell:
+        for alpha in product(*(range(lo - 1, hi + 2) for lo, hi in box)):
+            if all(lo <= a <= hi for a, (lo, hi) in zip(alpha, box)):
+                continue
+            count += 1
+            if tc.ext_piece(j, alpha).is_nonzero():
+                offenders.append(alpha)
+    return ExtScanResult(
+        j=j,
+        box=box,
+        pieces=tuple(pieces),
+        shell_checked=shell,
+        shell_clean=not offenders,
+        shell_offenders=tuple(offenders),
+        degrees_scanned=count,
+    )

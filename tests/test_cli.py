@@ -1,5 +1,6 @@
 """End-to-end command line runs: exit codes, report shape, determinism."""
 
+import hashlib
 import io
 import json
 import subprocess
@@ -110,23 +111,51 @@ def test_pipeline_inconclusive_input_exits_two(capsys, tmp_path):
     assert claim["result"] == "Ann = undetermined"
 
 
-def test_reports_are_byte_identical_across_runs_and_threads(capsys, tmp_path):
+def test_reports_are_byte_identical_across_runs(capsys, tmp_path):
     path = tmp_path / "small.ideal"
     path.write_text("vars 2\n2 0\n0 2\n")
     outs = []
-    for extra in ((), ("--threads", "4"), ("--threads", "7")):
+    for _ in range(3):
         code, out, _ = run(capsys, "pipeline", "--ideal", str(path), "--j", "1",
-                           "--levels", "2", *extra)
+                           "--levels", "2")
+        assert code == 0
         outs.append(out)
     assert outs[0] == outs[1] == outs[2]
 
 
+# sha256 of the report bytes, the ten cubics read from stdin; computed from
+# the reports of the per-degree scan before scans were grouped by class
+GOLDEN_REPORTS = (
+    (("scan", "--ideal", "-", "--j", "4", "--box", "-1:0"),
+     "83756484551f2551eaf6ca9a865177bf21a651f65e60e687c5ff88d7c4e818f5"),
+    (("pipeline", "--ideal", "-", "--p", "2", "--levels", "3"),
+     "3cc29122fff426d37da9dd4c40fba4fe6e1842eaf1d3751947a9a0f11d9b5c6b"),
+    (("transition", "--ideal", "-", "--levels", "3"),
+     "632f7cfb002a7cc2685f4fd36d803b2f3e5f617e7a75eeefa5eb7976ff1e4174"),
+)
+
+
+@pytest.mark.parametrize(
+    "argv,digest", GOLDEN_REPORTS, ids=[argv[0] for argv, _ in GOLDEN_REPORTS]
+)
+def test_reisner_reports_match_golden_digests(capsys, monkeypatch, argv, digest):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(Path(REISNER).read_text()))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_timeouts_are_reported_as_timeouts(capsys):
-    for command in ("pipeline", "transition"):
-        code, out, err = run(capsys, command, "--ideal", REISNER, "--levels", "2",
-                             "--timeout-secs", "0")
-        assert code == 1 and out == ""
-        assert err.startswith("timeout:")
+    commands = (
+        ("pipeline", "--levels", "2"),
+        ("transition", "--levels", "2"),
+        ("scan", "--j", "4", "--box", "-1:0"),
+        ("ext", "--j", "4", "--alpha", "-1,-1,-1,-1,-1,-1"),
+    )
+    for command in commands:
+        code, out, err = run(capsys, *command, "--ideal", REISNER, "--timeout-secs", "0")
+        assert code == 1 and out == "", command
+        assert err.startswith("timeout:"), command
 
 
 def test_transition_claim(capsys):
@@ -281,9 +310,10 @@ def test_radical_check_certificate_claim(capsys):
     assert data["timing"]["radical_memberships"] == 20
 
 
-def test_threads_must_be_positive(capsys):
-    code, _, err = run(capsys, "scan", "--ideal", REISNER, "--j", "4", "--threads", "0")
-    assert code == 1 and "--threads must be >= 1" in err
+def test_threads_is_not_an_option(capsys):
+    code, out, err = run(capsys, "scan", "--ideal", REISNER, "--j", "4", "--threads", "2")
+    assert code == 1 and out == ""
+    assert "unrecognized arguments" in err
 
 
 def test_module_entry_point():

@@ -326,3 +326,69 @@ def test_parked_row_is_requeued_when_an_elimination_gives_it_a_unit(monkeypatch)
 
     monkeypatch.setattr(intlinalg, "invariant_factors_dense", no_core)
     assert invariant_factors_sparse({(0, 0): 2, (0, 1): 3, (1, 0): 1, (1, 1): 1}, 2, 2) == (2, [])
+
+
+def _kernel_times(basis, x):
+    nz = [(t, v) for t, v in enumerate(x) if v]
+    return [sum(row[t] * v for t, v in nz) for row in basis.K.rows]
+
+
+def _check_solve_in_kernel(rng, basis, d_in, d_out, samples=6):
+    """K x == b for d_in columns and kernel combinations; None off the kernel.
+
+    Returns how many vectors off the kernel were rejected.
+    """
+    k = basis.K.ncols
+    cols = range(d_in.ncols) if d_in is not None else ()
+    targets = [d_in.column(j) for j in rng.sample(cols, min(samples, len(cols)))]
+    for _ in range(3):
+        targets.append(_kernel_times(basis, [rng.randint(-3, 3) for _ in range(k)]))
+    for b in targets:
+        x = basis._solve_in_kernel(b)
+        assert x is not None and len(x) == k
+        assert _kernel_times(basis, x) == b
+    if d_out is None:
+        return 0
+    off = [t for t in range(basis.dim) if any(d_out.column(t))]
+    for t in rng.sample(off, min(samples, len(off))):
+        e = [0] * basis.dim
+        e[t] = 1
+        assert basis._solve_in_kernel(e) is None
+    return min(samples, len(off))
+
+
+def _up_closed_triple(rng, r):
+    """Basis sets of sizes s-1, s, s+1 of a random up-closed subset family."""
+    seeds = [rng.randrange(1, 1 << r) for _ in range(rng.randint(1, 4))]
+    family = 0
+    for S in range(1 << r):
+        if any(S & g == g for g in seeds):
+            family |= 1 << S
+    s = rng.randint(1, r - 1)
+    masks = size_masks(r)
+    return tuple(family & masks[t] for t in (s - 1, s, s + 1))
+
+
+def test_solve_in_kernel_on_strand_bases():
+    rng = random.Random(4411)
+    ideal = reisner_ideal()
+    checked = rejected = 0
+    for ell in (1, 2, 3):
+        tc = TaylorComplex(power_ideal(ideal, ell))
+        for zero in range(-1, 6):  # at most one coordinate 0 keeps strands small
+            alpha = tuple(0 if i == zero else -rng.randint(1, ell) for i in range(6))
+            for j in (3, 4, 5):
+                d_in, d_out = tc.strand_matrices(j, alpha)
+                basis = tc.ext_piece(j, alpha).basis
+                rejected += _check_solve_in_kernel(rng, basis, d_in, d_out)
+                checked += 1
+    for _ in range(40):
+        below, here, above = _up_closed_triple(rng, rng.randint(3, 7))
+        if not here:
+            continue
+        d_in = _dense_of(*coboundary_sign_entries(below, here)) if below else None
+        d_out = _dense_of(*coboundary_sign_entries(here, above)) if above else None
+        basis = CohomologyBasis(d_in, d_out, here.bit_count())
+        rejected += _check_solve_in_kernel(rng, basis, d_in, d_out)
+        checked += 1
+    assert checked > 60 and rejected > 60

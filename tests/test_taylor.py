@@ -17,6 +17,7 @@ from mixedchar.taylor import (
 )
 
 from tests.conftest import REISNER_ROWS
+from tests.oracles import degree_by_degree_scan
 
 
 def reisner():
@@ -87,6 +88,57 @@ def test_principal_ideal_scan_reports_truncated_support():
     assert not scan.shell_clean
     assert set(scan.shell_offenders) == {(-2, 1), (-1, 1), (1, -1)}
     assert not scan.complete_support()
+
+
+def _assert_same_scan(got, want):
+    assert got.describe() == want.describe()
+    assert [(p.alpha, p.j, p.group, p.triple) for p in got.pieces] == [
+        (p.alpha, p.j, p.group, p.triple) for p in want.pieces
+    ]
+    assert got.shell_offenders == want.shell_offenders
+    assert got.degrees_scanned == want.degrees_scanned
+
+
+def _random_box(rng, tc):
+    """Per coordinate lo..hi with lo from -a_full - 2, past every threshold,
+    up to 1, and hi at most 2, so boxes reach into positive degrees."""
+    box = []
+    for top in tc.a_full:
+        lo = rng.randint(-top - 2, 1)
+        box.append((lo, rng.randint(lo, min(lo + 4, 2))))
+    return box
+
+
+def test_class_scan_matches_the_degree_by_degree_oracle():
+    rng = random.Random(20261018)
+    class_counts = set()
+    pieces = offenders = 0
+    for trial in range(150):
+        ideal = _random_ideal(rng, n=rng.randint(1, 4), max_gens=5, max_exp=3)
+        order = None
+        if trial % 8 == 0:
+            order = list(range(len(ideal.gens)))
+            rng.shuffle(order)
+        tc = TaylorComplex(ideal, generator_order=order)
+        class_counts.add(
+            tuple(len(tc._mask_classes(i, -top - 1, 1)) for i, top in enumerate(tc.a_full))
+        )
+        for box in (None, _random_box(rng, tc)):
+            for j in range(tc.r + 2):
+                for shell in (True, False):
+                    got = tc.support_scan(j, box=box, shell=shell)
+                    _assert_same_scan(got, degree_by_degree_scan(tc, j, box=box, shell=shell))
+                    pieces += len(got.pieces)
+                    offenders += len(got.shell_offenders)
+    # coordinates with different class counts inside one ideal
+    assert any(len(set(counts)) > 1 for counts in class_counts)
+    assert pieces > 2000 and offenders > 2000
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_class_scan_matches_the_oracle_on_reisner_levels(ell):
+    tc = TaylorComplex(power_ideal(reisner(), ell))
+    _assert_same_scan(tc.support_scan(4), degree_by_degree_scan(tc, 4))
 
 
 def _covering_subset_count(rows, size):
