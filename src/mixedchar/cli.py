@@ -392,9 +392,9 @@ def cmd_saturate(ns) -> Report:
 
 def cmd_simplicial(ns) -> Report:
     cx, source = _load_facets(ns.facets)
-    tables = {"Z": reduced_cohomology(cx, "Z"), "Q": reduced_cohomology(cx, "Q")}
-    if ns.p is not None:
-        tables[f"F{ns.p}"] = reduced_cohomology(cx, ns.p)
+    coeffs = ("Z", "Q") if ns.p is None else ("Z", "Q", ns.p)
+    by_coeff = reduced_cohomology(cx, coeffs, deadline=_deadline(ns))
+    tables = {coeff if coeff in ("Z", "Q") else f"F{coeff}": by_coeff[coeff] for coeff in coeffs}
     results = {
         "vertices": cx.n,
         "dim": cx.dim(),
@@ -444,7 +444,8 @@ def cmd_hochster(ns) -> Report:
         timing = {"pieces": 1}
     else:
         coeffs = [("F2", 2), ("F3", 3), ("Q", "Q")] if ns.p is None else [(f"F{ns.p}", ns.p)]
-        levels = {name: list(hochster_nonzero_levels(cx, c)) for name, c in coeffs}
+        found = hochster_nonzero_levels(cx, tuple(c for _, c in coeffs), deadline=_deadline(ns))
+        levels = {name: list(found[c]) for name, c in coeffs}
         results = {"nonzero_levels": levels}
         timing = {"faces": sum(cx.face_counts()), "fields": len(coeffs)}
         if ns.p is None and (cx.n, tuple(sorted(cx.facets))) == (
@@ -615,13 +616,13 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("simplicial", help="reduced cohomology of a facet complex")
     sp.add_argument("--facets", required=True, help="facet file, or - for stdin")
-    sp.add_argument("--p", type=int, default=None, help="also report dimensions over F_p")
+    sp.add_argument("--p", type=int, default=None, help="also report dimensions over F_p (p prime)")
     _add_tuning(sp)
     sp.set_defaults(handler=cmd_simplicial)
 
     sp = sub.add_parser("hochster", help="graded local cohomology via links")
     sp.add_argument("--facets", required=True)
-    sp.add_argument("--p", type=int, default=None, help="field (default: scan F2, F3, Q)")
+    sp.add_argument("--p", type=int, default=None, help="prime p for the field F_p (default: scan F2, F3, Q)")
     sp.add_argument("--i", type=int, default=None, help="cohomological spot for a single piece")
     sp.add_argument("--degree", default=None, help="graded degree for a single piece")
     _add_tuning(sp)

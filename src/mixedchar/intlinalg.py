@@ -343,6 +343,41 @@ def invariant_factors_sparse(entries: dict, nrows: int, ncols: int):
     return unit_count + crank, cfactors
 
 
+def cochain_invariants(maps) -> list:
+    """(rank, nontrivial invariant factors) of each map, one sparse elimination each.
+
+    maps are (entries, nrows, ncols) triples as coboundary_sign_entries
+    returns them.  They are taken one at a time, so a lazy iterable can
+    do work (a deadline check) just before each elimination.  Every field
+    reads its ranks off the result: over Q the rank, over F_p (p prime)
+    the rank minus the factors divisible by p.
+    """
+    return [invariant_factors_sparse(entries, nrows, ncols) for entries, nrows, ncols in maps]
+
+
+def rank_mod_p(rank: int, factors, p: int) -> int:
+    """Rank over F_p of an integer matrix with this rank and these invariant factors."""
+    return rank - sum(1 for d in factors if d % p == 0)
+
+
+def check_composes_to_zero(maps):
+    """Raise ValueError unless consecutive sparse maps compose to zero.
+
+    maps are (entries, nrows, ncols) triples; map k+1 is applied after
+    map k, so the product is one sparse pass over the later map's entries.
+    """
+    for (inner, _, _), (outer, _, _) in zip(maps, maps[1:]):
+        by_row: dict = {}
+        for (i, j), v in inner.items():
+            by_row.setdefault(i, []).append((j, v))
+        product: dict = {}
+        for (k, i), w in outer.items():
+            for j, v in by_row.get(i, ()):
+                product[k, j] = product.get((k, j), 0) + w * v
+        if any(product.values()):
+            raise ValueError("consecutive differentials do not compose to zero")
+
+
 def matrix_rank(M: IntMatrix) -> int:
     entries = {}
     for i, row in enumerate(M.rows):
@@ -354,7 +389,11 @@ def matrix_rank(M: IntMatrix) -> int:
 
 
 def matrix_rank_mod_p(M: IntMatrix, p: int) -> int:
-    """Rank of M over the field Z/p, by Gaussian elimination."""
+    """Rank of M over the field Z/p, by dense Gaussian elimination.
+
+    Simplicial complexes read their F_p ranks off cochain_invariants; this
+    stays as the independent dense route.
+    """
     rows = [[v % p for v in row] for row in M.rows]
     rank = 0
     for col in range(M.ncols):

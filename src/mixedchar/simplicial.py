@@ -7,19 +7,21 @@ complex has no faces at all, while the complex {empty set} has exactly
 one face of cardinality zero.  Cochain matrices reuse the shared sign
 combinatorics, with vertices in sorted order and sign the position
 parity of the inserted vertex.
+
+Cohomology is computed once over Z: one sparse elimination per
+coboundary gives its rank and invariant factors, and the tables over Z,
+Q and every F_p are read off that result.
 """
 
 from __future__ import annotations
 
-from .intlinalg import (
-    FinAbGroup,
-    IntMatrix,
-    complex_cohomology,
-    matrix_rank,
-    matrix_rank_mod_p,
-)
+from .intlinalg import FinAbGroup, IntMatrix, check_composes_to_zero, cochain_invariants, rank_mod_p
+# the layer trace (perfbench/spans.py) wraps these two names in this module
+from .intlinalg import complex_cohomology, matrix_rank_mod_p  # noqa: F401
 from .monomials import MonomialIdeal
+from .scalars import is_prime
 from .subsets import bits_to_subsets, coboundary_sign_entries
+from .taylor import check_deadline
 
 MAX_VERTICES = 16
 
@@ -29,6 +31,11 @@ def _mask(vertices) -> int:
     for v in vertices:
         m |= 1 << v
     return m
+
+
+def _check_vertex_count(n: int):
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside 1..{MAX_VERTICES}")
 
 
 class SimplicialComplex:
@@ -44,9 +51,7 @@ class SimplicialComplex:
     __slots__ = ("n", "facets", "_faces", "_card_masks")
 
     def __init__(self, n: int, facets):
-        if not 1 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {n} outside 1..{MAX_VERTICES}")
-        self.n = n
+        _check_vertex_count(n)
         faces = set()
         for facet in facets:
             fm = _mask(facet)
@@ -58,15 +63,27 @@ class SimplicialComplex:
                 if sub == 0:
                     break
                 sub = (sub - 1) & fm
-        self._faces = frozenset(faces)
-        maximal = [
-            F
-            for F in faces
-            if not any(F != G and F & G == F for G in faces)
-        ]
-        self.facets = tuple(
-            sorted(tuple(bits_to_subsets(F)) for F in maximal)
-        )
+        self._set_faces(n, frozenset(faces))
+
+    @classmethod
+    def from_faces(cls, n: int, faces) -> "SimplicialComplex":
+        """The complex with exactly these faces (bitmasks, downward closed)."""
+        _check_vertex_count(n)
+        cx = cls.__new__(cls)
+        cx._set_faces(n, frozenset(faces))
+        return cx
+
+    def _set_faces(self, n: int, faces: frozenset):
+        """Shared by both constructors.  In a downward-closed family a face is
+        maximal when no single vertex extends it, so facets cost O(faces * n)."""
+        self.n = n
+        self._faces = faces
+        used = 0
+        for F in faces:
+            used |= F
+        singles = [1 << v for v in bits_to_subsets(used)]
+        maximal = [F for F in faces if not any(not F & b and F | b in faces for b in singles)]
+        self.facets = tuple(sorted(tuple(bits_to_subsets(F)) for F in maximal))
         top = max((F.bit_count() for F in faces), default=-1)
         cards = [0] * (top + 1)
         for F in faces:
@@ -97,13 +114,9 @@ class SimplicialComplex:
     def link(self, vertices) -> "SimplicialComplex":
         W = _mask(vertices)
         if W not in self._faces:
-            return SimplicialComplex(self.n, [])
-        members = [G ^ W for G in self._faces if G & W == W]
-        maximal = [
-            F for F in members if not any(F != G and F & G == F for G in members)
-        ]
-        return SimplicialComplex(
-            self.n, [tuple(bits_to_subsets(F)) for F in maximal]
+            return SimplicialComplex.from_faces(self.n, ())
+        return SimplicialComplex.from_faces(
+            self.n, [G ^ W for G in self._faces if G & W == W]
         )
 
     def coboundaries(self) -> list:
@@ -140,37 +153,58 @@ class SimplicialComplex:
         return f"SimplicialComplex({self.n}, facets={self.facets})"
 
 
-def reduced_cohomology(cx: SimplicialComplex, coeff="Z") -> dict:
+def reduced_cohomology(cx: SimplicialComplex, coeff="Z", deadline=None) -> dict:
     """Reduced cohomology table, spots -1 .. dim.
 
     coeff "Z" gives FinAbGroup values; "Q" or a prime p gives dimensions
     over that field.  The void complex yields an empty table, and any
-    spot outside the table is zero.
+    spot outside the table is zero.  A tuple of coefficients gives a dict
+    of tables keyed by coefficient.  deadline (a time.monotonic() value)
+    is checked before each elimination.
+
+    Every table comes from one elimination per coboundary over Z.  With
+    rank r and nontrivial invariant factors t for each coboundary, the
+    spot of cardinality c has dimension faces(c) - r_in - r_out over Q, the
+    same with r replaced by r minus the factors divisible by p over F_p,
+    and over Z that free rank plus the torsion t_in.  The Z table first
+    checks that consecutive coboundaries compose to zero.
     """
-    if cx.is_void():
-        return {}
-    deltas = cx.coboundaries()
-    top = len(deltas)
-    if coeff == "Z":
-        if not deltas:
-            return {-1: FinAbGroup(1)}
-        return {
-            i: complex_cohomology(deltas, i + 1) for i in range(-1, top)
-        }
-    if coeff == "Q":
-        rank = matrix_rank
-    else:
-        p = coeff
-        rank = lambda M: matrix_rank_mod_p(M, p)
+    coeffs = _coefficients(coeff)
+    masks = cx._card_masks  # empty for the void complex, so every table is too
+    maps = [coboundary_sign_entries(masks[c], masks[c + 1]) for c in range(len(masks) - 1)]
+    if "Z" in coeffs:
+        check_composes_to_zero(maps)
+
+    def before_each(maps):
+        for c, m in enumerate(maps):
+            check_deadline(deadline, f"cohomology out of faces of cardinality {c}")
+            yield m
+
+    edge = (0, ())  # no map into the empty face's spot, none out of the top
+    stats = [edge, *cochain_invariants(before_each(maps)), edge]
     counts = cx.face_counts()
-    ranks = [rank(M) for M in deltas]
-    table = {}
-    for i in range(-1, top):
-        c = i + 1
-        r_in = ranks[c - 1] if c >= 1 else 0
-        r_out = ranks[c] if c < len(ranks) else 0
-        table[i] = counts[c] - r_in - r_out
-    return table
+    tables = {}
+    for k in coeffs:
+        table = {}
+        for card, dim in enumerate(counts):
+            (r_in, t_in), (r_out, t_out) = stats[card], stats[card + 1]
+            if k == "Z":
+                table[card - 1] = FinAbGroup(dim - r_in - r_out, t_in)
+            elif k == "Q":
+                table[card - 1] = dim - r_in - r_out
+            else:
+                table[card - 1] = dim - rank_mod_p(r_in, t_in, k) - rank_mod_p(r_out, t_out, k)
+        tables[k] = table
+    return tables if isinstance(coeff, tuple) else tables[coeff]
+
+
+def _coefficients(coeff) -> tuple:
+    """coeff as a tuple of coefficients, each "Z", "Q" or a prime."""
+    coeffs = coeff if isinstance(coeff, tuple) else (coeff,)
+    for c in coeffs:
+        if c not in ("Z", "Q") and not (isinstance(c, int) and is_prime(c)):
+            raise ValueError(f"{c} is not prime")
+    return coeffs
 
 
 def stanley_reisner_complex(I: MonomialIdeal) -> SimplicialComplex:
@@ -182,15 +216,9 @@ def stanley_reisner_complex(I: MonomialIdeal) -> SimplicialComplex:
         if any(v > 1 for v in e):
             raise ValueError(f"generator {e} is not squarefree")
         gen_masks.append(_mask(i for i, v in enumerate(e) if v))
-    members = [
-        S
-        for S in range(1 << I.n)
-        if not any(g & S == g for g in gen_masks)
-    ]
-    maximal = [
-        F for F in members if not any(F != G and F & G == F for G in members)
-    ]
-    return SimplicialComplex(I.n, [tuple(bits_to_subsets(F)) for F in maximal])
+    return SimplicialComplex.from_faces(
+        I.n, [S for S in range(1 << I.n) if not any(g & S == g for g in gen_masks)]
+    )
 
 
 def stanley_reisner_ideal(cx: SimplicialComplex) -> MonomialIdeal:
@@ -210,6 +238,7 @@ def hochster_local_cohomology_piece(cx: SimplicialComplex, i: int, a, p) -> int:
     For a <= 0 with support W the piece is the reduced link cohomology
     of W one spot below i - |W|; it vanishes unless W is a face.
     """
+    _coefficients(p)
     a = tuple(a)
     if len(a) != cx.n:
         raise ValueError(f"degree has {len(a)} entries, complex has {cx.n} vertices")
@@ -222,15 +251,20 @@ def hochster_local_cohomology_piece(cx: SimplicialComplex, i: int, a, p) -> int:
     return table.get(i - len(W) - 1, 0)
 
 
-def hochster_nonzero_levels(cx: SimplicialComplex, p) -> tuple:
+def hochster_nonzero_levels(cx: SimplicialComplex, p, deadline=None):
     """Spots i where some graded piece of the quotient's local cohomology
-    survives, by exhaustive scan over face supports."""
-    levels = set()
-    for c, count in enumerate(cx.face_counts()):
-        if not count:
-            continue
-        for W in cx.faces_of_cardinality(c):
-            for spot, d in reduced_cohomology(cx.link(W), coeff=p).items():
-                if d:
-                    levels.add(spot + len(W) + 1)
-    return tuple(sorted(levels))
+    over F_p (or Q) survives, by exhaustive scan over face supports.
+
+    Each face's link is built once and eliminated once over Z.  p may be
+    a tuple of fields: the result then maps each to its spots.  deadline
+    (a time.monotonic() value) is checked once per link.
+    """
+    coeffs = _coefficients(p)
+    levels = {c: set() for c in coeffs}
+    for W in cx._faces:
+        check_deadline(deadline, "the Hochster link scan")
+        vertices = bits_to_subsets(W)
+        for c, table in reduced_cohomology(cx.link(vertices), coeffs).items():
+            levels[c].update(spot + len(vertices) + 1 for spot, d in table.items() if d)
+    out = {c: tuple(sorted(found)) for c, found in levels.items()}
+    return out if isinstance(p, tuple) else out[p]

@@ -30,3 +30,26 @@ RP2_FACETS = (
     (2, 4, 5),
     (3, 4, 5),
 )
+
+
+def random_facets(rng, n, target_faces, sizes=(4, 6)):
+    """Facets of random size from rng until their closure has target_faces faces.
+
+    Shaped like the benchmark's generated complexes: 14-16 vertices,
+    facets of 4-6 vertices, about 300 faces.
+    """
+    faces = {0}
+    facets = []
+    while len(faces) < target_faces:
+        facet = tuple(sorted(rng.sample(range(n), rng.randint(*sizes))))
+        mask = sum(1 << v for v in facet)
+        sub = mask
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & mask
+        facets.append(facet)
+    return facets
+
+
+def facets_text(n, facets):
+    return f"vertices {n}\n" + "".join(" ".join(map(str, f)) + "\n" for f in facets)

@@ -8,8 +8,16 @@ the constants off an echelon basis.
 from itertools import product
 from math import comb
 
-from mixedchar.intlinalg import IntMatrix, integer_kernel
+from mixedchar.intlinalg import (
+    FinAbGroup,
+    IntMatrix,
+    complex_cohomology,
+    integer_kernel,
+    invariant_factors_dense,
+    matrix_rank_mod_p,
+)
 from mixedchar.scalars import padic_valuation
+from mixedchar.subsets import bits_to_subsets
 from mixedchar.taylor import ExtScanResult
 
 
@@ -190,3 +198,63 @@ def degree_by_degree_scan(tc, j, box=None, shell=True):
         shell_offenders=tuple(offenders),
         degrees_scanned=count,
     )
+
+
+def pairwise_facets(faces):
+    """Maximal members of a family of bitmasks, each tested against every other.
+
+    The O(faces^2) search the library's one-vertex extension test replaced.
+    """
+    return tuple(
+        sorted(
+            tuple(bits_to_subsets(F))
+            for F in faces
+            if not any(F != G and F & G == F for G in faces)
+        )
+    )
+
+
+def dense_reduced_cohomology(cx, coeff="Z"):
+    """Reduced cohomology of cx from its dense coboundary matrices, one field at a time.
+
+    Z goes through complex_cohomology spot by spot, Q through the dense
+    Smith form, F_p through dense Gaussian elimination mod p.  This is the
+    reference for the library's single integer elimination per coboundary.
+    """
+    if cx.is_void():
+        return {}
+    deltas = cx.coboundaries()
+    top = len(deltas)
+    if coeff == "Z":
+        if not deltas:
+            return {-1: FinAbGroup(1)}
+        return {i: complex_cohomology(deltas, i + 1) for i in range(-1, top)}
+    if coeff == "Q":
+        ranks = [invariant_factors_dense(M)[0] for M in deltas]
+    else:
+        ranks = [matrix_rank_mod_p(M, coeff) for M in deltas]
+    counts = cx.face_counts()
+    table = {}
+    for i in range(-1, top):
+        c = i + 1
+        r_in = ranks[c - 1] if c >= 1 else 0
+        r_out = ranks[c] if c < len(ranks) else 0
+        table[i] = counts[c] - r_in - r_out
+    return table
+
+
+def per_field_hochster_levels(cx, coeff):
+    """Hochster's nonzero spots over one field, every link's cohomology dense.
+
+    The scan as it ran before all fields shared one elimination: every face
+    support, its link, and that link's cohomology over this field alone.
+    """
+    levels = set()
+    for c, count in enumerate(cx.face_counts()):
+        if not count:
+            continue
+        for W in cx.faces_of_cardinality(c):
+            for spot, d in dense_reduced_cohomology(cx.link(W), coeff).items():
+                if d:
+                    levels.add(spot + len(W) + 1)
+    return tuple(sorted(levels))

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from mixedchar.cli import main
+
+from .conftest import RP2_FACETS, facets_text, random_facets
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 REISNER = str(FIXTURES / "reisner.ideal")
@@ -145,6 +148,74 @@ def test_reisner_reports_match_golden_digests(capsys, monkeypatch, argv, digest)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of simplicial and hochster reports on RP^2 and two seeded complexes
+# read from stdin, computed when every field had its own elimination and
+# every link was rebuilt once per field
+GOLDEN_COMPLEX_REPORTS = {
+    "rp2": (
+        "-1,-1,0,0,0,0",
+        {
+            ("simplicial", "--p", "2"): "71d4be5b5eebfbdbefd90f3de5fac03a015f32e9db330429f6dc5315417e553f",
+            ("simplicial", "--p", "3"): "12e6e6659b6d70454489005559754f59768299a943da9c44f45a98c82607a7f7",
+            ("hochster",): "c6719e9683b1a49aa3742eb28f0d427d54be98fd250adc4a51ac2d6f198b47ef",
+            ("hochster", "--p", "5"): "a612b2474b325426fc51954b81a5432910d405530f7b35504eb7c68ca2735ac6",
+            ("hochster", "--i", "3"): "e37f0c81245a9920bea1412c99caa20fa52c44fca2c57a96bdcb2901be83fcda",
+        },
+    ),
+    "seed101": (
+        "0,-1,0,0,0,0,-1,0,0,0,0,0,0,0",
+        {
+            ("simplicial", "--p", "2"): "c78bbde67adb4b7d036eb940fa070fdc72598fd3ecc11d4b689cc644f7cc6e3e",
+            ("simplicial", "--p", "3"): "7df481ef1869bb1a72fab0f54cfe808284c5ec1bd50b55b3bfdeb6df1986e033",
+            ("hochster",): "d6d75dcf70040c997b447d89cc95f5b21aa1f9c19a8c7b91962475f4a26fceae",
+            ("hochster", "--p", "5"): "700b1ea1be8098ce930363a29e8bff86fa421836b5bebccd23f98d61a04ee870",
+            ("hochster", "--i", "3"): "29aaa86cd30a5818943382e9ac5f137914ffcd238d2374cddcd726b301dcfba4",
+        },
+    ),
+    "seed102": (
+        "-1,0,0,0,0,0,0,0,-1,0,0,0,0,0,0",
+        {
+            ("simplicial", "--p", "2"): "c106c99a9bee729a0d793aa741ee99d5645c08061d6c363bca329039ca2b7b30",
+            ("simplicial", "--p", "3"): "57cb2e791e10fff9617a86ed257d6b1eeeef31b4a27c857d3b5905759d593451",
+            ("hochster",): "f5d4f8b0e9d256d808e4b41819c6b4f8a99847d2b84748f0839c8cb6d5b15c47",
+            ("hochster", "--p", "5"): "06650f3baa186bb0b54d0f2c7c044fcdfe09b53c0278ee2ad7ea277472d4900f",
+            ("hochster", "--i", "3"): "2e12e8ed51a8bd039db42d0abafb866af3f748e246418101ad08c3ca51829834",
+        },
+    ),
+}
+
+
+def _complex_text(name):
+    if name == "rp2":
+        return facets_text(6, RP2_FACETS)
+    seed = int(name[len("seed"):])
+    n = 14 if seed == 101 else 15
+    return facets_text(n, random_facets(random.Random(seed), n, 300))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMPLEX_REPORTS))
+def test_complex_reports_match_golden_digests(capsys, monkeypatch, name):
+    text = _complex_text(name)
+    degree, digests = GOLDEN_COMPLEX_REPORTS[name]
+    for argv, digest in digests.items():
+        extra = ("--degree", degree) if "--i" in argv else ()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, _ = run(capsys, argv[0], "--facets", "-", *argv[1:], *extra)
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+@pytest.mark.parametrize("command", ["simplicial", "hochster"])
+def test_field_must_be_prime(capsys, command):
+    for p in ("0", "1", "4", "-3"):
+        code, out, err = run(capsys, command, "--facets", RP2, "--p", p)
+        assert code == 1 and out == "", p
+        assert err.strip() == f"error: {p} is not prime", p
+    code, out, err = run(capsys, "hochster", "--facets", RP2, "--p", "4", "--i", "3",
+                         "--degree", "-1,-1,-1,0,0,0")
+    assert code == 1 and err.strip() == "error: 4 is not prime"
+
+
 def test_timeouts_are_reported_as_timeouts(capsys):
     commands = (
         ("pipeline", "--levels", "2"),
@@ -154,6 +225,10 @@ def test_timeouts_are_reported_as_timeouts(capsys):
     )
     for command in commands:
         code, out, err = run(capsys, *command, "--ideal", REISNER, "--timeout-secs", "0")
+        assert code == 1 and out == "", command
+        assert err.startswith("timeout:"), command
+    for command in (("simplicial",), ("simplicial", "--p", "2"), ("hochster",)):
+        code, out, err = run(capsys, *command, "--facets", RP2, "--timeout-secs", "0")
         assert code == 1 and out == "", command
         assert err.startswith("timeout:"), command
 

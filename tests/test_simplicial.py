@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from mixedchar import simplicial
 from mixedchar.intlinalg import FinAbGroup
 from mixedchar.monomials import MonomialIdeal
 from mixedchar.simplicial import (
@@ -14,9 +15,11 @@ from mixedchar.simplicial import (
     stanley_reisner_complex,
     stanley_reisner_ideal,
 )
+from mixedchar.subsets import coboundary_sign_entries
 from mixedchar.textio import reisner_ideal, rp2_facets
 
-from .conftest import RP2_FACETS
+from .conftest import RP2_FACETS, random_facets
+from .oracles import dense_reduced_cohomology, pairwise_facets, per_field_hochster_levels
 
 TRIVIAL = FinAbGroup(0)
 
@@ -207,3 +210,48 @@ def test_hochster_level_scan_detects_characteristic_two_only():
     assert hochster_nonzero_levels(cx, 2) == (2, 3)
     assert hochster_nonzero_levels(cx, 3) == (3,)
     assert hochster_nonzero_levels(cx, "Q") == (3,)
+
+
+def _benchmark_shaped(seed):
+    """A seeded complex like the benchmark's: 14-16 vertices, facets of 4-6
+    vertices, about 300 faces.  Odd seeds put RP^2 on vertices 0..5 and
+    random facets on the other 8-10 vertices only (200 faces: 8 vertices
+    have 256 subsets), so 2-torsion and its F_2 classes reach the tables."""
+    rng = random.Random(seed)
+    n = 14 + seed % 3
+    if seed % 2 == 0:
+        return SimplicialComplex(n, random_facets(rng, n, 300))
+    rest = [tuple(v + 6 for v in f) for f in random_facets(rng, n - 6, 200)]
+    return SimplicialComplex(n, list(RP2_FACETS) + rest)
+
+
+@pytest.mark.parametrize("seed", [301, 302, 303, 304])
+def test_one_elimination_matches_the_dense_route_on_every_link(seed):
+    cx = _benchmark_shaped(seed)
+    faces = [W for c in range(len(cx.face_counts())) for W in cx.faces_of_cardinality(c)]
+    coeffs = ("Z", "Q", 2, 3, 5)
+    torsion = 0
+    for k in [cx] + [cx.link(W) for W in faces]:
+        assert k.facets == pairwise_facets(k._faces)
+        tables = reduced_cohomology(k, coeffs)
+        for coeff in coeffs:
+            assert tables[coeff] == dense_reduced_cohomology(k, coeff), (k, coeff)
+        torsion += sum(len(g.factors) for g in tables["Z"].values())
+    assert torsion or seed % 2 == 0
+    together = hochster_nonzero_levels(cx, (2, 3, 5, "Q"))
+    for coeff in (2, 3, 5, "Q"):
+        assert together[coeff] == hochster_nonzero_levels(cx, coeff)
+        assert together[coeff] == per_field_hochster_levels(cx, coeff)
+
+
+def test_integral_table_rejects_a_non_complex(monkeypatch):
+    def flip_first_sign(col_bits, row_bits):
+        entries, nrows, ncols = coboundary_sign_entries(col_bits, row_bits)
+        if col_bits != 1:  # flip one sign of the map out of the empty face only
+            return entries, nrows, ncols
+        key = min(entries)
+        return {**entries, key: -entries[key]}, nrows, ncols
+
+    monkeypatch.setattr(simplicial, "coboundary_sign_entries", flip_first_sign)
+    with pytest.raises(ValueError, match="compose to zero"):
+        reduced_cohomology(SimplicialComplex(3, [(0, 1, 2)]), "Z")
