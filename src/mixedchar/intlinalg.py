@@ -1,7 +1,7 @@
 """Exact integer linear algebra: Smith normal form, kernels, cohomology.
 
 Everything here is over Z with arbitrary-precision integers.  Matrices are
-dense lists of lists, except at strand scale: there a sparse elimination
+dense lists of lists, except for coboundaries: there a sparse elimination
 splits off unit pivots (invariant factor 1), taking the shortest waiting
 row from a heap instead of searching the whole matrix, and hands the small
 dense core that is left to the Smith form.  Maps of cohomology groups test

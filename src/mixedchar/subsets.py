@@ -1,26 +1,26 @@
-"""Bitmask subset combinatorics shared by strand and face complexes.
+"""Bitmask subset combinatorics shared by nerve and face complexes.
 
 A family of subsets of {0..r-1} is a single big integer whose bit at
 position S (itself a bitmask) marks membership.  The sign coboundary
-between two such families underlies both dualized resolution strands and
-simplicial cochain complexes, so its entries are cached here once.
+between two such families underlies both the nerve complexes that carry
+graded Ext and simplicial cochain complexes, so its entries are cached
+here once.
 """
 
 from __future__ import annotations
 
-_SIZE_MASKS: dict = {}
+# Most entries any module-level cache of the package holds.
+CACHE_LIMIT = 4096
+
 _ENTRY_CACHE: dict = {}
 
 
-def size_masks(r: int) -> list:
-    """For each s, the family of all subsets of {0..r-1} with s elements."""
-    masks = _SIZE_MASKS.get(r)
-    if masks is None:
-        masks = [0] * (r + 1)
-        for s in range(1 << r):
-            masks[s.bit_count()] |= 1 << s
-        _SIZE_MASKS[r] = masks
-    return masks
+def cache_put(cache: dict, key, value):
+    """Store and return value, first dropping the oldest entry of a full cache."""
+    if len(cache) >= CACHE_LIMIT:
+        del cache[next(iter(cache))]
+    cache[key] = value
+    return value
 
 
 def bits_to_subsets(bits: int) -> list:
@@ -57,6 +57,4 @@ def coboundary_sign_entries(col_bits: int, row_bits: int):
             ri = rowpos.get(S | b)
             if ri is not None:
                 entries[(ri, ci)] = -1 if (S & (b - 1)).bit_count() & 1 else 1
-    hit = (entries, len(rows), len(cols))
-    _ENTRY_CACHE[key] = hit
-    return hit
+    return cache_put(_ENTRY_CACHE, key, (entries, len(rows), len(cols)))

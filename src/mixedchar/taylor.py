@@ -1,28 +1,51 @@
-"""Taylor complexes of monomial ideals and their graded Ext strands.
+"""Graded Ext of monomial quotients, computed on nerve complexes.
 
-For an ordered generating list g_1..g_r the Taylor complex has one free
-summand per subset S of {1..r}, twisted by a_S, the exponentwise max over
-the members.  Dualizing into the ring and restricting to one multidegree
-alpha leaves a finite complex of free Z-modules: the basis at spot j is
-{S : |S| = j, a_S >= tau} with tau = max(-alpha, 0) coordinatewise, and
-the coboundary keeps only the signs of the resolution differential, so
-every strand matrix has entries in {-1, 0, 1}.  Cohomology of a strand is
-exact integer linear algebra, and support scans, multiplication maps and
-level transition maps all reduce to strands.
+For an ordered generating list g_1..g_r of a monomial ideal I, the Taylor
+complex resolves A/I with one free summand per subset S of the generators,
+twisted by a_S, the exponentwise max over the members.  Dualized into the
+ring and restricted to one multidegree alpha it is the cochain complex of
+the full simplex on the generators relative to
 
-A strand depends on alpha only through its basis sets, and the basis set
-at spot j is the size-j subsets ANDed with one threshold mask per
-coordinate: all subsets when tau_i = 0, the subsets with (a_S)_i >= tau_i
-when 0 < tau_i <= (a_full)_i, none beyond.  Degrees whose coordinates
-select the same masks therefore share one strand, which is how support
-scans run: once per class product of masks, not once per degree (the
-graded piece depends only on the support pattern of tau, as in Mustata,
-"Local cohomology at monomial ideals", J. Symb. Comput. 2000).
+    Delta = union over the i with tau_i > 0 of the simplex on V_i,
+    tau = max(-alpha, 0),  V_i = {g : g_i < tau_i},
 
-Basis sets are bigint bitmasks over the 2^r subset indices.  A strand's
-matrices depend only on those bitmasks, not on the ideal, so invariant
-factors and presentation bases are cached globally and shared across
-degrees, levels, and ideals whose subset combinatorics agree.
+because a_S >= tau says exactly that S lies in no V_i.  The full simplex
+is acyclic, so Ext^j(A/I, A)_alpha is the reduced cohomology of Delta in
+degree j - 2.  By the nerve lemma (Bjorner, "Topological methods",
+Handbook of Combinatorics, 1995) Delta has the cohomology of the nerve
+N_tau of its cover: the complex on the variables with tau_i > 0 whose
+faces are the sets F whose V_i (i in F) have a common member.  So
+
+    Ext^j(A/I, A)_alpha = H~^{j-2}(N_tau; Z),
+
+the spot of the size-(j-1) faces in the augmented cochain complex of
+N_tau, which is void (no faces at all, not even the empty one) when
+tau = 0.  This is the route of Mustata, "Local cohomology at monomial
+ideals", J. Symb. Comput. 2000.  N_tau has at most 2^n faces whatever the
+number of generators.  Delta, in turn, is the nerve of the cover of N_tau
+by its simplices on U_g = {i : g in V_i} (Dowker's theorem), and has at
+most 2^r faces.  A complex with n <= r runs on N_tau, one with more
+variables than generators on Delta, so no complex has more than
+2^min(n, r) faces.  Either way the coboundaries have entries in
+{-1, 0, 1}, and a complex with a vertex in every maximal face is a cone,
+acyclic, with no elimination.
+
+Multiplication by x_i and the passage from one power level to the next
+both shrink every V_i (and may deactivate a variable), so the target
+complex is a subcomplex of the source complex.  The nerve lemma is
+natural for such shrinking covers, and the induced map on Ext is
+restriction of cochains from the source to the target.
+
+The complex depends on alpha only through the V_i, and V_i changes only
+where tau_i passes a distinct exponent of coordinate i.  tau_i = 0 (no
+V_i) is a class of its own, apart from tau_i > 0 with V_i empty.  Support
+scans compute one piece per product of these breakpoint classes, whatever
+the width of the box or the size of the exponents.
+
+Face families are bigint bitmasks over the vertex subsets.  Complexes,
+eliminations, presentation bases and restriction maps are cached by
+family, shared across degrees, levels and ideals, each cache holding at
+most subsets.CACHE_LIMIT entries.
 """
 
 from __future__ import annotations
@@ -42,14 +65,16 @@ from .intlinalg import (
     invariant_factors_sparse,
 )
 from .monomials import MonomialIdeal, power_ideal
-from .polynomials import MultiIndex, exp_add, exp_max, exp_sub
-from .subsets import bits_to_subsets, coboundary_sign_entries, size_masks
+from .polynomials import MultiIndex, exp_max
+from .subsets import bits_to_subsets, cache_put, coboundary_sign_entries
 
 MAX_GENERATORS = 12
 
+_SIZE_CACHE: dict = {}
+_NERVE_CACHE: dict = {}
 _STATS_CACHE: dict = {}
 _BASIS_CACHE: dict = {}
-_INDUCED_CACHE: dict = {}
+_RESTRICTION_CACHE: dict = {}
 
 
 def check_deadline(deadline: Optional[float], what: str):
@@ -58,16 +83,79 @@ def check_deadline(deadline: Optional[float], what: str):
         raise TimeoutError(f"{what} passed the --timeout-secs budget")
 
 
-def _strand_stats(col_bits: int, row_bits: int):
-    """(rank, nontrivial invariant factors) of the coboundary between basis sets."""
+def _size_masks(n: int) -> list:
+    """Entry k is the family of all k-element subsets of {0..n-1}."""
+    masks = _SIZE_CACHE.get(n)
+    if masks is None:
+        masks = [1]
+        for i in range(n):
+            masks = [a | b << (1 << i) for a, b in zip(masks + [0], [0] + masks)]
+        masks = cache_put(_SIZE_CACHE, n, masks)
+    return masks
+
+
+def _nerve(cover: tuple, on_variables: bool):
+    """(face families by size, whether the complex is a cone) for one cover.
+
+    cover has one entry per variable, None where tau_i = 0 and otherwise
+    the generator bitmask V_i; at least one entry is not None.  On the
+    variables the faces are the empty face and the subsets of each
+    U_g = {i : g in V_i}; on the generators (Delta itself) they are the
+    empty face and the subsets of each V_i.  Entry k of the families holds
+    the faces with k vertices.  When one vertex lies in every maximal face
+    the complex is a cone, hence acyclic.
+    """
+    key = (on_variables, cover)
+    hit = _NERVE_CACHE.get(key)
+    if hit is None:
+        if on_variables:
+            by_generator: dict = {}
+            for i, members in enumerate(cover):
+                rest = members or 0
+                while rest:
+                    g = rest & -rest
+                    by_generator[g] = by_generator.get(g, 0) | 1 << i
+                    rest ^= g
+            sets = set(by_generator.values())
+        else:
+            sets = {members for members in cover if members}
+        faces = 1  # the empty face
+        common = -1
+        width = 0
+        for face in sets:
+            below = 1  # the subsets of face: adding the vertex with bit v moves a face up by v
+            rest = face
+            while rest:
+                v = rest & -rest
+                below |= below << v
+                rest ^= v
+            faces |= below
+            common &= face
+            width = max(width, face.bit_length())
+        sizes = tuple(faces & mask for mask in _size_masks(width))
+        hit = cache_put(_NERVE_CACHE, key, (sizes, common > 0))
+    return hit
+
+
+def _coboundary_stats(col_bits: int, row_bits: int):
+    """(rank, nontrivial invariant factors) of the coboundary between face families."""
     key = (col_bits, row_bits)
     hit = _STATS_CACHE.get(key)
     if hit is None:
         entries, nr, nc = coboundary_sign_entries(col_bits, row_bits)
         rank, factors = invariant_factors_sparse(entries, nr, nc)
-        hit = (rank, tuple(factors))
-        _STATS_CACHE[key] = hit
+        hit = cache_put(_STATS_CACHE, key, (rank, tuple(factors)))
     return hit
+
+
+def _cohomology(triple) -> FinAbGroup:
+    """The group at the middle family of (below, here, above)."""
+    below, here, above = triple
+    if not here:
+        return FinAbGroup.trivial()
+    rank_in, torsion = _coboundary_stats(below, here) if below else (0, ())
+    rank_out = _coboundary_stats(here, above)[0] if above else 0
+    return FinAbGroup(here.bit_count() - rank_in - rank_out, torsion)
 
 
 def _dense_coboundary(col_bits: int, row_bits: int) -> IntMatrix:
@@ -78,36 +166,48 @@ def _dense_coboundary(col_bits: int, row_bits: int) -> IntMatrix:
     return M
 
 
-def _strand_basis(triple) -> CohomologyBasis:
+def _nerve_basis(triple) -> CohomologyBasis:
     basis = _BASIS_CACHE.get(triple)
     if basis is None:
         below, here, above = triple
         d_in = _dense_coboundary(below, here) if below else None
         d_out = _dense_coboundary(here, above) if above else None
-        basis = CohomologyBasis(d_in, d_out, here.bit_count())
-        _BASIS_CACHE[triple] = basis
+        basis = cache_put(_BASIS_CACHE, triple, CohomologyBasis(d_in, d_out, here.bit_count()))
     return basis
 
 
-def _induced_inclusion(src_triple, tgt_triple) -> InducedMap:
+def _is_subcomplex(src_triple, tgt_triple) -> bool:
+    """Whether every face of the target families is a face of the source's."""
+    return not any(t & ~s for s, t in zip(src_triple, tgt_triple))
+
+
+def _restriction(src_triple, tgt_triple) -> InducedMap:
+    """Restriction of cochains to a subcomplex, on cohomology at one spot.
+
+    The chain matrix has a 1 where a target face is the same face of the
+    source complex.
+    """
     key = (src_triple, tgt_triple)
-    induced = _INDUCED_CACHE.get(key)
+    induced = _RESTRICTION_CACHE.get(key)
     if induced is None:
-        if src_triple[1] & ~tgt_triple[1]:
-            raise ValueError("source strand basis not contained in the target basis")
-        src = _strand_basis(src_triple)
-        tgt = _strand_basis(tgt_triple)
-        tpos = {S: i for i, S in enumerate(bits_to_subsets(tgt_triple[1]))}
+        if not _is_subcomplex(src_triple, tgt_triple):
+            raise ValueError("target complex is not a subcomplex of the source complex")
+        src = _nerve_basis(src_triple)
+        tgt = _nerve_basis(tgt_triple)
+        spos = {F: c for c, F in enumerate(bits_to_subsets(src_triple[1]))}
         chain = IntMatrix(tgt.dim, src.dim)
-        for ci, S in enumerate(bits_to_subsets(src_triple[1])):
-            chain.rows[tpos[S]][ci] = 1
-        induced = InducedMap(src, tgt, chain)
-        _INDUCED_CACHE[key] = induced
+        for row, F in enumerate(bits_to_subsets(tgt_triple[1])):
+            chain.rows[row][spos[F]] = 1
+        induced = cache_put(_RESTRICTION_CACHE, key, InducedMap(src, tgt, chain))
     return induced
 
 
 class TaylorComplex:
-    """The subset complex of an ordered monomial generating list.
+    """Ext of the quotient by an ordered monomial generating list.
+
+    The name is the resolution's: ranks, the lcm table a (a[S] for each
+    generator subset S) and the comparison check describe the Taylor
+    complex; every group and map is computed on N_tau or Delta.
 
     >>> from .monomials import MonomialIdeal
     >>> tc = TaylorComplex(MonomialIdeal(2, [(1, 0), (0, 1)]))
@@ -117,7 +217,7 @@ class TaylorComplex:
     Z
     """
 
-    __slots__ = ("ideal", "gens", "n", "r", "a", "a_full", "_thr")
+    __slots__ = ("ideal", "gens", "n", "r", "a", "a_full", "_classes")
 
     def __init__(
         self,
@@ -145,110 +245,71 @@ class TaylorComplex:
             a[s] = exp_max(a[s ^ low], gens[low.bit_length() - 1])
         self.a = a
         self.a_full = a[-1]
-        self._thr = [
-            [self._threshold_mask(i, v) for v in range(self.a_full[i] + 1)]
-            for i in range(self.n)
-        ]
-        self.validate()
+        self._classes = [self._breakpoint_classes(i) for i in range(self.n)]
 
-    def _threshold_mask(self, i: int, v: int) -> int:
-        bits = 0
-        for s, e in enumerate(self.a):
-            if e[i] >= v:
-                bits |= 1 << s
-        return bits
+    def _below(self, i: int, t: int) -> int:
+        """V_i at tau_i = t: the bitmask of generators g with g_i < t."""
+        return sum(1 << k for k, g in enumerate(self.gens) if g[i] < t)
+
+    def _breakpoint_classes(self, i: int) -> list:
+        """Coordinate i's classes of tau_i >= 1 as (first, last, V_i), ascending.
+
+        V_i changes only just past a distinct exponent of coordinate i, so
+        the classes are the runs between consecutive exponents; the last
+        one (last None) is unbounded and has every generator in V_i.
+        """
+        out = []
+        first = 1
+        for cut in sorted({g[i] for g in self.gens if g[i] > 0}):
+            out.append((first, cut, self._below(i, first)))
+            first = cut + 1
+        out.append((first, None, self._below(i, first)))
+        return out
 
     def rank(self, j: int) -> int:
         return comb(self.r, j) if 0 <= j <= self.r else 0
-
-    def differential_entries(self, j: int):
-        """Entries of the boundary F_j -> F_{j-1}: (S, S_dropped, sign, exponent)."""
-        if not 0 < j <= self.r:
-            return []
-        out = []
-        for S in bits_to_subsets(size_masks(self.r)[j]):
-            aS = self.a[S]
-            pos = 0
-            rem = S
-            while rem:
-                low = rem & -rem
-                sub = S ^ low
-                sign = 1 if pos % 2 == 0 else -1
-                out.append((S, sub, sign, exp_sub(aS, self.a[sub])))
-                pos += 1
-                rem ^= low
-        return out
-
-    def validate(self):
-        """Check the double boundary vanishes, accumulated per monomial."""
-        for j in range(2, self.r + 1):
-            lower: dict = {}
-            for T, sub, sign, e in self.differential_entries(j - 1):
-                lower.setdefault(T, []).append((sub, sign, e))
-            acc: dict = {}
-            for S, mid, s1, e1 in self.differential_entries(j):
-                for sub, s2, e2 in lower.get(mid, ()):
-                    key = (S, sub, exp_add(e1, e2))
-                    acc[key] = acc.get(key, 0) + s1 * s2
-            if any(acc.values()):
-                raise ArithmeticError("double boundary does not vanish")
 
     @staticmethod
     def tau_of(alpha) -> MultiIndex:
         return tuple(-a if a < 0 else 0 for a in alpha)
 
-    def level_bits(self, tau, j: int) -> int:
-        """Bitmask of the subsets of size j with a_S >= tau."""
-        if not 0 <= j <= self.r:
-            return 0
-        bits = size_masks(self.r)[j]
-        for i, v in enumerate(tau):
-            if v > 0:
-                if v > self.a_full[i]:
-                    return 0
-                bits &= self._thr[i][v]
-                if not bits:
-                    return 0
-        return bits
-
-    def strand_triple(self, j: int, alpha):
-        if len(alpha) != self.n:
-            raise ValueError("degree length does not match the variable count")
+    def _cover(self, alpha) -> tuple:
+        """Per variable: None where tau_i = 0, else V_i."""
         tau = self.tau_of(alpha)
-        return (
-            self.level_bits(tau, j - 1),
-            self.level_bits(tau, j),
-            self.level_bits(tau, j + 1),
-        )
+        return tuple(None if t == 0 else self._below(i, t) for i, t in enumerate(tau))
 
-    def strand_matrices(self, j: int, alpha):
-        """(d_in, d_out) of the degree-alpha strand around spot j, dense."""
-        below, here, above = self.strand_triple(j, alpha)
-        return _dense_coboundary(below, here), _dense_coboundary(here, above)
-
-    def ext_piece(self, j: int, alpha) -> "GradedExtPiece":
-        below, here, above = triple = self.strand_triple(j, alpha)
-        dim = here.bit_count()
-        if dim == 0:
+    def _piece(self, j: int, alpha: tuple, cover: tuple) -> "GradedExtPiece":
+        tau_zero = all(members is None for members in cover)
+        if self.r == 0:  # A/(0) = A: Z at spot 0 in the degrees alpha >= 0
+            triple = (0, 1 if j == 0 and tau_zero else 0, 0)
+            group = _cohomology(triple)
+        elif tau_zero:  # the void complex
+            triple = (0, 0, 0)
             group = FinAbGroup.trivial()
         else:
-            rank_in, torsion = _strand_stats(below, here) if below else (0, ())
-            rank_out = _strand_stats(here, above)[0] if above else 0
-            group = FinAbGroup(dim - rank_in - rank_out, torsion)
-        return GradedExtPiece(self, j, tuple(alpha), group, triple)
+            sizes, cone = _nerve(cover, self.n <= self.r)
+            triple = tuple(sizes[k] if 0 <= k < len(sizes) else 0 for k in (j - 2, j - 1, j))
+            group = FinAbGroup.trivial() if cone else _cohomology(triple)
+        return GradedExtPiece(self, j, alpha, group, triple)
+
+    def ext_piece(self, j: int, alpha) -> "GradedExtPiece":
+        alpha = tuple(alpha)
+        if len(alpha) != self.n:
+            raise ValueError("degree length does not match the variable count")
+        return self._piece(j, alpha, self._cover(alpha))
 
     def default_box(self):
         return tuple((-self.a_full[i], 0) for i in range(self.n))
 
-    def _mask_classes(self, i: int, lo: int, hi: int) -> list:
-        """The values lo..hi of coordinate i, grouped by the threshold mask
-        they select, each group ascending."""
-        groups: dict = {}
-        for v in range(lo, hi + 1):
-            t = -v if v < 0 else 0
-            mask = self._thr[i][t] if t <= self.a_full[i] else 0
-            groups.setdefault(mask, []).append(v)
-        return list(groups.values())
+    def _scan_classes(self, i: int, lo: int, hi: int) -> list:
+        """The values lo..hi of coordinate i as (first, last, V_i or None) runs."""
+        out = [(max(lo, 0), hi, None)] if hi >= 0 else []
+        for tfirst, tlast, members in self._classes[i]:
+            first = lo if tlast is None else max(lo, -tlast)
+            last = min(hi, -tfirst)
+            if first <= last:
+                out.append((first, last, members))
+        return out
 
     def support_scan(
         self, j: int, box=None, shell: bool = True, deadline: Optional[float] = None
@@ -259,13 +320,12 @@ class TaylorComplex:
         box; nonzero pieces found there are reported as offenders, meaning
         the box truncates the support.
 
-        Each coordinate's scanned values are grouped by the threshold mask
-        they select.  level_bits is the AND of exactly these masks with the
-        size-j subsets, so every degree in a product of classes has the
-        same strand triple, hence the same group: one ext_piece per class
-        product is exact, and only the nonzero ones are expanded into
-        degrees.  degrees_scanned still counts degrees.  deadline is a
-        time.monotonic() value, checked once per class product.
+        Each coordinate's scanned values split into runs with one V_i (or
+        tau_i = 0).  Every degree in a product of runs has the same complex,
+        hence the same group: one piece per product is exact, and only the
+        nonzero ones are expanded into degrees.  degrees_scanned still
+        counts degrees.  deadline is a time.monotonic() value, checked once
+        per product and every 1024 degrees of an expansion.
         """
         if box is None:
             box = self.default_box()
@@ -274,16 +334,21 @@ class TaylorComplex:
             raise ValueError("invalid scan box")
         pad = 1 if shell else 0
         classes = [
-            self._mask_classes(i, lo - pad, hi + pad) for i, (lo, hi) in enumerate(box)
+            self._scan_classes(i, lo - pad, hi + pad) for i, (lo, hi) in enumerate(box)
         ]
+        what = f"Ext^{j} support scan"
         pieces = []
         offenders = []
         for combo in itertools.product(*classes):
-            check_deadline(deadline, f"Ext^{j} support scan")
-            found = self.ext_piece(j, tuple(values[0] for values in combo))
+            check_deadline(deadline, what)
+            corner = tuple(first for first, _, _ in combo)
+            found = self._piece(j, corner, tuple(members for _, _, members in combo))
             if not found.is_nonzero():
                 continue
-            for alpha in itertools.product(*combo):
+            runs = [range(first, last + 1) for first, last, _ in combo]
+            for k, alpha in enumerate(itertools.product(*runs)):
+                if not k & 1023:
+                    check_deadline(deadline, what)
                 if all(lo <= a <= hi for a, (lo, hi) in zip(alpha, box)):
                     pieces.append(GradedExtPiece(self, j, alpha, found.group, found.triple))
                 else:
@@ -329,6 +394,7 @@ class GradedExtPiece:
 
     The group is reported over Z; over the p-local base ring only the free
     rank and the p-primary torsion survive, which dvr_invariants extracts.
+    triple holds the complex's face families of sizes j-2, j-1 and j.
     """
 
     __slots__ = ("complex", "j", "alpha", "group", "triple")
@@ -345,7 +411,7 @@ class GradedExtPiece:
 
     @property
     def basis(self) -> CohomologyBasis:
-        return _strand_basis(self.triple)
+        return _nerve_basis(self.triple)
 
     def dvr_invariants(self, p: int):
         """(free rank, ascending pi-adic exponents of the surviving torsion)."""
@@ -377,7 +443,7 @@ def _maybe_induced(src: GradedExtPiece, tgt: GradedExtPiece):
     tcomp = tgt.group.free_rank + len(tgt.group.factors)
     if scomp == 0 or tcomp == 0:
         return None, [[0] * scomp for _ in range(tcomp)]
-    induced = _induced_inclusion(src.triple, tgt.triple)
+    induced = _restriction(src.triple, tgt.triple)
     return induced, induced.component_matrix()
 
 
@@ -500,16 +566,17 @@ def transition_between(
 ) -> TransitionMapReport:
     """Induced map on degree-alpha Ext pieces from the comparison chain map.
 
-    `low` resolves the smaller (level-ell) ideal, `high` the next level; the
-    dual of the comparison map restricts to the basis inclusion on strands.
+    `low` resolves the smaller (level-ell) ideal, `high` the next level.
+    Each V_i only shrinks from low to high, so the high complex is a
+    subcomplex of the low one and the map is restriction of cochains.
     """
     alpha = tuple(alpha)
     if check_chain and not comparison_chain_check(low, high):
         raise ValueError("comparison map is not a chain map between these complexes")
     src = low.ext_piece(j, alpha)
     tgt = high.ext_piece(j, alpha)
-    if src.triple[1] & ~tgt.triple[1]:
-        raise ValueError("strand basis does not embed under the comparison map")
+    if not _is_subcomplex(src.triple, tgt.triple):
+        raise ValueError("the higher level's complex is not a subcomplex of the lower level's")
     induced, matrix = _maybe_induced(src, tgt)
     if induced is None:
         injective = src.group.is_trivial()

@@ -9,16 +9,20 @@ from itertools import product
 from math import comb
 
 from mixedchar.intlinalg import (
+    CohomologyBasis,
     FinAbGroup,
     IntMatrix,
+    InducedMap,
     complex_cohomology,
     integer_kernel,
     invariant_factors_dense,
+    invariant_factors_sparse,
     matrix_rank_mod_p,
 )
+from mixedchar.polynomials import exp_add, exp_sub
 from mixedchar.scalars import padic_valuation
-from mixedchar.subsets import bits_to_subsets
-from mixedchar.taylor import ExtScanResult
+from mixedchar.subsets import bits_to_subsets, coboundary_sign_entries
+from mixedchar.taylor import ExtScanResult, GradedExtPiece
 
 
 def monomial_box(n, cap):
@@ -164,13 +168,178 @@ def full_block_injective(induced, p=None):
     return True
 
 
+def size_masks(r):
+    """For each s, the family of all subsets of {0..r-1} with s elements."""
+    masks = [0] * (r + 1)
+    for s in range(1 << r):
+        masks[s.bit_count()] |= 1 << s
+    return masks
+
+
+def _dense(entries, nrows, ncols):
+    M = IntMatrix(nrows, ncols)
+    for (i, j), v in entries.items():
+        M.rows[i][j] = v
+    return M
+
+
+# A strand depends only on its basis bitmasks, so these are shared by every
+# TaylorStrands, across degrees, levels and ideals.
+_STRAND_STATS = {}
+_STRAND_BASES = {}
+_STRAND_INCLUSIONS = {}
+
+
+class TaylorStrands:
+    """Degree-alpha strands of a Taylor complex, over its 2^r generator subsets.
+
+    An independent route to every Ext group and map, the reference for
+    the library's nerve complexes.  The basis at spot j is {S : |S| = j,
+    a_S >= tau}, tau = max(-alpha, 0): the size-j subsets ANDed with one
+    threshold mask per coordinate.  The coboundary keeps the signs of the
+    resolution differential.  Multiplication by a variable and the passage
+    to the next power level both enlarge the basis, and the induced map is
+    the basis inclusion.
+    """
+
+    def __init__(self, tc):
+        self.tc = tc
+        self.r = tc.r
+        self.n = tc.n
+        self.a = tc.a
+        self.a_full = tc.a_full
+        self.masks = size_masks(self.r)
+        self._thr = [
+            [self._threshold_mask(i, v) for v in range(self.a_full[i] + 1)]
+            for i in range(self.n)
+        ]
+
+    def _threshold_mask(self, i, v):
+        bits = 0
+        for s, e in enumerate(self.a):
+            if e[i] >= v:
+                bits |= 1 << s
+        return bits
+
+    def differential_entries(self, j):
+        """Entries of the boundary F_j -> F_{j-1}: (S, S_dropped, sign, exponent)."""
+        if not 0 < j <= self.r:
+            return []
+        out = []
+        for S in bits_to_subsets(self.masks[j]):
+            aS = self.a[S]
+            pos = 0
+            rem = S
+            while rem:
+                low = rem & -rem
+                sub = S ^ low
+                sign = 1 if pos % 2 == 0 else -1
+                out.append((S, sub, sign, exp_sub(aS, self.a[sub])))
+                pos += 1
+                rem ^= low
+        return out
+
+    def validate(self):
+        """Check the double boundary vanishes, accumulated per monomial."""
+        for j in range(2, self.r + 1):
+            lower = {}
+            for T, sub, sign, e in self.differential_entries(j - 1):
+                lower.setdefault(T, []).append((sub, sign, e))
+            acc = {}
+            for S, mid, s1, e1 in self.differential_entries(j):
+                for sub, s2, e2 in lower.get(mid, ()):
+                    key = (S, sub, exp_add(e1, e2))
+                    acc[key] = acc.get(key, 0) + s1 * s2
+            if any(acc.values()):
+                raise ArithmeticError("double boundary does not vanish")
+
+    def level_bits(self, tau, j):
+        """Bitmask of the subsets of size j with a_S >= tau."""
+        if not 0 <= j <= self.r:
+            return 0
+        bits = self.masks[j]
+        for i, v in enumerate(tau):
+            if v > 0:
+                if v > self.a_full[i]:
+                    return 0
+                bits &= self._thr[i][v]
+                if not bits:
+                    return 0
+        return bits
+
+    def strand_triple(self, j, alpha):
+        tau = self.tc.tau_of(alpha)
+        return tuple(self.level_bits(tau, k) for k in (j - 1, j, j + 1))
+
+    def strand_matrices(self, j, alpha):
+        """(d_in, d_out) of the degree-alpha strand around spot j, dense."""
+        below, here, above = self.strand_triple(j, alpha)
+        return (
+            _dense(*coboundary_sign_entries(below, here)),
+            _dense(*coboundary_sign_entries(here, above)),
+        )
+
+    def mask_classes(self, i, lo, hi):
+        """The values lo..hi of coordinate i, grouped by the threshold mask
+        they select, each group ascending."""
+        groups = {}
+        for v in range(lo, hi + 1):
+            t = -v if v < 0 else 0
+            mask = self._thr[i][t] if t <= self.a_full[i] else 0
+            groups.setdefault(mask, []).append(v)
+        return list(groups.values())
+
+    @staticmethod
+    def _stats_of(cols, rows):
+        key = (cols, rows)
+        if key not in _STRAND_STATS:
+            rank, factors = invariant_factors_sparse(*coboundary_sign_entries(cols, rows))
+            _STRAND_STATS[key] = (rank, tuple(factors))
+        return _STRAND_STATS[key]
+
+    def group(self, j, alpha):
+        below, here, above = self.strand_triple(j, alpha)
+        if not here:
+            return FinAbGroup.trivial()
+        rank_in, torsion = self._stats_of(below, here) if below else (0, ())
+        rank_out = self._stats_of(here, above)[0] if above else 0
+        return FinAbGroup(here.bit_count() - rank_in - rank_out, torsion)
+
+    @staticmethod
+    def basis(triple):
+        if triple not in _STRAND_BASES:
+            below, here, above = triple
+            d_in = _dense(*coboundary_sign_entries(below, here)) if below else None
+            d_out = _dense(*coboundary_sign_entries(here, above)) if above else None
+            _STRAND_BASES[triple] = CohomologyBasis(d_in, d_out, here.bit_count())
+        return _STRAND_BASES[triple]
+
+    def inclusion(self, j, alpha, target, target_alpha):
+        """The InducedMap of the basis inclusion into target's strand (TaylorStrands)."""
+        key = (self.strand_triple(j, alpha), target.strand_triple(j, target_alpha))
+        if key not in _STRAND_INCLUSIONS:
+            src_triple, tgt_triple = key
+            if src_triple[1] & ~tgt_triple[1]:
+                raise ValueError("source strand basis not contained in the target basis")
+            src = self.basis(src_triple)
+            tgt = self.basis(tgt_triple)
+            tpos = {S: i for i, S in enumerate(bits_to_subsets(tgt_triple[1]))}
+            chain = IntMatrix(tgt.dim, src.dim)
+            for ci, S in enumerate(bits_to_subsets(src_triple[1])):
+                chain.rows[tpos[S]][ci] = 1
+            _STRAND_INCLUSIONS[key] = InducedMap(src, tgt, chain)
+        return _STRAND_INCLUSIONS[key]
+
+
 def degree_by_degree_scan(tc, j, box=None, shell=True):
-    """TaylorComplex.support_scan computed one degree at a time.
+    """TaylorComplex.support_scan computed one degree at a time on Taylor strands.
 
     Every degree of the box, then every degree of its one-step enlargement
-    outside the box, gets its own ext_piece; no grouping by threshold mask.
-    This is the reference for the library's class-grouped scan.
+    outside the box, gets its own strand group; no grouping into classes
+    and no nerve.  Pieces carry strand triples.  This is the reference for
+    the library's class-grouped nerve scan.
     """
+    strands = TaylorStrands(tc)
     if box is None:
         box = tc.default_box()
     box = tuple((int(lo), int(hi)) for lo, hi in box)
@@ -178,16 +347,16 @@ def degree_by_degree_scan(tc, j, box=None, shell=True):
     count = 0
     for alpha in product(*(range(lo, hi + 1) for lo, hi in box)):
         count += 1
-        piece = tc.ext_piece(j, alpha)
-        if piece.is_nonzero():
-            pieces.append(piece)
+        group = strands.group(j, alpha)
+        if not group.is_trivial():
+            pieces.append(GradedExtPiece(tc, j, alpha, group, strands.strand_triple(j, alpha)))
     offenders = []
     if shell:
         for alpha in product(*(range(lo - 1, hi + 2) for lo, hi in box)):
             if all(lo <= a <= hi for a, (lo, hi) in zip(alpha, box)):
                 continue
             count += 1
-            if tc.ext_piece(j, alpha).is_nonzero():
+            if not strands.group(j, alpha).is_trivial():
                 offenders.append(alpha)
     return ExtScanResult(
         j=j,

@@ -233,6 +233,31 @@ def test_timeouts_are_reported_as_timeouts(capsys):
         assert err.startswith("timeout:"), command
 
 
+# an exponent of 10^6 once built a table per exponent value before the
+# first deadline check; a box of 10^8 values per coordinate once looped
+# over every value, unchecked
+HUGE_SCANS = {
+    "exponent": (("--ideal", "-", "--j", "2"), "vars 2\n1000000 0\n0 1\n", 2.5),
+    "box": (("--ideal", REISNER, "--j", "4", "--box=-100000000:0"), "", 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_SCANS))
+def test_huge_scans_end_within_the_timeout(name):
+    argv, stdin, limit = HUGE_SCANS[name]
+    proc = subprocess.run(
+        [sys.executable, "-m", "mixedchar.cli", "scan", *argv, "--timeout-secs", "1"],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        timeout=limit,  # past it the run is killed and the test fails
+    )
+    if proc.returncode == 0:
+        assert "results" in json.loads(proc.stdout)
+    else:
+        assert proc.returncode == 1 and proc.stderr.startswith("timeout:"), proc.stderr
+
+
 def test_transition_claim(capsys):
     code, data, _ = run_json(
         capsys, "transition", "--ideal", REISNER, "--j", "4", "--levels", "2"

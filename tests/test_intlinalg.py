@@ -19,11 +19,11 @@ from mixedchar.intlinalg import (
     solve_exact,
 )
 from mixedchar.monomials import power_ideal
-from mixedchar.subsets import bits_to_subsets, coboundary_sign_entries, size_masks
+from mixedchar.subsets import bits_to_subsets, coboundary_sign_entries
 from mixedchar.taylor import TaylorComplex, transition_between
 from mixedchar.textio import reisner_ideal
 
-from .oracles import full_block_injective
+from .oracles import TaylorStrands, full_block_injective, size_masks
 
 
 def _det(M):
@@ -373,15 +373,29 @@ def test_solve_in_kernel_on_strand_bases():
     rng = random.Random(4411)
     ideal = reisner_ideal()
     checked = rejected = 0
+    nerve_rng = random.Random(4412)  # keeps the strand cases those of rng alone
+    nerve_checked = nerve_rejected = 0
     for ell in (1, 2, 3):
         tc = TaylorComplex(power_ideal(ideal, ell))
+        strands = TaylorStrands(tc)
         for zero in range(-1, 6):  # at most one coordinate 0 keeps strands small
             alpha = tuple(0 if i == zero else -rng.randint(1, ell) for i in range(6))
             for j in (3, 4, 5):
-                d_in, d_out = tc.strand_matrices(j, alpha)
-                basis = tc.ext_piece(j, alpha).basis
+                d_in, d_out = strands.strand_matrices(j, alpha)
+                basis = strands.basis(strands.strand_triple(j, alpha))
                 rejected += _check_solve_in_kernel(rng, basis, d_in, d_out)
                 checked += 1
+                # the library's basis of the same piece, on its nerve
+                piece = tc.ext_piece(j, alpha)
+                below, here, above = piece.triple
+                if here:
+                    d_in = _dense_of(*coboundary_sign_entries(below, here)) if below else None
+                    d_out = _dense_of(*coboundary_sign_entries(here, above)) if above else None
+                    basis = piece.basis
+                    assert basis.dim == here.bit_count()
+                    nerve_rejected += _check_solve_in_kernel(nerve_rng, basis, d_in, d_out)
+                    nerve_checked += 1
+    assert nerve_checked > 30 and nerve_rejected > 60
     for _ in range(40):
         below, here, above = _up_closed_triple(rng, rng.randint(3, 7))
         if not here:

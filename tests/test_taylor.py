@@ -8,6 +8,7 @@ from mixedchar.monomials import MonomialIdeal, power_ideal
 from mixedchar.taylor import (
     GradedExtPiece,
     TaylorComplex,
+    _dense_coboundary,
     comparison_chain_check,
     ext_graded_piece,
     ext_support_scan,
@@ -17,7 +18,7 @@ from mixedchar.taylor import (
 )
 
 from tests.conftest import REISNER_ROWS
-from tests.oracles import degree_by_degree_scan
+from tests.oracles import TaylorStrands, degree_by_degree_scan
 
 
 def reisner():
@@ -43,12 +44,13 @@ def test_koszul_shape_and_differential():
     # canonical grlex order lists (0, 1) before (1, 0)
     assert tc.gens == ((0, 1), (1, 0))
     assert [tc.rank(j) for j in range(4)] == [1, 2, 1, 0]
-    assert set(tc.differential_entries(1)) == {
+    strands = TaylorStrands(tc)
+    assert set(strands.differential_entries(1)) == {
         (0b01, 0, 1, (0, 1)),
         (0b10, 0, 1, (1, 0)),
     }
     # removing the lower generator index carries the positive sign
-    assert set(tc.differential_entries(2)) == {
+    assert set(strands.differential_entries(2)) == {
         (0b11, 0b10, 1, (0, 1)),
         (0b11, 0b01, -1, (1, 0)),
     }
@@ -58,7 +60,7 @@ def test_double_boundary_vanishes_on_random_ideals():
     rng = random.Random(41)
     for _ in range(30):
         tc = TaylorComplex(_random_ideal(rng, max_gens=5, max_exp=3))
-        tc.validate()
+        TaylorStrands(tc).validate()
 
 
 def test_koszul_ext_pieces():
@@ -90,10 +92,15 @@ def test_principal_ideal_scan_reports_truncated_support():
     assert not scan.complete_support()
 
 
-def _assert_same_scan(got, want):
+def _assert_same_scan(got, want, tc):
+    """got from the class scan on nerves, want from the per-degree strand oracle."""
     assert got.describe() == want.describe()
-    assert [(p.alpha, p.j, p.group, p.triple) for p in got.pieces] == [
-        (p.alpha, p.j, p.group, p.triple) for p in want.pieces
+    assert [(p.alpha, p.j, p.group) for p in got.pieces] == [
+        (p.alpha, p.j, p.group) for p in want.pieces
+    ]
+    # each expanded piece carries the nerve of its own degree
+    assert [p.triple for p in got.pieces] == [
+        tc.ext_piece(p.j, p.alpha).triple for p in got.pieces
     ]
     assert got.shell_offenders == want.shell_offenders
     assert got.degrees_scanned == want.degrees_scanned
@@ -120,14 +127,21 @@ def test_class_scan_matches_the_degree_by_degree_oracle():
             order = list(range(len(ideal.gens)))
             rng.shuffle(order)
         tc = TaylorComplex(ideal, generator_order=order)
-        class_counts.add(
-            tuple(len(tc._mask_classes(i, -top - 1, 1)) for i, top in enumerate(tc.a_full))
-        )
+        strands = TaylorStrands(tc)
+        counts = []
+        for i, top in enumerate(tc.a_full):
+            # breakpoint runs group the values exactly as threshold masks do
+            masks = strands.mask_classes(i, -top - 1, 1)
+            runs = tc._scan_classes(i, -top - 1, 1)
+            assert sorted(masks) == sorted(list(range(lo, hi + 1)) for lo, hi, _ in runs)
+            counts.append(len(masks))
+        class_counts.add(tuple(counts))
         for box in (None, _random_box(rng, tc)):
             for j in range(tc.r + 2):
                 for shell in (True, False):
                     got = tc.support_scan(j, box=box, shell=shell)
-                    _assert_same_scan(got, degree_by_degree_scan(tc, j, box=box, shell=shell))
+                    want = degree_by_degree_scan(tc, j, box=box, shell=shell)
+                    _assert_same_scan(got, want, tc)
                     pieces += len(got.pieces)
                     offenders += len(got.shell_offenders)
     # coordinates with different class counts inside one ideal
@@ -138,7 +152,7 @@ def test_class_scan_matches_the_degree_by_degree_oracle():
 @pytest.mark.parametrize("ell", [1, 2, 3])
 def test_class_scan_matches_the_oracle_on_reisner_levels(ell):
     tc = TaylorComplex(power_ideal(reisner(), ell))
-    _assert_same_scan(tc.support_scan(4), degree_by_degree_scan(tc, 4))
+    _assert_same_scan(tc.support_scan(4), degree_by_degree_scan(tc, 4), tc)
 
 
 def _covering_subset_count(rows, size):
@@ -150,12 +164,24 @@ def _covering_subset_count(rows, size):
     return count
 
 
+def _nerve_face_count(rows, size):
+    """Sets of `size` variables that some generator avoids entirely."""
+    return sum(
+        1
+        for face in itertools.combinations(range(len(rows[0])), size)
+        if any(all(row[i] == 0 for i in face) for row in rows)
+    )
+
+
 def test_reisner_ext4_piece_is_z2(rtc):
     piece = rtc.ext_piece(4, (-1,) * 6)
     assert piece.group == FinAbGroup(0, (2,))
     # strand basis sizes match a brute-force count of covering subsets
-    dims = tuple(t.bit_count() for t in piece.triple)
+    dims = tuple(t.bit_count() for t in TaylorStrands(rtc).strand_triple(4, (-1,) * 6))
     assert dims == tuple(_covering_subset_count(REISNER_ROWS, s) for s in (3, 4, 5))
+    # at tau = 1 a face of the nerve is a set of variables some generator avoids
+    dims = tuple(t.bit_count() for t in piece.triple)
+    assert dims == tuple(_nerve_face_count(REISNER_ROWS, s) for s in (2, 3, 4))
     assert piece.dvr_invariants(2) == (0, (1,))
     assert piece.dvr_invariants(3) == (0, ())
 
@@ -233,11 +259,20 @@ def test_strand_matrices_are_signs_and_compose_to_zero(rtc):
         j = rng.randint(1, len(tc.ideal.gens))
         alpha = tuple(rng.randint(-3, 0) for _ in range(tc.n))
         cases.append((tc, j, alpha))
+    nerve_maps = 0
     for tc, j, alpha in cases:
-        d_in, d_out = tc.strand_matrices(j, alpha)
+        d_in, d_out = TaylorStrands(tc).strand_matrices(j, alpha)
         for m in (d_in, d_out):
             assert all(v in (-1, 0, 1) for row in m.rows for v in row)
         assert (d_out @ d_in).is_zero()
+        # the nerve coboundaries around the same spot
+        below, here, above = tc.ext_piece(j, alpha).triple
+        d_in, d_out = _dense_coboundary(below, here), _dense_coboundary(here, above)
+        for m in (d_in, d_out):
+            assert all(v in (-1, 0, 1) for row in m.rows for v in row)
+        assert (d_out @ d_in).is_zero()
+        nerve_maps += bool(below and here and above)
+    assert nerve_maps >= 2
 
 
 def test_mult_map_composites_commute():
@@ -298,6 +333,10 @@ def test_comparison_chain_check_rejects_unrelated_ideals():
     assert not comparison_chain_check(low, high)
     with pytest.raises(ValueError):
         transition_between(low, high, 1, 1, (-1, 0))
+    # unchecked, the nerves refuse it: at (-1, 0) the nerve of (x1) is not
+    # a subcomplex of the nerve of (x0)
+    with pytest.raises(ValueError, match="not a subcomplex"):
+        transition_between(low, high, 1, 1, (-1, 0), check_chain=False)
 
 
 def test_generator_cap():
