@@ -12,6 +12,7 @@ from __future__ import annotations
 # Most entries any module-level cache of the package holds.
 CACHE_LIMIT = 4096
 
+_SIZE_MASKS: dict = {}
 _ENTRY_CACHE: dict = {}
 
 
@@ -21,6 +22,17 @@ def cache_put(cache: dict, key, value):
         del cache[next(iter(cache))]
     cache[key] = value
     return value
+
+
+def size_masks(r: int) -> list:
+    """For each s, the family of all subsets of {0..r-1} with s elements."""
+    masks = _SIZE_MASKS.get(r)
+    if masks is None:
+        masks = [0] * (r + 1)
+        for s in range(1 << r):
+            masks[s.bit_count()] |= 1 << s
+        masks = cache_put(_SIZE_MASKS, r, masks)
+    return masks
 
 
 def bits_to_subsets(bits: int) -> list:

@@ -10,31 +10,27 @@ the full simplex on the generators relative to
     tau = max(-alpha, 0),  V_i = {g : g_i < tau_i},
 
 because a_S >= tau says exactly that S lies in no V_i.  The full simplex
-is acyclic, so Ext^j(A/I, A)_alpha is the reduced cohomology of Delta in
-degree j - 2.  By the nerve lemma (Bjorner, "Topological methods",
-Handbook of Combinatorics, 1995) Delta has the cohomology of the nerve
-N_tau of its cover: the complex on the variables with tau_i > 0 whose
-faces are the sets F whose V_i (i in F) have a common member.  So
+is acyclic, so
 
-    Ext^j(A/I, A)_alpha = H~^{j-2}(N_tau; Z),
+    Ext^j(A/I, A)_alpha = H~^{j-2}(Delta; Z),
 
 the spot of the size-(j-1) faces in the augmented cochain complex of
-N_tau, which is void (no faces at all, not even the empty one) when
-tau = 0.  This is the route of Mustata, "Local cohomology at monomial
-ideals", J. Symb. Comput. 2000.  N_tau has at most 2^n faces whatever the
-number of generators.  Delta, in turn, is the nerve of the cover of N_tau
-by its simplices on U_g = {i : g in V_i} (Dowker's theorem), and has at
-most 2^r faces.  A complex with n <= r runs on N_tau, one with more
-variables than generators on Delta, so no complex has more than
-2^min(n, r) faces.  Either way the coboundaries have entries in
-{-1, 0, 1}, and a complex with a vertex in every maximal face is a cone,
+Delta, which is void (no faces at all, not even the empty one) when
+tau = 0.  Delta is the nerve of the sets U_g = {i : g_i < tau_i} of
+active variables: a set of generators is a face when their U_g have a
+common member.  By Dowker's theorem and the nerve lemma (Bjorner,
+"Topological methods", Handbook of Combinatorics, 1995) it has the
+cohomology of the nerve N_tau on the variables used by Mustata, "Local
+cohomology at monomial ideals", J. Symb. Comput. 2000.  Delta is the one
+computed here: it has at most 2^r faces however many variables there
+are, where N_tau has up to 2^n.  The coboundaries have entries in
+{-1, 0, 1}, and a complex with a generator in every V_i is a cone,
 acyclic, with no elimination.
 
 Multiplication by x_i and the passage from one power level to the next
 both shrink every V_i (and may deactivate a variable), so the target
-complex is a subcomplex of the source complex.  The nerve lemma is
-natural for such shrinking covers, and the induced map on Ext is
-restriction of cochains from the source to the target.
+complex is a subcomplex of the source complex.  The induced map on Ext
+is restriction of cochains from the source to the target.
 
 The complex depends on alpha only through the V_i, and V_i changes only
 where tau_i passes a distinct exponent of coordinate i.  tau_i = 0 (no
@@ -42,7 +38,7 @@ V_i) is a class of its own, apart from tau_i > 0 with V_i empty.  Support
 scans compute one piece per product of these breakpoint classes, whatever
 the width of the box or the size of the exponents.
 
-Face families are bigint bitmasks over the vertex subsets.  Complexes,
+Face families are bigint bitmasks over the generator subsets.  Complexes,
 eliminations, presentation bases and restriction maps are cached by
 family, shared across degrees, levels and ideals, each cache holding at
 most subsets.CACHE_LIMIT entries.
@@ -66,11 +62,10 @@ from .intlinalg import (
 )
 from .monomials import MonomialIdeal, power_ideal
 from .polynomials import MultiIndex, exp_max
-from .subsets import bits_to_subsets, cache_put, coboundary_sign_entries
+from .subsets import bits_to_subsets, cache_put, coboundary_sign_entries, size_masks
 
 MAX_GENERATORS = 12
 
-_SIZE_CACHE: dict = {}
 _NERVE_CACHE: dict = {}
 _STATS_CACHE: dict = {}
 _BASIS_CACHE: dict = {}
@@ -83,46 +78,20 @@ def check_deadline(deadline: Optional[float], what: str):
         raise TimeoutError(f"{what} passed the --timeout-secs budget")
 
 
-def _size_masks(n: int) -> list:
-    """Entry k is the family of all k-element subsets of {0..n-1}."""
-    masks = _SIZE_CACHE.get(n)
-    if masks is None:
-        masks = [1]
-        for i in range(n):
-            masks = [a | b << (1 << i) for a, b in zip(masks + [0], [0] + masks)]
-        masks = cache_put(_SIZE_CACHE, n, masks)
-    return masks
+def _nerve(simplices: frozenset):
+    """(face families by size, whether the complex is a cone) of Delta.
 
-
-def _nerve(cover: tuple, on_variables: bool):
-    """(face families by size, whether the complex is a cone) for one cover.
-
-    cover has one entry per variable, None where tau_i = 0 and otherwise
-    the generator bitmask V_i; at least one entry is not None.  On the
-    variables the faces are the empty face and the subsets of each
-    U_g = {i : g in V_i}; on the generators (Delta itself) they are the
-    empty face and the subsets of each V_i.  Entry k of the families holds
-    the faces with k vertices.  When one vertex lies in every maximal face
-    the complex is a cone, hence acyclic.
+    simplices holds the nonempty V_i as generator bitmasks; the faces are
+    the empty face and the subsets of each.  Entry k of the families holds
+    the faces with k vertices.  When one generator lies in every V_i the
+    complex is a cone, hence acyclic.
     """
-    key = (on_variables, cover)
-    hit = _NERVE_CACHE.get(key)
+    hit = _NERVE_CACHE.get(simplices)
     if hit is None:
-        if on_variables:
-            by_generator: dict = {}
-            for i, members in enumerate(cover):
-                rest = members or 0
-                while rest:
-                    g = rest & -rest
-                    by_generator[g] = by_generator.get(g, 0) | 1 << i
-                    rest ^= g
-            sets = set(by_generator.values())
-        else:
-            sets = {members for members in cover if members}
         faces = 1  # the empty face
         common = -1
         width = 0
-        for face in sets:
+        for face in simplices:
             below = 1  # the subsets of face: adding the vertex with bit v moves a face up by v
             rest = face
             while rest:
@@ -132,8 +101,8 @@ def _nerve(cover: tuple, on_variables: bool):
             faces |= below
             common &= face
             width = max(width, face.bit_length())
-        sizes = tuple(faces & mask for mask in _size_masks(width))
-        hit = cache_put(_NERVE_CACHE, key, (sizes, common > 0))
+        sizes = tuple(faces & mask for mask in size_masks(width))
+        hit = cache_put(_NERVE_CACHE, simplices, (sizes, common > 0))
     return hit
 
 
@@ -207,7 +176,7 @@ class TaylorComplex:
 
     The name is the resolution's: ranks, the lcm table a (a[S] for each
     generator subset S) and the comparison check describe the Taylor
-    complex; every group and map is computed on N_tau or Delta.
+    complex; every group and map is computed on Delta.
 
     >>> from .monomials import MonomialIdeal
     >>> tc = TaylorComplex(MonomialIdeal(2, [(1, 0), (0, 1)]))
@@ -287,7 +256,7 @@ class TaylorComplex:
             triple = (0, 0, 0)
             group = FinAbGroup.trivial()
         else:
-            sizes, cone = _nerve(cover, self.n <= self.r)
+            sizes, cone = _nerve(frozenset(filter(None, cover)))
             triple = tuple(sizes[k] if 0 <= k < len(sizes) else 0 for k in (j - 2, j - 1, j))
             group = FinAbGroup.trivial() if cone else _cohomology(triple)
         return GradedExtPiece(self, j, alpha, group, triple)

@@ -21,7 +21,7 @@ from mixedchar.intlinalg import (
 )
 from mixedchar.polynomials import exp_add, exp_sub
 from mixedchar.scalars import padic_valuation
-from mixedchar.subsets import bits_to_subsets, coboundary_sign_entries
+from mixedchar.subsets import bits_to_subsets, coboundary_sign_entries, size_masks
 from mixedchar.taylor import ExtScanResult, GradedExtPiece
 
 
@@ -166,14 +166,6 @@ def full_block_injective(induced, p=None):
         if not ok:
             return False
     return True
-
-
-def size_masks(r):
-    """For each s, the family of all subsets of {0..r-1} with s elements."""
-    masks = [0] * (r + 1)
-    for s in range(1 << r):
-        masks[s.bit_count()] |= 1 << s
-    return masks
 
 
 def _dense(entries, nrows, ncols):

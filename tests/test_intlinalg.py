@@ -19,11 +19,11 @@ from mixedchar.intlinalg import (
     solve_exact,
 )
 from mixedchar.monomials import power_ideal
-from mixedchar.subsets import bits_to_subsets, coboundary_sign_entries
+from mixedchar.subsets import bits_to_subsets, coboundary_sign_entries, size_masks
 from mixedchar.taylor import TaylorComplex, transition_between
 from mixedchar.textio import reisner_ideal
 
-from .oracles import TaylorStrands, full_block_injective, size_masks
+from .oracles import TaylorStrands, full_block_injective
 
 
 def _det(M):

@@ -1,18 +1,25 @@
 """Ext groups and maps on nerve complexes against the Taylor-strand oracle.
 
-The library computes Ext^j(A/I, A)_alpha as H~^{j-2} of a nerve on the
-variables and every map as restriction of nerve cochains; the oracle
+The library computes Ext^j(A/I, A)_alpha as H~^{j-2} of the nerve Delta on
+the generators and every map as restriction of Delta cochains; the oracle
 computes the same groups on Taylor strands over the generator subsets and
 the maps as strand basis inclusions.  Both sides share only the integer
-elimination kernel.
+elimination kernel.  The strand at alpha is the cochain complex of the
+full simplex relative to Delta, so taking the coboundary of a cocycle on
+Delta, extended by zero, is an isomorphism onto the strand's cohomology;
+maps are compared through it, whatever bases either side picks.
 """
 
 import itertools
 import random
 
+import pytest
+
 from mixedchar import subsets, taylor
+from mixedchar.intlinalg import IntMatrix, InducedMap
 from mixedchar.monomials import MonomialIdeal, power_ideal
 from mixedchar.pipeline import _transition_injective_over
+from mixedchar.subsets import coboundary_sign_entries
 from mixedchar.taylor import TaylorComplex, transition_between
 
 from tests.conftest import REISNER_ROWS
@@ -42,11 +49,9 @@ def _empty_v(tc, alpha):
 def test_groups_match_the_strand_oracle_on_random_ideals():
     rng = random.Random(60601)
     compared = nonzero = tau_zero = empty_v = 0
-    on_variables = set()
     for _ in range(160):
         tc = TaylorComplex(_random_ideal(rng))
         strands = TaylorStrands(tc)
-        on_variables.add(tc.n <= tc.r)
         degrees = {(0,) * tc.n, (-1,) * tc.n}
         degrees.update(_random_alpha(rng, tc) for _ in range(30))
         for alpha in sorted(degrees):
@@ -59,12 +64,10 @@ def test_groups_match_the_strand_oracle_on_random_ideals():
                 empty_v += _empty_v(tc, alpha) and not got.is_trivial()
     assert compared > 12000 and nonzero > 600
     assert tau_zero > 1000 and empty_v > 300
-    assert on_variables == {True, False}  # both complexes of the Dowker pair
 
 
 def test_wide_ideals_run_on_the_generators():
-    # with more variables than generators the complex is Delta, whose
-    # families stay below 2^r bits however many variables there are
+    # Delta's families stay below 2^r bits however many variables there are
     rng = random.Random(60605)
     for _ in range(20):
         n = rng.randint(10, 16)
@@ -95,7 +98,7 @@ def test_zero_and_unit_ideals_match_the_strand_oracle():
                 for i in range(2):
                     report = tc.mult_map(j, alpha, i)
                     want = strands.inclusion(j, alpha, strands, report.target_alpha)
-                    _assert_same_map(report.induced, report.source, want, (ideal, j, alpha, i))
+                    _assert_same_map(report, want, strands, strands, (ideal, j, alpha, i))
         assert found == support
 
 
@@ -129,12 +132,60 @@ def _injective_over(induced, source, p):
     return induced.is_injective_localized(p)
 
 
-def _assert_same_map(induced, source, oracle, what):
+_CONNECTING: dict = {}
+
+
+def _connecting(strands, piece):
+    """The isomorphism from the cohomology of Delta at piece onto its strand's.
+
+    A cocycle on the size-(j-1) faces of Delta, extended by zero to the full
+    simplex, has a coboundary that lives on the strand's size-j subsets.
+    (0) has no generators: its one complex is the strand itself.
+    """
+    strand = strands.strand_triple(piece.j, piece.alpha)
+    key = (piece.triple, strand)
+    if key not in _CONNECTING:
+        basis = piece.basis
+        if strands.r == 0:
+            chain = IntMatrix.identity(basis.dim)
+        else:
+            entries, nrows, ncols = coboundary_sign_entries(piece.triple[1], strand[1])
+            chain = IntMatrix(nrows, ncols)
+            for (i, k), v in entries.items():
+                chain.rows[i][k] = v
+        phi = InducedMap(basis, TaylorStrands.basis(strand), chain)
+        assert phi.is_injective() and not phi.is_zero()
+        _CONNECTING[key] = phi
+    return _CONNECTING[key]
+
+
+def _oracle_matrix(report, oracle):
+    """The oracle's component matrix in the shape the report gives one."""
+    scomp = report.source_group.free_rank + len(report.source_group.factors)
+    tcomp = report.target_group.free_rank + len(report.target_group.factors)
+    if scomp == 0 or tcomp == 0:
+        return [[0] * scomp for _ in range(tcomp)]
+    return oracle.component_matrix()
+
+
+def _assert_same_map(report, oracle, strands, target_strands, what):
+    """report's map against the oracle's strand inclusion between the same degrees."""
+    induced, source = report.induced, report.source
     assert _zero(induced) == oracle.is_zero(), what
     injective = source.group.is_trivial() if induced is None else induced.is_injective()
     assert injective == oracle.is_injective(), what
     for p in (2, 3):
         assert _injective_over(induced, source, p) == oracle.is_injective_localized(p), what
+    if induced is None:
+        assert report.matrix == _oracle_matrix(report, oracle), what
+        return
+    # restriction then connecting map equals connecting map then inclusion
+    into = _connecting(target_strands, report.target)
+    one = oracle.pres_matrix @ _connecting(strands, source).pres_matrix
+    two = into.pres_matrix @ induced.pres_matrix
+    for k in range(one.ncols):
+        diff = [a - b for a, b in zip(one.column(k), two.column(k))]
+        assert into.target.in_relation_lattice(diff), what
 
 
 def test_transitions_and_mult_maps_match_taylor_inclusions():
@@ -151,7 +202,8 @@ def test_transitions_and_mult_maps_match_taylor_inclusions():
                 for j in range(low.r + 2):
                     rep = transition_between(low, high, ell, j, alpha, check_chain=k == 0)
                     want = oracle[ell].inclusion(j, alpha, oracle[ell + 1], alpha)
-                    _assert_same_map(rep.induced, rep.source, want, (ideal.gens, ell, j, alpha))
+                    what = (ideal.gens, ell, j, alpha)
+                    _assert_same_map(rep, want, oracle[ell], oracle[ell + 1], what)
                     assert rep.injective == want.is_injective()
                     for p in (2, 3):
                         assert _transition_injective_over(rep, p) == want.is_injective_localized(p)
@@ -165,7 +217,7 @@ def test_transitions_and_mult_maps_match_taylor_inclusions():
             for j in range(tc.r + 2):
                 report = tc.mult_map(j, alpha, i)
                 want = strands.inclusion(j, alpha, strands, target)
-                _assert_same_map(report.induced, report.source, want, (ideal.gens, j, alpha, i))
+                _assert_same_map(report, want, strands, strands, (ideal.gens, j, alpha, i))
                 assert report.zero == want.is_zero()
                 maps += 1
                 nonzero += report.induced is not None
@@ -173,27 +225,38 @@ def test_transitions_and_mult_maps_match_taylor_inclusions():
     assert maps > 12000 and nonzero > 500 and not_injective > 100
 
 
-def test_reisner_transitions_and_mult_maps_match_taylor_inclusions():
+@pytest.mark.parametrize("j", [3, 4])
+def test_reisner_transitions_and_mult_maps_match_taylor_inclusions(j):
+    # Ext^3 is free, Ext^4 2-torsion; at both, the report matrices are the
+    # ones the strand route picks
     ideal = MonomialIdeal(6, REISNER_ROWS)
     levels = {ell: TaylorComplex(power_ideal(ideal, ell)) for ell in (1, 2, 3)}
     oracle = {ell: TaylorStrands(tc) for ell, tc in levels.items()}
-    checked = 0
+    checked = free = 0
     for ell in (1, 2):
         low, high = levels[ell], levels[ell + 1]
-        support = low.support_scan(4).pieces
-        assert len(support) == ell**6
+        support = low.support_scan(j).pieces
+        if j == 4:
+            assert len(support) == ell**6
         for k, piece in enumerate(support):
-            rep = transition_between(low, high, ell, 4, piece.alpha, check_chain=k == 0)
-            want = oracle[ell].inclusion(4, piece.alpha, oracle[ell + 1], piece.alpha)
-            _assert_same_map(rep.induced, rep.source, want, (ell, piece.alpha))
+            rep = transition_between(low, high, ell, j, piece.alpha, check_chain=k == 0)
+            want = oracle[ell].inclusion(j, piece.alpha, oracle[ell + 1], piece.alpha)
+            _assert_same_map(rep, want, oracle[ell], oracle[ell + 1], (ell, piece.alpha))
+            assert rep.matrix == _oracle_matrix(rep, want), (ell, piece.alpha)
             assert rep.induced is not None and rep.injective
             for i in range(6):
-                report = low.mult_map(4, piece.alpha, i)
+                report = low.mult_map(j, piece.alpha, i)
                 target = report.target_alpha
-                want = oracle[ell].inclusion(4, piece.alpha, oracle[ell], target)
-                _assert_same_map(report.induced, report.source, want, (ell, piece.alpha, i))
+                want = oracle[ell].inclusion(j, piece.alpha, oracle[ell], target)
+                what = (ell, piece.alpha, i)
+                _assert_same_map(report, want, oracle[ell], oracle[ell], what)
+                assert report.matrix == _oracle_matrix(report, want), what
                 checked += 1
-    assert checked == 6 * (1 + 2**6)
+                free += report.source_group.free_rank > 0 and not report.zero
+    if j == 4:
+        assert checked == 6 * (1 + 2**6)
+    else:
+        assert checked > 1000 and free > 500
 
 
 def test_nerve_caches_stay_bounded_over_many_ideals(monkeypatch):

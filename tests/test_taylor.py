@@ -165,11 +165,11 @@ def _covering_subset_count(rows, size):
 
 
 def _nerve_face_count(rows, size):
-    """Sets of `size` variables that some generator avoids entirely."""
+    """Sets of `size` generators that all avoid some variable."""
     return sum(
         1
-        for face in itertools.combinations(range(len(rows[0])), size)
-        if any(all(row[i] == 0 for i in face) for row in rows)
+        for face in itertools.combinations(rows, size)
+        if any(all(row[i] == 0 for row in face) for i in range(len(rows[0])))
     )
 
 
@@ -179,7 +179,7 @@ def test_reisner_ext4_piece_is_z2(rtc):
     # strand basis sizes match a brute-force count of covering subsets
     dims = tuple(t.bit_count() for t in TaylorStrands(rtc).strand_triple(4, (-1,) * 6))
     assert dims == tuple(_covering_subset_count(REISNER_ROWS, s) for s in (3, 4, 5))
-    # at tau = 1 a face of the nerve is a set of variables some generator avoids
+    # at tau = 1 a face of the nerve is a set of generators avoiding one variable
     dims = tuple(t.bit_count() for t in piece.triple)
     assert dims == tuple(_nerve_face_count(REISNER_ROWS, s) for s in (2, 3, 4))
     assert piece.dvr_invariants(2) == (0, (1,))
@@ -333,8 +333,8 @@ def test_comparison_chain_check_rejects_unrelated_ideals():
     assert not comparison_chain_check(low, high)
     with pytest.raises(ValueError):
         transition_between(low, high, 1, 1, (-1, 0))
-    # unchecked, the nerves refuse it: at (-1, 0) the nerve of (x1) is not
-    # a subcomplex of the nerve of (x0)
+    # unchecked, the nerves refuse it: at (-1, 0) the nerve of (x1) has a
+    # vertex, the nerve of (x0) only the empty face
     with pytest.raises(ValueError, match="not a subcomplex"):
         transition_between(low, high, 1, 1, (-1, 0), check_chain=False)
 
