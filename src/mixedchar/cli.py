@@ -45,7 +45,6 @@ from .filtrations import (
 from .groebner import sv_containment_check
 from .monomials import power_ideal
 from .pipeline import annihilator_pipeline
-from .polynomials import Polynomial
 from .reports import FAILED, Claim, Report, verified
 from .scalars import DVR, PrimeField, RationalField
 from .simplicial import (
@@ -240,6 +239,17 @@ def cmd_scan(ns) -> Report:
     )
 
 
+def _transition_claim(levels: int, ok: bool) -> Claim:
+    """The transition-injective claim, shared by transition and pipeline."""
+    return Claim(
+        "transition-injective",
+        f"levels 1..{levels}: injective on every computed support degree"
+        if ok
+        else f"levels 1..{levels}: injectivity not established",
+        verified() if ok else FAILED,
+    )
+
+
 def cmd_transition(ns) -> Report:
     if ns.levels < 2:
         raise ValueError("need --levels >= 2 to have maps between levels")
@@ -265,29 +275,19 @@ def cmd_transition(ns) -> Report:
             "complete_support": scan.complete_support(),
             "transitions": [],
         }
-        for k, piece in enumerate(scan.pieces):
-            rep = transition_between(low, high, ell, ns.j, piece.alpha, check_chain=k == 0)
+        for piece in scan.pieces:
+            rep = transition_between(low, high, ell, ns.j, piece.alpha)
             transitions += 1
             all_injective = all_injective and rep.injective
             entry["transitions"].append(
                 {"alpha": list(piece.alpha), "injective": rep.injective}
             )
         checks.append(entry)
-    ok = all_injective and complete
-    claims = (
-        Claim(
-            "transition-injective",
-            f"levels 1..{ns.levels}: injective on every computed support degree"
-            if ok
-            else f"levels 1..{ns.levels}: injectivity not established",
-            verified() if ok else FAILED,
-        ),
-    )
     return Report(
         command="transition",
         inputs={"ideal": source, "j": ns.j, "levels": ns.levels, "p": ns.p},
         results={"levels": checks, "all_injective": all_injective},
-        claims=claims,
+        claims=(_transition_claim(ns.levels, all_injective and complete),),
         timing={"degrees_scanned": degrees, "transitions_checked": transitions},
     )
 
@@ -333,15 +333,7 @@ def cmd_pipeline(ns) -> Report:
         )
         stage2 = next((s for s in rep.stages if s.name == "transition_injectivity"), None)
         if stage2 is not None and any(p["checked"] for p in stage2.details["pairs"]):
-            claims.append(
-                Claim(
-                    "transition-injective",
-                    f"levels 1..{ns.levels}: injective on every computed support degree"
-                    if stage2.ok
-                    else f"levels 1..{ns.levels}: injectivity not established",
-                    verified() if stage2.ok else FAILED,
-                )
-            )
+            claims.append(_transition_claim(ns.levels, stage2.ok))
     degrees = sum(lv["degrees_scanned"] for lv in stage1.details["levels"])
     transitions = 0
     for stage in rep.stages:
@@ -363,7 +355,9 @@ def cmd_pipeline(ns) -> Report:
 
 
 def cmd_dsub(ns) -> Report:
+    deadline = _deadline(ns)
     gens, source = _load_generators(ns.gens, DVR(ns.p))
+    check_deadline(deadline, "classifying the differential submodule")
     verdict = classify_d_submodule(list(gens))
     return Report(
         command="dsub",
@@ -375,7 +369,9 @@ def cmd_dsub(ns) -> Report:
 
 
 def cmd_saturate(ns) -> Report:
+    deadline = _deadline(ns)
     gens, source = _load_generators(ns.gens, DVR(ns.p))
+    check_deadline(deadline, "saturating the generators")
     ideal = pi_saturate(list(gens))
     return Report(
         command="saturate",
@@ -388,6 +384,11 @@ def cmd_saturate(ns) -> Report:
         claims=(),
         timing={"generators": len(gens)},
     )
+
+
+def _is_rp2(cx: SimplicialComplex) -> bool:
+    """Whether cx is the bundled six-vertex projective plane."""
+    return cx == SimplicialComplex(*rp2_facets())
 
 
 def cmd_simplicial(ns) -> Report:
@@ -406,7 +407,7 @@ def cmd_simplicial(ns) -> Report:
         },
     }
     claims = []
-    if (cx.n, tuple(sorted(cx.facets))) == (6, tuple(sorted(rp2_facets()[1]))):
+    if _is_rp2(cx):
         z = tables["Z"]
         ok = all(
             z[spot].is_trivial() for spot in z if spot != 2
@@ -448,10 +449,7 @@ def cmd_hochster(ns) -> Report:
         levels = {name: list(found[c]) for name, c in coeffs}
         results = {"nonzero_levels": levels}
         timing = {"faces": sum(cx.face_counts()), "fields": len(coeffs)}
-        if ns.p is None and (cx.n, tuple(sorted(cx.facets))) == (
-            6,
-            tuple(sorted(rp2_facets()[1])),
-        ):
+        if ns.p is None and _is_rp2(cx):
             ok = levels == {"F2": [2, 3], "F3": [3], "Q": [3]}
             claims.append(
                 Claim(
@@ -472,6 +470,7 @@ def cmd_hochster(ns) -> Report:
 
 
 def cmd_filtration(ns) -> Report:
+    deadline = _deadline(ns)
     ring = DVR(ns.p)
     if ns.model == "quotient":
         if ns.ell is None:
@@ -497,6 +496,7 @@ def cmd_filtration(ns) -> Report:
         spec = inject_shift_fault(spec)
     elif ns.fault == "tail":
         spec = inject_tail_fault(spec)
+    check_deadline(deadline, "checking the filtration axioms")
     axioms = check_axioms(spec)
     results = {"spec": spec.describe(), "axioms": axioms.describe()}
     claims = [
@@ -510,6 +510,7 @@ def cmd_filtration(ns) -> Report:
         )
     ]
     if axioms.ok():
+        check_deadline(deadline, "the length verdict")
         verdict = finite_type_and_verdict(spec)
         results["verdict"] = verdict.describe()
         claims.append(Claim("length-verdict", verdict.tag(), verified()))

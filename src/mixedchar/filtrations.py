@@ -17,7 +17,7 @@ localization R_f split along f = pi^e g with g of pi-content zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .polynomials import Polynomial, exact_divide

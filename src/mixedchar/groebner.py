@@ -16,7 +16,7 @@ import time
 from typing import Iterable, Optional, Sequence
 
 from .monomials import MonomialIdeal
-from .polynomials import ORDER_KEYS, Polynomial, exp_add, exp_leq, exp_max, exp_sub
+from .polynomials import ORDER_KEYS, Polynomial, exp_leq, exp_max, exp_sub
 from .scalars import PrimeField, RationalField
 from .textio import reisner_ideal, schmitt_vogel_generators
 

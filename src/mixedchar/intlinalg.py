@@ -54,9 +54,6 @@ class IntMatrix:
     def column(self, j: int) -> list:
         return [r[j] for r in self.rows]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.ncols, self.nrows, [self.column(i) for i in range(self.ncols)])
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product")
@@ -85,41 +82,21 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return all(v == 0 for r in self.rows for v in r)
 
-    def copy(self) -> "IntMatrix":
-        return IntMatrix(self.nrows, self.ncols, [r[:] for r in self.rows])
-
     def __repr__(self):
         return f"IntMatrix({self.nrows}x{self.ncols})"
 
 
-def smith_normal_form(M: IntMatrix):
-    """(D, U, W) with U, W unimodular, U @ M @ W == D, diagonal chain d_i | d_{i+1}.
+def _snf(M: IntMatrix, want_u=False, want_w=False, want_uinv=False):
+    """(D, U, W, Uinv): U @ M @ W == D, diagonal chain d_i | d_{i+1}, d_i >= 0.
 
-    Diagonal entries are nonnegative.  Pivoting on a minimal-magnitude entry
-    keeps intermediate growth down.
-
-    >>> D, U, W = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
-    >>> [D.rows[0][0], D.rows[1][1]]
-    [1, 6]
-    >>> (U @ IntMatrix.from_rows([[2, 0], [0, 3]]) @ W) == D
-    True
+    U, W and Uinv (the inverse of U) are None unless asked for.  Pivoting
+    on a minimal-magnitude entry keeps intermediate growth down.
     """
-    D, U, W, _, _ = _snf(M, want_u=True, want_w=True)
-    return D, U, W
-
-
-def smith_normal_form_full(M: IntMatrix):
-    """Like smith_normal_form but also returns Uinv and Winv."""
-    return _snf(M, want_u=True, want_w=True, want_inv=True)
-
-
-def _snf(M: IntMatrix, want_u=False, want_w=False, want_inv=False):
     m, n = M.nrows, M.ncols
     A = [r[:] for r in M.rows]
     U = IntMatrix.identity(m).rows if want_u else None
     W = IntMatrix.identity(n).rows if want_w else None
-    Uinv = IntMatrix.identity(m).rows if (want_u and want_inv) else None
-    Winv = IntMatrix.identity(n).rows if (want_w and want_inv) else None
+    Uinv = IntMatrix.identity(m).rows if want_uinv else None
 
     def row_swap(i, j):
         A[i], A[j] = A[j], A[i]
@@ -160,8 +137,6 @@ def _snf(M: IntMatrix, want_u=False, want_w=False, want_inv=False):
         if W is not None:
             for r in W:
                 r[i], r[j] = r[j], r[i]
-        if Winv is not None:
-            Winv[i], Winv[j] = Winv[j], Winv[i]
 
     def col_add(i, j, k):
         # col i += k * col j
@@ -172,12 +147,6 @@ def _snf(M: IntMatrix, want_u=False, want_w=False, want_inv=False):
             for r in W:
                 if r[j]:
                     r[i] += k * r[j]
-        if Winv is not None:
-            # Winv <- E_ij(k)^-1 * Winv acting on columns means row j -= k * row i
-            Wi, Wj = Winv[i], Winv[j]
-            for c in range(n):
-                if Wi[c]:
-                    Wj[c] -= k * Wi[c]
 
     t = 0
     while True:
@@ -248,8 +217,7 @@ def _snf(M: IntMatrix, want_u=False, want_w=False, want_inv=False):
     Umat = IntMatrix(m, m, U) if U is not None else None
     Wmat = IntMatrix(n, n, W) if W is not None else None
     Uinvmat = IntMatrix(m, m, Uinv) if Uinv is not None else None
-    Winvmat = IntMatrix(n, n, Winv) if Winv is not None else None
-    return D, Umat, Wmat, Uinvmat, Winvmat
+    return D, Umat, Wmat, Uinvmat
 
 
 def diagonal_of(D: IntMatrix) -> list:
@@ -258,7 +226,7 @@ def diagonal_of(D: IntMatrix) -> list:
 
 def invariant_factors_dense(M: IntMatrix):
     """(rank, nontrivial invariant factors) via full SNF, no transforms."""
-    D, _, _, _, _ = _snf(M)
+    D = _snf(M)[0]
     diag = [d for d in diagonal_of(D) if d != 0]
     return len(diag), [d for d in diag if d != 1]
 
@@ -419,33 +387,13 @@ def integer_kernel(M: IntMatrix) -> list:
     Columns of W at zero diagonal positions of the Smith form; this basis
     generates the full kernel subgroup, not just a finite-index sublattice.
     """
-    D, _, W, _, _ = _snf(M, want_w=True)
+    D, _, W, _ = _snf(M, want_w=True)
     diag = diagonal_of(D)
     basis = []
     for k in range(M.ncols):
         if k >= len(diag) or diag[k] == 0:
             basis.append(W.column(k))
     return basis
-
-
-def solve_exact(M: IntMatrix, b: list):
-    """Integer solution x of M x = b, or None when none exists."""
-    D, U, W, _, _ = _snf(M, want_u=True, want_w=True)
-    diag = diagonal_of(D)
-    c = [sum(U.rows[i][k] * b[k] for k in range(M.nrows)) for i in range(M.nrows)]
-    y = [0] * M.ncols
-    for i in range(M.nrows):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            q, r = divmod(c[i], d)
-            if r:
-                return None
-            if i < M.ncols:
-                y[i] = q
-    return [sum(W.rows[i][k] * y[k] for k in range(M.ncols)) for i in range(M.ncols)]
 
 
 class FinAbGroup:
@@ -514,35 +462,6 @@ class FinAbGroup:
         if self.free_rank:
             return None
         return self.factors[-1] if self.factors else 1
-
-    def direct_sum(self, other: "FinAbGroup") -> "FinAbGroup":
-        merged = sorted(self.factors + other.factors)
-        # re-normalize to a divisibility chain by prime-power redistribution
-        primes = set()
-        for d in merged:
-            k = 2
-            x = d
-            while k * k <= x:
-                if x % k == 0:
-                    primes.add(k)
-                    while x % k == 0:
-                        x //= k
-                k += 1
-            if x > 1:
-                primes.add(x)
-        cols: dict = {}
-        for p in primes:
-            exps = sorted((_p_exp(d, p) for d in merged), reverse=True)
-            cols[p] = [e for e in exps if e]
-        depth = max((len(v) for v in cols.values()), default=0)
-        chain = []
-        for k in range(depth):
-            d = 1
-            for p, exps in cols.items():
-                if k < len(exps):
-                    d *= p ** exps[k]
-            chain.append(d)
-        return FinAbGroup(self.free_rank + other.free_rank, sorted(chain))
 
     def describe(self) -> dict:
         return {"rank": self.free_rank, "torsion": list(self.factors)}
@@ -640,7 +559,7 @@ class CohomologyBasis:
             X = IntMatrix.from_cols(xcols, k)
         else:
             X = IntMatrix(k, 0)
-        D_X, U_X, _, Uinv_X, _ = _snf(X, want_u=True, want_w=True, want_inv=True)
+        D_X, U_X, _, Uinv_X = _snf(X, want_u=True, want_uinv=True)
         diag = diagonal_of(D_X)
         self.xdiag = [diag[i] if i < len(diag) else 0 for i in range(k)]
         self.ux = U_X
@@ -782,19 +701,3 @@ class InducedMap:
                 row.append(v % d if d > 1 else v)
             out.append(row)
         return out
-
-    def equals(self, other: "InducedMap") -> bool:
-        """Same map of groups: entrywise equal modulo the target relations."""
-        if self.pres_matrix.ncols != other.pres_matrix.ncols:
-            return False
-        diff = [
-            [
-                a - b
-                for a, b in zip(self.pres_matrix.rows[i], other.pres_matrix.rows[i])
-            ]
-            for i in range(self.pres_matrix.nrows)
-        ]
-        return all(
-            self.target.in_relation_lattice([diff[i][j] for i in range(len(diff))])
-            for j in range(self.pres_matrix.ncols)
-        )

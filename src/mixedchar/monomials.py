@@ -1,4 +1,4 @@
-"""Monomial ideals: minimal generators, powers, colons.
+"""Monomial ideals: minimal generators, membership, lcm and powers.
 
 A MonomialIdeal stores only exponent tuples.  Construction minimalizes:
 generators divisible by another generator are dropped, duplicates removed,
@@ -8,7 +8,7 @@ canonical order.
 
 from __future__ import annotations
 
-from .polynomials import MultiIndex, exp_leq, exp_max, exp_sub, grlex_key
+from .polynomials import MultiIndex, exp_leq, exp_max, grlex_key
 
 
 class MonomialIdeal:
@@ -52,22 +52,6 @@ class MonomialIdeal:
             a = exp_max(a, g)
         return a
 
-    def add(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        self._check(other)
-        return MonomialIdeal(self.n, self.gens + other.gens)
-
-    def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        self._check(other)
-        return MonomialIdeal(
-            self.n, [exp_max(a, b) for a in self.gens for b in other.gens]
-        )
-
-    def colon_monomial(self, m: MultiIndex) -> "MonomialIdeal":
-        """(I : x^m), generated by lcm(g, m) / m over the generators g."""
-        return MonomialIdeal(
-            self.n, [exp_sub(exp_max(g, m), m) for g in self.gens]
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MonomialIdeal)
@@ -77,10 +61,6 @@ class MonomialIdeal:
 
     def __hash__(self):
         return hash((self.n, self.gens))
-
-    def _check(self, other: "MonomialIdeal"):
-        if self.n != other.n:
-            raise ValueError("mixed ambient rings")
 
     def __repr__(self):
         if not self.gens:
@@ -103,19 +83,3 @@ def power_ideal(ideal: MonomialIdeal, ell: int) -> MonomialIdeal:
     if ell < 1:
         raise ValueError("power must be >= 1")
     return MonomialIdeal(ideal.n, [tuple(ell * k for k in g) for g in ideal.gens])
-
-
-def monomial_colon(ideal: MonomialIdeal, other: MonomialIdeal) -> MonomialIdeal:
-    """(I : J) for monomial ideals, as the intersection over generators of J.
-
-    (I : 0) is the unit ideal by the empty condition.
-    """
-    if ideal.n != other.n:
-        raise ValueError("mixed ambient rings")
-    if other.is_zero():
-        return MonomialIdeal(ideal.n, [(0,) * ideal.n])
-    out = None
-    for m in other.gens:
-        piece = ideal.colon_monomial(m)
-        out = piece if out is None else out.intersect(piece)
-    return out

@@ -26,7 +26,6 @@ from .diffops import Annihilator, AnnihilatorEvidence, infer_annihilator
 from .monomials import MonomialIdeal, power_ideal
 from .scalars import is_prime
 from .taylor import TaylorComplex, check_deadline, transition_between
-from .textio import reisner_ideal
 
 
 @dataclass(frozen=True)
@@ -176,8 +175,8 @@ def annihilator_pipeline(
             check_deadline(deadline, f"level {ell} transitions")
             low, high = complexes[ell], complexes[ell + 1]
             transitions = []
-            for k, alpha in enumerate(support[ell]):
-                rep = transition_between(low, high, ell, j, alpha, check_chain=k == 0)
+            for alpha in support[ell]:
+                rep = transition_between(low, high, ell, j, alpha)
                 inj = _transition_injective_over(rep, p)
                 if not inj:
                     all_injective = False
@@ -233,8 +232,3 @@ def annihilator_pipeline(
         evidence=evidence,
         verdict=verdict,
     )
-
-
-def reisner_pipeline(p: int = 2, levels: int = 3) -> PipelineReport:
-    """The bundled ten-generator ideal at j = 4."""
-    return annihilator_pipeline(reisner_ideal(), p=p, j=4, levels=levels)

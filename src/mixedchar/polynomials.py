@@ -94,12 +94,6 @@ class Polynomial:
     def constant_coefficient(self):
         return self.terms.get((0,) * self.n, self.ring.zero())
 
-    def total_degree(self) -> int:
-        """Max total degree of a term; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def sorted_terms(self, order: str = "grlex") -> list:
         key = ORDER_KEYS[order]
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)

@@ -44,7 +44,7 @@ class DVRScalar:
     (2, Fraction(3, 1))
     >>> b = DVRScalar.from_rational(Fraction(4), 2)
     >>> (a + b).val
-    2
+    4
     >>> (a + b).unit
     Fraction(1, 1)
     >>> (a * b).val
@@ -333,9 +333,6 @@ class DVR:
     @staticmethod
     def unit_quotient(a: DVRScalar, b: DVRScalar) -> Fraction:
         return a.unit / b.unit
-
-    def residue_field(self) -> PrimeField:
-        return PrimeField(self.p)
 
     def __eq__(self, other):
         return isinstance(other, DVR) and self.p == other.p

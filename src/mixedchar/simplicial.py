@@ -1,5 +1,5 @@
-"""Simplicial complexes, squarefree ideals, and graded local cohomology
-of the associated quotients via links.
+"""Simplicial complexes, and graded local cohomology of their face rings
+(the quotients by squarefree monomial ideals) via links.
 
 Faces are vertex bitmasks and complexes are downward closed by
 construction.  Two degenerate complexes are kept distinct: the void
@@ -15,10 +15,9 @@ Q and every F_p are read off that result.
 
 from __future__ import annotations
 
-from .intlinalg import FinAbGroup, IntMatrix, check_composes_to_zero, cochain_invariants, rank_mod_p
+from .intlinalg import FinAbGroup, check_composes_to_zero, cochain_invariants, rank_mod_p
 # the layer trace (perfbench/spans.py) wraps these two names in this module
 from .intlinalg import complex_cohomology, matrix_rank_mod_p  # noqa: F401
-from .monomials import MonomialIdeal
 from .scalars import is_prime
 from .subsets import bits_to_subsets, coboundary_sign_entries
 from .taylor import check_deadline
@@ -119,19 +118,6 @@ class SimplicialComplex:
             self.n, [G ^ W for G in self._faces if G & W == W]
         )
 
-    def coboundaries(self) -> list:
-        """Dense sign matrices, cardinality c to c+1 for each c below top."""
-        out = []
-        for c in range(len(self._card_masks) - 1):
-            entries, nrows, ncols = coboundary_sign_entries(
-                self._card_masks[c], self._card_masks[c + 1]
-            )
-            M = IntMatrix(nrows, ncols)
-            for (i, j), s in entries.items():
-                M.rows[i][j] = s
-            out.append(M)
-        return out
-
     def reduced_euler_characteristic(self) -> int:
         return sum(
             (k if c & 1 else -k) for c, k in enumerate(self.face_counts())
@@ -205,31 +191,6 @@ def _coefficients(coeff) -> tuple:
         if c not in ("Z", "Q") and not (isinstance(c, int) and is_prime(c)):
             raise ValueError(f"{c} is not prime")
     return coeffs
-
-
-def stanley_reisner_complex(I: MonomialIdeal) -> SimplicialComplex:
-    """Complex whose faces are the squarefree monomials outside I."""
-    if I.n > MAX_VERTICES:
-        raise ValueError(f"too many variables for face enumeration: {I.n}")
-    gen_masks = []
-    for e in I.gens:
-        if any(v > 1 for v in e):
-            raise ValueError(f"generator {e} is not squarefree")
-        gen_masks.append(_mask(i for i, v in enumerate(e) if v))
-    return SimplicialComplex.from_faces(
-        I.n, [S for S in range(1 << I.n) if not any(g & S == g for g in gen_masks)]
-    )
-
-
-def stanley_reisner_ideal(cx: SimplicialComplex) -> MonomialIdeal:
-    """Ideal of minimal nonfaces; inverse of stanley_reisner_complex."""
-    nonfaces = [
-        S for S in range(1 << cx.n) if S not in cx._faces
-    ]
-    rows = [
-        tuple(1 if S >> i & 1 else 0 for i in range(cx.n)) for S in nonfaces
-    ]
-    return MonomialIdeal(cx.n, rows)
 
 
 def hochster_local_cohomology_piece(cx: SimplicialComplex, i: int, a, p) -> int:

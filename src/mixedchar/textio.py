@@ -156,11 +156,6 @@ def load_ideal_text(text: str, source: str = "<string>") -> MonomialIdeal:
     return MonomialIdeal(n, rows)
 
 
-def load_ideal(path) -> MonomialIdeal:
-    with open(path, encoding="utf-8") as fh:
-        return load_ideal_text(fh.read(), source=str(path))
-
-
 def load_facets_text(text: str, source: str = "<string>"):
     """-> (n, facets) with each facet a sorted tuple of vertex indices."""
     lines = _significant_lines(text)
@@ -179,11 +174,6 @@ def load_facets_text(text: str, source: str = "<string>"):
     return n, tuple(facets)
 
 
-def load_facets(path):
-    with open(path, encoding="utf-8") as fh:
-        return load_facets_text(fh.read(), source=str(path))
-
-
 def load_generators_text(text: str, ring, source: str = "<string>") -> tuple:
     lines = _significant_lines(text)
     n = _header_value(lines, "vars", source)
@@ -196,11 +186,6 @@ def load_generators_text(text: str, ring, source: str = "<string>") -> tuple:
     if not gens:
         raise ValueError(f"{source}: no generators after the header")
     return tuple(gens)
-
-
-def load_generators(path, ring) -> tuple:
-    with open(path, encoding="utf-8") as fh:
-        return load_generators_text(fh.read(), ring, source=str(path))
 
 
 def bundled_text(name: str) -> str:

@@ -5,6 +5,7 @@ oracle below builds the actual V-span of iterated operator images and reads
 the constants off an echelon basis.
 """
 
+from fractions import Fraction
 from itertools import product
 from math import comb
 
@@ -13,16 +14,129 @@ from mixedchar.intlinalg import (
     FinAbGroup,
     IntMatrix,
     InducedMap,
+    _snf,
     complex_cohomology,
     integer_kernel,
     invariant_factors_dense,
     invariant_factors_sparse,
     matrix_rank_mod_p,
 )
-from mixedchar.polynomials import exp_add, exp_sub
+from mixedchar.monomials import MonomialIdeal
+from mixedchar.polynomials import exp_add, exp_max, exp_sub
 from mixedchar.scalars import padic_valuation
+from mixedchar.simplicial import MAX_VERTICES, SimplicialComplex
 from mixedchar.subsets import bits_to_subsets, coboundary_sign_entries, size_masks
 from mixedchar.taylor import ExtScanResult, GradedExtPiece
+
+
+def smith_normal_form(M: IntMatrix):
+    """(D, U, W) with U, W unimodular, U @ M @ W == D, diagonal chain d_i | d_{i+1}."""
+    return _snf(M, want_u=True, want_w=True)[:3]
+
+
+def _unimodular_inverse(M: IntMatrix) -> IntMatrix:
+    """Inverse of a square integer matrix, by Gauss-Jordan over Q; it must be integral."""
+    n = M.nrows
+    a = [
+        [Fraction(v) for v in row] + [Fraction(int(i == k)) for k in range(n)]
+        for i, row in enumerate(M.rows)
+    ]
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if a[i][c]), None)
+        if pivot is None:
+            raise ArithmeticError("singular matrix")
+        a[c], a[pivot] = a[pivot], a[c]
+        a[c] = [v / a[c][c] for v in a[c]]
+        for i in range(n):
+            if i != c and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    inverse = [row[n:] for row in a]
+    if any(v.denominator != 1 for row in inverse for v in row):
+        raise ArithmeticError("matrix is not unimodular")
+    return IntMatrix(n, n, [[int(v) for v in row] for row in inverse])
+
+
+def smith_normal_form_full(M: IntMatrix):
+    """(D, U, W, Uinv, Winv): smith_normal_form with both inverses.
+
+    Uinv is tracked by the elimination itself; Winv is W inverted exactly
+    over Q, which fails unless W is unimodular.
+    """
+    D, U, W, Uinv = _snf(M, want_u=True, want_w=True, want_uinv=True)
+    return D, U, W, Uinv, _unimodular_inverse(W)
+
+
+def coboundaries(cx: SimplicialComplex) -> list:
+    """Dense sign matrices of cx, cardinality c to c+1 for each c below the top."""
+    masks = cx._card_masks
+    return [
+        _dense(*coboundary_sign_entries(masks[c], masks[c + 1])) for c in range(len(masks) - 1)
+    ]
+
+
+def stanley_reisner_complex(I: MonomialIdeal) -> SimplicialComplex:
+    """Complex whose faces are the squarefree monomials outside I."""
+    if I.n > MAX_VERTICES:
+        raise ValueError(f"too many variables for face enumeration: {I.n}")
+    gen_masks = []
+    for e in I.gens:
+        if any(v > 1 for v in e):
+            raise ValueError(f"generator {e} is not squarefree")
+        gen_masks.append(sum(1 << i for i, v in enumerate(e) if v))
+    return SimplicialComplex.from_faces(
+        I.n, [S for S in range(1 << I.n) if not any(g & S == g for g in gen_masks)]
+    )
+
+
+def stanley_reisner_ideal(cx: SimplicialComplex) -> MonomialIdeal:
+    """Ideal of minimal nonfaces; inverse of stanley_reisner_complex."""
+    rows = [
+        tuple(1 if S >> i & 1 else 0 for i in range(cx.n))
+        for S in range(1 << cx.n)
+        if not cx.has_face(bits_to_subsets(S))
+    ]
+    return MonomialIdeal(cx.n, rows)
+
+
+def lcm_table(gens, n) -> list:
+    """a[S] for each generator subset S: the exponentwise max over its members."""
+    a = [(0,) * n] * (1 << len(gens))
+    for s in range(1, 1 << len(gens)):
+        low = s & -s
+        a[s] = exp_max(a[s ^ low], gens[low.bit_length() - 1])
+    return a
+
+
+def subset_walk_chain_check(low, high) -> bool:
+    """comparison_chain_check as a walk over all 2^r generator subsets.
+
+    Checks, per subset and dropped element, that the comparison multiplier
+    is a genuine monomial and that multiplier-times-differential agrees in
+    both composition orders, on each complex's own lcm table.  This is the
+    reference for the library's positional test on the generators.
+    """
+    if low.r != high.r or low.n != high.n:
+        return False
+    la, ha = lcm_table(low.gens, low.n), lcm_table(high.gens, high.n)
+    for S in range(1, 1 << low.r):
+        hS, lS = ha[S], la[S]
+        if any(h < l for h, l in zip(hS, lS)):
+            return False
+        rem = S
+        while rem:
+            t = rem & -rem
+            sub = S ^ t
+            hsub, lsub = ha[sub], la[sub]
+            for k in range(low.n):
+                if hS[k] < hsub[k] or lS[k] < lsub[k]:
+                    return False
+                left = (hS[k] - hsub[k]) + (hsub[k] - lsub[k])
+                right = (hS[k] - lS[k]) + (lS[k] - lsub[k])
+                if left != right:
+                    return False
+            rem ^= t
+    return True
 
 
 def monomial_box(n, cap):
@@ -198,8 +312,8 @@ class TaylorStrands:
         self.tc = tc
         self.r = tc.r
         self.n = tc.n
-        self.a = tc.a
-        self.a_full = tc.a_full
+        self.a = lcm_table(tc.gens, tc.n)
+        self.a_full = self.a[-1]
         self.masks = size_masks(self.r)
         self._thr = [
             [self._threshold_mask(i, v) for v in range(self.a_full[i] + 1)]
@@ -384,7 +498,7 @@ def dense_reduced_cohomology(cx, coeff="Z"):
     """
     if cx.is_void():
         return {}
-    deltas = cx.coboundaries()
+    deltas = coboundaries(cx)
     top = len(deltas)
     if coeff == "Z":
         if not deltas:

@@ -14,7 +14,8 @@ from mixedchar.cli import main
 
 from .conftest import RP2_FACETS, facets_text, random_facets
 
-FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+REPO = Path(__file__).resolve().parents[1]
+FIXTURES = REPO / "src" / "mixedchar" / "fixtures"
 REISNER = str(FIXTURES / "reisner.ideal")
 RP2 = str(FIXTURES / "rp2_6.facets")
 
@@ -219,7 +220,7 @@ def test_field_must_be_prime(capsys, command):
     assert code == 1 and err.strip() == "error: 4 is not prime"
 
 
-def test_timeouts_are_reported_as_timeouts(capsys):
+def test_timeouts_are_reported_as_timeouts(capsys, tmp_path):
     commands = (
         ("pipeline", "--levels", "2"),
         ("transition", "--levels", "2"),
@@ -232,6 +233,18 @@ def test_timeouts_are_reported_as_timeouts(capsys):
         assert err.startswith("timeout:"), command
     for command in (("simplicial",), ("simplicial", "--p", "2"), ("hochster",)):
         code, out, err = run(capsys, *command, "--facets", RP2, "--timeout-secs", "0")
+        assert code == 1 and out == "", command
+        assert err.startswith("timeout:"), command
+    terms = tmp_path / "terms.gens"
+    terms.write_text("vars 2\n4*x0\n2*x1^2\n")
+    others = (
+        ("dsub", "--gens", str(terms)),
+        ("saturate", "--gens", str(terms)),
+        ("filtration", "--model", "quotient", "--ell", "2"),
+        ("filtration", "--model", "localization", "--f", "x0", "--vars", "2"),
+    )
+    for command in others:
+        code, out, err = run(capsys, *command, "--timeout-secs", "0")
         assert code == 1 and out == "", command
         assert err.startswith("timeout:"), command
 
@@ -425,7 +438,7 @@ def test_module_entry_point():
         input="3*x1 + 5*x2\n",
         capture_output=True,
         text=True,
-        cwd=str(FIXTURES.parent),
+        cwd=str(REPO),
     )
     assert proc.returncode == 0
     data = json.loads(proc.stdout)

@@ -15,15 +15,13 @@ from mixedchar.intlinalg import (
     invariant_factors_dense,
     invariant_factors_sparse,
     matrix_rank,
-    smith_normal_form,
-    solve_exact,
 )
 from mixedchar.monomials import power_ideal
 from mixedchar.subsets import bits_to_subsets, coboundary_sign_entries, size_masks
 from mixedchar.taylor import TaylorComplex, transition_between
 from mixedchar.textio import reisner_ideal
 
-from .oracles import TaylorStrands, full_block_injective
+from .oracles import TaylorStrands, full_block_injective, smith_normal_form
 
 
 def _det(M):
@@ -131,20 +129,6 @@ def test_integer_kernel_is_saturated_basis():
             assert matrix_rank(K) == len(basis)
 
 
-def test_solve_exact():
-    rng = random.Random(8)
-    for _ in range(60):
-        m, n = rng.randint(1, 5), rng.randint(1, 5)
-        M = _random_matrix(rng, m, n, -4, 4)
-        x = [rng.randint(-6, 6) for _ in range(n)]
-        b = [sum(M.rows[i][k] * x[k] for k in range(n)) for i in range(m)]
-        y = solve_exact(M, b)
-        assert y is not None
-        assert [sum(M.rows[i][k] * y[k] for k in range(n)) for i in range(m)] == b
-    M = IntMatrix.from_rows([[2]])
-    assert solve_exact(M, [3]) is None
-
-
 def test_finabgroup_normalization_and_predicates():
     g = FinAbGroup.from_diagonal([1, 2, 0], ambient_rank=3)
     assert g == FinAbGroup(1, (2,))
@@ -157,16 +141,6 @@ def test_finabgroup_normalization_and_predicates():
     assert FinAbGroup(0, (2, 6)).order() == 12
     with pytest.raises(ValueError):
         FinAbGroup(0, (4, 2))
-
-
-def test_finabgroup_direct_sum_renormalizes_chain():
-    a = FinAbGroup.cyclic(2)
-    b = FinAbGroup.cyclic(3)
-    assert a.direct_sum(b) == FinAbGroup.cyclic(6)
-    c = FinAbGroup.cyclic(2).direct_sum(FinAbGroup.cyclic(2))
-    assert c == FinAbGroup(0, (2, 2))
-    d = FinAbGroup.cyclic(4).direct_sum(FinAbGroup.cyclic(6))
-    assert d == FinAbGroup(0, (2, 12))
 
 
 def test_complex_cohomology_times_two():
@@ -199,7 +173,7 @@ def test_cohomology_basis_and_induced_map_identity():
     assert not ident.is_zero()
     doubled = InducedMap(basis, basis, IntMatrix.from_rows([[2, 0], [0, 2]]))
     assert not doubled.is_injective()  # x2 on Z/6 kills the element 3
-    assert not doubled.equals(ident)
+    assert (ident.component_matrix(), doubled.component_matrix()) == ([[1]], [[2]])
 
 
 def test_induced_map_through_kernel():
@@ -271,8 +245,8 @@ def test_reduced_kernel_block_on_reisner_transitions(ell):
     high = TaylorComplex(power_ideal(ideal, ell + 1))
     pieces = low.support_scan(4).pieces
     assert len(pieces) == ell**6
-    for k, piece in enumerate(pieces):
-        induced = transition_between(low, high, ell, 4, piece.alpha, check_chain=k == 0).induced
+    for piece in pieces:
+        induced = transition_between(low, high, ell, 4, piece.alpha).induced
         assert induced is not None
         assert induced.is_injective() == full_block_injective(induced)
         for p in (2, 3):

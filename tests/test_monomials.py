@@ -1,9 +1,6 @@
-import random
-from itertools import product
-
 import pytest
 
-from mixedchar.monomials import MonomialIdeal, monomial_colon, power_ideal
+from mixedchar.monomials import MonomialIdeal, power_ideal
 
 
 def test_minimalization_and_canonical_order():
@@ -34,48 +31,3 @@ def test_power_ideal_scales_exponents():
     with pytest.raises(ValueError):
         power_ideal(I, 0)
 
-
-def test_colon_squares_by_variables_adds_product():
-    # (x0^2,...,x5^2) : (x0,...,x5) = (x0^2,...,x5^2, x0*x1*...*x5)
-    n = 6
-    sq = MonomialIdeal(n, [tuple(2 if i == k else 0 for i in range(n)) for k in range(n)])
-    vars_ = MonomialIdeal(n, [tuple(1 if i == k else 0 for i in range(n)) for k in range(n)])
-    got = monomial_colon(sq, vars_)
-    expected = MonomialIdeal(
-        n,
-        [tuple(2 if i == k else 0 for i in range(n)) for k in range(n)] + [(1,) * n],
-    )
-    assert got == expected
-
-
-def test_colon_of_powers_of_generators_identity():
-    # (g^(l+1) : g^l) contains g for each generator g, single-variable sanity
-    I2 = MonomialIdeal(1, [(2,)])
-    I1 = MonomialIdeal(1, [(1,)])
-    assert monomial_colon(I2, I1) == I1
-
-
-def test_colon_against_divisibility_oracle():
-    rng = random.Random(2024)
-    for _ in range(60):
-        n = rng.randint(1, 3)
-        I = MonomialIdeal(
-            n, [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 4))]
-        )
-        J = MonomialIdeal(
-            n, [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 3))]
-        )
-        if J.is_zero() or I.is_zero():
-            continue
-        got = monomial_colon(I, J)
-        maxdeg = max(max(e) for e in I.gens + J.gens) + 2
-        for m in product(range(maxdeg + 1), repeat=n):
-            in_colon = all(
-                I.contains_monomial(tuple(a + b for a, b in zip(m, g))) for g in J.gens
-            )
-            assert got.contains_monomial(m) == in_colon, (I, J, m)
-
-
-def test_colon_with_zero_is_unit():
-    I = MonomialIdeal(2, [(1, 1)])
-    assert monomial_colon(I, MonomialIdeal(2, [])).is_unit()

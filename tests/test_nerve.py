@@ -197,10 +197,10 @@ def test_transitions_and_mult_maps_match_taylor_inclusions():
         oracle = {ell: TaylorStrands(tc) for ell, tc in levels.items()}
         for ell in (1, 2):
             low, high = levels[ell], levels[ell + 1]
-            for k in range(6):
+            for _ in range(6):
                 alpha = _random_alpha(rng, high)
                 for j in range(low.r + 2):
-                    rep = transition_between(low, high, ell, j, alpha, check_chain=k == 0)
+                    rep = transition_between(low, high, ell, j, alpha)
                     want = oracle[ell].inclusion(j, alpha, oracle[ell + 1], alpha)
                     what = (ideal.gens, ell, j, alpha)
                     _assert_same_map(rep, want, oracle[ell], oracle[ell + 1], what)
@@ -238,8 +238,8 @@ def test_reisner_transitions_and_mult_maps_match_taylor_inclusions(j):
         support = low.support_scan(j).pieces
         if j == 4:
             assert len(support) == ell**6
-        for k, piece in enumerate(support):
-            rep = transition_between(low, high, ell, j, piece.alpha, check_chain=k == 0)
+        for piece in support:
+            rep = transition_between(low, high, ell, j, piece.alpha)
             want = oracle[ell].inclusion(j, piece.alpha, oracle[ell + 1], piece.alpha)
             _assert_same_map(rep, want, oracle[ell], oracle[ell + 1], (ell, piece.alpha))
             assert rep.matrix == _oracle_matrix(rep, want), (ell, piece.alpha)
@@ -281,7 +281,7 @@ def test_nerve_caches_stay_bounded_over_many_ideals(monkeypatch):
             for piece in low.support_scan(j).pieces:
                 # groups stay right while entries are evicted under them
                 assert piece.group == strands.group(j, piece.alpha)
-                transition_between(low, high, 1, j, piece.alpha, check_chain=False)
+                transition_between(low, high, 1, j, piece.alpha)
                 low.mult_map(j, piece.alpha, rng.randrange(low.n))
         for cache in caches:
             size = len(getattr(*cache))

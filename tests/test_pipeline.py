@@ -5,7 +5,13 @@ import json
 import pytest
 
 from mixedchar.monomials import MonomialIdeal
-from mixedchar.pipeline import annihilator_pipeline, reisner_pipeline
+from mixedchar.pipeline import annihilator_pipeline
+from mixedchar.textio import reisner_ideal
+
+
+def reisner_pipeline(levels):
+    """The bundled ten-generator ideal at p = 2, j = 4."""
+    return annihilator_pipeline(reisner_ideal(), p=2, j=4, levels=levels)
 
 
 def stage(report, name):

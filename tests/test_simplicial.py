@@ -12,14 +12,18 @@ from mixedchar.simplicial import (
     hochster_local_cohomology_piece,
     hochster_nonzero_levels,
     reduced_cohomology,
-    stanley_reisner_complex,
-    stanley_reisner_ideal,
 )
 from mixedchar.subsets import coboundary_sign_entries
 from mixedchar.textio import reisner_ideal, rp2_facets
 
 from .conftest import RP2_FACETS, random_facets
-from .oracles import dense_reduced_cohomology, pairwise_facets, per_field_hochster_levels
+from .oracles import (
+    dense_reduced_cohomology,
+    pairwise_facets,
+    per_field_hochster_levels,
+    stanley_reisner_complex,
+    stanley_reisner_ideal,
+)
 
 TRIVIAL = FinAbGroup(0)
 

@@ -9,16 +9,13 @@ from mixedchar.taylor import (
     GradedExtPiece,
     TaylorComplex,
     _dense_coboundary,
+    _restriction,
     comparison_chain_check,
-    ext_graded_piece,
-    ext_support_scan,
-    mult_map,
     transition_between,
-    transition_map,
 )
 
 from tests.conftest import REISNER_ROWS
-from tests.oracles import TaylorStrands, degree_by_degree_scan
+from tests.oracles import TaylorStrands, degree_by_degree_scan, subset_walk_chain_check
 
 
 def reisner():
@@ -305,16 +302,14 @@ def test_mult_map_between_torsion_pieces_is_identity():
 
 def test_transition_koszul():
     I = MonomialIdeal(2, [(1, 0), (0, 1)])
-    report = transition_map(I, 1, 2, (-1, -1))
+    low, high = TaylorComplex(I), TaylorComplex(power_ideal(I, 2))
+    report = transition_between(low, high, 1, 2, (-1, -1))
     assert report.source_group == FinAbGroup.free(1)
     assert report.target_group == FinAbGroup.free(1)
     assert report.matrix == [[1]]
     assert report.injective
-    assert report.chain_checked
-    vacuous = transition_map(I, 1, 0, (0, 0))
+    vacuous = transition_between(low, high, 1, 0, (0, 0))
     assert vacuous.source_group.is_trivial() and vacuous.injective
-    with pytest.raises(ValueError):
-        transition_map(I, 0, 2, (-1, -1))
 
 
 def test_transition_reisner_level1(rtc):
@@ -331,27 +326,67 @@ def test_comparison_chain_check_rejects_unrelated_ideals():
     low = TaylorComplex(MonomialIdeal(2, [(1, 0)]))
     high = TaylorComplex(MonomialIdeal(2, [(0, 1)]))
     assert not comparison_chain_check(low, high)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a chain map"):
         transition_between(low, high, 1, 1, (-1, 0))
-    # unchecked, the nerves refuse it: at (-1, 0) the nerve of (x1) has a
-    # vertex, the nerve of (x0) only the empty face
+    # past the chain check the nerves refuse it too: at (-1, 0) the nerve
+    # of (x1) has a vertex, the nerve of (x0) only the empty face
+    src, tgt = low.ext_piece(1, (-1, 0)).triple, high.ext_piece(1, (-1, 0)).triple
     with pytest.raises(ValueError, match="not a subcomplex"):
-        transition_between(low, high, 1, 1, (-1, 0), check_chain=False)
+        _restriction(src, tgt)
+
+
+def _raised(rng, gens, top):
+    """Each generator raised coordinatewise by 0..top."""
+    return [tuple(e + rng.randint(0, top) for e in g) for g in gens]
+
+
+def _ordering(rng, how, r):
+    """A generator_order for r generators: as listed, reversed or shuffled."""
+    order = list(range(r))
+    if how == "reversed":
+        order.reverse()
+    elif how == "shuffled":
+        rng.shuffle(order)
+    return order
+
+
+def test_comparison_chain_check_matches_the_subset_walk():
+    rng = random.Random(20261019)
+    orderings = (
+        ("listed", "listed"),
+        ("reversed", "reversed"),
+        ("reversed", "listed"),
+        ("shuffled", "listed"),
+    )
+    verdicts = {True: 0, False: 0}
+    reordered_true = 0
+    for trial in range(400):
+        low_ideal = _random_ideal(rng, n=rng.randint(1, 4), max_gens=5, max_exp=3)
+        if trial % 4 == 0:  # the next power level, related by construction
+            high_ideal = power_ideal(low_ideal, 2)
+        elif trial % 4 == 1:  # raised generators: related unless minimalizing reorders
+            high_ideal = MonomialIdeal(low_ideal.n, _raised(rng, low_ideal.gens, 2))
+        elif trial % 4 == 2:  # unrelated
+            high_ideal = _random_ideal(rng, n=low_ideal.n, max_gens=5, max_exp=4)
+        else:  # another variable count
+            high_ideal = _random_ideal(rng, n=low_ideal.n + 1, max_gens=5, max_exp=4)
+        for low_how, high_how in orderings:
+            low_order = _ordering(rng, low_how, len(low_ideal.gens))
+            high_order = _ordering(rng, high_how, len(high_ideal.gens))
+            low = TaylorComplex(low_ideal, generator_order=low_order)
+            high = TaylorComplex(high_ideal, generator_order=high_order)
+            got = comparison_chain_check(low, high)
+            assert got == subset_walk_chain_check(low, high), (low.gens, high.gens)
+            verdicts[got] += 1
+            reordered_true += got and low_order != sorted(low_order)
+    assert verdicts[True] > 400 and verdicts[False] > 400, verdicts
+    assert reordered_true > 50, reordered_true
 
 
 def test_generator_cap():
     gens = [tuple(1 if k == i else 0 for k in range(13)) for i in range(13)]
     with pytest.raises(ValueError):
         TaylorComplex(MonomialIdeal(13, gens))
-
-
-def test_free_function_wrappers():
-    I = MonomialIdeal(2, [(1, 0), (0, 1)])
-    assert ext_graded_piece(I, 2, (-1, -1)).group == FinAbGroup.free(1)
-    scan = ext_support_scan(I, 2)
-    assert [p.alpha for p in scan.pieces] == [(-1, -1)]
-    assert scan.complete_support()
-    assert mult_map(I, 2, (-1, -1), 0).zero
 
 
 def test_dvr_invariants_read_off_p_parts():

@@ -1,17 +1,15 @@
 """Input parsing and the bundled fixture files."""
 
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
+from mixedchar.cli import _load_ideal
 from mixedchar.monomials import MonomialIdeal
 from mixedchar.scalars import DVR, IntegerRing, RationalField
 from mixedchar.textio import (
-    bundled_text,
     load_facets_text,
     load_generators_text,
-    load_ideal,
     load_ideal_text,
     parse_polynomial,
     parse_polynomials,
@@ -101,12 +99,13 @@ def test_load_ideal_text_errors_carry_line_numbers():
 
 
 def test_load_ideal_from_path(tmp_path):
+    # the command line reads ideal files and names them in its errors
     p = tmp_path / "two.ideal"
     p.write_text("vars 1\n3\n")
-    assert load_ideal(p) == MonomialIdeal(1, [(3,)])
+    assert _load_ideal(str(p)) == (MonomialIdeal(1, [(3,)]), str(p))
     p.write_text("vars 1\nx\n")
     with pytest.raises(ValueError, match="two.ideal:2"):
-        load_ideal(p)
+        _load_ideal(str(p))
 
 
 def test_load_facets_text():
@@ -151,8 +150,3 @@ def test_bundled_schmitt_vogel_terms_lie_in_the_ideal():
             seen.add(e)
     assert seen == rows
 
-
-def test_repo_fixture_copies_match_bundled():
-    root = Path(__file__).resolve().parent.parent / "fixtures"
-    for name in ("reisner.ideal", "rp2_6.facets", "schmitt_vogel.gens"):
-        assert (root / name).read_text(encoding="utf-8") == bundled_text(name)
