@@ -3,7 +3,7 @@
 Subcommands
     ext            one graded Ext piece of a monomial quotient
     scan           all nonzero Ext pieces of one cohomological degree in a box
-    transition     injectivity of the maps between consecutive ideal powers
+    transition     p-local injectivity of the maps between consecutive ideal powers
     pipeline       the staged annihilator computation over the p-local base
     dsub           classify the differential submodule generated by polynomials
     saturate       strip pi powers from term generators ((I : pi^infinity))
@@ -19,6 +19,10 @@ Reports are byte-identical across runs for identical inputs.  The
 tuning flag --timeout-secs is never echoed into the report; wall-clock
 seconds go to standard error only, while the report's "timing" field
 carries deterministic work counters.
+
+transition and pipeline share their level, scan and transition code:
+both work over the p-local base for --p (a prime), so a transition
+report's supports and injectivity are the ones pipeline computes.
 
 File arguments accept "-" for standard input.  Formats are documented in
 textio; generator lists may omit the "vars n" header, in which case the
@@ -43,8 +47,7 @@ from .filtrations import (
     inject_tail_fault,
 )
 from .groebner import sv_containment_check
-from .monomials import power_ideal
-from .pipeline import annihilator_pipeline
+from .pipeline import annihilator_pipeline, build_levels, check_transitions, scan_levels
 from .reports import FAILED, Claim, Report, verified
 from .scalars import DVR, PrimeField, RationalField
 from .simplicial import (
@@ -53,7 +56,9 @@ from .simplicial import (
     hochster_nonzero_levels,
     reduced_cohomology,
 )
-from .taylor import TaylorComplex, check_deadline, transition_between
+from .taylor import TaylorComplex, check_deadline
+# the layer trace (perfbench/spans.py) wraps this name in this module
+from .taylor import transition_between  # noqa: F401
 from .textio import (
     load_facets_text,
     load_generators_text,
@@ -255,40 +260,26 @@ def cmd_transition(ns) -> Report:
         raise ValueError("need --levels >= 2 to have maps between levels")
     ideal, source = _load_ideal(ns.ideal)
     deadline = _deadline(ns)
-    complexes = {}
-    for ell in range(1, ns.levels + 1):
-        check_deadline(deadline, f"building level {ell}")
-        complexes[ell] = TaylorComplex(power_ideal(ideal, ell))
-    checks = []
-    degrees = 0
-    transitions = 0
-    all_injective = True
-    complete = True
-    for ell in range(1, ns.levels):
-        low, high = complexes[ell], complexes[ell + 1]
-        scan = low.support_scan(ns.j, deadline=deadline)
-        degrees += scan.degrees_scanned
-        complete = complete and scan.complete_support()
-        entry = {
-            "level": ell,
-            "support_size": len(scan.pieces),
-            "complete_support": scan.complete_support(),
-            "transitions": [],
-        }
-        for piece in scan.pieces:
-            rep = transition_between(low, high, ell, ns.j, piece.alpha)
-            transitions += 1
-            all_injective = all_injective and rep.injective
-            entry["transitions"].append(
-                {"alpha": list(piece.alpha), "injective": rep.injective}
-            )
-        checks.append(entry)
+    complexes = build_levels(ideal, ns.p, ns.levels, deadline)
+    below_top = {ell: tc for ell, tc in complexes.items() if ell < ns.levels}
+    levels, support, _, _ = scan_levels(below_top, ns.j, ns.p, None, deadline)
+    pairs = check_transitions(complexes, support, ns.j, ns.p, deadline)
+    checks = [
+        {key: lv[key] for key in ("level", "support_size", "complete_support")}
+        | {"transitions": pair["transitions"]}
+        for lv, pair in zip(levels, pairs)
+    ]
+    all_injective = all(pair["all_injective"] for pair in pairs)
+    complete = all(lv["complete_support"] for lv in levels)
     return Report(
         command="transition",
         inputs={"ideal": source, "j": ns.j, "levels": ns.levels, "p": ns.p},
         results={"levels": checks, "all_injective": all_injective},
         claims=(_transition_claim(ns.levels, all_injective and complete),),
-        timing={"degrees_scanned": degrees, "transitions_checked": transitions},
+        timing={
+            "degrees_scanned": sum(lv["degrees_scanned"] for lv in levels),
+            "transitions_checked": sum(pair["checked"] for pair in pairs),
+        },
     )
 
 
@@ -590,7 +581,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--ideal", required=True)
     sp.add_argument("--j", type=int, default=4)
     sp.add_argument("--levels", type=int, default=2, help="check levels 1..N")
-    sp.add_argument("--p", type=int, default=2)
+    sp.add_argument("--p", type=int, default=2, help="prime of the p-local base")
     _add_tuning(sp)
     sp.set_defaults(handler=cmd_transition)
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .monomials import MonomialIdeal
 from .polynomials import MultiIndex, Polynomial, exp_sub
-from .scalars import DVR, PrimeField
+from .scalars import DVR
 
 
 class DividedPowerOp:
@@ -59,11 +59,6 @@ class DividedPowerOp:
         order[i] = t
         return cls.single(ring, n, tuple(order))
 
-    def map_coefficients(self, ring, fn) -> "DividedPowerOp":
-        return DividedPowerOp(
-            ring, self.n, [(c.map_coefficients(ring, fn), o) for c, o in self.terms]
-        )
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -104,16 +99,6 @@ def apply_op(op: DividedPowerOp, f: Polynomial) -> Polynomial:
                 part[ne] = s
         out = out + coeff * Polynomial(ring, op.n, part)
     return out
-
-
-def compose_divided_powers(ring, n: int, i: int, s: int, t: int) -> DividedPowerOp:
-    """d_i^[s] after d_i^[t] equals C(s+t, s) * d_i^[s+t]."""
-    if s < 0 or t < 0:
-        raise ValueError("negative divided-power order")
-    order = [0] * n
-    order[i] = s + t
-    coeff = Polynomial.constant(ring, n, ring.from_int(comb(s + t, s)))
-    return DividedPowerOp.single(ring, n, tuple(order), coeff)
 
 
 @dataclass(frozen=True)
@@ -187,22 +172,6 @@ def pi_saturate(gens: list) -> MonomialIdeal:
     if n is None:
         raise ValueError("no generators given")
     return MonomialIdeal(n, exps)
-
-
-def reduce_mod_pi(f: Polynomial) -> Polynomial:
-    """Image of a V[x] polynomial in F_p[x]."""
-    if not isinstance(f.ring, DVR):
-        raise ValueError("expected DVR coefficients")
-    F = PrimeField(f.ring.p)
-    return f.map_coefficients(F, lambda c: c.residue())
-
-
-def op_mod_pi(op: DividedPowerOp) -> DividedPowerOp:
-    """Reduce an operator's polynomial coefficients mod pi."""
-    if not isinstance(op.ring, DVR):
-        raise ValueError("expected DVR coefficients")
-    F = PrimeField(op.ring.p)
-    return op.map_coefficients(F, lambda c: c.residue())
 
 
 @dataclass(frozen=True)

@@ -232,11 +232,6 @@ def finite_type_and_verdict(spec: FiltrationSpec):
     return InfiniteLength("(0)", powers)
 
 
-def concatenate(first: FiltrationSpec, second: FiltrationSpec) -> FiltrationSpec:
-    """Stack two descriptions; bound gaps add in the finite verdict."""
-    return FiltrationSpec(f"{first.name}+{second.name}", first.tiers + second.tiers)
-
-
 def build_filtration_quotient(ell: int, p: int = 2, n: int = 2, samples=None) -> FiltrationSpec:
     """The quotient by the ell-th pi power, layered by remaining pi content.
 

@@ -135,11 +135,6 @@ def groebner_basis(
     return reduce_basis(buchberger(gens, order, deadline), order)
 
 
-def ideal_member(f: Polynomial, basis: Sequence[Polynomial], order: str = "grlex") -> bool:
-    """Membership against a basis already closed under S-remainders."""
-    return normal_form(f, basis, order).is_zero()
-
-
 def radical_member(
     f: Polynomial,
     gens: Sequence[Polynomial],

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 
+from .scalars import padic_valuation
+
 
 class IntMatrix:
     """Dense integer matrix with explicit shape (zero-size shapes allowed)."""
@@ -36,12 +38,6 @@ class IntMatrix:
         for i in range(n):
             m.rows[i][i] = 1
         return m
-
-    @classmethod
-    def from_rows(cls, rows) -> "IntMatrix":
-        rows = [list(r) for r in rows]
-        n = len(rows[0]) if rows else 0
-        return cls(len(rows), n, rows)
 
     @classmethod
     def from_cols(cls, cols, nrows: int) -> "IntMatrix":
@@ -486,14 +482,6 @@ class FinAbGroup:
         return " + ".join(bits) if bits else "0"
 
 
-def _p_exp(d: int, p: int) -> int:
-    e = 0
-    while d % p == 0:
-        d //= p
-        e += 1
-    return e
-
-
 def _surviving(xdiag) -> list:
     """Presentation coordinates whose relation is not 1."""
     return [i for i, d in enumerate(xdiag) if d != 1]
@@ -610,7 +598,7 @@ class CohomologyBasis:
                 if v != 0:
                     return False
             else:
-                e = _p_exp(d, p)
+                e = padic_valuation(d, p)
                 if e and v % (p**e):
                     return False
         return True
@@ -619,7 +607,7 @@ class CohomologyBasis:
 class InducedMap:
     """A map of cohomology groups induced by a chain-level matrix."""
 
-    __slots__ = ("source", "target", "pres_matrix")
+    __slots__ = ("source", "target", "pres_matrix", "_injective_at")
 
     def __init__(self, source: CohomologyBasis, target: CohomologyBasis, chain: IntMatrix):
         if chain.ncols != source.dim or chain.nrows != target.dim:
@@ -635,6 +623,7 @@ class InducedMap:
         self.source = source
         self.target = target
         self.pres_matrix = target.ux @ Y @ source.uxinv
+        self._injective_at = {}  # p -> is_injective_localized(p); caches share maps
 
     def is_zero(self) -> bool:
         return all(
@@ -677,17 +666,13 @@ class InducedMap:
                 return False
         return True
 
-    def is_injective(self) -> bool:
-        """Trivial kernel as a map of groups, checked through the presentations."""
-        if self.source.group.is_trivial():
-            return True
-        return self._kernel_in(self.source.in_relation_lattice)
-
     def is_injective_localized(self, p: int) -> bool:
         """Injectivity after tensoring with the p-local integers."""
-        if all(d != 0 and _p_exp(d, p) == 0 for d in self.source.xdiag):
-            return True
-        return self._kernel_in(lambda y: self.source.in_relation_lattice_localized(y, p))
+        if p not in self._injective_at:
+            self._injective_at[p] = all(d != 0 and d % p for d in self.source.xdiag) or (
+                self._kernel_in(lambda y: self.source.in_relation_lattice_localized(y, p))
+            )
+        return self._injective_at[p]
 
     def component_matrix(self):
         """Rows/cols restricted to surviving components, torsion entries reduced."""

@@ -11,6 +11,9 @@ stages assemble the finite-level evidence:
                         support into the next, p-locally,
   colimit_conclusion    feeds the evidence to the annihilator inference.
 
+The transition subcommand runs the same build_levels, scan_levels and
+check_transitions, so a transition is judged injective in one place.
+
 With no pi-torsion the inference refuses to pick between (0) and a unit
 annihilator; the report says so rather than guessing.  Verdicts carry
 the level count: they are evidence at that depth, tightened but never
@@ -72,6 +75,17 @@ class PipelineReport:
         }
 
 
+def build_levels(ideal: MonomialIdeal, p: int, levels: int, deadline) -> dict:
+    """The power ideals' complexes by level, once p is known to be prime."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    complexes = {}
+    for ell in range(1, levels + 1):
+        check_deadline(deadline, f"building level {ell}")
+        complexes[ell] = TaylorComplex(power_ideal(ideal, ell))
+    return complexes
+
+
 def _transition_injective_over(report, p: int) -> bool:
     """p-local injectivity of a transition map report.
 
@@ -84,7 +98,8 @@ def _transition_injective_over(report, p: int) -> bool:
     return report.induced.is_injective_localized(p)
 
 
-def _scan_levels(complexes: dict, j: int, p: int, box, deadline) -> tuple:
+def scan_levels(complexes: dict, j: int, p: int, box, deadline) -> tuple:
+    """(per-level details, p-local support, kill exponent, free rank) by level."""
     levels = []
     support = {}
     kills = {}
@@ -127,6 +142,28 @@ def _scan_levels(complexes: dict, j: int, p: int, box, deadline) -> tuple:
     return levels, support, kills, frees
 
 
+def check_transitions(complexes: dict, support: dict, j: int, p: int, deadline) -> list:
+    """Per level ell below the last complex, whether the transition to
+    level ell + 1 is p-locally injective at each degree of support[ell]."""
+    pairs = []
+    for ell in range(1, len(complexes)):
+        check_deadline(deadline, f"level {ell} transitions")
+        low, high = complexes[ell], complexes[ell + 1]
+        transitions = []
+        for alpha in support[ell]:
+            rep = transition_between(low, high, ell, j, alpha)
+            transitions.append({"alpha": list(alpha), "injective": _transition_injective_over(rep, p)})
+        pairs.append(
+            {
+                "level": ell,
+                "checked": len(transitions),
+                "all_injective": all(t["injective"] for t in transitions),
+                "transitions": transitions,
+            }
+        )
+    return pairs
+
+
 def annihilator_pipeline(
     ideal: MonomialIdeal,
     p: int = 2,
@@ -142,14 +179,8 @@ def annihilator_pipeline(
     """
     if levels < 1:
         raise ValueError(f"need at least one level, got {levels}")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    complexes = {}
-    for ell in range(1, levels + 1):
-        check_deadline(deadline, f"building level {ell}")
-        complexes[ell] = TaylorComplex(power_ideal(ideal, ell))
-
-    level_details, support, kills, frees = _scan_levels(complexes, j, p, box, deadline)
+    complexes = build_levels(ideal, p, levels, deadline)
+    level_details, support, kills, frees = scan_levels(complexes, j, p, box, deadline)
     complete = all(d["complete_support"] for d in level_details)
     # the level-one kill bound must persist at every deeper level
     consistent = None
@@ -169,29 +200,11 @@ def annihilator_pipeline(
     evidence = None
     verdict = None
     if stage1.ok:
-        pairs = []
-        all_injective = True
-        for ell in range(1, levels):
-            check_deadline(deadline, f"level {ell} transitions")
-            low, high = complexes[ell], complexes[ell + 1]
-            transitions = []
-            for alpha in support[ell]:
-                rep = transition_between(low, high, ell, j, alpha)
-                inj = _transition_injective_over(rep, p)
-                if not inj:
-                    all_injective = False
-                transitions.append({"alpha": list(alpha), "injective": inj})
-            pairs.append(
-                {
-                    "level": ell,
-                    "checked": len(transitions),
-                    "all_injective": all(t["injective"] for t in transitions),
-                    "transitions": transitions,
-                }
-            )
+        pairs = check_transitions(complexes, support, j, p, deadline)
         details2: dict = {"pairs": pairs}
         if levels == 1:
             details2["note"] = "single level: no transition maps to check"
+        all_injective = all(pair["all_injective"] for pair in pairs)
         stage2 = PipelineStage("transition_injectivity", all_injective, details2)
         stages.append(stage2)
 

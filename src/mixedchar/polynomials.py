@@ -8,7 +8,7 @@ tuples lexicographically.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 
 MultiIndex = tuple  # exponent tuple, one entry per variable
@@ -91,9 +91,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def constant_coefficient(self):
-        return self.terms.get((0,) * self.n, self.ring.zero())
-
     def sorted_terms(self, order: str = "grlex") -> list:
         key = ORDER_KEYS[order]
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
@@ -159,17 +156,6 @@ class Polynomial:
         """Push every coefficient through fn into another ring."""
         return Polynomial(ring, self.n, {e: fn(c) for e, c in self.terms.items()})
 
-    def permute_variables(self, perm: Iterable[int]) -> "Polynomial":
-        """perm[i] is the new position of variable i."""
-        perm = list(perm)
-        out = {}
-        for e, c in self.terms.items():
-            ne = [0] * self.n
-            for i, k in enumerate(e):
-                ne[perm[i]] = k
-            out[tuple(ne)] = c
-        return Polynomial(self.ring, self.n, out)
-
     def extend_variables(self, m: int) -> "Polynomial":
         """Re-read the polynomial in a ring with m >= n variables."""
         if m < self.n:
@@ -205,15 +191,6 @@ class Polynomial:
             else:
                 bits.append(f"{c}")
         return " + ".join(bits)
-
-
-def grlex_leading_term(f: Polynomial):
-    """Leading (exponent, coefficient) in graded lex with x0 > x1 > ...
-
-    Ties in total degree break lexicographically on the exponent tuple,
-    so the earlier variable wins.
-    """
-    return f.leading_term("grlex")
 
 
 def exact_divide(f: Polynomial, g: Polynomial) -> Optional[Polynomial]:

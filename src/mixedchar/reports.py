@@ -36,7 +36,8 @@ CLAIMS = {
     ),
     "transition-injective": (
         "The comparison chain maps between consecutive ideal powers induce "
-        "injective maps on every nonzero graded Ext piece computed."
+        "injective maps over the p-local base ring on every graded Ext piece "
+        "computed that is nonzero there."
     ),
     "top-annihilator": (
         "The annihilator of the direct limit of the top graded Ext modules "

@@ -101,11 +101,6 @@ class SimplicialComplex:
     def has_face(self, vertices) -> bool:
         return _mask(vertices) in self._faces
 
-    def faces_of_cardinality(self, c: int) -> list:
-        if not 0 <= c < len(self._card_masks):
-            return []
-        return [tuple(bits_to_subsets(F)) for F in bits_to_subsets(self._card_masks[c])]
-
     def face_counts(self) -> list:
         """Number of faces per cardinality, starting at the empty face."""
         return [bits.bit_count() for bits in self._card_masks]

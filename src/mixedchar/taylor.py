@@ -24,8 +24,8 @@ cohomology of the nerve N_tau on the variables used by Mustata, "Local
 cohomology at monomial ideals", J. Symb. Comput. 2000.  Delta is the one
 computed here: it has at most 2^r faces however many variables there
 are, where N_tau has up to 2^n.  The coboundaries have entries in
-{-1, 0, 1}, and a complex with a generator in every V_i is a cone,
-acyclic, with no elimination.
+{-1, 0, 1}, and a complex with a generator in every maximal V_i is a
+cone, acyclic, with no elimination.
 
 Multiplication by x_i and the passage from one power level to the next
 both shrink every V_i (and may deactivate a variable), so the target
@@ -70,6 +70,7 @@ from .intlinalg import (
 )
 from .monomials import MonomialIdeal
 from .polynomials import MultiIndex
+from .scalars import padic_valuation
 from .subsets import bits_to_subsets, cache_put, coboundary_sign_entries, size_masks
 
 # input validation: Delta has up to 2^r faces, held as 2^r-bit families
@@ -92,8 +93,9 @@ def _nerve(simplices: frozenset):
 
     simplices holds the nonempty V_i as generator bitmasks; the faces are
     the empty face and the subsets of each.  Entry k of the families holds
-    the faces with k vertices.  When one generator lies in every V_i the
-    complex is a cone, hence acyclic.
+    the faces with k vertices.  When one generator lies in every maximal
+    V_i, every face lies in a maximal V_i with it, so the complex is a cone
+    over that generator, hence acyclic.
     """
     hit = _NERVE_CACHE.get(simplices)
     if hit is None:
@@ -108,7 +110,8 @@ def _nerve(simplices: frozenset):
                 below |= below << v
                 rest ^= v
             faces |= below
-            common &= face
+            if not any(face != other and face & other == face for other in simplices):
+                common &= face
             width = max(width, face.bit_length())
         sizes = tuple(faces & mask for mask in size_masks(width))
         hit = cache_put(_NERVE_CACHE, simplices, (sizes, common > 0))
@@ -383,15 +386,8 @@ class GradedExtPiece:
 
     def dvr_invariants(self, p: int):
         """(free rank, ascending pi-adic exponents of the surviving torsion)."""
-        exps = []
-        for d in self.group.factors:
-            e = 0
-            while d % p == 0:
-                d //= p
-                e += 1
-            if e:
-                exps.append(e)
-        return self.group.free_rank, tuple(sorted(exps))
+        exps = (padic_valuation(d, p) for d in self.group.factors)
+        return self.group.free_rank, tuple(sorted(e for e in exps if e))
 
     def describe(self) -> dict:
         return {
@@ -476,7 +472,6 @@ class TransitionMapReport:
     source_group: FinAbGroup
     target_group: FinAbGroup
     matrix: list
-    injective: bool
     induced: object
     source: GradedExtPiece
     target: GradedExtPiece
@@ -509,6 +504,7 @@ def transition_between(
     `low` resolves the smaller (level-ell) ideal, `high` the next level.
     Each V_i only shrinks from low to high, so the high complex is a
     subcomplex of the low one and the map is restriction of cochains.
+    Injectivity is asked of induced, p-locally (pipeline.check_transitions).
     """
     alpha = tuple(alpha)
     if not comparison_chain_check(low, high):
@@ -518,10 +514,6 @@ def transition_between(
     if not _is_subcomplex(src.triple, tgt.triple):
         raise ValueError("the higher level's complex is not a subcomplex of the lower level's")
     induced, matrix = _maybe_induced(src, tgt)
-    if induced is None:
-        injective = src.group.is_trivial()
-    else:
-        injective = induced.is_injective()
     return TransitionMapReport(
         ell=ell,
         j=j,
@@ -529,7 +521,6 @@ def transition_between(
         source_group=src.group,
         target_group=tgt.group,
         matrix=matrix,
-        injective=injective,
         induced=induced,
         source=src,
         target=tgt,

@@ -9,6 +9,9 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
+from mixedchar.diffops import DividedPowerOp
+from mixedchar.filtrations import FiltrationSpec
+from mixedchar.groebner import normal_form
 from mixedchar.intlinalg import (
     CohomologyBasis,
     FinAbGroup,
@@ -22,11 +25,73 @@ from mixedchar.intlinalg import (
     matrix_rank_mod_p,
 )
 from mixedchar.monomials import MonomialIdeal
-from mixedchar.polynomials import exp_add, exp_max, exp_sub
-from mixedchar.scalars import padic_valuation
+from mixedchar.polynomials import Polynomial, exp_add, exp_max, exp_sub
+from mixedchar.scalars import DVR, PrimeField, padic_valuation
 from mixedchar.simplicial import MAX_VERTICES, SimplicialComplex
 from mixedchar.subsets import bits_to_subsets, coboundary_sign_entries, size_masks
 from mixedchar.taylor import ExtScanResult, GradedExtPiece
+
+
+def from_rows(rows) -> IntMatrix:
+    """The IntMatrix with these rows (no rows: shape 0 x 0)."""
+    rows = [list(r) for r in rows]
+    return IntMatrix(len(rows), len(rows[0]) if rows else 0, rows)
+
+
+def permute_variables(f: Polynomial, perm) -> Polynomial:
+    """f with variable i moved to position perm[i]."""
+    out = {}
+    for e, c in f.terms.items():
+        ne = [0] * f.n
+        for i, k in enumerate(e):
+            ne[perm[i]] = k
+        out[tuple(ne)] = c
+    return Polynomial(f.ring, f.n, out)
+
+
+def ideal_member(f: Polynomial, basis, order: str = "grlex") -> bool:
+    """Membership against a basis already closed under S-remainders."""
+    return normal_form(f, basis, order).is_zero()
+
+
+def compose_divided_powers(ring, n: int, i: int, s: int, t: int) -> DividedPowerOp:
+    """d_i^[s] after d_i^[t] equals C(s+t, s) * d_i^[s+t]."""
+    if s < 0 or t < 0:
+        raise ValueError("negative divided-power order")
+    order = [0] * n
+    order[i] = s + t
+    coeff = Polynomial.constant(ring, n, ring.from_int(comb(s + t, s)))
+    return DividedPowerOp.single(ring, n, tuple(order), coeff)
+
+
+def _residue_field(ring) -> PrimeField:
+    if not isinstance(ring, DVR):
+        raise ValueError("expected DVR coefficients")
+    return PrimeField(ring.p)
+
+
+def reduce_mod_pi(f: Polynomial) -> Polynomial:
+    """Image of a V[x] polynomial in F_p[x]."""
+    F = _residue_field(f.ring)
+    return f.map_coefficients(F, lambda c: c.residue())
+
+
+def op_mod_pi(op: DividedPowerOp) -> DividedPowerOp:
+    """Reduce an operator's polynomial coefficients mod pi."""
+    F = _residue_field(op.ring)
+    return DividedPowerOp(F, op.n, [(reduce_mod_pi(c), o) for c, o in op.terms])
+
+
+def concatenate(first: FiltrationSpec, second: FiltrationSpec) -> FiltrationSpec:
+    """Stack two descriptions; bound gaps add in the finite verdict."""
+    return FiltrationSpec(f"{first.name}+{second.name}", first.tiers + second.tiers)
+
+
+def faces_of_cardinality(cx: SimplicialComplex, c: int) -> list:
+    """The faces of cx with c vertices, as sorted vertex tuples."""
+    if not 0 <= c < len(cx._card_masks):
+        return []
+    return [tuple(bits_to_subsets(F)) for F in bits_to_subsets(cx._card_masks[c])]
 
 
 def smith_normal_form(M: IntMatrix):
@@ -282,6 +347,17 @@ def full_block_injective(induced, p=None):
     return True
 
 
+def is_injective(induced) -> bool:
+    """Integral injectivity of an InducedMap on its reduced kernel block.
+
+    The library only asks p-locally (is_injective_localized); this is the
+    same block test with no prime inverted, the integral reference.
+    """
+    if induced.source.group.is_trivial():
+        return True
+    return induced._kernel_in(induced.source.in_relation_lattice)
+
+
 def _dense(entries, nrows, ncols):
     M = IntMatrix(nrows, ncols)
     for (i, j), v in entries.items():
@@ -528,7 +604,7 @@ def per_field_hochster_levels(cx, coeff):
     for c, count in enumerate(cx.face_counts()):
         if not count:
             continue
-        for W in cx.faces_of_cardinality(c):
+        for W in faces_of_cardinality(cx, c):
             for spot, d in dense_reduced_cohomology(cx.link(W), coeff).items():
                 if d:
                     levels.add(spot + len(W) + 1)

@@ -36,7 +36,7 @@ from mixedchar.simplicial import (
 from mixedchar.taylor import TaylorComplex, transition_between
 from mixedchar.textio import reisner_ideal, rp2_facets
 
-from .oracles import d_closure_constant_valuation
+from .oracles import d_closure_constant_valuation, is_injective
 
 REPO = Path(__file__).resolve().parents[1]
 REISNER = str(REPO / "src" / "mixedchar" / "fixtures" / "reisner.ideal")
@@ -92,7 +92,7 @@ def test_criterion_3_transition_and_pipeline_verdict(capsys):
     assert support
     for piece in support:
         rep = transition_between(low, high, 1, 4, piece.alpha)
-        assert rep.injective
+        assert is_injective(rep.induced) and rep.induced.is_injective_localized(2)
     code, data, _ = run_cli(capsys, "pipeline", "--p", "2", "--levels", "2",
                             "--ideal", REISNER)
     assert code == 0

@@ -218,6 +218,10 @@ def test_field_must_be_prime(capsys, command):
     code, out, err = run(capsys, "hochster", "--facets", RP2, "--p", "4", "--i", "3",
                          "--degree", "-1,-1,-1,0,0,0")
     assert code == 1 and err.strip() == "error: 4 is not prime"
+    for command in ("transition", "pipeline"):
+        code, out, err = run(capsys, command, "--ideal", REISNER, "--levels", "2", "--p", "4")
+        assert code == 1 and out == "", command
+        assert err.strip() == "error: 4 is not prime", command
 
 
 def test_timeouts_are_reported_as_timeouts(capsys, tmp_path):
@@ -283,6 +287,54 @@ def test_transition_claim(capsys):
     claim = claim_by_id(data, "transition-injective")
     assert claim["status"] == "verified"
     assert claim["result"] == "levels 1..2: injective on every computed support degree"
+
+
+def test_transition_is_p_local(capsys):
+    # Ext^4 of the Reisner levels is 2-torsion, so it vanishes 3-locally
+    code, data, _ = run_json(
+        capsys, "transition", "--ideal", REISNER, "--j", "4", "--levels", "3", "--p", "3"
+    )
+    assert code == 0
+    levels = data["results"]["levels"]
+    assert [lv["level"] for lv in levels] == [1, 2]
+    assert all(lv["support_size"] == 0 and lv["transitions"] == [] for lv in levels)
+    assert all(lv["complete_support"] for lv in levels)
+    assert claim_by_id(data, "transition-injective")["status"] == "verified"
+    assert data["timing"]["transitions_checked"] == 0
+    code, data, _ = run_json(
+        capsys, "transition", "--ideal", REISNER, "--j", "4", "--levels", "3", "--p", "2"
+    )
+    assert [lv["support_size"] for lv in data["results"]["levels"]] == [1, 64]
+
+
+def test_transition_and_pipeline_agree_per_degree(capsys, monkeypatch):
+    # wherever pipeline runs its transition stage, transition reports the
+    # same degrees with the same p-local injectivity
+    rng = random.Random(80808)
+    staged = compared = 0
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        gens = {tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(1, 4))}
+        gens.discard((0,) * n)
+        text = f"vars {n}\n" + "".join(" ".join(map(str, g)) + "\n" for g in gens or [(1,) * n])
+        j = str(rng.randint(1, 3))
+        for p in ("2", "3"):
+            reports = {}
+            for command in ("transition", "pipeline"):
+                monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+                code, reports[command], _ = run_json(
+                    capsys, command, "--ideal", "-", "--j", j, "--levels", "3", "--p", p
+                )
+                assert code in (0, 2), (command, text, j, p)
+            stages = {s["name"]: s for s in reports["pipeline"]["results"]["stages"]}
+            if "transition_injectivity" not in stages:
+                continue
+            pairs = stages["transition_injectivity"]["details"]["pairs"]
+            levels = reports["transition"]["results"]["levels"]
+            assert [lv["transitions"] for lv in levels] == [pair["transitions"] for pair in pairs]
+            staged += 1
+            compared += sum(len(pair["transitions"]) for pair in pairs)
+    assert staged > 40 and compared > 50, (staged, compared)
 
 
 def test_transition_needs_two_levels(capsys):

@@ -10,13 +10,14 @@ from mixedchar.filtrations import (
     build_filtration_localization,
     build_filtration_quotient,
     check_axioms,
-    concatenate,
     finite_type_and_verdict,
     inject_shift_fault,
     inject_tail_fault,
 )
 from mixedchar.polynomials import Polynomial
 from mixedchar.scalars import DVR
+
+from .oracles import concatenate
 
 RING = DVR(2)
 PI = RING.uniformizer

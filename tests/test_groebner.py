@@ -6,7 +6,6 @@ import pytest
 
 from mixedchar.groebner import (
     groebner_basis,
-    ideal_member,
     monomial_ideal_member,
     normal_form,
     radical_member,
@@ -17,6 +16,8 @@ from mixedchar.groebner import (
 from mixedchar.monomials import MonomialIdeal
 from mixedchar.polynomials import Polynomial, exp_leq
 from mixedchar.scalars import DVR, PrimeField, RationalField
+
+from .oracles import ideal_member
 
 QQ = RationalField()
 F2 = PrimeField(2)

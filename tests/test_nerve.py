@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from mixedchar import subsets, taylor
+from mixedchar import intlinalg, subsets, taylor
 from mixedchar.intlinalg import IntMatrix, InducedMap
 from mixedchar.monomials import MonomialIdeal, power_ideal
 from mixedchar.pipeline import _transition_injective_over
@@ -23,7 +23,7 @@ from mixedchar.subsets import coboundary_sign_entries
 from mixedchar.taylor import TaylorComplex, transition_between
 
 from tests.conftest import REISNER_ROWS
-from tests.oracles import TaylorStrands
+from tests.oracles import TaylorStrands, full_block_injective, is_injective
 
 
 def _random_ideal(rng):
@@ -48,22 +48,33 @@ def _empty_v(tc, alpha):
 
 def test_groups_match_the_strand_oracle_on_random_ideals():
     rng = random.Random(60601)
-    compared = nonzero = tau_zero = empty_v = 0
+    compared = nonzero = tau_zero = empty_v = cones = maximal_only = 0
     for _ in range(160):
         tc = TaylorComplex(_random_ideal(rng))
         strands = TaylorStrands(tc)
         degrees = {(0,) * tc.n, (-1,) * tc.n}
         degrees.update(_random_alpha(rng, tc) for _ in range(30))
         for alpha in sorted(degrees):
+            simplices = frozenset(filter(None, tc._cover(alpha)))
+            cone = bool(simplices) and taylor._nerve(simplices)[1]
             for j in range(tc.r + 2):
                 got = tc.ext_piece(j, alpha).group
-                assert got == strands.group(j, alpha), (tc.gens, j, alpha)
+                want = strands.group(j, alpha)
+                assert got == want, (tc.gens, j, alpha)
+                # a complex the library skips as a cone is acyclic on the strands too
+                assert not cone or want.is_trivial(), (tc.gens, j, alpha)
                 compared += 1
                 nonzero += not got.is_trivial()
                 tau_zero += all(a >= 0 for a in alpha)
                 empty_v += _empty_v(tc, alpha) and not got.is_trivial()
+            common = -1
+            for face in simplices:
+                common &= face
+            cones += cone
+            maximal_only += cone and common == 0  # a cone by its maximal V_i only
     assert compared > 12000 and nonzero > 600
     assert tau_zero > 1000 and empty_v > 300
+    assert cones > 1000 and maximal_only > 40, (cones, maximal_only)
 
 
 def test_wide_ideals_run_on_the_generators():
@@ -154,7 +165,7 @@ def _connecting(strands, piece):
             for (i, k), v in entries.items():
                 chain.rows[i][k] = v
         phi = InducedMap(basis, TaylorStrands.basis(strand), chain)
-        assert phi.is_injective() and not phi.is_zero()
+        assert is_injective(phi) and not phi.is_zero()
         _CONNECTING[key] = phi
     return _CONNECTING[key]
 
@@ -172,8 +183,8 @@ def _assert_same_map(report, oracle, strands, target_strands, what):
     """report's map against the oracle's strand inclusion between the same degrees."""
     induced, source = report.induced, report.source
     assert _zero(induced) == oracle.is_zero(), what
-    injective = source.group.is_trivial() if induced is None else induced.is_injective()
-    assert injective == oracle.is_injective(), what
+    injective = source.group.is_trivial() if induced is None else is_injective(induced)
+    assert injective == is_injective(oracle), what
     for p in (2, 3):
         assert _injective_over(induced, source, p) == oracle.is_injective_localized(p), what
     if induced is None:
@@ -204,7 +215,6 @@ def test_transitions_and_mult_maps_match_taylor_inclusions():
                     want = oracle[ell].inclusion(j, alpha, oracle[ell + 1], alpha)
                     what = (ideal.gens, ell, j, alpha)
                     _assert_same_map(rep, want, oracle[ell], oracle[ell + 1], what)
-                    assert rep.injective == want.is_injective()
                     for p in (2, 3):
                         assert _transition_injective_over(rep, p) == want.is_injective_localized(p)
                     maps += 1
@@ -221,7 +231,7 @@ def test_transitions_and_mult_maps_match_taylor_inclusions():
                 assert report.zero == want.is_zero()
                 maps += 1
                 nonzero += report.induced is not None
-                not_injective += not want.is_injective()
+                not_injective += not is_injective(want)
     assert maps > 12000 and nonzero > 500 and not_injective > 100
 
 
@@ -243,7 +253,7 @@ def test_reisner_transitions_and_mult_maps_match_taylor_inclusions(j):
             want = oracle[ell].inclusion(j, piece.alpha, oracle[ell + 1], piece.alpha)
             _assert_same_map(rep, want, oracle[ell], oracle[ell + 1], (ell, piece.alpha))
             assert rep.matrix == _oracle_matrix(rep, want), (ell, piece.alpha)
-            assert rep.induced is not None and rep.injective
+            assert rep.induced is not None and is_injective(rep.induced)
             for i in range(6):
                 report = low.mult_map(j, piece.alpha, i)
                 target = report.target_alpha
@@ -257,6 +267,30 @@ def test_reisner_transitions_and_mult_maps_match_taylor_inclusions(j):
         assert checked == 6 * (1 + 2**6)
     else:
         assert checked > 1000 and free > 500
+
+
+def test_p_local_injectivity_is_decided_once_per_shared_map(monkeypatch):
+    # the restriction cache hands every Reisner level-2 transition at j = 4
+    # the same map, so each prime costs one kernel block however many
+    # transitions ask
+    for module, name in ((taylor, "_BASIS_CACHE"), (taylor, "_RESTRICTION_CACHE")):
+        monkeypatch.setattr(module, name, {})
+    ideal = MonomialIdeal(6, REISNER_ROWS)
+    low, high = TaylorComplex(power_ideal(ideal, 2)), TaylorComplex(power_ideal(ideal, 3))
+    reps = [transition_between(low, high, 2, 4, piece.alpha) for piece in low.support_scan(4).pieces]
+    maps = {id(rep.induced): rep.induced for rep in reps}
+    assert len(reps) == 64 and len(maps) == 1
+    kernels = []
+    real_kernel = intlinalg.integer_kernel
+    monkeypatch.setattr(intlinalg, "integer_kernel", lambda M: kernels.append(M) or real_kernel(M))
+    (induced,) = maps.values()
+    for p in (2, 3, 5):
+        assert all(_transition_injective_over(rep, p) for rep in reps)
+        assert full_block_injective(induced, p)  # uncached reference
+    # Z/2 -> Z/2: only p = 2 needs the kernel block, and only once
+    assert len(kernels) == 1
+    assert induced._injective_at == {2: True, 3: True, 5: True}
+    assert is_injective(induced)
 
 
 def test_nerve_caches_stay_bounded_over_many_ideals(monkeypatch):

@@ -12,10 +12,7 @@ from mixedchar.diffops import (
     DividedPowerOp,
     apply_op,
     classify_d_submodule,
-    compose_divided_powers,
-    op_mod_pi,
     pi_saturate,
-    reduce_mod_pi,
 )
 from mixedchar.intlinalg import IntMatrix
 from mixedchar.monomials import MonomialIdeal
@@ -27,7 +24,11 @@ from mixedchar.taylor import TaylorComplex
 from .oracles import (
     TaylorStrands,
     coboundaries,
+    compose_divided_powers,
     d_closure_constant_valuation,
+    from_rows,
+    op_mod_pi,
+    reduce_mod_pi,
     smith_normal_form_full,
     term_ideal_min_dividing_valuation,
 )
@@ -114,7 +115,7 @@ def test_smith_form_remultiplies():
     for _ in range(CASES["smith_form"]):
         m = rng.randint(1, 6)
         n = rng.randint(1, 6)
-        M = IntMatrix.from_rows(
+        M = from_rows(
             [
                 [0 if rng.random() < 0.3 else rng.randint(-9, 9) for _ in range(n)]
                 for _ in range(m)

@@ -19,6 +19,7 @@ from mixedchar.textio import reisner_ideal, rp2_facets
 from .conftest import RP2_FACETS, random_facets
 from .oracles import (
     dense_reduced_cohomology,
+    faces_of_cardinality,
     pairwise_facets,
     per_field_hochster_levels,
     stanley_reisner_complex,
@@ -232,7 +233,7 @@ def _benchmark_shaped(seed):
 @pytest.mark.parametrize("seed", [301, 302, 303, 304])
 def test_one_elimination_matches_the_dense_route_on_every_link(seed):
     cx = _benchmark_shaped(seed)
-    faces = [W for c in range(len(cx.face_counts())) for W in cx.faces_of_cardinality(c)]
+    faces = [W for c in range(len(cx.face_counts())) for W in faces_of_cardinality(cx, c)]
     coeffs = ("Z", "Q", 2, 3, 5)
     torsion = 0
     for k in [cx] + [cx.link(W) for W in faces]:

@@ -67,7 +67,7 @@ def test_parse_polynomial_constant_needs_n():
     with pytest.raises(ValueError, match="pass n"):
         parse_polynomial("7", ZZ)
     f = parse_polynomial("7", ZZ, n=3)
-    assert f.is_constant() and f.constant_coefficient() == 7
+    assert f.is_constant() and f.terms == {(0, 0, 0): 7}
 
 
 def test_parse_polynomial_out_of_range_variable():
