@@ -430,7 +430,7 @@ def cmd_hochster(ns) -> Report:
             raise ValueError("--degree needs --i (the cohomological spot)")
         a = _parse_alpha(ns.degree, cx.n)
         coeff = ns.p if ns.p is not None else "Q"
-        dim = hochster_local_cohomology_piece(cx, ns.i, a, coeff)
+        dim = hochster_local_cohomology_piece(cx, ns.i, a, coeff, deadline=_deadline(ns))
         inputs.update({"i": ns.i, "degree": list(a)})
         results = {"piece_dimension": dim, "coefficients": "Q" if ns.p is None else f"F{ns.p}"}
         timing = {"pieces": 1}
@@ -521,9 +521,10 @@ def cmd_radical_check(ns) -> Report:
         fields = [PrimeField(ns.p)]
     else:
         fields = [PrimeField(2), RationalField()]
+    deadline = _deadline(ns)
     per_field = {}
     for ring in fields:
-        out = sv_containment_check(ring, order=ns.order, timeout_secs=ns.timeout_secs)
+        out = sv_containment_check(ring, order=ns.order, deadline=deadline)
         per_field[ring.name] = {
             "generators_in_ideal": out["generators_in_ideal"],
             "radical_members": out["radical_members"],

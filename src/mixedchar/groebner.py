@@ -1,9 +1,15 @@
 """Buchberger's algorithm over field coefficients, with radical membership.
 
-Pairs are processed smallest lcm first; pairs with coprime leading
-terms are discarded up front.  The returned basis is reduced: monic,
-no leading term divides another, and every element is in normal form
-with respect to the rest, so it is canonical for the ideal and order.
+Pairs are processed smallest lcm first and pruned by the Gebauer-Moeller
+update (Gebauer and Moeller, J. Symb. Comput. 6, 1988; Becker and
+Weispfenning, Groebner Bases, 1993, section 5.5): Buchberger's chain
+criterion together with the coprime criterion, where a coprime pair
+still takes part in the chain test among the new pairs before it is
+dropped.  A skipped pair's S-polynomial reduces to zero once the pairs
+kept do, so nothing is approximated.  The returned basis is reduced:
+monic, no leading term divides another, and every element is in normal
+form with respect to the rest, so it is canonical for the ideal and
+order whichever pairs were reduced.
 
 Radical membership adjoins an inverse variable for the candidate and
 asks whether the enlarged ideal becomes the unit ideal.
@@ -65,21 +71,46 @@ def _coprime(a, b) -> bool:
     return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
-def _push_pairs(heap, key, basis, lts, j: int) -> None:
-    for i in range(j):
-        if _coprime(lts[i], lts[j]):
-            continue
-        lcm = exp_max(lts[i], lts[j])
-        heapq.heappush(heap, (key(lcm), i, j))
+def _update(heap, key, lts, active: list, h: int) -> list:
+    """The Gebauer-Moeller update for the new element h; returns the new active set.
+
+    heap holds the pending pairs as (key of lcm, i, j, lcm).  Of the pairs
+    (g, h) with g active, one per minimal lcm survives; a pair whose lcm is
+    a multiple of another new pair's lcm is dropped, a coprime pair takes
+    part in that test before it is dropped (it counts as treated).  An old
+    pair (i, j) is dropped when lt(h) divides its lcm and neither lcm(i, h)
+    nor lcm(j, h) equals it.  Elements whose leading term lt(h) divides stop
+    pairing.
+    """
+    t = lts[h]
+    pending = [(g, exp_max(lts[g], t), _coprime(lts[g], t)) for g in active]
+    kept = []
+    while pending:
+        g, lcm, coprime = pending.pop()
+        if coprime or not any(exp_leq(o, lcm) for group in (pending, kept) for _, o, _ in group):
+            kept.append((g, lcm, coprime))
+    old = [
+        pair
+        for pair in heap
+        if not exp_leq(t, pair[3])
+        or exp_max(lts[pair[1]], t) == pair[3]
+        or exp_max(lts[pair[2]], t) == pair[3]
+    ]
+    old.extend((key(lcm), g, h, lcm) for g, lcm, coprime in kept if not coprime)
+    heap[:] = old
+    heapq.heapify(heap)
+    return [g for g in active if not exp_leq(t, lts[g])] + [h]
 
 
 def buchberger(
     gens: Iterable[Polynomial], order: str = "grlex", deadline: Optional[float] = None
 ) -> list:
-    """A (not yet reduced) basis closed under S-polynomial remainders.
+    """A (not yet reduced) Groebner basis of the ideal the generators span.
 
-    Stops early with the unit ideal as soon as a constant shows up;
-    raises TimeoutError when the deadline passes.
+    Pairs are pruned by the Gebauer-Moeller update (_update); a popped
+    pair's S-polynomial is reduced by the active elements.  Stops early
+    with the unit ideal as soon as a constant shows up; raises TimeoutError
+    when the deadline passes.
     """
     basis = [g for g in gens if not g.is_zero()]
     if not basis:
@@ -94,21 +125,22 @@ def buchberger(
     key = ORDER_KEYS[order]
     lts = [g.leading_term(order)[0] for g in basis]
     heap: list = []
-    for j in range(1, len(basis)):
-        _push_pairs(heap, key, basis, lts, j)
+    active: list = []
+    for h in range(len(basis)):
+        active = _update(heap, key, lts, active, h)
     while heap:
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("basis computation passed its deadline")
-        _, i, j = heapq.heappop(heap)
-        h = normal_form(spoly(basis[i], basis[j], order), basis, order)
+        _, i, j, _ = heapq.heappop(heap)
+        h = normal_form(spoly(basis[i], basis[j], order), [basis[g] for g in active], order)
         if h.is_zero():
             continue
         if h.is_constant():
             return unit
         basis.append(_monic(h, order))
         lts.append(h.leading_term(order)[0])
-        _push_pairs(heap, key, basis, lts, len(basis) - 1)
-    return basis
+        active = _update(heap, key, lts, active, len(basis) - 1)
+    return [basis[g] for g in active]
 
 
 def reduce_basis(basis: Sequence[Polynomial], order: str = "grlex") -> tuple:
@@ -139,12 +171,13 @@ def radical_member(
     f: Polynomial,
     gens: Sequence[Polynomial],
     order: str = "grlex",
-    timeout_secs: Optional[float] = None,
+    deadline: Optional[float] = None,
 ) -> bool:
     """Whether some power of f lands in the ideal the generators span.
 
     Inverts f with one extra variable: the enlarged ideal is the unit
     ideal exactly when f vanishes on the zero set of the generators.
+    deadline is a time.monotonic() value (None: no limit).
     """
     if f.is_zero():
         return True
@@ -155,7 +188,6 @@ def radical_member(
     inverse = Polynomial.variable(ring, n + 1, n)
     one = Polynomial.constant(ring, n + 1, ring.one())
     ext.append(one - inverse * f.extend_variables(n + 1))
-    deadline = None if timeout_secs is None else time.monotonic() + timeout_secs
     gb = groebner_basis(ext, order, deadline)
     return any(g.is_constant() for g in gb)
 
@@ -167,14 +199,13 @@ def monomial_ideal_member(f: Polynomial, ideal: MonomialIdeal) -> bool:
     return all(ideal.contains_monomial(e) for e in f.terms)
 
 
-def sv_containment_check(
-    ring, order: str = "grlex", timeout_secs: Optional[float] = None
-) -> dict:
+def sv_containment_check(ring, order: str = "grlex", deadline: Optional[float] = None) -> dict:
     """Both halves of the four-element containment certificate.
 
     The four structured cubic sums sit inside the ten-generator ideal
     termwise; each of the ten squarefree cubics has a power inside the
-    ideal the four elements span.
+    ideal the four elements span.  All ten memberships share the deadline
+    (a time.monotonic() value).
     """
     _require_field(ring)
     ideal = reisner_ideal()
@@ -183,7 +214,7 @@ def sv_containment_check(
     radical = []
     for e in ideal.gens:
         cubic = Polynomial.monomial(ring, ideal.n, e)
-        radical.append(radical_member(cubic, four, order=order, timeout_secs=timeout_secs))
+        radical.append(radical_member(cubic, four, order=order, deadline=deadline))
     return {
         "field": ring.name,
         "generators_in_ideal": in_ideal,

@@ -8,6 +8,7 @@ tuples lexicographically.
 
 from __future__ import annotations
 
+from operator import add, le, sub
 from typing import Optional
 
 
@@ -15,21 +16,21 @@ MultiIndex = tuple  # exponent tuple, one entry per variable
 
 
 def exp_add(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def exp_sub(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def exp_leq(a: MultiIndex, b: MultiIndex) -> bool:
     """Componentwise a <= b, i.e. x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def exp_max(a: MultiIndex, b: MultiIndex) -> MultiIndex:
     """Exponent of lcm(x^a, x^b)."""
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def grlex_key(e: MultiIndex):

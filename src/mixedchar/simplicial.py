@@ -11,6 +11,15 @@ parity of the inserted vertex.
 Cohomology is computed once over Z: one sparse elimination per
 coboundary gives its rank and invariant factors, and the tables over Z,
 Q and every F_p are read off that result.
+
+Hochster's formula reads local cohomology off links, and most links are
+cones: the link of a face W has the facets F minus W for the facets F
+containing W, so when those facets share a vertex outside W every facet
+of the link contains it.  A cone is acyclic over Z and every field, so
+both Hochster routes skip it without building it.  The shared vertices
+are exactly W when W is a facet (the link is {empty set}, with reduced
+cohomology Z at spot -1) and whenever the link is not a cone, so every
+link that can contribute is still eliminated.
 """
 
 from __future__ import annotations
@@ -188,11 +197,23 @@ def _coefficients(coeff) -> tuple:
     return coeffs
 
 
-def hochster_local_cohomology_piece(cx: SimplicialComplex, i: int, a, p) -> int:
+def _link_is_cone(facet_masks, W: int) -> bool:
+    """Whether the link of the face W is a cone: the facets containing W
+    share a vertex outside W.  False when no facet contains W (void link)."""
+    common = -1
+    for F in facet_masks:
+        if F & W == W:
+            common &= F
+    return common != -1 and common != W
+
+
+def hochster_local_cohomology_piece(cx: SimplicialComplex, i: int, a, p, deadline=None) -> int:
     """Dimension over F_p (or Q) of the degree-a piece at spot i.
 
     For a <= 0 with support W the piece is the reduced link cohomology
-    of W one spot below i - |W|; it vanishes unless W is a face.
+    of W one spot below i - |W|; it vanishes unless W is a face, and when
+    the link is a cone.  deadline (a time.monotonic() value) is checked
+    before the link is built and before each elimination.
     """
     _coefficients(p)
     a = tuple(a)
@@ -200,10 +221,11 @@ def hochster_local_cohomology_piece(cx: SimplicialComplex, i: int, a, p) -> int:
         raise ValueError(f"degree has {len(a)} entries, complex has {cx.n} vertices")
     if any(v > 0 for v in a):
         raise ValueError(f"degree {a} has a positive entry")
+    check_deadline(deadline, "the Hochster piece")
     W = [i_ for i_, v in enumerate(a) if v]
-    if not cx.has_face(W):
+    if not cx.has_face(W) or _link_is_cone(map(_mask, cx.facets), _mask(W)):
         return 0
-    table = reduced_cohomology(cx.link(W), coeff=p)
+    table = reduced_cohomology(cx.link(W), coeff=p, deadline=deadline)
     return table.get(i - len(W) - 1, 0)
 
 
@@ -211,14 +233,18 @@ def hochster_nonzero_levels(cx: SimplicialComplex, p, deadline=None):
     """Spots i where some graded piece of the quotient's local cohomology
     over F_p (or Q) survives, by exhaustive scan over face supports.
 
-    Each face's link is built once and eliminated once over Z.  p may be
-    a tuple of fields: the result then maps each to its spots.  deadline
-    (a time.monotonic() value) is checked once per link.
+    Each face's link is built once and eliminated once over Z, unless it
+    is a cone.  p may be a tuple of fields: the result then maps each to
+    its spots.  deadline (a time.monotonic() value) is checked once per
+    face.
     """
     coeffs = _coefficients(p)
     levels = {c: set() for c in coeffs}
+    facet_masks = [_mask(F) for F in cx.facets]
     for W in cx._faces:
         check_deadline(deadline, "the Hochster link scan")
+        if _link_is_cone(facet_masks, W):
+            continue
         vertices = bits_to_subsets(W)
         for c, table in reduced_cohomology(cx.link(vertices), coeffs).items():
             levels[c].update(spot + len(vertices) + 1 for spot, d in table.items() if d)

@@ -5,13 +5,15 @@ oracle below builds the actual V-span of iterated operator images and reads
 the constants off an echelon basis.
 """
 
+import heapq
+import time
 from fractions import Fraction
 from itertools import product
 from math import comb
 
 from mixedchar.diffops import DividedPowerOp
 from mixedchar.filtrations import FiltrationSpec
-from mixedchar.groebner import normal_form
+from mixedchar.groebner import _coprime, _monic, _require_field, normal_form, spoly
 from mixedchar.intlinalg import (
     CohomologyBasis,
     FinAbGroup,
@@ -25,7 +27,7 @@ from mixedchar.intlinalg import (
     matrix_rank_mod_p,
 )
 from mixedchar.monomials import MonomialIdeal
-from mixedchar.polynomials import Polynomial, exp_add, exp_max, exp_sub
+from mixedchar.polynomials import ORDER_KEYS, Polynomial, exp_add, exp_max, exp_sub
 from mixedchar.scalars import DVR, PrimeField, padic_valuation
 from mixedchar.simplicial import MAX_VERTICES, SimplicialComplex
 from mixedchar.subsets import bits_to_subsets, coboundary_sign_entries, size_masks
@@ -52,6 +54,49 @@ def permute_variables(f: Polynomial, perm) -> Polynomial:
 def ideal_member(f: Polynomial, basis, order: str = "grlex") -> bool:
     """Membership against a basis already closed under S-remainders."""
     return normal_form(f, basis, order).is_zero()
+
+
+def buchberger_all_pairs(gens, order: str = "grlex", deadline=None) -> list:
+    """Buchberger's loop with the coprime criterion alone: every other pair,
+    smallest lcm first, is reduced by the whole basis so far.
+
+    The pair loop the library ran before the Gebauer-Moeller update, with
+    its signature, so it can stand in for groebner.buchberger.
+    """
+    basis = [g for g in gens if not g.is_zero()]
+    if not basis:
+        return []
+    ring = basis[0].ring
+    _require_field(ring)
+    n = basis[0].n
+    unit = [Polynomial.constant(ring, n, ring.one())]
+    basis = [_monic(g, order) for g in basis]
+    if any(g.is_constant() for g in basis):
+        return unit
+    key = ORDER_KEYS[order]
+    lts = [g.leading_term(order)[0] for g in basis]
+    heap = []
+
+    def push_pairs(j):
+        for i in range(j):
+            if not _coprime(lts[i], lts[j]):
+                heapq.heappush(heap, (key(exp_max(lts[i], lts[j])), i, j))
+
+    for j in range(1, len(basis)):
+        push_pairs(j)
+    while heap:
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError("basis computation passed its deadline")
+        _, i, j = heapq.heappop(heap)
+        h = normal_form(spoly(basis[i], basis[j], order), basis, order)
+        if h.is_zero():
+            continue
+        if h.is_constant():
+            return unit
+        basis.append(_monic(h, order))
+        lts.append(h.leading_term(order)[0])
+        push_pairs(len(basis) - 1)
+    return basis
 
 
 def compose_divided_powers(ring, n: int, i: int, s: int, t: int) -> DividedPowerOp:

@@ -235,7 +235,13 @@ def test_timeouts_are_reported_as_timeouts(capsys, tmp_path):
         code, out, err = run(capsys, *command, "--ideal", REISNER, "--timeout-secs", "0")
         assert code == 1 and out == "", command
         assert err.startswith("timeout:"), command
-    for command in (("simplicial",), ("simplicial", "--p", "2"), ("hochster",)):
+    on_rp2 = (
+        ("simplicial",),
+        ("simplicial", "--p", "2"),
+        ("hochster",),
+        ("hochster", "--p", "2", "--i", "2", "--degree", "0,0,0,0,0,0"),
+    )
+    for command in on_rp2:
         code, out, err = run(capsys, *command, "--facets", RP2, "--timeout-secs", "0")
         assert code == 1 and out == "", command
         assert err.startswith("timeout:"), command
@@ -246,6 +252,8 @@ def test_timeouts_are_reported_as_timeouts(capsys, tmp_path):
         ("saturate", "--gens", str(terms)),
         ("filtration", "--model", "quotient", "--ell", "2"),
         ("filtration", "--model", "localization", "--f", "x0", "--vars", "2"),
+        ("radical-check",),
+        ("radical-check", "--order", "lex"),
     )
     for command in others:
         code, out, err = run(capsys, *command, "--timeout-secs", "0")

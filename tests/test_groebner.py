@@ -1,10 +1,12 @@
 import random
-
+import time
 from fractions import Fraction
 
 import pytest
 
+from mixedchar import groebner
 from mixedchar.groebner import (
+    buchberger,
     groebner_basis,
     monomial_ideal_member,
     normal_form,
@@ -17,10 +19,12 @@ from mixedchar.monomials import MonomialIdeal
 from mixedchar.polynomials import Polynomial, exp_leq
 from mixedchar.scalars import DVR, PrimeField, RationalField
 
-from .oracles import ideal_member
+from . import oracles
+from .oracles import buchberger_all_pairs, ideal_member
 
 QQ = RationalField()
 F2 = PrimeField(2)
+F3 = PrimeField(3)
 
 
 def poly(ring, n, spec):
@@ -144,7 +148,19 @@ def test_deadline_interrupts():
     f2 = poly(QQ, 2, {(2, 1): 1, (0, 2): -2, (1, 0): 1})
     probe = poly(QQ, 2, {(1, 0): 1})
     with pytest.raises(TimeoutError):
-        radical_member(probe, [f1, f2], timeout_secs=-1.0)
+        radical_member(probe, [f1, f2], deadline=time.monotonic() - 1.0)
+
+
+def test_one_deadline_serves_all_ten_memberships(monkeypatch):
+    seen = []
+
+    def record(f, gens, order="grlex", deadline=None):
+        seen.append(deadline)
+        return True
+
+    monkeypatch.setattr(groebner, "radical_member", record)
+    assert sv_containment_check(F2, deadline=1234.5)["all_ok"]
+    assert seen == [1234.5] * 10
 
 
 def test_field_coefficients_required():
@@ -164,8 +180,47 @@ def test_monomial_ideal_member_by_terms():
 
 def test_four_element_containment_certificate():
     for ring in (F2, QQ):
-        out = sv_containment_check(ring, timeout_secs=60)
+        out = sv_containment_check(ring, deadline=time.monotonic() + 60)
         assert out["all_ok"]
         assert out["generators_in_ideal"] == [True] * 4
         assert out["radical_members"] == [True] * 10
         assert out["field"] == ring.name
+
+
+@pytest.mark.parametrize("order", ["grlex", "lex"])
+def test_pair_pruning_keeps_the_reduced_basis_and_the_radical_verdict(order, monkeypatch):
+    rng = random.Random(57 if order == "grlex" else 58)
+    for ring in (F2, F3, QQ):
+        # rational coefficients grow fast: the all-pairs loop takes seconds
+        # on some three-variable systems, and the radical test adds a variable
+        n = 2 if ring is QQ else 3
+        for trial in range(8):
+            system = random_system(ring, rng, n=n)
+            pruned = reduce_basis(buchberger(system, order), order)
+            assert pruned == reduce_basis(buchberger_all_pairs(system, order), order)
+            system = random_system(ring, rng, n=2)
+            probe = random_system(ring, rng, n=2, count=1, terms=2)[0]
+            verdict = radical_member(probe, system, order)
+            with monkeypatch.context() as m:
+                m.setattr(groebner, "buchberger", buchberger_all_pairs)
+                assert radical_member(probe, system, order) == verdict
+
+
+def test_pair_pruning_forms_fewer_s_polynomials_on_the_certificate(monkeypatch):
+    calls = []
+
+    def counted(f, g, order="grlex"):
+        calls.append(1)
+        return spoly(f, g, order)
+
+    monkeypatch.setattr(groebner, "spoly", counted)
+    monkeypatch.setattr(oracles, "spoly", counted)
+    for order in ("grlex", "lex"):
+        formed = []
+        for loop in (buchberger, buchberger_all_pairs):
+            del calls[:]
+            with monkeypatch.context() as m:
+                m.setattr(groebner, "buchberger", loop)
+                assert sv_containment_check(F2, order)["all_ok"]
+            formed.append(len(calls))
+        assert 0 < formed[0] < formed[1], (order, formed)

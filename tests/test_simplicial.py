@@ -13,7 +13,7 @@ from mixedchar.simplicial import (
     hochster_nonzero_levels,
     reduced_cohomology,
 )
-from mixedchar.subsets import coboundary_sign_entries
+from mixedchar.subsets import bits_to_subsets, coboundary_sign_entries
 from mixedchar.textio import reisner_ideal, rp2_facets
 
 from .conftest import RP2_FACETS, random_facets
@@ -215,6 +215,64 @@ def test_hochster_level_scan_detects_characteristic_two_only():
     assert hochster_nonzero_levels(cx, 2) == (2, 3)
     assert hochster_nonzero_levels(cx, 3) == (3,)
     assert hochster_nonzero_levels(cx, "Q") == (3,)
+
+
+def _levels_from_pieces(cx, coeff):
+    """Hochster's nonzero spots read off single pieces, one per face support."""
+    levels = set()
+    for c in range(len(cx.face_counts())):
+        for W in faces_of_cardinality(cx, c):
+            a = tuple(-1 if v in W else 0 for v in range(cx.n))
+            levels.update(
+                i for i in range(cx.n + 1) if hochster_local_cohomology_piece(cx, i, a, coeff)
+            )
+    return tuple(sorted(levels))
+
+
+HOCHSTER_EDGE_CASES = {
+    "simplex": (SimplicialComplex(4, [(0, 1, 2, 3)]), (4,)),
+    "disjoint vertices": (SimplicialComplex(4, [(0,), (1,), (2,), (3,)]), (1,)),
+    "empty face only": (SimplicialComplex(3, [()]), (0,)),
+    "void": (SimplicialComplex(3, []), ()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOCHSTER_EDGE_CASES))
+def test_both_hochster_routes_on_edge_cases(name):
+    cx, expected = HOCHSTER_EDGE_CASES[name]
+    for coeff in (2, 3, "Q"):
+        assert hochster_nonzero_levels(cx, coeff) == expected
+        assert _levels_from_pieces(cx, coeff) == expected
+        assert per_field_hochster_levels(cx, coeff) == expected
+
+
+def test_both_hochster_routes_match_the_oracle_on_random_complexes():
+    rng = random.Random(43)
+    for trial in range(12):
+        n = rng.randint(6, 7)
+        cx = SimplicialComplex(n, random_facets(rng, n, rng.randint(12, 48), sizes=(2, 4)))
+        facet_masks = [sum(1 << v for v in F) for F in cx.facets]
+        for W in cx._faces:  # a skipped link must be acyclic
+            if simplicial._link_is_cone(facet_masks, W):
+                lk = cx.link(bits_to_subsets(W))
+                assert all(g == TRIVIAL for g in reduced_cohomology(lk).values())
+        together = hochster_nonzero_levels(cx, (2, 3, "Q"))
+        for coeff in (2, 3, "Q"):
+            assert together[coeff] == per_field_hochster_levels(cx, coeff)
+            assert _levels_from_pieces(cx, coeff) == together[coeff]
+
+
+def test_the_simplex_scan_builds_one_link(monkeypatch):
+    built = []
+    link = SimplicialComplex.link
+
+    def counted(cx, vertices):
+        built.append(tuple(vertices))
+        return link(cx, vertices)
+
+    monkeypatch.setattr(SimplicialComplex, "link", counted)
+    assert hochster_nonzero_levels(SimplicialComplex(5, [range(5)]), (2, "Q")) == {2: (5,), "Q": (5,)}
+    assert built == [(0, 1, 2, 3, 4)]
 
 
 def _benchmark_shaped(seed):
