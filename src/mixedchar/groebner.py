@@ -48,12 +48,19 @@ def spoly(f: Polynomial, g: Polynomial, order: str = "grlex") -> Polynomial:
     return left - right
 
 
-def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: str = "grlex") -> Polynomial:
-    """Remainder of f under full division by the basis, in listed order."""
+def normal_form(
+    f: Polynomial, basis: Sequence[Polynomial], order: str = "grlex", leads=None
+) -> Polynomial:
+    """Remainder of f under full division by the basis, in listed order.
+
+    leads, when given, holds each basis element's leading term under
+    order as (exponent, coefficient), so a caller that divides by the
+    same elements many times computes them once.
+    """
     ring = f.ring
     remainder = Polynomial.zero(ring, f.n)
     p = f
-    lts = [g.leading_term(order) for g in basis]
+    lts = [g.leading_term(order) for g in basis] if leads is None else leads
     while not p.is_zero():
         e, c = p.leading_term(order)
         for g, (ge, gc) in zip(basis, lts):
@@ -123,7 +130,8 @@ def buchberger(
     if any(g.is_constant() for g in basis):
         return unit
     key = ORDER_KEYS[order]
-    lts = [g.leading_term(order)[0] for g in basis]
+    leads = [g.leading_term(order) for g in basis]
+    lts = [e for e, _ in leads]
     heap: list = []
     active: list = []
     for h in range(len(basis)):
@@ -132,13 +140,20 @@ def buchberger(
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("basis computation passed its deadline")
         _, i, j, _ = heapq.heappop(heap)
-        h = normal_form(spoly(basis[i], basis[j], order), [basis[g] for g in active], order)
+        h = normal_form(
+            spoly(basis[i], basis[j], order),
+            [basis[g] for g in active],
+            order,
+            [leads[g] for g in active],
+        )
         if h.is_zero():
             continue
         if h.is_constant():
             return unit
-        basis.append(_monic(h, order))
-        lts.append(h.leading_term(order)[0])
+        h = _monic(h, order)
+        basis.append(h)
+        leads.append(h.leading_term(order))
+        lts.append(leads[-1][0])
         active = _update(heap, key, lts, active, len(basis) - 1)
     return [basis[g] for g in active]
 
@@ -148,16 +163,16 @@ def reduce_basis(basis: Sequence[Polynomial], order: str = "grlex") -> tuple:
     if not basis:
         return ()
     key = ORDER_KEYS[order]
-    ordered = sorted(basis, key=lambda g: key(g.leading_term(order)[0]))
+    ordered = sorted(((g.leading_term(order), g) for g in basis), key=lambda t: key(t[0][0]))
     minimal: list = []
-    for g in ordered:
-        e = g.leading_term(order)[0]
-        if not any(exp_leq(h.leading_term(order)[0], e) for h in minimal):
-            minimal.append(g)
+    for lead, g in ordered:
+        if not any(exp_leq(other[0], lead[0]) for other, _ in minimal):
+            minimal.append((lead, g))
     reduced = []
-    for i, g in enumerate(minimal):
+    for i, (_, g) in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
-        reduced.append(_monic(normal_form(g, others, order), order))
+        rest = normal_form(g, [h for _, h in others], order, [lead for lead, _ in others])
+        reduced.append(_monic(rest, order))
     return tuple(reduced)
 
 

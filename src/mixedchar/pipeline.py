@@ -28,7 +28,7 @@ from typing import Optional
 from .diffops import Annihilator, AnnihilatorEvidence, infer_annihilator
 from .monomials import MonomialIdeal, power_ideal
 from .scalars import is_prime
-from .taylor import TaylorComplex, check_deadline, transition_between
+from .taylor import TaylorComplex, check_deadline, require_chain_map, transition_between
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,11 @@ def _transition_injective_over(report, p: int) -> bool:
 
 
 def scan_levels(complexes: dict, j: int, p: int, box, deadline) -> tuple:
-    """(per-level details, p-local support, kill exponent, free rank) by level."""
+    """(per-level details, p-local support, kill exponent, free rank) by level.
+
+    The support at a level is the list of its scanned pieces that survive
+    p-locally, ascending in alpha.
+    """
     levels = []
     support = {}
     kills = {}
@@ -113,11 +117,11 @@ def scan_levels(complexes: dict, j: int, p: int, box, deadline) -> tuple:
             free, exps = piece.dvr_invariants(p)
             if free == 0 and not exps:
                 continue
-            found.append((piece.alpha, free, exps))
+            found.append((piece, free, exps))
             free_total += free
             if exps:
                 exp_top = max(exp_top, exps[-1])
-        support[ell] = [alpha for alpha, _, _ in found]
+        support[ell] = [piece for piece, _, _ in found]
         frees[ell] = free_total
         kills[ell] = None if free_total else exp_top
         levels.append(
@@ -128,11 +132,11 @@ def scan_levels(complexes: dict, j: int, p: int, box, deadline) -> tuple:
                 "support_size": len(found),
                 "support": [
                     {
-                        "alpha": list(alpha),
+                        "alpha": list(piece.alpha),
                         "free_rank": free,
                         "pi_exponents": list(exps),
                     }
-                    for alpha, free, exps in found
+                    for piece, free, exps in found
                 ],
                 "free_rank_total": free_total,
                 "kill_exponent": kills[ell],
@@ -144,15 +148,23 @@ def scan_levels(complexes: dict, j: int, p: int, box, deadline) -> tuple:
 
 def check_transitions(complexes: dict, support: dict, j: int, p: int, deadline) -> list:
     """Per level ell below the last complex, whether the transition to
-    level ell + 1 is p-locally injective at each degree of support[ell]."""
+    level ell + 1 is p-locally injective at each piece of support[ell].
+
+    The chain map is checked once per level pair, and each transition
+    starts from the scanned low piece.
+    """
     pairs = []
     for ell in range(1, len(complexes)):
         check_deadline(deadline, f"level {ell} transitions")
         low, high = complexes[ell], complexes[ell + 1]
+        if support[ell]:
+            require_chain_map(low, high)
         transitions = []
-        for alpha in support[ell]:
-            rep = transition_between(low, high, ell, j, alpha)
-            transitions.append({"alpha": list(alpha), "injective": _transition_injective_over(rep, p)})
+        for piece in support[ell]:
+            rep = transition_between(low, high, ell, j, piece.alpha, source=piece, check_chain=False)
+            transitions.append(
+                {"alpha": list(piece.alpha), "injective": _transition_injective_over(rep, p)}
+            )
         pairs.append(
             {
                 "level": ell,

@@ -3,7 +3,9 @@
 Every command emits one JSON report on standard output: sorted keys,
 two-space indent, integers and strings only (floats are rejected, exact
 rationals are rendered as "a/b"), so identical inputs produce identical
-bytes.  Timing holds work counters derived from the computation itself;
+bytes.  encode writes them in one walk of the report, byte for byte what
+json.dumps(sort_keys=True, indent=2) gives on the report's JSON-ready
+copy.  Timing holds work counters derived from the computation itself;
 wall-clock seconds go to standard error, outside the deterministic
 stream.
 
@@ -16,10 +18,10 @@ computed levels of a direct system, or "failed".
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 
 CLAIMS = {
@@ -111,26 +113,66 @@ class Claim:
         return {"id": self.id, "result": self.result, "status": self.status}
 
 
-def canonical(obj):
-    """JSON-ready copy: tuples to lists, Fractions to 'a/b', floats rejected."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
+_INT_ONLY = {int}
+# encoders of the exact leaf types; dict values are looked up here inline
+_LEAVES = {
+    int: int.__repr__,
+    str: _quote,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def encode(obj, level: int = 0) -> str:
+    """obj as sorted-key, two-space-indented JSON, nested level deep.
+
+    The bytes are those of json.dumps(..., sort_keys=True, indent=2) on
+    the JSON-ready copy with tuples as lists, Fractions as "a/b" (or "a"),
+    and objects replaced by their describe(); no copy is built.  Values
+    are encoded in insertion order and then sorted by key, so a float, a
+    non-string key or an unknown type raises on the first offender in
+    insertion order.  Most of a report is lists of ints, which are joined
+    in one step.  Strings are escaped by the stdlib encoder's own
+    encode_basestring_ascii.  A container is closed with one f-string, not
+    a chain of +, so at most three copies of its text are alive at once.
+    """
+    leaf = _LEAVES.get(type(obj))
+    if leaf is not None:
+        return leaf(obj)
+    if isinstance(obj, str):  # subclasses of the leaf types
+        return _quote(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
     if isinstance(obj, float):
         raise ValueError(f"float {obj!r} has no canonical form; use int or Fraction")
-    if isinstance(obj, Fraction):
-        return str(obj.numerator) if obj.denominator == 1 else f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, dict):
-        out = {}
+        if not obj:
+            return "{}"
+        inner = "\n" + "  " * (level + 1)
+        items = []
         for k, v in obj.items():
             if not isinstance(k, str):
                 raise ValueError(f"non-string key {k!r}")
-            out[k] = canonical(v)
-        return out
+            leaf = _LEAVES.get(type(v))
+            items.append((k, _quote(k) + ": " + (leaf(v) if leaf else encode(v, level + 1))))
+        items.sort()  # keys are distinct, so only they are compared
+        body = ("," + inner).join([item for _, item in items])
+        return f"{{{inner}{body}{inner[:-2]}}}"
     if isinstance(obj, (list, tuple)):
-        return [canonical(v) for v in obj]
+        if not obj:
+            return "[]"
+        inner = "\n" + "  " * (level + 1)
+        if _INT_ONLY.issuperset(map(type, obj)):
+            body = ("," + inner).join(map(int.__repr__, obj))
+        else:
+            body = ("," + inner).join([encode(v, level + 1) for v in obj])
+        return f"[{inner}{body}{inner[:-2]}]"
+    if isinstance(obj, Fraction):  # after the containers: an ABC check, slow
+        n, d = obj.numerator, obj.denominator
+        return _quote(str(n) if d == 1 else f"{n}/{d}")
     describe = getattr(obj, "describe", None)
     if callable(describe):
-        return canonical(describe())
+        return encode(describe(), level)
     raise ValueError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -148,19 +190,15 @@ class Report:
     def exit_code(self) -> int:
         return 2 if self.failed_claims() else 0
 
-    def describe(self) -> dict:
-        return canonical(
-            {
-                "command": self.command,
-                "inputs": self.inputs,
-                "results": self.results,
-                "claims": [c.describe() for c in self.claims],
-                "timing": self.timing,
-            }
-        )
-
     def to_json(self) -> str:
-        return json.dumps(self.describe(), sort_keys=True, indent=2) + "\n"
+        report = {
+            "command": self.command,
+            "inputs": self.inputs,
+            "results": self.results,
+            "claims": self.claims,
+            "timing": self.timing,
+        }
+        return encode(report) + "\n"
 
 
 def claims_markdown() -> str:

@@ -496,8 +496,20 @@ def comparison_chain_check(low: TaylorComplex, high: TaylorComplex) -> bool:
     )
 
 
+def require_chain_map(low: TaylorComplex, high: TaylorComplex) -> None:
+    """Raise ValueError unless comparison_chain_check(low, high) holds."""
+    if not comparison_chain_check(low, high):
+        raise ValueError("comparison map is not a chain map between these complexes")
+
+
 def transition_between(
-    low: TaylorComplex, high: TaylorComplex, ell: int, j: int, alpha
+    low: TaylorComplex,
+    high: TaylorComplex,
+    ell: int,
+    j: int,
+    alpha,
+    source: Optional[GradedExtPiece] = None,
+    check_chain: bool = True,
 ) -> TransitionMapReport:
     """Induced map on degree-alpha Ext pieces from the comparison chain map.
 
@@ -505,11 +517,14 @@ def transition_between(
     Each V_i only shrinks from low to high, so the high complex is a
     subcomplex of the low one and the map is restriction of cochains.
     Injectivity is asked of induced, p-locally (pipeline.check_transitions).
+    source is low's piece at (j, alpha) when the caller holds it already;
+    check_chain=False skips the chain check for a caller that ran
+    require_chain_map once for the level pair.
     """
     alpha = tuple(alpha)
-    if not comparison_chain_check(low, high):
-        raise ValueError("comparison map is not a chain map between these complexes")
-    src = low.ext_piece(j, alpha)
+    if check_chain:
+        require_chain_map(low, high)
+    src = low.ext_piece(j, alpha) if source is None else source
     tgt = high.ext_piece(j, alpha)
     if not _is_subcomplex(src.triple, tgt.triple):
         raise ValueError("the higher level's complex is not a subcomplex of the lower level's")

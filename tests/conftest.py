@@ -5,6 +5,8 @@ out the 6-vertex triangulation of the projective plane; the ideal they
 generate is the recurring worked example across the test suite.
 """
 
+from math import comb
+
 REISNER_ROWS = (
     (1, 1, 1, 0, 0, 0),
     (1, 1, 0, 1, 0, 0),
@@ -36,8 +38,16 @@ def random_facets(rng, n, target_faces, sizes=(4, 6)):
     """Facets of random size from rng until their closure has target_faces faces.
 
     Shaped like the benchmark's generated complexes: 14-16 vertices,
-    facets of 4-6 vertices, about 300 faces.
+    facets of 4-6 vertices, about 300 faces.  A target beyond the faces
+    such facets can close to (the subsets of at most max(sizes) of the n
+    vertices, the empty face included) raises ValueError.
     """
+    reachable = sum(comb(n, k) for k in range(max(sizes) + 1))
+    if target_faces > reachable:
+        raise ValueError(
+            f"{n} vertices have only {reachable} faces of at most {max(sizes)} vertices, "
+            f"fewer than {target_faces}"
+        )
     faces = {0}
     facets = []
     while len(faces) < target_faces:

@@ -654,3 +654,30 @@ def per_field_hochster_levels(cx, coeff):
                 if d:
                     levels.add(spot + len(W) + 1)
     return tuple(sorted(levels))
+
+
+def canonical(obj):
+    """JSON-ready copy: tuples to lists, Fractions to 'a/b', floats rejected.
+
+    The reference for reports.encode: json.dumps(canonical(x),
+    sort_keys=True, indent=2) gives the bytes of the report encoder.
+    """
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if isinstance(obj, float):
+        raise ValueError(f"float {obj!r} has no canonical form; use int or Fraction")
+    if isinstance(obj, Fraction):
+        return str(obj.numerator) if obj.denominator == 1 else f"{obj.numerator}/{obj.denominator}"
+    if isinstance(obj, dict):
+        out = {}
+        for k, v in obj.items():
+            if not isinstance(k, str):
+                raise ValueError(f"non-string key {k!r}")
+            out[k] = canonical(v)
+        return out
+    if isinstance(obj, (list, tuple)):
+        return [canonical(v) for v in obj]
+    describe = getattr(obj, "describe", None)
+    if callable(describe):
+        return canonical(describe())
+    raise ValueError(f"cannot serialize {type(obj).__name__}")

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from mixedchar import taylor
 from mixedchar.monomials import MonomialIdeal
-from mixedchar.pipeline import annihilator_pipeline
+from mixedchar.pipeline import annihilator_pipeline, build_levels, check_transitions, scan_levels
+from mixedchar.taylor import TaylorComplex, transition_between
 from mixedchar.textio import reisner_ideal
 
 
@@ -109,3 +111,42 @@ def test_describe_is_json_ready():
     assert d["verdict"] == "(2)"
     assert d["ideal"]["vars"] == 6
     assert len(d["ideal"]["generators"]) == 10
+
+
+def test_check_transitions_checks_each_level_pair_once_from_the_scanned_pieces(monkeypatch):
+    complexes = build_levels(reisner_ideal(), 2, 3, None)
+    _, support, _, _ = scan_levels(complexes, 4, 2, None, None)
+    chain_checks = []
+    pieces_built = {ell: 0 for ell in complexes}
+    level_of = {id(tc): ell for ell, tc in complexes.items()}
+    check = taylor.comparison_chain_check
+    ext_piece = TaylorComplex.ext_piece
+
+    def counted(tc, j, alpha):
+        pieces_built[level_of[id(tc)]] += 1
+        return ext_piece(tc, j, alpha)
+
+    monkeypatch.setattr(taylor, "comparison_chain_check", lambda *a: chain_checks.append(a) or check(*a))
+    monkeypatch.setattr(TaylorComplex, "ext_piece", counted)
+    pairs = check_transitions(complexes, support, 4, 2, None)
+    monkeypatch.undo()
+    assert [pair["checked"] for pair in pairs] == [1, 64]
+    assert all(pair["all_injective"] for pair in pairs)
+    assert len(chain_checks) == 2
+    # only the targets are built: one at level 2, 64 at level 3
+    assert pieces_built == {1: 0, 2: 1, 3: 64}
+    for ell, pair in zip((1, 2), pairs):
+        low, high = complexes[ell], complexes[ell + 1]
+        for piece, t in zip(support[ell], pair["transitions"]):
+            rep = transition_between(low, high, ell, 4, piece.alpha)
+            assert t["alpha"] == list(rep.alpha)
+            assert (rep.source.group, rep.source.triple) == (piece.group, piece.triple)
+
+
+def test_check_transitions_rejects_a_pair_that_is_not_a_chain_map():
+    low = TaylorComplex(MonomialIdeal(2, [(1, 0)]))
+    high = TaylorComplex(MonomialIdeal(2, [(0, 1)]))
+    _, support, _, _ = scan_levels({1: low}, 1, 2, None, None)
+    assert support[1]
+    with pytest.raises(ValueError, match="not a chain map"):
+        check_transitions({1: low, 2: high}, support, 1, 2, None)

@@ -5,16 +5,18 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mixedchar.reports import (
     CLAIMS,
     FAILED,
     Claim,
     Report,
-    canonical,
     claims_markdown,
+    encode,
     verified,
 )
+from tests.oracles import canonical
 
 
 def make_report(claims=()):
@@ -94,6 +96,81 @@ def test_report_json_is_sorted_and_newline_terminated():
     assert list(data) == sorted(data)
     assert data["claims"] == [{"id": "ext4-socle", "result": "ok", "status": "verified"}]
     assert json.dumps(data, sort_keys=True, indent=2) + "\n" == text
+
+
+class Described:
+    """A report value that serializes as what describe() returns."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def describe(self):
+        return self.inner
+
+
+def reference(obj) -> str:
+    return json.dumps(canonical(obj), sort_keys=True, indent=2)
+
+
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200).map(lambda n: n * (-1) ** (n % 2))
+    | st.text()
+    | st.fractions()
+)
+trees = st.recursive(
+    scalars,
+    lambda children: (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=5).map(tuple)
+        | st.lists(st.integers(), max_size=6)
+        | st.dictionaries(st.text(), children, max_size=5)
+        | children.map(Described)
+    ),
+    max_leaves=30,
+)
+
+
+@given(trees)
+def test_encoder_matches_the_stdlib_encoder_on_the_canonical_copy(tree):
+    assert encode(tree) == reference(tree)
+    rep = Report(command="ext", inputs={"x": tree}, results=tree, claims=(),
+                 timing={"degrees_scanned": 1})
+    want = reference({"command": "ext", "inputs": {"x": tree}, "results": tree,
+                      "claims": [], "timing": {"degrees_scanned": 1}})
+    assert rep.to_json() == want + "\n"
+
+
+@given(st.text(), st.sampled_from(["\"", "\\", "\n", "\x00", "\x1f", "\u00e9", "\u2028", "\U0001f600"]))
+def test_encoder_escapes_strings_and_keys_like_the_stdlib(text, special):
+    tree = {text + special: [special + text, {special: text}]}
+    assert encode(tree) == reference(tree)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (0.5, "float 0.5 has no canonical form"),
+        ({"a": [1, 2.0]}, "float 2.0 has no canonical form"),
+        ({1: "a"}, "non-string key 1"),
+        ([{"a": 1}, {(1, 2): 0}], r"non-string key \(1, 2\)"),
+        (object(), "cannot serialize object"),
+        ({"z": Described(object())}, "cannot serialize object"),
+        # the first offender in insertion order, as in the oracle
+        ({"b": 0.5, "a": object()}, "float 0.5"),
+        ({"b": object(), 3: 1}, "cannot serialize object"),
+        ({"b": 1, 3: 0.5}, "non-string key 3"),
+    ],
+)
+def test_encoder_rejects_what_canonical_rejects(bad, message):
+    with pytest.raises(ValueError, match=message):
+        canonical(bad)
+    with pytest.raises(ValueError, match=message):
+        encode(bad)
+    with pytest.raises(ValueError, match=message):
+        Report(command="ext", inputs={}, results={"r": bad}, claims=(), timing={}).to_json()
 
 
 def test_claims_markdown_lists_every_id():

@@ -246,6 +246,13 @@ def test_both_hochster_routes_on_edge_cases(name):
         assert per_field_hochster_levels(cx, coeff) == expected
 
 
+def test_random_facets_rejects_a_target_its_facets_cannot_reach():
+    with pytest.raises(ValueError, match="5 vertices have only 31 faces"):
+        random_facets(random.Random(0), 5, 40, sizes=(2, 4))
+    facets = random_facets(random.Random(0), 5, 31, sizes=(2, 4))
+    assert all(2 <= len(f) <= 4 for f in facets)
+
+
 def test_both_hochster_routes_match_the_oracle_on_random_complexes():
     rng = random.Random(43)
     for trial in range(12):
