@@ -263,7 +263,7 @@ def cmd_transition(ns) -> Report:
     complexes = build_levels(ideal, ns.p, ns.levels, deadline)
     below_top = {ell: tc for ell, tc in complexes.items() if ell < ns.levels}
     levels, support, _, _ = scan_levels(below_top, ns.j, ns.p, None, deadline)
-    pairs = check_transitions(complexes, support, ns.j, ns.p, deadline)
+    pairs = check_transitions(complexes, support, ns.p, deadline)
     checks = [
         {key: lv[key] for key in ("level", "support_size", "complete_support")}
         | {"transitions": pair["transitions"]}

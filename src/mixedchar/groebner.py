@@ -48,22 +48,19 @@ def spoly(f: Polynomial, g: Polynomial, order: str = "grlex") -> Polynomial:
     return left - right
 
 
-def normal_form(
-    f: Polynomial, basis: Sequence[Polynomial], order: str = "grlex", leads=None
-) -> Polynomial:
-    """Remainder of f under full division by the basis, in listed order.
+def normal_form(f: Polynomial, divisors: Sequence[tuple], order: str = "grlex") -> Polynomial:
+    """Remainder of f under full division by the divisors, in listed order.
 
-    leads, when given, holds each basis element's leading term under
-    order as (exponent, coefficient), so a caller that divides by the
-    same elements many times computes them once.
+    Each divisor is a pair (leading term, g), the leading term of g under
+    order as (exponent, coefficient), so a caller that divides by the same
+    elements many times computes it once.
     """
     ring = f.ring
     remainder = Polynomial.zero(ring, f.n)
     p = f
-    lts = [g.leading_term(order) for g in basis] if leads is None else leads
     while not p.is_zero():
         e, c = p.leading_term(order)
-        for g, (ge, gc) in zip(basis, lts):
+        for (ge, gc), g in divisors:
             if exp_leq(ge, e):
                 p = p - g.mul_monomial(exp_sub(e, ge), ring.divide(c, gc))
                 break
@@ -78,7 +75,7 @@ def _coprime(a, b) -> bool:
     return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
-def _update(heap, key, lts, active: list, h: int) -> list:
+def _update(heap, key, leads, active: list, h: int) -> list:
     """The Gebauer-Moeller update for the new element h; returns the new active set.
 
     heap holds the pending pairs as (key of lcm, i, j, lcm).  Of the pairs
@@ -89,8 +86,8 @@ def _update(heap, key, lts, active: list, h: int) -> list:
     nor lcm(j, h) equals it.  Elements whose leading term lt(h) divides stop
     pairing.
     """
-    t = lts[h]
-    pending = [(g, exp_max(lts[g], t), _coprime(lts[g], t)) for g in active]
+    t = leads[h][0]
+    pending = [(g, exp_max(leads[g][0], t), _coprime(leads[g][0], t)) for g in active]
     kept = []
     while pending:
         g, lcm, coprime = pending.pop()
@@ -100,13 +97,13 @@ def _update(heap, key, lts, active: list, h: int) -> list:
         pair
         for pair in heap
         if not exp_leq(t, pair[3])
-        or exp_max(lts[pair[1]], t) == pair[3]
-        or exp_max(lts[pair[2]], t) == pair[3]
+        or exp_max(leads[pair[1]][0], t) == pair[3]
+        or exp_max(leads[pair[2]][0], t) == pair[3]
     ]
     old.extend((key(lcm), g, h, lcm) for g, lcm, coprime in kept if not coprime)
     heap[:] = old
     heapq.heapify(heap)
-    return [g for g in active if not exp_leq(t, lts[g])] + [h]
+    return [g for g in active if not exp_leq(t, leads[g][0])] + [h]
 
 
 def buchberger(
@@ -131,21 +128,16 @@ def buchberger(
         return unit
     key = ORDER_KEYS[order]
     leads = [g.leading_term(order) for g in basis]
-    lts = [e for e, _ in leads]
     heap: list = []
     active: list = []
     for h in range(len(basis)):
-        active = _update(heap, key, lts, active, h)
+        active = _update(heap, key, leads, active, h)
     while heap:
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("basis computation passed its deadline")
         _, i, j, _ = heapq.heappop(heap)
-        h = normal_form(
-            spoly(basis[i], basis[j], order),
-            [basis[g] for g in active],
-            order,
-            [leads[g] for g in active],
-        )
+        divisors = [(leads[g], basis[g]) for g in active]
+        h = normal_form(spoly(basis[i], basis[j], order), divisors, order)
         if h.is_zero():
             continue
         if h.is_constant():
@@ -153,8 +145,7 @@ def buchberger(
         h = _monic(h, order)
         basis.append(h)
         leads.append(h.leading_term(order))
-        lts.append(leads[-1][0])
-        active = _update(heap, key, lts, active, len(basis) - 1)
+        active = _update(heap, key, leads, active, len(basis) - 1)
     return [basis[g] for g in active]
 
 
@@ -170,8 +161,7 @@ def reduce_basis(basis: Sequence[Polynomial], order: str = "grlex") -> tuple:
             minimal.append((lead, g))
     reduced = []
     for i, (_, g) in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        rest = normal_form(g, [h for _, h in others], order, [lead for lead, _ in others])
+        rest = normal_form(g, minimal[:i] + minimal[i + 1 :], order)
         reduced.append(_monic(rest, order))
     return tuple(reduced)
 

@@ -146,7 +146,7 @@ def scan_levels(complexes: dict, j: int, p: int, box, deadline) -> tuple:
     return levels, support, kills, frees
 
 
-def check_transitions(complexes: dict, support: dict, j: int, p: int, deadline) -> list:
+def check_transitions(complexes: dict, support: dict, p: int, deadline) -> list:
     """Per level ell below the last complex, whether the transition to
     level ell + 1 is p-locally injective at each piece of support[ell].
 
@@ -161,7 +161,7 @@ def check_transitions(complexes: dict, support: dict, j: int, p: int, deadline) 
             require_chain_map(low, high)
         transitions = []
         for piece in support[ell]:
-            rep = transition_between(low, high, ell, j, piece.alpha, source=piece, check_chain=False)
+            rep = transition_between(piece, high, ell)
             transitions.append(
                 {"alpha": list(piece.alpha), "injective": _transition_injective_over(rep, p)}
             )
@@ -212,7 +212,7 @@ def annihilator_pipeline(
     evidence = None
     verdict = None
     if stage1.ok:
-        pairs = check_transitions(complexes, support, j, p, deadline)
+        pairs = check_transitions(complexes, support, p, deadline)
         details2: dict = {"pairs": pairs}
         if levels == 1:
             details2["note"] = "single level: no transition maps to check"

@@ -503,41 +503,30 @@ def require_chain_map(low: TaylorComplex, high: TaylorComplex) -> None:
 
 
 def transition_between(
-    low: TaylorComplex,
-    high: TaylorComplex,
-    ell: int,
-    j: int,
-    alpha,
-    source: Optional[GradedExtPiece] = None,
-    check_chain: bool = True,
+    source: GradedExtPiece, high: TaylorComplex, ell: int
 ) -> TransitionMapReport:
-    """Induced map on degree-alpha Ext pieces from the comparison chain map.
+    """Induced map from source to high's Ext piece at the same j and alpha.
 
-    `low` resolves the smaller (level-ell) ideal, `high` the next level.
-    Each V_i only shrinks from low to high, so the high complex is a
+    source is a piece of the smaller (level-ell) ideal's complex, `high`
+    resolves the next level.  The comparison map must be a chain map
+    (require_chain_map, checked once per level pair by the caller).  Each
+    V_i only shrinks from low to high, so the high complex is a
     subcomplex of the low one and the map is restriction of cochains.
     Injectivity is asked of induced, p-locally (pipeline.check_transitions).
-    source is low's piece at (j, alpha) when the caller holds it already;
-    check_chain=False skips the chain check for a caller that ran
-    require_chain_map once for the level pair.
     """
-    alpha = tuple(alpha)
-    if check_chain:
-        require_chain_map(low, high)
-    src = low.ext_piece(j, alpha) if source is None else source
-    tgt = high.ext_piece(j, alpha)
-    if not _is_subcomplex(src.triple, tgt.triple):
+    tgt = high.ext_piece(source.j, source.alpha)
+    if not _is_subcomplex(source.triple, tgt.triple):
         raise ValueError("the higher level's complex is not a subcomplex of the lower level's")
-    induced, matrix = _maybe_induced(src, tgt)
+    induced, matrix = _maybe_induced(source, tgt)
     return TransitionMapReport(
         ell=ell,
-        j=j,
-        alpha=alpha,
-        source_group=src.group,
+        j=source.j,
+        alpha=source.alpha,
+        source_group=source.group,
         target_group=tgt.group,
         matrix=matrix,
         induced=induced,
-        source=src,
+        source=source,
         target=tgt,
     )
 

@@ -51,9 +51,14 @@ def permute_variables(f: Polynomial, perm) -> Polynomial:
     return Polynomial(f.ring, f.n, out)
 
 
+def divisors(basis, order: str = "grlex") -> list:
+    """The basis as groebner.normal_form's (leading term, g) pairs."""
+    return [(g.leading_term(order), g) for g in basis]
+
+
 def ideal_member(f: Polynomial, basis, order: str = "grlex") -> bool:
     """Membership against a basis already closed under S-remainders."""
-    return normal_form(f, basis, order).is_zero()
+    return normal_form(f, divisors(basis, order), order).is_zero()
 
 
 def buchberger_all_pairs(gens, order: str = "grlex", deadline=None) -> list:
@@ -88,7 +93,7 @@ def buchberger_all_pairs(gens, order: str = "grlex", deadline=None) -> list:
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("basis computation passed its deadline")
         _, i, j = heapq.heappop(heap)
-        h = normal_form(spoly(basis[i], basis[j], order), basis, order)
+        h = normal_form(spoly(basis[i], basis[j], order), divisors(basis, order), order)
         if h.is_zero():
             continue
         if h.is_constant():

@@ -33,7 +33,7 @@ from mixedchar.simplicial import (
     hochster_nonzero_levels,
     reduced_cohomology,
 )
-from mixedchar.taylor import TaylorComplex, transition_between
+from mixedchar.taylor import TaylorComplex, require_chain_map, transition_between
 from mixedchar.textio import reisner_ideal, rp2_facets
 
 from .oracles import d_closure_constant_valuation, is_injective
@@ -90,8 +90,9 @@ def test_criterion_3_transition_and_pipeline_verdict(capsys):
     high = TaylorComplex(power_ideal(ideal, 2))
     support = low.support_scan(4).pieces
     assert support
+    require_chain_map(low, high)
     for piece in support:
-        rep = transition_between(low, high, 1, 4, piece.alpha)
+        rep = transition_between(piece, high, 1)
         assert is_injective(rep.induced) and rep.induced.is_injective_localized(2)
     code, data, _ = run_cli(capsys, "pipeline", "--p", "2", "--levels", "2",
                             "--ideal", REISNER)

@@ -20,7 +20,7 @@ from mixedchar.intlinalg import IntMatrix, InducedMap
 from mixedchar.monomials import MonomialIdeal, power_ideal
 from mixedchar.pipeline import _transition_injective_over
 from mixedchar.subsets import coboundary_sign_entries
-from mixedchar.taylor import TaylorComplex, transition_between
+from mixedchar.taylor import TaylorComplex, require_chain_map, transition_between
 
 from tests.conftest import REISNER_ROWS
 from tests.oracles import TaylorStrands, full_block_injective, is_injective
@@ -208,10 +208,11 @@ def test_transitions_and_mult_maps_match_taylor_inclusions():
         oracle = {ell: TaylorStrands(tc) for ell, tc in levels.items()}
         for ell in (1, 2):
             low, high = levels[ell], levels[ell + 1]
+            require_chain_map(low, high)
             for _ in range(6):
                 alpha = _random_alpha(rng, high)
                 for j in range(low.r + 2):
-                    rep = transition_between(low, high, ell, j, alpha)
+                    rep = transition_between(low.ext_piece(j, alpha), high, ell)
                     want = oracle[ell].inclusion(j, alpha, oracle[ell + 1], alpha)
                     what = (ideal.gens, ell, j, alpha)
                     _assert_same_map(rep, want, oracle[ell], oracle[ell + 1], what)
@@ -249,7 +250,7 @@ def test_reisner_transitions_and_mult_maps_match_taylor_inclusions(j):
         if j == 4:
             assert len(support) == ell**6
         for piece in support:
-            rep = transition_between(low, high, ell, j, piece.alpha)
+            rep = transition_between(piece, high, ell)
             want = oracle[ell].inclusion(j, piece.alpha, oracle[ell + 1], piece.alpha)
             _assert_same_map(rep, want, oracle[ell], oracle[ell + 1], (ell, piece.alpha))
             assert rep.matrix == _oracle_matrix(rep, want), (ell, piece.alpha)
@@ -277,7 +278,7 @@ def test_p_local_injectivity_is_decided_once_per_shared_map(monkeypatch):
         monkeypatch.setattr(module, name, {})
     ideal = MonomialIdeal(6, REISNER_ROWS)
     low, high = TaylorComplex(power_ideal(ideal, 2)), TaylorComplex(power_ideal(ideal, 3))
-    reps = [transition_between(low, high, 2, 4, piece.alpha) for piece in low.support_scan(4).pieces]
+    reps = [transition_between(piece, high, 2) for piece in low.support_scan(4).pieces]
     maps = {id(rep.induced): rep.induced for rep in reps}
     assert len(reps) == 64 and len(maps) == 1
     kernels = []
@@ -315,7 +316,7 @@ def test_nerve_caches_stay_bounded_over_many_ideals(monkeypatch):
             for piece in low.support_scan(j).pieces:
                 # groups stay right while entries are evicted under them
                 assert piece.group == strands.group(j, piece.alpha)
-                transition_between(low, high, 1, j, piece.alpha)
+                transition_between(piece, high, 1)
                 low.mult_map(j, piece.alpha, rng.randrange(low.n))
         for cache in caches:
             size = len(getattr(*cache))

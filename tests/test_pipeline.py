@@ -128,7 +128,7 @@ def test_check_transitions_checks_each_level_pair_once_from_the_scanned_pieces(m
 
     monkeypatch.setattr(taylor, "comparison_chain_check", lambda *a: chain_checks.append(a) or check(*a))
     monkeypatch.setattr(TaylorComplex, "ext_piece", counted)
-    pairs = check_transitions(complexes, support, 4, 2, None)
+    pairs = check_transitions(complexes, support, 2, None)
     monkeypatch.undo()
     assert [pair["checked"] for pair in pairs] == [1, 64]
     assert all(pair["all_injective"] for pair in pairs)
@@ -138,7 +138,7 @@ def test_check_transitions_checks_each_level_pair_once_from_the_scanned_pieces(m
     for ell, pair in zip((1, 2), pairs):
         low, high = complexes[ell], complexes[ell + 1]
         for piece, t in zip(support[ell], pair["transitions"]):
-            rep = transition_between(low, high, ell, 4, piece.alpha)
+            rep = transition_between(low.ext_piece(4, piece.alpha), high, ell)
             assert t["alpha"] == list(rep.alpha)
             assert (rep.source.group, rep.source.triple) == (piece.group, piece.triple)
 
@@ -149,4 +149,4 @@ def test_check_transitions_rejects_a_pair_that_is_not_a_chain_map():
     _, support, _, _ = scan_levels({1: low}, 1, 2, None, None)
     assert support[1]
     with pytest.raises(ValueError, match="not a chain map"):
-        check_transitions({1: low, 2: high}, support, 1, 2, None)
+        check_transitions({1: low, 2: high}, support, 2, None)
