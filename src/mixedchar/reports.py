@@ -51,7 +51,9 @@ CLAIMS = {
     "four-element-radical": (
         "The four structured cubic sums lie termwise in the ten-cubic ideal "
         "and each of the ten cubics has a power inside the ideal the four "
-        "elements generate, over F2 and over Q."
+        "elements generate, over F2 and over Q.  A cubic f is certified by "
+        "the least k <= 4 with NF(f^k) = 0 in that ideal's reduced Groebner "
+        "basis, else by Rabinowitsch's added variable."
     ),
     "filtration-axioms": (
         "The constructed layer chain satisfies all five conditions: "

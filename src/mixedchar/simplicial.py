@@ -2,11 +2,12 @@
 (the quotients by squarefree monomial ideals) via links.
 
 Faces are vertex bitmasks and complexes are downward closed by
-construction.  Two degenerate complexes are kept distinct: the void
+construction; a complex keeps its faces of each cardinality as a sorted
+list of masks.  Two degenerate complexes are kept distinct: the void
 complex has no faces at all, while the complex {empty set} has exactly
-one face of cardinality zero.  Cochain matrices reuse the shared sign
-combinatorics, with vertices in sorted order and sign the position
-parity of the inserted vertex.
+one face of cardinality zero.  Cochain matrices come from the shared
+builder on those lists, with vertices in sorted order and sign the
+position parity of the inserted vertex.
 
 Cohomology is computed once over Z: one sparse elimination per
 coboundary gives its rank and invariant factors, and the tables over Z,
@@ -56,7 +57,7 @@ class SimplicialComplex:
     [1, 3, 1]
     """
 
-    __slots__ = ("n", "facets", "_faces", "_card_masks")
+    __slots__ = ("n", "_faces", "_cards", "_facets")
 
     def __init__(self, n: int, facets):
         _check_vertex_count(n)
@@ -82,21 +83,24 @@ class SimplicialComplex:
         return cx
 
     def _set_faces(self, n: int, faces: frozenset):
-        """Shared by both constructors.  In a downward-closed family a face is
-        maximal when no single vertex extends it, so facets cost O(faces * n)."""
+        """Shared by both constructors; facets wait until they are asked for."""
         self.n = n
         self._faces = faces
-        used = 0
+        cards = [[] for _ in range(max((F.bit_count() for F in faces), default=-1) + 1)]
         for F in faces:
-            used |= F
-        singles = [1 << v for v in bits_to_subsets(used)]
-        maximal = [F for F in faces if not any(not F & b and F | b in faces for b in singles)]
-        self.facets = tuple(sorted(tuple(bits_to_subsets(F)) for F in maximal))
-        top = max((F.bit_count() for F in faces), default=-1)
-        cards = [0] * (top + 1)
-        for F in faces:
-            cards[F.bit_count()] |= 1 << F
-        self._card_masks = cards
+            cards[F.bit_count()].append(F)
+        self._cards = [sorted(family) for family in cards]
+        self._facets = None
+
+    @property
+    def facets(self) -> tuple:
+        """The maximal faces as sorted vertex tuples, found on first use: in a
+        downward-closed family, the faces no single vertex extends."""
+        if self._facets is None:
+            faces, singles = self._faces, [1 << v for v in range(self.n)]
+            maximal = [F for F in faces if not any(not F & b and F | b in faces for b in singles)]
+            self._facets = tuple(sorted(tuple(bits_to_subsets(F)) for F in maximal))
+        return self._facets
 
     def is_void(self) -> bool:
         return not self._faces
@@ -105,14 +109,14 @@ class SimplicialComplex:
         """Largest face dimension; -1 for {empty set}, None when void."""
         if not self._faces:
             return None
-        return len(self._card_masks) - 2
+        return len(self._cards) - 2
 
     def has_face(self, vertices) -> bool:
         return _mask(vertices) in self._faces
 
     def face_counts(self) -> list:
         """Number of faces per cardinality, starting at the empty face."""
-        return [bits.bit_count() for bits in self._card_masks]
+        return [len(family) for family in self._cards]
 
     def link(self, vertices) -> "SimplicialComplex":
         W = _mask(vertices)
@@ -160,8 +164,8 @@ def reduced_cohomology(cx: SimplicialComplex, coeff="Z", deadline=None) -> dict:
     checks that consecutive coboundaries compose to zero.
     """
     coeffs = _coefficients(coeff)
-    masks = cx._card_masks  # empty for the void complex, so every table is too
-    maps = [coboundary_sign_entries(masks[c], masks[c + 1]) for c in range(len(masks) - 1)]
+    cards = cx._cards  # empty for the void complex, so every table is too
+    maps = [coboundary_sign_entries(cards[c], cards[c + 1]) for c in range(len(cards) - 1)]
     if "Z" in coeffs:
         check_composes_to_zero(maps)
 

@@ -1,10 +1,10 @@
 """Bitmask subset combinatorics shared by nerve and face complexes.
 
-A family of subsets of {0..r-1} is a single big integer whose bit at
-position S (itself a bitmask) marks membership.  The sign coboundary
-between two such families underlies both the nerve complexes that carry
-graded Ext and simplicial cochain complexes, so its entries are cached
-here once.
+A subset of {0..r-1} is a bitmask.  The one sign-coboundary builder takes
+the faces of two consecutive sizes as sorted lists of masks, for both the
+nerve complexes that carry graded Ext and simplicial cochain complexes;
+the nerve keeps each family as one integer with bit S set for member S,
+and bits_to_subsets lists it.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 CACHE_LIMIT = 4096
 
 _SIZE_MASKS: dict = {}
-_ENTRY_CACHE: dict = {}
 
 
 def cache_put(cache: dict, key, value):
@@ -45,28 +44,22 @@ def bits_to_subsets(bits: int) -> list:
     return out
 
 
-def coboundary_sign_entries(col_bits: int, row_bits: int):
-    """Sparse sign entries between two subset families, plus the shape.
+def coboundary_sign_entries(cols: list, rows: list):
+    """Sparse sign entries between two lists of subsets, plus the shape.
 
-    Columns run over col_bits, rows over row_bits; the entry at (T, S) with
-    T = S plus one extra index t is -1 to the number of members of S below
-    t.  Pairs not of that shape contribute nothing.
+    Columns run over cols, rows over rows, each a list of bitmasks.  Row T
+    drops each of its vertices t in turn; when S = T minus t is a column,
+    the entry at (T, S) is -1 to the number of members of S below t.  So
+    the cost is O(len(rows) * |T|), and other pairs contribute nothing.
     """
-    key = (col_bits, row_bits)
-    hit = _ENTRY_CACHE.get(key)
-    if hit is not None:
-        return hit
-    cols = bits_to_subsets(col_bits)
-    rows = bits_to_subsets(row_bits)
-    rowpos = {S: i for i, S in enumerate(rows)}
-    width = rows[-1].bit_length() if rows else 0
+    colpos = {S: i for i, S in enumerate(cols)}
     entries = {}
-    for ci, S in enumerate(cols):
-        for t in range(width):
-            b = 1 << t
-            if S & b:
-                continue
-            ri = rowpos.get(S | b)
-            if ri is not None:
-                entries[(ri, ci)] = -1 if (S & (b - 1)).bit_count() & 1 else 1
-    return cache_put(_ENTRY_CACHE, key, (entries, len(rows), len(cols)))
+    for ri, T in enumerate(rows):
+        rest = T
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            ci = colpos.get(T ^ b)
+            if ci is not None:
+                entries[(ri, ci)] = -1 if (T & (b - 1)).bit_count() & 1 else 1
+    return entries, len(rows), len(cols)

@@ -46,10 +46,11 @@ over S, so it is a chain map exactly when each generator of the higher
 list is divisible by the generator in the same position of the lower
 one (comparison_chain_check), an O(r*n) test.
 
-Face families are bigint bitmasks over the generator subsets.  Complexes,
-eliminations, presentation bases and restriction maps are cached by
-family, shared across degrees, levels and ideals, each cache holding at
-most subsets.CACHE_LIMIT entries.
+A face family of Delta is one integer whose bit at position S (a bitmask
+of generators) marks the face S; the coboundary builder takes the families
+as sorted lists of masks.  Complexes, eliminations, presentation bases and
+restriction maps are cached by family, shared across degrees, levels and
+ideals, each cache holding at most subsets.CACHE_LIMIT entries.
 """
 
 from __future__ import annotations
@@ -118,12 +119,12 @@ def _nerve(simplices: frozenset):
     return hit
 
 
-def _coboundary_stats(col_bits: int, row_bits: int):
+def _coboundary_stats(cols: int, rows: int):
     """(rank, nontrivial invariant factors) of the coboundary between face families."""
-    key = (col_bits, row_bits)
+    key = (cols, rows)
     hit = _STATS_CACHE.get(key)
     if hit is None:
-        entries, nr, nc = coboundary_sign_entries(col_bits, row_bits)
+        entries, nr, nc = coboundary_sign_entries(bits_to_subsets(cols), bits_to_subsets(rows))
         rank, factors = invariant_factors_sparse(entries, nr, nc)
         hit = cache_put(_STATS_CACHE, key, (rank, tuple(factors)))
     return hit
@@ -139,8 +140,8 @@ def _cohomology(triple) -> FinAbGroup:
     return FinAbGroup(here.bit_count() - rank_in - rank_out, torsion)
 
 
-def _dense_coboundary(col_bits: int, row_bits: int) -> IntMatrix:
-    entries, nr, nc = coboundary_sign_entries(col_bits, row_bits)
+def _dense_coboundary(cols: int, rows: int) -> IntMatrix:
+    entries, nr, nc = coboundary_sign_entries(bits_to_subsets(cols), bits_to_subsets(rows))
     M = IntMatrix(nr, nc)
     for (i, j), v in entries.items():
         M.rows[i][j] = v

@@ -30,7 +30,7 @@ from mixedchar.monomials import MonomialIdeal
 from mixedchar.polynomials import ORDER_KEYS, Polynomial, exp_add, exp_max, exp_sub
 from mixedchar.scalars import DVR, PrimeField, padic_valuation
 from mixedchar.simplicial import MAX_VERTICES, SimplicialComplex
-from mixedchar.subsets import bits_to_subsets, coboundary_sign_entries, size_masks
+from mixedchar.subsets import bits_to_subsets, size_masks
 from mixedchar.taylor import ExtScanResult, GradedExtPiece
 
 
@@ -137,11 +137,41 @@ def concatenate(first: FiltrationSpec, second: FiltrationSpec) -> FiltrationSpec
     return FiltrationSpec(f"{first.name}+{second.name}", first.tiers + second.tiers)
 
 
+def _vertices(S: int) -> tuple:
+    return tuple(v for v in range(S.bit_length()) if S >> v & 1)
+
+
 def faces_of_cardinality(cx: SimplicialComplex, c: int) -> list:
-    """The faces of cx with c vertices, as sorted vertex tuples."""
-    if not 0 <= c < len(cx._card_masks):
-        return []
-    return [tuple(bits_to_subsets(F)) for F in bits_to_subsets(cx._card_masks[c])]
+    """The faces of cx with c vertices, as sorted vertex tuples, ascending as masks."""
+    return [_vertices(F) for F in sorted(cx._faces) if F.bit_count() == c]
+
+
+def sign_entries(cols, rows):
+    """Sparse sign coboundary between two lists of sorted vertex tuples.
+
+    Row T meets column S when S is T with the vertex at position k
+    dropped, and the entry is (-1)^k.  Returns (entries, nrows, ncols) as
+    invariant_factors_sparse takes them.  Written apart from
+    subsets.coboundary_sign_entries, so it can check that builder.
+    """
+    colpos = {S: i for i, S in enumerate(cols)}
+    entries = {}
+    for ri, T in enumerate(rows):
+        for k in range(len(T)):
+            ci = colpos.get(T[:k] + T[k + 1 :])
+            if ci is not None:
+                entries[(ri, ci)] = (-1) ** k
+    return entries, len(rows), len(cols)
+
+
+def _members(bits: int) -> list:
+    """The subsets a family integer marks (bit S for the subset S), as vertex tuples."""
+    return [_vertices(S) for S in range(bits.bit_length()) if bits >> S & 1]
+
+
+def family_entries(col_bits: int, row_bits: int):
+    """sign_entries between two families held as integers."""
+    return sign_entries(_members(col_bits), _members(row_bits))
 
 
 def smith_normal_form(M: IntMatrix):
@@ -184,10 +214,9 @@ def smith_normal_form_full(M: IntMatrix):
 
 def coboundaries(cx: SimplicialComplex) -> list:
     """Dense sign matrices of cx, cardinality c to c+1 for each c below the top."""
-    masks = cx._card_masks
-    return [
-        _dense(*coboundary_sign_entries(masks[c], masks[c + 1])) for c in range(len(masks) - 1)
-    ]
+    top = max((F.bit_count() for F in cx._faces), default=-1)
+    cards = [faces_of_cardinality(cx, c) for c in range(top + 1)]
+    return [_dense(*sign_entries(cards[c], cards[c + 1])) for c in range(top)]
 
 
 def stanley_reisner_complex(I: MonomialIdeal) -> SimplicialComplex:
@@ -507,8 +536,8 @@ class TaylorStrands:
         """(d_in, d_out) of the degree-alpha strand around spot j, dense."""
         below, here, above = self.strand_triple(j, alpha)
         return (
-            _dense(*coboundary_sign_entries(below, here)),
-            _dense(*coboundary_sign_entries(here, above)),
+            _dense(*family_entries(below, here)),
+            _dense(*family_entries(here, above)),
         )
 
     def mask_classes(self, i, lo, hi):
@@ -525,7 +554,7 @@ class TaylorStrands:
     def _stats_of(cols, rows):
         key = (cols, rows)
         if key not in _STRAND_STATS:
-            rank, factors = invariant_factors_sparse(*coboundary_sign_entries(cols, rows))
+            rank, factors = invariant_factors_sparse(*family_entries(cols, rows))
             _STRAND_STATS[key] = (rank, tuple(factors))
         return _STRAND_STATS[key]
 
@@ -541,8 +570,8 @@ class TaylorStrands:
     def basis(triple):
         if triple not in _STRAND_BASES:
             below, here, above = triple
-            d_in = _dense(*coboundary_sign_entries(below, here)) if below else None
-            d_out = _dense(*coboundary_sign_entries(here, above)) if above else None
+            d_in = _dense(*family_entries(below, here)) if below else None
+            d_out = _dense(*family_entries(here, above)) if above else None
             _STRAND_BASES[triple] = CohomologyBasis(d_in, d_out, here.bit_count())
         return _STRAND_BASES[triple]
 

@@ -11,6 +11,7 @@ from mixedchar.groebner import (
     monomial_ideal_member,
     normal_form,
     radical_member,
+    radical_member_by_powers,
     reduce_basis,
     spoly,
     sv_containment_check,
@@ -152,15 +153,62 @@ def test_deadline_interrupts():
 
 
 def test_one_deadline_serves_all_ten_memberships(monkeypatch):
-    seen = []
+    # with no power tried, every cubic falls back to radical_member; the
+    # basis of J and each fallback's enlarged basis get the one deadline
+    deadline = time.monotonic() + 600
+    bases, fallbacks = [], []
 
-    def record(f, gens, order="grlex", deadline=None):
-        seen.append(deadline)
-        return True
+    def basis(gens, order="grlex", deadline=None):
+        bases.append(deadline)
+        return groebner_basis(gens, order, deadline)
 
-    monkeypatch.setattr(groebner, "radical_member", record)
-    assert sv_containment_check(F2, deadline=1234.5)["all_ok"]
-    assert seen == [1234.5] * 10
+    def member(f, gens, order="grlex", deadline=None):
+        fallbacks.append(deadline)
+        return radical_member(f, gens, order, deadline)
+
+    monkeypatch.setattr(groebner, "POWER_BOUND", 0)
+    monkeypatch.setattr(groebner, "groebner_basis", basis)
+    monkeypatch.setattr(groebner, "radical_member", member)
+    assert sv_containment_check(F2, deadline=deadline)["all_ok"]
+    assert fallbacks == [deadline] * 10
+    assert bases == [deadline] * 11  # J, then one per fallback
+
+
+def _power(f, k):
+    out = Polynomial.constant(f.ring, f.n, f.ring.one())
+    for _ in range(k):
+        out = out * f
+    return out
+
+
+def test_power_route_with_its_fallback_agrees_with_radical_member():
+    """Random small ideals over F2, F3 and Q in both orders.  Each draw
+    probes a member f with f^m in the ideal, m up to 7, so some members
+    need more than POWER_BOUND powers and reach the fallback, and a
+    random polynomial, which is often no member."""
+    rng = random.Random(4242)
+    certified = fallback_members = non_members = 0
+    for order in ("grlex", "lex"):
+        for ring in (F2, F3, QQ):
+            for trial in range(6):
+                f = random_system(ring, rng, n=2, count=1, terms=2, deg=2)[0]
+                if f.is_zero() or f.is_constant():
+                    continue
+                gens = [_power(f, rng.randint(1, 7))]
+                gens += random_system(ring, rng, n=2, count=1, terms=2, deg=4)
+                basis = groebner_basis(gens, order)
+                probe = random_system(ring, rng, n=2, count=1, terms=2, deg=2)[0]
+                for g in (f, probe):
+                    expected = radical_member(g, gens, order)
+                    assert radical_member_by_powers(g, gens, basis, order) == expected, (g, gens)
+                    k = groebner.power_exponent(g, basis, order)
+                    if k is not None:  # the certificate: g^k is in the ideal, g^(k-1) is not
+                        assert ideal_member(_power(g, k), basis, order)
+                        assert k == 1 or not ideal_member(_power(g, k - 1), basis, order)
+                    certified += k is not None
+                    fallback_members += k is None and expected
+                    non_members += not expected
+    assert certified and fallback_members and non_members, (certified, fallback_members, non_members)
 
 
 def test_field_coefficients_required():

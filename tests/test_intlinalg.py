@@ -270,7 +270,7 @@ def _strand_shaped(rng, r, density):
     for T in bits_to_subsets(masks[s + 1]):
         if rng.random() < density:
             rows |= 1 << T
-    return coboundary_sign_entries(cols, rows)
+    return coboundary_sign_entries(bits_to_subsets(cols), bits_to_subsets(rows))
 
 
 def _dense_of(entries, m, n):
@@ -278,6 +278,11 @@ def _dense_of(entries, m, n):
     for (i, j), v in entries.items():
         M.rows[i][j] = v
     return M
+
+
+def _dense_between(col_bits, row_bits):
+    """The dense sign coboundary between two families held as integers."""
+    return _dense_of(*coboundary_sign_entries(bits_to_subsets(col_bits), bits_to_subsets(row_bits)))
 
 
 def test_sparse_matches_dense_on_strand_shaped_matrices():
@@ -369,8 +374,8 @@ def test_solve_in_kernel_on_strand_bases():
                 piece = tc.ext_piece(j, alpha)
                 below, here, above = piece.triple
                 if here:
-                    d_in = _dense_of(*coboundary_sign_entries(below, here)) if below else None
-                    d_out = _dense_of(*coboundary_sign_entries(here, above)) if above else None
+                    d_in = _dense_between(below, here) if below else None
+                    d_out = _dense_between(here, above) if above else None
                     basis = piece.basis
                     assert basis.dim == here.bit_count()
                     nerve_rejected += _check_solve_in_kernel(nerve_rng, basis, d_in, d_out)
@@ -380,8 +385,8 @@ def test_solve_in_kernel_on_strand_bases():
         below, here, above = _up_closed_triple(rng, rng.randint(3, 7))
         if not here:
             continue
-        d_in = _dense_of(*coboundary_sign_entries(below, here)) if below else None
-        d_out = _dense_of(*coboundary_sign_entries(here, above)) if above else None
+        d_in = _dense_between(below, here) if below else None
+        d_out = _dense_between(here, above) if above else None
         basis = CohomologyBasis(d_in, d_out, here.bit_count())
         rejected += _check_solve_in_kernel(rng, basis, d_in, d_out)
         checked += 1

@@ -19,7 +19,7 @@ from mixedchar import intlinalg, subsets, taylor
 from mixedchar.intlinalg import IntMatrix, InducedMap
 from mixedchar.monomials import MonomialIdeal, power_ideal
 from mixedchar.pipeline import _transition_injective_over
-from mixedchar.subsets import coboundary_sign_entries
+from mixedchar.subsets import bits_to_subsets, coboundary_sign_entries
 from mixedchar.taylor import TaylorComplex, require_chain_map, transition_between
 
 from tests.conftest import REISNER_ROWS
@@ -160,7 +160,9 @@ def _connecting(strands, piece):
         if strands.r == 0:
             chain = IntMatrix.identity(basis.dim)
         else:
-            entries, nrows, ncols = coboundary_sign_entries(piece.triple[1], strand[1])
+            entries, nrows, ncols = coboundary_sign_entries(
+                bits_to_subsets(piece.triple[1]), bits_to_subsets(strand[1])
+            )
             chain = IntMatrix(nrows, ncols)
             for (i, k), v in entries.items():
                 chain.rows[i][k] = v
@@ -298,7 +300,6 @@ def test_nerve_caches_stay_bounded_over_many_ideals(monkeypatch):
     limit = 24
     monkeypatch.setattr(subsets, "CACHE_LIMIT", limit)
     caches = {
-        (subsets, "_ENTRY_CACHE"),
         (taylor, "_NERVE_CACHE"),
         (taylor, "_STATS_CACHE"),
         (taylor, "_BASIS_CACHE"),

@@ -22,6 +22,7 @@ from .oracles import (
     faces_of_cardinality,
     pairwise_facets,
     per_field_hochster_levels,
+    sign_entries,
     stanley_reisner_complex,
     stanley_reisner_ideal,
 )
@@ -314,10 +315,22 @@ def test_one_elimination_matches_the_dense_route_on_every_link(seed):
         assert together[coeff] == per_field_hochster_levels(cx, coeff)
 
 
+@pytest.mark.parametrize("seed", [301, 302])
+def test_builder_entries_match_the_position_parity_oracle(seed):
+    # entry for entry, signs included: a uniform sign flip leaves every
+    # group unchanged, so only this comparison sees one
+    cx = _benchmark_shaped(seed)
+    for k in [cx] + [cx.link(W) for W in faces_of_cardinality(cx, 2)]:
+        cards = k._cards
+        for c in range(len(cards) - 1):
+            cols, rows = (faces_of_cardinality(k, d) for d in (c, c + 1))
+            assert coboundary_sign_entries(cards[c], cards[c + 1]) == sign_entries(cols, rows)
+
+
 def test_integral_table_rejects_a_non_complex(monkeypatch):
-    def flip_first_sign(col_bits, row_bits):
-        entries, nrows, ncols = coboundary_sign_entries(col_bits, row_bits)
-        if col_bits != 1:  # flip one sign of the map out of the empty face only
+    def flip_first_sign(cols, rows):
+        entries, nrows, ncols = coboundary_sign_entries(cols, rows)
+        if cols != [0]:  # flip one sign of the map out of the empty face only
             return entries, nrows, ncols
         key = min(entries)
         return {**entries, key: -entries[key]}, nrows, ncols
