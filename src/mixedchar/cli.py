@@ -32,7 +32,6 @@ variable count is inferred from the largest index present.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 import time
 from typing import Optional
@@ -49,14 +48,15 @@ from .filtrations import (
 from .groebner import sv_containment_check
 from .pipeline import annihilator_pipeline, build_levels, check_transitions, scan_levels
 from .reports import FAILED, Claim, Report, verified
-from .scalars import DVR, PrimeField, RationalField
+from .scalars import DVR, PrimeField, RationalField, is_prime
 from .simplicial import (
     SimplicialComplex,
     hochster_local_cohomology_piece,
     hochster_nonzero_levels,
     reduced_cohomology,
 )
-from .taylor import TaylorComplex, check_deadline
+from .subsets import check_deadline
+from .taylor import TaylorComplex
 # the layer trace (perfbench/spans.py) wraps this name in this module
 from .taylor import transition_between  # noqa: F401
 from .textio import (
@@ -64,7 +64,6 @@ from .textio import (
     load_generators_text,
     load_ideal_text,
     parse_polynomial,
-    parse_polynomials,
     reisner_ideal,
     rp2_facets,
 )
@@ -118,26 +117,8 @@ def _load_facets(path: str):
 
 
 def _load_generators(path: str, ring):
-    """Generator list; a leading 'vars n' header is optional here."""
     text, source = _read_source(path)
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if re.fullmatch(r"vars\s+\d+", line):
-            return load_generators_text(text, ring, source=source), source
-        break
-    lines = [
-        stripped
-        for raw in text.splitlines()
-        if (stripped := raw.split("#", 1)[0].strip())
-    ]
-    if not lines:
-        raise ValueError(f"{source}: no generators given")
-    try:
-        return parse_polynomials(lines, ring), source
-    except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from None
+    return load_generators_text(text, ring, source=source), source
 
 
 def _parse_box(text: str, n: int):
@@ -181,6 +162,8 @@ def _piece_entry(piece, p: int) -> dict:
 
 
 def cmd_ext(ns) -> Report:
+    if not is_prime(ns.p):
+        raise ValueError(f"{ns.p} is not prime")
     ideal, source = _load_ideal(ns.ideal)
     alpha = _parse_alpha(ns.alpha, ideal.n)
     check_deadline(_deadline(ns), "building the Taylor complex")
@@ -195,6 +178,8 @@ def cmd_ext(ns) -> Report:
 
 
 def cmd_scan(ns) -> Report:
+    if not is_prime(ns.p):
+        raise ValueError(f"{ns.p} is not prime")
     ideal, source = _load_ideal(ns.ideal)
     tc = TaylorComplex(ideal)
     box = _parse_box(ns.box, ideal.n) if ns.box else tc.default_box()

@@ -28,7 +28,8 @@ from typing import Optional
 from .diffops import Annihilator, AnnihilatorEvidence, infer_annihilator
 from .monomials import MonomialIdeal, power_ideal
 from .scalars import is_prime
-from .taylor import TaylorComplex, check_deadline, require_chain_map, transition_between
+from .subsets import check_deadline
+from .taylor import TaylorComplex, require_chain_map, transition_between
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,11 @@ def is_prime(n: int) -> bool:
 
 
 def padic_valuation(n: int, p: int) -> int:
-    """Largest e with p**e dividing n.  Undefined for n == 0."""
+    """Largest e with p**e dividing n.  Undefined for n == 0 or p < 2."""
     if n == 0:
         raise ValueError("valuation of zero is undefined")
+    if p < 2:
+        raise ValueError(f"no {p}-adic valuation: need p >= 2")
     e = 0
     while n % p == 0:
         n //= p

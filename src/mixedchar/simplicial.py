@@ -1,26 +1,32 @@
-"""Simplicial complexes, and graded local cohomology of their face rings
-(the quotients by squarefree monomial ideals) via links.
+"""Simplicial complexes, their reduced cohomology, and graded local
+cohomology of their face rings (the quotients by squarefree monomial
+ideals) via links.
 
 Faces are vertex bitmasks and complexes are downward closed by
-construction; a complex keeps its faces of each cardinality as a sorted
-list of masks.  Two degenerate complexes are kept distinct: the void
+construction; a complex lists its faces of each cardinality, as a sorted
+tuple of masks, on first use.  Two degenerate complexes are kept distinct: the void
 complex has no faces at all, while the complex {empty set} has exactly
 one face of cardinality zero.  Cochain matrices come from the shared
-builder on those lists, with vertices in sorted order and sign the
-position parity of the inserted vertex.
+builder on those tuples, with vertices in sorted order and sign the
+position parity of the inserted vertex.  The same type carries the nerve
+complexes on which taylor computes graded Ext.
 
-Cohomology is computed once over Z: one sparse elimination per
-coboundary gives its rank and invariant factors, and the tables over Z,
-Q and every F_p are read off that result.
+Cohomology is computed over Z: a complex eliminates the coboundary out of
+each cardinality at most once, one sparse elimination giving its rank and
+invariant factors, and keeps them.  Every group is read off those: the
+spot of cardinality c has free rank faces(c) - r_in - r_out and torsion
+the factors of the map in, and the tables over Q and every F_p follow
+from the same ranks and factors.
 
-Hochster's formula reads local cohomology off links, and most links are
-cones: the link of a face W has the facets F minus W for the facets F
-containing W, so when those facets share a vertex outside W every facet
-of the link contains it.  A cone is acyclic over Z and every field, so
-both Hochster routes skip it without building it.  The shared vertices
-are exactly W when W is a facet (the link is {empty set}, with reduced
-cohomology Z at spot -1) and whenever the link is not a cone, so every
-link that can contribute is still eliminated.
+Most links are cones, and one test (link_is_cone) finds them from the
+facets alone: the link of a face W has the facets F minus W for the
+facets F containing W, so when those facets share a vertex outside W
+every facet of the link contains it.  A cone is acyclic over Z and every
+field, so both Hochster routes skip it without building it, and taylor
+skips a nerve that is a cone (W empty) without eliminating.  The shared
+vertices are exactly W when W is a facet (the link is {empty set}, with
+reduced cohomology Z at spot -1) and whenever the link is not a cone, so
+every link that can contribute is still eliminated.
 """
 
 from __future__ import annotations
@@ -29,8 +35,7 @@ from .intlinalg import FinAbGroup, check_composes_to_zero, cochain_invariants, r
 # the layer trace (perfbench/spans.py) wraps these two names in this module
 from .intlinalg import complex_cohomology, matrix_rank_mod_p  # noqa: F401
 from .scalars import is_prime
-from .subsets import bits_to_subsets, coboundary_sign_entries
-from .taylor import check_deadline
+from .subsets import bits_to_subsets, check_deadline, coboundary_sign_entries
 
 MAX_VERTICES = 16
 
@@ -57,40 +62,61 @@ class SimplicialComplex:
     [1, 3, 1]
     """
 
-    __slots__ = ("n", "_faces", "_cards", "_facets")
+    __slots__ = ("n", "_spans", "_face_set", "_sized", "_facets", "_invariants")
 
     def __init__(self, n: int, facets):
         _check_vertex_count(n)
-        faces = set()
+        spans = []
         for facet in facets:
             fm = _mask(facet)
             if fm >> n:
                 raise ValueError(f"facet {tuple(facet)} has a vertex outside 0..{n - 1}")
-            sub = fm
-            while True:
-                faces.add(sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & fm
-        self._set_faces(n, frozenset(faces))
+            spans.append(fm)
+        self._set_faces(n, spans, None)
 
     @classmethod
     def from_faces(cls, n: int, faces) -> "SimplicialComplex":
         """The complex with exactly these faces (bitmasks, downward closed)."""
         _check_vertex_count(n)
         cx = cls.__new__(cls)
-        cx._set_faces(n, frozenset(faces))
+        cx._set_faces(n, (), frozenset(faces))
         return cx
 
-    def _set_faces(self, n: int, faces: frozenset):
-        """Shared by both constructors; facets wait until they are asked for."""
+    def _set_faces(self, n: int, spans, faces):
+        """Shared by both constructors: the faces, or None to close the span
+        masks downward on first use.  The rest waits until it is asked for."""
         self.n = n
-        self._faces = faces
-        cards = [[] for _ in range(max((F.bit_count() for F in faces), default=-1) + 1)]
-        for F in faces:
-            cards[F.bit_count()].append(F)
-        self._cards = [sorted(family) for family in cards]
+        self._spans = spans
+        self._face_set = faces
+        self._sized = None
         self._facets = None
+        self._invariants = {}
+
+    @property
+    def _faces(self) -> frozenset:
+        """Every face as a mask."""
+        if self._face_set is None:
+            faces = set()
+            for fm in self._spans:
+                sub = fm
+                while True:
+                    faces.add(sub)
+                    if sub == 0:
+                        break
+                    sub = (sub - 1) & fm
+            self._face_set = frozenset(faces)
+        return self._face_set
+
+    @property
+    def _cards(self) -> tuple:
+        """The faces of each cardinality as a sorted tuple of masks."""
+        if self._sized is None:
+            faces = self._faces
+            cards = [[] for _ in range(max((F.bit_count() for F in faces), default=-1) + 1)]
+            for F in faces:
+                cards[F.bit_count()].append(F)
+            self._sized = tuple(tuple(sorted(family)) for family in cards)
+        return self._sized
 
     @property
     def facets(self) -> tuple:
@@ -117,6 +143,39 @@ class SimplicialComplex:
     def face_counts(self) -> list:
         """Number of faces per cardinality, starting at the empty face."""
         return [len(family) for family in self._cards]
+
+    def faces_of_size(self, k: int) -> tuple:
+        """The faces with k vertices as ascending masks; () past either end."""
+        cards = self._cards
+        return cards[k] if 0 <= k < len(cards) else ()
+
+    def coboundary_invariants(self, cards, compose_check: bool, deadline) -> list:
+        """(rank, nontrivial invariant factors) of the coboundary out of the
+        faces of each cardinality in cards; (0, ()) where either side has no
+        faces.
+
+        Each coboundary is eliminated over Z at most once per complex and
+        kept.  With compose_check (cards then consecutive), every
+        coboundary out of cards is built and checked to compose to zero
+        with the next first.  deadline (a time.monotonic() value or None) is
+        checked before each elimination.
+        """
+        faces, known = self._cards, self._invariants
+        wanted = [c for c in cards if 0 <= c < len(faces) - 1 and (compose_check or c not in known)]
+        if wanted:
+            maps = {c: coboundary_sign_entries(faces[c], faces[c + 1]) for c in wanted}
+            if compose_check:
+                check_composes_to_zero(list(maps.values()))
+            todo = [c for c in wanted if c not in known]
+
+            def before_each():
+                for c in todo:
+                    check_deadline(deadline, f"cohomology out of faces of cardinality {c}")
+                    yield maps[c]
+
+            for c, (rank, factors) in zip(todo, cochain_invariants(before_each())):
+                known[c] = (rank, tuple(factors))
+        return [known.get(c, (0, ())) for c in cards]
 
     def link(self, vertices) -> "SimplicialComplex":
         W = _mask(vertices)
@@ -156,7 +215,7 @@ def reduced_cohomology(cx: SimplicialComplex, coeff="Z", deadline=None) -> dict:
     of tables keyed by coefficient.  deadline (a time.monotonic() value)
     is checked before each elimination.
 
-    Every table comes from one elimination per coboundary over Z.  With
+    Every table comes from the complex's coboundary_invariants.  With
     rank r and nontrivial invariant factors t for each coboundary, the
     spot of cardinality c has dimension faces(c) - r_in - r_out over Q, the
     same with r replaced by r minus the factors divisible by p over F_p,
@@ -164,19 +223,9 @@ def reduced_cohomology(cx: SimplicialComplex, coeff="Z", deadline=None) -> dict:
     checks that consecutive coboundaries compose to zero.
     """
     coeffs = _coefficients(coeff)
-    cards = cx._cards  # empty for the void complex, so every table is too
-    maps = [coboundary_sign_entries(cards[c], cards[c + 1]) for c in range(len(cards) - 1)]
-    if "Z" in coeffs:
-        check_composes_to_zero(maps)
-
-    def before_each(maps):
-        for c, m in enumerate(maps):
-            check_deadline(deadline, f"cohomology out of faces of cardinality {c}")
-            yield m
-
-    edge = (0, ())  # no map into the empty face's spot, none out of the top
-    stats = [edge, *cochain_invariants(before_each(maps)), edge]
-    counts = cx.face_counts()
+    counts = cx.face_counts()  # empty for the void complex, so every table is too
+    # the map into each cardinality's spot, then the one out of the top
+    stats = cx.coboundary_invariants(range(-1, len(counts)), "Z" in coeffs, deadline)
     tables = {}
     for k in coeffs:
         table = {}
@@ -201,7 +250,7 @@ def _coefficients(coeff) -> tuple:
     return coeffs
 
 
-def _link_is_cone(facet_masks, W: int) -> bool:
+def link_is_cone(facet_masks, W: int) -> bool:
     """Whether the link of the face W is a cone: the facets containing W
     share a vertex outside W.  False when no facet contains W (void link)."""
     common = -1
@@ -227,7 +276,7 @@ def hochster_local_cohomology_piece(cx: SimplicialComplex, i: int, a, p, deadlin
         raise ValueError(f"degree {a} has a positive entry")
     check_deadline(deadline, "the Hochster piece")
     W = [i_ for i_, v in enumerate(a) if v]
-    if not cx.has_face(W) or _link_is_cone(map(_mask, cx.facets), _mask(W)):
+    if not cx.has_face(W) or link_is_cone(map(_mask, cx.facets), _mask(W)):
         return 0
     table = reduced_cohomology(cx.link(W), coeff=p, deadline=deadline)
     return table.get(i - len(W) - 1, 0)
@@ -247,7 +296,7 @@ def hochster_nonzero_levels(cx: SimplicialComplex, p, deadline=None):
     facet_masks = [_mask(F) for F in cx.facets]
     for W in cx._faces:
         check_deadline(deadline, "the Hochster link scan")
-        if _link_is_cone(facet_masks, W):
+        if link_is_cone(facet_masks, W):
             continue
         vertices = bits_to_subsets(W)
         for c, table in reduced_cohomology(cx.link(vertices), coeffs).items():

@@ -1,18 +1,19 @@
-"""Bitmask subset combinatorics shared by nerve and face complexes.
+"""Bitmask subsets, the one sign-coboundary builder, and the package's
+bounded caches and deadlines.
 
-A subset of {0..r-1} is a bitmask.  The one sign-coboundary builder takes
-the faces of two consecutive sizes as sorted lists of masks, for both the
-nerve complexes that carry graded Ext and simplicial cochain complexes;
-the nerve keeps each family as one integer with bit S set for member S,
-and bits_to_subsets lists it.
+A subset of {0..r-1} is a bitmask.  The sign-coboundary builder takes the
+faces of two consecutive sizes as sorted lists of masks; every complex of
+the package, nerve or facet complex, is a simplicial.SimplicialComplex
+that keeps its faces that way.
 """
 
 from __future__ import annotations
 
+import time
+from typing import Optional
+
 # Most entries any module-level cache of the package holds.
 CACHE_LIMIT = 4096
-
-_SIZE_MASKS: dict = {}
 
 
 def cache_put(cache: dict, key, value):
@@ -23,19 +24,14 @@ def cache_put(cache: dict, key, value):
     return value
 
 
-def size_masks(r: int) -> list:
-    """For each s, the family of all subsets of {0..r-1} with s elements."""
-    masks = _SIZE_MASKS.get(r)
-    if masks is None:
-        masks = [0] * (r + 1)
-        for s in range(1 << r):
-            masks[s.bit_count()] |= 1 << s
-        masks = cache_put(_SIZE_MASKS, r, masks)
-    return masks
+def check_deadline(deadline: Optional[float], what: str):
+    """Raise TimeoutError once time.monotonic() passes deadline (None: never)."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeoutError(f"{what} passed the --timeout-secs budget")
 
 
 def bits_to_subsets(bits: int) -> list:
-    """The members of a family, ascending as integers."""
+    """The members of a bitmask, ascending."""
     out = []
     while bits:
         low = bits & -bits
@@ -44,7 +40,7 @@ def bits_to_subsets(bits: int) -> list:
     return out
 
 
-def coboundary_sign_entries(cols: list, rows: list):
+def coboundary_sign_entries(cols, rows):
     """Sparse sign entries between two lists of subsets, plus the shape.
 
     Columns run over cols, rows over rows, each a list of bitmasks.  Row T

@@ -22,10 +22,13 @@ common member.  By Dowker's theorem and the nerve lemma (Bjorner,
 "Topological methods", Handbook of Combinatorics, 1995) it has the
 cohomology of the nerve N_tau on the variables used by Mustata, "Local
 cohomology at monomial ideals", J. Symb. Comput. 2000.  Delta is the one
-computed here: it has at most 2^r faces however many variables there
-are, where N_tau has up to 2^n.  The coboundaries have entries in
-{-1, 0, 1}, and a complex with a generator in every maximal V_i is a
-cone, acyclic, with no elimination.
+computed here, as a simplicial.SimplicialComplex on the r generators
+whose facets are the maximal V_i: it has at most 2^r faces however many
+variables there are, where N_tau has up to 2^n.  The coboundaries have
+entries in {-1, 0, 1}, and a complex with a generator in every maximal
+V_i is a cone (simplicial.link_is_cone at the empty face), acyclic, with
+no elimination.  Otherwise the group is read off the complex's
+coboundary_invariants, the same route as simplicial.reduced_cohomology.
 
 Multiplication by x_i and the passage from one power level to the next
 both shrink every V_i (and may deactivate a variable), so the target
@@ -46,102 +49,57 @@ over S, so it is a chain map exactly when each generator of the higher
 list is divisible by the generator in the same position of the lower
 one (comparison_chain_check), an O(r*n) test.
 
-A face family of Delta is one integer whose bit at position S (a bitmask
-of generators) marks the face S; the coboundary builder takes the families
-as sorted lists of masks.  Complexes, eliminations, presentation bases and
-restriction maps are cached by family, shared across degrees, levels and
-ideals, each cache holding at most subsets.CACHE_LIMIT entries.
+A piece keeps Delta's faces of sizes j-2, j-1 and j as sorted tuples of
+generator bitmasks.  Complexes are cached by their V_i, and presentation
+bases and restriction maps by those face tuples, shared across degrees,
+levels and ideals, each cache holding at most subsets.CACHE_LIMIT
+entries; a complex keeps its own eliminations.
 """
 
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from math import comb, prod
 from operator import attrgetter
 from typing import Optional
 
-from .intlinalg import (
-    CohomologyBasis,
-    FinAbGroup,
-    IntMatrix,
-    InducedMap,
-    invariant_factors_sparse,
-)
+from .intlinalg import CohomologyBasis, FinAbGroup, IntMatrix, InducedMap
+# the layer trace (perfbench/spans.py) wraps this name in this module
+from .intlinalg import invariant_factors_sparse  # noqa: F401
 from .monomials import MonomialIdeal
 from .polynomials import MultiIndex
 from .scalars import padic_valuation
-from .subsets import bits_to_subsets, cache_put, coboundary_sign_entries, size_masks
+from .simplicial import SimplicialComplex, link_is_cone
+from .subsets import bits_to_subsets, cache_put, check_deadline, coboundary_sign_entries
 
-# input validation: Delta has up to 2^r faces, held as 2^r-bit families
+# input validation: Delta on r generators has up to 2^r faces
 MAX_GENERATORS = 12
 
 _NERVE_CACHE: dict = {}
-_STATS_CACHE: dict = {}
 _BASIS_CACHE: dict = {}
 _RESTRICTION_CACHE: dict = {}
 
 
-def check_deadline(deadline: Optional[float], what: str):
-    """Raise TimeoutError once time.monotonic() passes deadline (None: never)."""
-    if deadline is not None and time.monotonic() > deadline:
-        raise TimeoutError(f"{what} passed the --timeout-secs budget")
-
-
-def _nerve(simplices: frozenset):
-    """(face families by size, whether the complex is a cone) of Delta.
+def _nerve(r: int, simplices: frozenset):
+    """(Delta, whether it is a cone) on r generators.
 
     simplices holds the nonempty V_i as generator bitmasks; the faces are
-    the empty face and the subsets of each.  Entry k of the families holds
-    the faces with k vertices.  When one generator lies in every maximal
-    V_i, every face lies in a maximal V_i with it, so the complex is a cone
-    over that generator, hence acyclic.
+    the empty face and the subsets of each.  When one generator lies in
+    every maximal V_i, every face lies in a maximal V_i with it, so the
+    complex is a cone over that generator, hence acyclic.
     """
-    hit = _NERVE_CACHE.get(simplices)
+    key = (r, simplices)
+    hit = _NERVE_CACHE.get(key)
     if hit is None:
-        faces = 1  # the empty face
-        common = -1
-        width = 0
-        for face in simplices:
-            below = 1  # the subsets of face: adding the vertex with bit v moves a face up by v
-            rest = face
-            while rest:
-                v = rest & -rest
-                below |= below << v
-                rest ^= v
-            faces |= below
-            if not any(face != other and face & other == face for other in simplices):
-                common &= face
-            width = max(width, face.bit_length())
-        sizes = tuple(faces & mask for mask in size_masks(width))
-        hit = cache_put(_NERVE_CACHE, simplices, (sizes, common > 0))
+        maximal = [F for F in simplices if not any(F != G and F & G == F for G in simplices)]
+        cx = SimplicialComplex(r, [bits_to_subsets(F) for F in maximal] or [()])
+        hit = cache_put(_NERVE_CACHE, key, (cx, link_is_cone(maximal, 0)))
     return hit
 
 
-def _coboundary_stats(cols: int, rows: int):
-    """(rank, nontrivial invariant factors) of the coboundary between face families."""
-    key = (cols, rows)
-    hit = _STATS_CACHE.get(key)
-    if hit is None:
-        entries, nr, nc = coboundary_sign_entries(bits_to_subsets(cols), bits_to_subsets(rows))
-        rank, factors = invariant_factors_sparse(entries, nr, nc)
-        hit = cache_put(_STATS_CACHE, key, (rank, tuple(factors)))
-    return hit
-
-
-def _cohomology(triple) -> FinAbGroup:
-    """The group at the middle family of (below, here, above)."""
-    below, here, above = triple
-    if not here:
-        return FinAbGroup.trivial()
-    rank_in, torsion = _coboundary_stats(below, here) if below else (0, ())
-    rank_out = _coboundary_stats(here, above)[0] if above else 0
-    return FinAbGroup(here.bit_count() - rank_in - rank_out, torsion)
-
-
-def _dense_coboundary(cols: int, rows: int) -> IntMatrix:
-    entries, nr, nc = coboundary_sign_entries(bits_to_subsets(cols), bits_to_subsets(rows))
+def _dense_coboundary(cols, rows) -> IntMatrix:
+    entries, nr, nc = coboundary_sign_entries(cols, rows)
     M = IntMatrix(nr, nc)
     for (i, j), v in entries.items():
         M.rows[i][j] = v
@@ -154,13 +112,13 @@ def _nerve_basis(triple) -> CohomologyBasis:
         below, here, above = triple
         d_in = _dense_coboundary(below, here) if below else None
         d_out = _dense_coboundary(here, above) if above else None
-        basis = cache_put(_BASIS_CACHE, triple, CohomologyBasis(d_in, d_out, here.bit_count()))
+        basis = cache_put(_BASIS_CACHE, triple, CohomologyBasis(d_in, d_out, len(here)))
     return basis
 
 
 def _is_subcomplex(src_triple, tgt_triple) -> bool:
-    """Whether every face of the target families is a face of the source's."""
-    return not any(t & ~s for s, t in zip(src_triple, tgt_triple))
+    """Whether every face of the target's face tuples is a face of the source's."""
+    return all(s is t or set(t).issubset(s) for s, t in zip(src_triple, tgt_triple))
 
 
 def _restriction(src_triple, tgt_triple) -> InducedMap:
@@ -176,9 +134,9 @@ def _restriction(src_triple, tgt_triple) -> InducedMap:
             raise ValueError("target complex is not a subcomplex of the source complex")
         src = _nerve_basis(src_triple)
         tgt = _nerve_basis(tgt_triple)
-        spos = {F: c for c, F in enumerate(bits_to_subsets(src_triple[1]))}
+        spos = {F: c for c, F in enumerate(src_triple[1])}
         chain = IntMatrix(tgt.dim, src.dim)
-        for row, F in enumerate(bits_to_subsets(tgt_triple[1])):
+        for row, F in enumerate(tgt_triple[1]):
             chain.rows[row][spos[F]] = 1
         induced = cache_put(_RESTRICTION_CACHE, key, InducedMap(src, tgt, chain))
     return induced
@@ -252,16 +210,19 @@ class TaylorComplex:
 
     def _piece(self, j: int, alpha: tuple, cover: tuple) -> "GradedExtPiece":
         tau_zero = all(members is None for members in cover)
-        if self.r == 0:  # A/(0) = A: Z at spot 0 in the degrees alpha >= 0
-            triple = (0, 1 if j == 0 and tau_zero else 0, 0)
-            group = _cohomology(triple)
+        if self.r == 0:  # A/(0) = A: Z at spot 0 (the empty face) in the degrees alpha >= 0
+            triple = ((), (0,) if j == 0 and tau_zero else (), ())
+            group = FinAbGroup(len(triple[1]))
         elif tau_zero:  # the void complex
-            triple = (0, 0, 0)
+            triple = ((), (), ())
             group = FinAbGroup.trivial()
         else:
-            sizes, cone = _nerve(frozenset(filter(None, cover)))
-            triple = tuple(sizes[k] if 0 <= k < len(sizes) else 0 for k in (j - 2, j - 1, j))
-            group = FinAbGroup.trivial() if cone else _cohomology(triple)
+            nerve, cone = _nerve(self.r, frozenset(filter(None, cover)))
+            group = FinAbGroup.trivial()
+            if not cone:
+                (r_in, t_in), (r_out, _) = nerve.coboundary_invariants((j - 2, j - 1), False, None)
+                group = FinAbGroup(len(nerve.faces_of_size(j - 1)) - r_in - r_out, t_in)
+            return GradedExtPiece(self, j, alpha, group, nerve)
         return GradedExtPiece(self, j, alpha, group, triple)
 
     def ext_piece(self, j: int, alpha) -> "GradedExtPiece":
@@ -317,12 +278,13 @@ class TaylorComplex:
             found = self._piece(j, corner, tuple(members for _, _, members in combo))
             if not found.is_nonzero():
                 continue
+            group, triple = found.group, found.triple
             runs = [range(first, last + 1) for first, last, _ in combo]
             for k, alpha in enumerate(itertools.product(*runs)):
                 if not k & 1023:
                     check_deadline(deadline, what)
                 if all(lo <= a <= hi for a, (lo, hi) in zip(alpha, box)):
-                    pieces.append(GradedExtPiece(self, j, alpha, found.group, found.triple))
+                    pieces.append(GradedExtPiece(self, j, alpha, group, triple))
                 else:
                     offenders.append(alpha)
         pieces.sort(key=attrgetter("alpha"))
@@ -366,17 +328,27 @@ class GradedExtPiece:
 
     The group is reported over Z; over the p-local base ring only the free
     rank and the p-primary torsion survive, which dvr_invariants extracts.
-    triple holds the complex's face families of sizes j-2, j-1 and j.
+    triple holds the complex's faces of sizes j-2, j-1 and j, each a
+    sorted tuple of generator bitmasks.  It may be given as Delta itself,
+    which then lists them on first use: most pieces are cones, and nothing
+    reads their faces.
     """
 
-    __slots__ = ("complex", "j", "alpha", "group", "triple")
+    __slots__ = ("complex", "j", "alpha", "group", "_triple")
 
     def __init__(self, tc, j, alpha, group, triple):
         self.complex = tc
         self.j = j
         self.alpha = alpha
         self.group = group
-        self.triple = triple
+        self._triple = triple
+
+    @property
+    def triple(self) -> tuple:
+        if isinstance(self._triple, SimplicialComplex):
+            sizes = (self.j - 2, self.j - 1, self.j)
+            self._triple = tuple(self._triple.faces_of_size(k) for k in sizes)
+        return self._triple
 
     def is_nonzero(self) -> bool:
         return not self.group.is_trivial()

@@ -13,9 +13,11 @@ space-separated exponents.
 Facet file: header `vertices n`, then one facet per line as distinct
 vertex indices in [0, n).
 
-Generator file: header `vars n`, then one polynomial expression per line.
-Expressions are sums of terms; a term is `*`-separated factors, each an
-integer, a fraction a/b, or a variable power x<k> or x<k>^<e>.
+Generator file: an optional header `vars n`, then one polynomial
+expression per line; without the header n is 1 + the largest variable
+index in the file.  Expressions are sums of terms; a term is
+`*`-separated factors, each an integer, a fraction a/b, or a variable
+power x<k> or x<k>^<e>, and every sign is followed by a term.
 
     vars 2
     3*x0^2*x1 - 1/2*x1
@@ -77,8 +79,11 @@ def parse_polynomial(text: str, ring, n: int | None = None) -> Polynomial:
     compact = re.sub(r"\s+", "", text)
     if not compact:
         raise ValueError("empty expression")
+    chunks = _TERM_RE.findall(compact)
+    if "".join(chunks) != compact:
+        raise ValueError(f"a sign with no term after it in {compact!r}")
     terms = []
-    for chunk in _TERM_RE.findall(compact):
+    for chunk in chunks:
         try:
             terms.append(_parse_term(chunk, ring))
         except ValueError as exc:
@@ -97,26 +102,6 @@ def parse_polynomial(text: str, ring, n: int | None = None) -> Polynomial:
         e = tuple(exps.get(i, 0) for i in range(n))
         f = f + Polynomial.monomial(ring, n, e, c)
     return f
-
-
-def parse_polynomials(texts, ring, n: int | None = None) -> tuple:
-    """Parse several expressions over a shared variable count.
-
-    With n None, every polynomial gets the count inferred from the
-    largest index across the whole batch.
-    """
-    texts = list(texts)
-    if n is None:
-        best = -1
-        for t in texts:
-            for m in re.finditer(r"x(\d+)", t):
-                best = max(best, int(m.group(1)))
-        if best < 0:
-            raise ValueError(
-                "cannot infer the variable count from constants; pass n"
-            )
-        n = best + 1
-    return tuple(parse_polynomial(t, ring, n) for t in texts)
 
 
 def _significant_lines(text: str):
@@ -175,8 +160,15 @@ def load_facets_text(text: str, source: str = "<string>"):
 
 
 def load_generators_text(text: str, ring, source: str = "<string>") -> tuple:
-    lines = _significant_lines(text)
-    n = _header_value(lines, "vars", source)
+    lines = list(_significant_lines(text))
+    if lines and lines[0][1].split()[0] == "vars":
+        n = _header_value(iter(lines), "vars", source)
+        lines = lines[1:]
+    else:
+        indices = [int(k) for _, line in lines for k in re.findall(r"x(\d+)", line)]
+        if lines and not indices:
+            raise ValueError(f"{source}: cannot infer the variable count from constants")
+        n = 1 + max(indices, default=0)
     gens = []
     for lineno, line in lines:
         try:
@@ -184,7 +176,7 @@ def load_generators_text(text: str, ring, source: str = "<string>") -> tuple:
         except ValueError as exc:
             raise ValueError(f"{source}:{lineno}: {exc}") from None
     if not gens:
-        raise ValueError(f"{source}: no generators after the header")
+        raise ValueError(f"{source}: no generators given")
     return tuple(gens)
 
 

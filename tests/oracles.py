@@ -30,7 +30,7 @@ from mixedchar.monomials import MonomialIdeal
 from mixedchar.polynomials import ORDER_KEYS, Polynomial, exp_add, exp_max, exp_sub
 from mixedchar.scalars import DVR, PrimeField, padic_valuation
 from mixedchar.simplicial import MAX_VERTICES, SimplicialComplex
-from mixedchar.subsets import bits_to_subsets, size_masks
+from mixedchar.subsets import bits_to_subsets
 from mixedchar.taylor import ExtScanResult, GradedExtPiece
 
 
@@ -447,6 +447,20 @@ def _dense(entries, nrows, ncols):
 # A strand depends only on its basis bitmasks, so these are shared by every
 # TaylorStrands, across degrees, levels and ideals.
 _STRAND_STATS = {}
+_SIZE_MASKS: dict = {}
+
+
+def size_masks(r: int) -> list:
+    """For each s, the family of all subsets of {0..r-1} with s elements,
+    as one integer with bit S set for each member S."""
+    if r not in _SIZE_MASKS:
+        masks = [0] * (r + 1)
+        for s in range(1 << r):
+            masks[s.bit_count()] |= 1 << s
+        _SIZE_MASKS[r] = masks
+    return _SIZE_MASKS[r]
+
+
 _STRAND_BASES = {}
 _STRAND_INCLUSIONS = {}
 
@@ -642,6 +656,16 @@ def pairwise_facets(faces):
             if not any(F != G and F & G == F for G in faces)
         )
     )
+
+
+def is_cone_by_apex(cx) -> bool:
+    """Whether some vertex v makes every face F of cx have F + v a face.
+
+    A search over all vertices and faces, apart from the library's test on
+    facets.  The void complex has no apex.
+    """
+    faces = cx._faces
+    return bool(faces) and any(all(F | 1 << v in faces for F in faces) for v in range(cx.n))
 
 
 def dense_reduced_cohomology(cx, coeff="Z"):

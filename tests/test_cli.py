@@ -222,6 +222,16 @@ def test_field_must_be_prime(capsys, command):
         code, out, err = run(capsys, command, "--ideal", REISNER, "--levels", "2", "--p", "4")
         assert code == 1 and out == "", command
         assert err.strip() == "error: 4 is not prime", command
+    # --p 1 and -1 once looped forever here, and --p 0 divided by zero
+    on_ideal = (
+        ("ext", "--j", "4", "--alpha", "-1,-1,-1,-1,-1,-1"),
+        ("scan", "--j", "4", "--box", "-1:0"),
+    )
+    for argv in on_ideal:
+        for p in ("0", "1", "4", "-1", "-3"):
+            code, out, err = run(capsys, *argv, "--ideal", REISNER, "--p", p)
+            assert code == 1 and out == "", (argv, p)
+            assert err.strip() == f"error: {p} is not prime", (argv, p)
 
 
 def test_timeouts_are_reported_as_timeouts(capsys, tmp_path):
@@ -356,6 +366,15 @@ def test_dsub_reads_bare_generators_from_stdin(capsys, monkeypatch):
     assert code == 0
     assert data["inputs"]["gens"] == "<stdin>"
     assert data["results"] == {"ell": 0, "ideal": "(1)"}
+
+
+def test_dsub_names_the_line_of_a_dangling_sign(capsys, tmp_path):
+    path = tmp_path / "g.txt"
+    for text, line in (("x0\nx0 + x1 +\n", 2), ("vars 2\nx0 ++ x1\n", 2), ("x1\n\n+\n", 3)):
+        path.write_text(text)
+        code, out, err = run(capsys, "dsub", "--gens", str(path))
+        assert code == 1 and out == "", text
+        assert err.startswith(f"error: {path}:{line}: a sign with no term after it"), err
 
 
 def test_dsub_header_file(capsys, tmp_path):

@@ -23,7 +23,13 @@ from mixedchar.subsets import bits_to_subsets, coboundary_sign_entries
 from mixedchar.taylor import TaylorComplex, require_chain_map, transition_between
 
 from tests.conftest import REISNER_ROWS
-from tests.oracles import TaylorStrands, full_block_injective, is_injective
+from tests.oracles import (
+    TaylorStrands,
+    dense_reduced_cohomology,
+    full_block_injective,
+    is_cone_by_apex,
+    is_injective,
+)
 
 
 def _random_ideal(rng):
@@ -56,7 +62,7 @@ def test_groups_match_the_strand_oracle_on_random_ideals():
         degrees.update(_random_alpha(rng, tc) for _ in range(30))
         for alpha in sorted(degrees):
             simplices = frozenset(filter(None, tc._cover(alpha)))
-            cone = bool(simplices) and taylor._nerve(simplices)[1]
+            cone = bool(simplices) and taylor._nerve(tc.r, simplices)[1]
             for j in range(tc.r + 2):
                 got = tc.ext_piece(j, alpha).group
                 want = strands.group(j, alpha)
@@ -77,8 +83,44 @@ def test_groups_match_the_strand_oracle_on_random_ideals():
     assert cones > 1000 and maximal_only > 40, (cones, maximal_only)
 
 
+def test_the_nerve_cone_test_matches_an_apex_search():
+    # the test reads the maximal V_i only; the search reads every face
+    rng = random.Random(60606)
+    cones = others = 0
+    for _ in range(300):
+        tc = TaylorComplex(_random_ideal(rng))
+        for _ in range(10):
+            simplices = frozenset(filter(None, tc._cover(_random_alpha(rng, tc))))
+            if not simplices or tc.r == 0:
+                continue
+            cx, cone = taylor._nerve(tc.r, simplices)
+            assert cone == is_cone_by_apex(cx), (tc.gens, simplices)
+            if cone:
+                assert all(g.is_trivial() for g in dense_reduced_cohomology(cx, "Z").values())
+            cones += cone
+            others += not cone
+    assert cones > 1000 and others > 60, (cones, others)
+
+
+def test_each_nerve_eliminates_each_coboundary_once(monkeypatch):
+    # the Reisner socle scan at level 1 meets 126 nerves, 32 of them no
+    # cone, with 64 coboundaries between them; level 2 meets the same nerves
+    monkeypatch.setattr(taylor, "_NERVE_CACHE", {})
+    calls = []
+    real = intlinalg.invariant_factors_sparse
+    monkeypatch.setattr(
+        intlinalg, "invariant_factors_sparse", lambda *args: calls.append(args) or real(*args)
+    )
+    ideal = MonomialIdeal(6, REISNER_ROWS)
+    for ell, eliminations in ((1, 64), (2, 64), (2, 64)):
+        pieces = TaylorComplex(power_ideal(ideal, ell)).support_scan(4, ((-ell, 0),) * 6).pieces
+        assert len(pieces) == ell**6 and len(calls) == eliminations, (ell, len(calls))
+    nerves = [cone for _, cone in taylor._NERVE_CACHE.values()]
+    assert (len(nerves), nerves.count(False)) == (126, 32)
+
+
 def test_wide_ideals_run_on_the_generators():
-    # Delta's families stay below 2^r bits however many variables there are
+    # Delta's faces lie on the r generators however many variables there are
     rng = random.Random(60605)
     for _ in range(20):
         n = rng.randint(10, 16)
@@ -92,7 +134,7 @@ def test_wide_ideals_run_on_the_generators():
             for j in range(tc.r + 2):
                 piece = tc.ext_piece(j, alpha)
                 assert piece.group == strands.group(j, alpha), (tc.gens, j, alpha)
-                assert all(family >> (1 << tc.r) == 0 for family in piece.triple)
+                assert all(F >> tc.r == 0 for faces in piece.triple for F in faces)
 
 
 def test_zero_and_unit_ideals_match_the_strand_oracle():
@@ -161,7 +203,7 @@ def _connecting(strands, piece):
             chain = IntMatrix.identity(basis.dim)
         else:
             entries, nrows, ncols = coboundary_sign_entries(
-                bits_to_subsets(piece.triple[1]), bits_to_subsets(strand[1])
+                piece.triple[1], bits_to_subsets(strand[1])
             )
             chain = IntMatrix(nrows, ncols)
             for (i, k), v in entries.items():
@@ -301,7 +343,6 @@ def test_nerve_caches_stay_bounded_over_many_ideals(monkeypatch):
     monkeypatch.setattr(subsets, "CACHE_LIMIT", limit)
     caches = {
         (taylor, "_NERVE_CACHE"),
-        (taylor, "_STATS_CACHE"),
         (taylor, "_BASIS_CACHE"),
         (taylor, "_RESTRICTION_CACHE"),
     }

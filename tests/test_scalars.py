@@ -14,6 +14,9 @@ def test_padic_valuation():
     assert padic_valuation(12, 2) == 2
     assert padic_valuation(12, 3) == 1
     assert padic_valuation(7, 2) == 0
+    for p in (1, 0, -1):  # no valuation; p = 1 and -1 once looped forever
+        with pytest.raises(ValueError, match="need p >= 2"):
+            padic_valuation(2, p)
     with pytest.raises(ValueError):
         padic_valuation(0, 2)
 

@@ -20,6 +20,7 @@ from .conftest import RP2_FACETS, random_facets
 from .oracles import (
     dense_reduced_cohomology,
     faces_of_cardinality,
+    is_cone_by_apex,
     pairwise_facets,
     per_field_hochster_levels,
     sign_entries,
@@ -261,13 +262,32 @@ def test_both_hochster_routes_match_the_oracle_on_random_complexes():
         cx = SimplicialComplex(n, random_facets(rng, n, rng.randint(12, 48), sizes=(2, 4)))
         facet_masks = [sum(1 << v for v in F) for F in cx.facets]
         for W in cx._faces:  # a skipped link must be acyclic
-            if simplicial._link_is_cone(facet_masks, W):
+            if simplicial.link_is_cone(facet_masks, W):
                 lk = cx.link(bits_to_subsets(W))
                 assert all(g == TRIVIAL for g in reduced_cohomology(lk).values())
         together = hochster_nonzero_levels(cx, (2, 3, "Q"))
         for coeff in (2, 3, "Q"):
             assert together[coeff] == per_field_hochster_levels(cx, coeff)
             assert _levels_from_pieces(cx, coeff) == together[coeff]
+
+
+def test_the_cone_test_matches_an_apex_search_on_every_link():
+    # every support W, faces or not: a non-face has the void link, no cone
+    rng = random.Random(47)
+    cones = others = 0
+    for _ in range(40):
+        n = rng.randint(5, 7)
+        cx = SimplicialComplex(n, random_facets(rng, n, rng.randint(2, 30), sizes=(1, 4)))
+        facet_masks = [sum(1 << v for v in F) for F in cx.facets]
+        for W in range(1 << n):
+            lk = cx.link(bits_to_subsets(W))
+            cone = simplicial.link_is_cone(facet_masks, W)
+            assert cone == is_cone_by_apex(lk), (cx, W)
+            if cone:  # a cone is acyclic over Z by the dense route too
+                assert all(g == TRIVIAL for g in dense_reduced_cohomology(lk, "Z").values())
+            cones += cone
+            others += cx.has_face(bits_to_subsets(W)) and not cone
+    assert cones > 500 and others > 100, (cones, others)
 
 
 def test_the_simplex_scan_builds_one_link(monkeypatch):
@@ -330,7 +350,7 @@ def test_builder_entries_match_the_position_parity_oracle(seed):
 def test_integral_table_rejects_a_non_complex(monkeypatch):
     def flip_first_sign(cols, rows):
         entries, nrows, ncols = coboundary_sign_entries(cols, rows)
-        if cols != [0]:  # flip one sign of the map out of the empty face only
+        if tuple(cols) != (0,):  # flip one sign of the map out of the empty face only
             return entries, nrows, ncols
         key = min(entries)
         return {**entries, key: -entries[key]}, nrows, ncols

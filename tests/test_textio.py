@@ -12,7 +12,6 @@ from mixedchar.textio import (
     load_generators_text,
     load_ideal_text,
     parse_polynomial,
-    parse_polynomials,
     reisner_ideal,
     rp2_facets,
     schmitt_vogel_generators,
@@ -75,9 +74,17 @@ def test_parse_polynomial_out_of_range_variable():
         parse_polynomial("x5", ZZ, n=2)
 
 
-def test_parse_polynomials_shared_inference():
-    fs = parse_polynomials(["x0", "x3 + 1"], ZZ)
+def test_parse_polynomial_rejects_a_dangling_sign():
+    for text in ("x0 +", "x0 ++ x1", "+", "x0 - -x1", "-"):
+        with pytest.raises(ValueError, match="a sign with no term after it"):
+            parse_polynomial(text, ZZ, n=2)
+    assert parse_polynomial("-x0 + x1", ZZ) == parse_polynomial("x1 - x0", ZZ)
+
+
+def test_headerless_generators_share_one_variable_count():
+    fs = load_generators_text("x0\nx3 + 1\n", ZZ)
     assert all(f.n == 4 for f in fs)
+    assert fs == load_generators_text("vars 4\nx0\nx3 + 1\n", ZZ)
 
 
 def test_load_ideal_text_roundtrip():
@@ -123,6 +130,19 @@ def test_load_generators_text_line_numbers():
     assert len(gens) == 2 and gens[0].n == 2
     with pytest.raises(ValueError, match="g.gens:3: in term"):
         load_generators_text("vars 2\nx0\nx0 + zz\n", ZZ, source="g.gens")
+
+
+def test_headerless_generator_errors_carry_line_numbers():
+    # without the header the line numbers are the file's own, comments included
+    with pytest.raises(ValueError, match=r"^g.txt:3: in term '\+\*x2'"):
+        load_generators_text("# two lines\nx0 + x1\nx1 +*x2\n", ZZ, source="g.txt")
+    with pytest.raises(ValueError, match=r"^g.txt:2: a sign with no term"):
+        load_generators_text("x0\nx1 +\n", ZZ, source="g.txt")
+    with pytest.raises(ValueError, match="g.txt: cannot infer the variable count"):
+        load_generators_text("3\n4\n", ZZ, source="g.txt")
+    for text in ("", "# only a comment\n", "vars 2\n"):
+        with pytest.raises(ValueError, match="g.txt: no generators given"):
+            load_generators_text(text, ZZ, source="g.txt")
 
 
 def test_bundled_reisner_ideal():
