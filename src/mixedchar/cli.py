@@ -34,7 +34,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Optional
 
 from .diffops import classify_d_submodule, pi_saturate
 from .filtrations import (
@@ -148,7 +147,7 @@ def _parse_alpha(text: str, n: int):
     return alpha
 
 
-def _deadline(ns) -> Optional[float]:
+def _deadline(ns) -> float | None:
     if ns.timeout_secs is None:
         return None
     return time.monotonic() + ns.timeout_secs

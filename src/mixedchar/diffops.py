@@ -9,9 +9,7 @@ package (power series inputs are out of scope, only polynomials are handled).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Optional
 
 from .monomials import MonomialIdeal
 from .polynomials import MultiIndex, Polynomial, exp_sub
@@ -47,7 +45,7 @@ class DividedPowerOp:
         self.terms = tuple(cleaned)
 
     @classmethod
-    def single(cls, ring, n: int, order: MultiIndex, coeff: Optional[Polynomial] = None):
+    def single(cls, ring, n: int, order: MultiIndex, coeff: Polynomial | None = None):
         if coeff is None:
             coeff = Polynomial.constant(ring, n, ring.one())
         return cls(ring, n, [(coeff, order)])
@@ -101,7 +99,6 @@ def apply_op(op: DividedPowerOp, f: Polynomial) -> Polynomial:
     return out
 
 
-@dataclass(frozen=True)
 class DSubmoduleVerdict:
     """Classification of the differential submodule generated by polynomials.
 
@@ -110,8 +107,11 @@ class DSubmoduleVerdict:
     ell == 0 means the whole ring.
     """
 
-    p: int
-    ell: int
+    __slots__ = ("p", "ell")
+
+    def __init__(self, p: int, ell: int):
+        self.p = p
+        self.ell = ell
 
     def is_unit(self) -> bool:
         return self.ell == 0
@@ -174,7 +174,6 @@ def pi_saturate(gens: list) -> MonomialIdeal:
     return MonomialIdeal(n, exps)
 
 
-@dataclass(frozen=True)
 class AnnihilatorEvidence:
     """Facts a computation established about a module M over V[x].
 
@@ -184,17 +183,33 @@ class AnnihilatorEvidence:
     infinite_type_witness: a filtration certified that no pi-power can kill M.
     """
 
-    p: int
-    nonzero: bool
-    kill_exponent: Optional[int] = None
-    infinite_type_witness: bool = False
+    __slots__ = ("p", "nonzero", "kill_exponent", "infinite_type_witness")
+
+    def __init__(
+        self,
+        p: int,
+        nonzero: bool,
+        kill_exponent: int | None = None,
+        infinite_type_witness: bool = False,
+    ):
+        self.p = p
+        self.nonzero = nonzero
+        self.kill_exponent = kill_exponent
+        self.infinite_type_witness = infinite_type_witness
 
 
-@dataclass(frozen=True)
 class Annihilator:
-    kind: str  # unit | pi_power | zero | inconclusive
-    p: int
-    exponent: Optional[int] = None
+    __slots__ = ("kind", "p", "exponent")
+
+    def __init__(self, kind: str, p: int, exponent: int | None = None):
+        self.kind = kind  # unit | pi_power | zero | inconclusive
+        self.p = p
+        self.exponent = exponent
+
+    def __eq__(self, other):
+        if not isinstance(other, Annihilator):
+            return NotImplemented
+        return (self.kind, self.p, self.exponent) == (other.kind, other.p, other.exponent)
 
     def tag(self) -> str:
         if self.kind == "unit":

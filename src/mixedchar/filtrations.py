@@ -17,28 +17,28 @@ localization R_f split along f = pi^e g with g of pi-content zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from .polynomials import Polynomial, exact_divide
 from .scalars import DVR
 
 
-def _min_valuation(f: Polynomial) -> Optional[int]:
+def _min_valuation(f: Polynomial) -> int | None:
     """Least pi-adic coefficient valuation; None for the zero polynomial."""
     vals = [c.valuation() for c in f.terms.values()]
     return min(vals) if vals else None
 
 
-@dataclass(frozen=True)
 class LocalizedElement:
     """numerator / f^f_power, kept with f not dividing the numerator."""
 
-    numerator: Polynomial
-    f_power: int
+    __slots__ = ("numerator", "f_power")
+
+    def __init__(self, numerator: Polynomial, f_power: int):
+        self.numerator = numerator
+        self.f_power = f_power
 
 
-@dataclass(frozen=True)
 class Tier:
     """One quotient in the chain, with its Z-indexed layer family.
 
@@ -46,19 +46,46 @@ class Tier:
     act on the same element representation as the samples.
     """
 
-    name: str
-    a: Optional[int]
-    b: Optional[int]
-    window: tuple
-    membership: Callable
-    pi_action: Callable
-    zero: Callable
-    samples: tuple
-    layer_class: str
-    d_stable: bool = True
-    layer_in_base_category: bool = True
-    tail_iso_low: bool = True
-    tail_iso_high: bool = True
+    __slots__ = (
+        "name", "a", "b", "window", "membership", "pi_action", "zero", "samples",
+        "layer_class", "d_stable", "layer_in_base_category", "tail_iso_low", "tail_iso_high",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        a: int | None,
+        b: int | None,
+        window: tuple,
+        membership: Callable,
+        pi_action: Callable,
+        zero: Callable,
+        samples: tuple,
+        layer_class: str,
+        d_stable: bool = True,
+        layer_in_base_category: bool = True,
+        tail_iso_low: bool = True,
+        tail_iso_high: bool = True,
+    ):
+        self.name = name
+        self.a = a
+        self.b = b
+        self.window = window
+        self.membership = membership
+        self.pi_action = pi_action
+        self.zero = zero
+        self.samples = samples
+        self.layer_class = layer_class
+        self.d_stable = d_stable
+        self.layer_in_base_category = layer_in_base_category
+        self.tail_iso_low = tail_iso_low
+        self.tail_iso_high = tail_iso_high
+
+    def copy(self, **changes) -> Tier:
+        """This tier with the named fields replaced and every other kept."""
+        fields = {name: getattr(self, name) for name in Tier.__slots__}
+        fields.update(changes)
+        return Tier(**fields)
 
     def describe(self) -> dict:
         return {
@@ -73,21 +100,25 @@ class Tier:
         }
 
 
-@dataclass(frozen=True)
 class FiltrationSpec:
-    name: str
-    tiers: tuple
+    __slots__ = ("name", "tiers")
+
+    def __init__(self, name: str, tiers: tuple):
+        self.name = name
+        self.tiers = tiers
 
     def describe(self) -> dict:
         return {"name": self.name, "tiers": [t.describe() for t in self.tiers]}
 
 
-@dataclass(frozen=True)
 class AxiomCheck:
-    tier: int
-    condition: int
-    ok: bool
-    failures: tuple = ()
+    __slots__ = ("tier", "condition", "ok", "failures")
+
+    def __init__(self, tier: int, condition: int, ok: bool, failures: tuple = ()):
+        self.tier = tier
+        self.condition = condition
+        self.ok = ok
+        self.failures = failures
 
     def describe(self) -> dict:
         return {
@@ -98,9 +129,11 @@ class AxiomCheck:
         }
 
 
-@dataclass(frozen=True)
 class AxiomReport:
-    checks: tuple
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: tuple):
+        self.checks = checks
 
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
@@ -161,10 +194,12 @@ def check_axioms(spec: FiltrationSpec) -> AxiomReport:
     return AxiomReport(tuple(checks))
 
 
-@dataclass(frozen=True)
 class FiniteLength:
-    ell_bound: int
-    kill_verified: bool
+    __slots__ = ("ell_bound", "kill_verified")
+
+    def __init__(self, ell_bound: int, kill_verified: bool):
+        self.ell_bound = ell_bound
+        self.kill_verified = kill_verified
 
     def tag(self) -> str:
         return f"finite-length, killed by pi^{self.ell_bound}"
@@ -177,10 +212,12 @@ class FiniteLength:
         }
 
 
-@dataclass(frozen=True)
 class InfiniteLength:
-    annihilator: str = "(0)"
-    survivor_powers_checked: int = 0
+    __slots__ = ("annihilator", "survivor_powers_checked")
+
+    def __init__(self, annihilator: str = "(0)", survivor_powers_checked: int = 0):
+        self.annihilator = annihilator
+        self.survivor_powers_checked = survivor_powers_checked
 
     def tag(self) -> str:
         return f"infinite-length, annihilator {self.annihilator}"
@@ -355,7 +392,7 @@ def inject_shift_fault(spec: FiltrationSpec, tier_index: int = 0) -> FiltrationS
     membership by one step, breaking the shift condition on the window."""
     tier = spec.tiers[tier_index]
     orig = tier.membership
-    bad = replace(tier, membership=lambda x, j: orig(x, 2 * j))
+    bad = tier.copy(membership=lambda x, j: orig(x, 2 * j))
     tiers = list(spec.tiers)
     tiers[tier_index] = bad
     return FiltrationSpec(spec.name + " [shift fault]", tuple(tiers))
@@ -365,7 +402,7 @@ def inject_tail_fault(spec: FiltrationSpec, tier_index: int = 0) -> FiltrationSp
     """Copy with one tier's low bound forgotten and its low tail declared
     non-isomorphic, breaking the almost-everywhere isomorphism condition."""
     tier = spec.tiers[tier_index]
-    bad = replace(tier, a=None, tail_iso_low=False)
+    bad = tier.copy(a=None, tail_iso_low=False)
     tiers = list(spec.tiers)
     tiers[tier_index] = bad
     return FiltrationSpec(spec.name + " [tail fault]", tuple(tiers))

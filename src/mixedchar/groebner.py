@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from typing import Iterable, Optional, Sequence
+from collections.abc import Iterable, Sequence
 
 from .monomials import MonomialIdeal
 from .polynomials import ORDER_KEYS, Polynomial, exp_leq, exp_max, exp_sub
@@ -114,7 +114,7 @@ def _update(heap, key, leads, active: list, h: int) -> list:
 
 
 def buchberger(
-    gens: Iterable[Polynomial], order: str = "grlex", deadline: Optional[float] = None
+    gens: Iterable[Polynomial], order: str = "grlex", deadline: float | None = None
 ) -> list:
     """A (not yet reduced) Groebner basis of the ideal the generators span.
 
@@ -174,7 +174,7 @@ def reduce_basis(basis: Sequence[Polynomial], order: str = "grlex") -> tuple:
 
 
 def groebner_basis(
-    gens: Iterable[Polynomial], order: str = "grlex", deadline: Optional[float] = None
+    gens: Iterable[Polynomial], order: str = "grlex", deadline: float | None = None
 ) -> tuple:
     return reduce_basis(buchberger(gens, order, deadline), order)
 
@@ -183,7 +183,7 @@ def radical_member(
     f: Polynomial,
     gens: Sequence[Polynomial],
     order: str = "grlex",
-    deadline: Optional[float] = None,
+    deadline: float | None = None,
 ) -> bool:
     """Whether some power of f lands in the ideal the generators span.
 
@@ -229,7 +229,7 @@ def monomial_ideal_member(f: Polynomial, ideal: MonomialIdeal) -> bool:
     return all(ideal.contains_monomial(e) for e in f.terms)
 
 
-def sv_containment_check(ring, order: str = "grlex", deadline: Optional[float] = None) -> dict:
+def sv_containment_check(ring, order: str = "grlex", deadline: float | None = None) -> dict:
     """Both halves of the four-element containment certificate.
 
     The four structured cubic sums sit inside the ten-generator ideal

@@ -22,9 +22,6 @@ contradicted by deeper levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .diffops import Annihilator, AnnihilatorEvidence, infer_annihilator
 from .monomials import MonomialIdeal, power_ideal
 from .scalars import is_prime
@@ -32,30 +29,43 @@ from .subsets import check_deadline
 from .taylor import TaylorComplex, require_chain_map, transition_between
 
 
-@dataclass(frozen=True)
 class PipelineStage:
-    name: str
-    ok: bool
-    details: dict
+    __slots__ = ("name", "ok", "details")
+
+    def __init__(self, name: str, ok: bool, details: dict):
+        self.name = name
+        self.ok = ok
+        self.details = details
 
     def describe(self) -> dict:
         return {"name": self.name, "ok": self.ok, "details": self.details}
 
 
-@dataclass(frozen=True)
 class PipelineReport:
-    p: int
-    j: int
-    levels: int
-    ideal: MonomialIdeal
-    stages: tuple
-    evidence: Optional[AnnihilatorEvidence]
-    verdict: Optional[Annihilator]
+    __slots__ = ("p", "j", "levels", "ideal", "stages", "evidence", "verdict")
+
+    def __init__(
+        self,
+        p: int,
+        j: int,
+        levels: int,
+        ideal: MonomialIdeal,
+        stages: tuple,
+        evidence: AnnihilatorEvidence | None,
+        verdict: Annihilator | None,
+    ):
+        self.p = p
+        self.j = j
+        self.levels = levels
+        self.ideal = ideal
+        self.stages = stages
+        self.evidence = evidence
+        self.verdict = verdict
 
     def ok(self) -> bool:
         return self.verdict is not None and all(s.ok for s in self.stages)
 
-    def failing_stage(self) -> Optional[str]:
+    def failing_stage(self) -> str | None:
         for s in self.stages:
             if not s.ok:
                 return s.name
@@ -151,8 +161,10 @@ def check_transitions(complexes: dict, support: dict, p: int, deadline) -> list:
     """Per level ell below the last complex, whether the transition to
     level ell + 1 is p-locally injective at each piece of support[ell].
 
-    The chain map is checked once per level pair, and each transition
-    starts from the scanned low piece.
+    The chain map is checked once per level pair.  Each transition starts
+    from the scanned low piece and ends at the scanned high piece of the
+    same alpha.  A target missing from support[ell + 1] (p-locally zero,
+    or on a top level that was not scanned) is computed afresh.
     """
     pairs = []
     for ell in range(1, len(complexes)):
@@ -160,9 +172,13 @@ def check_transitions(complexes: dict, support: dict, p: int, deadline) -> list:
         low, high = complexes[ell], complexes[ell + 1]
         if support[ell]:
             require_chain_map(low, high)
+        scanned = {piece.alpha: piece for piece in support.get(ell + 1, ())}
         transitions = []
         for piece in support[ell]:
-            rep = transition_between(piece, high, ell)
+            target = scanned.get(piece.alpha)
+            if target is None:
+                target = high.ext_piece(piece.j, piece.alpha)
+            rep = transition_between(piece, target, ell)
             transitions.append(
                 {"alpha": list(piece.alpha), "injective": _transition_injective_over(rep, p)}
             )
@@ -183,7 +199,7 @@ def annihilator_pipeline(
     j: int = 4,
     levels: int = 3,
     box=None,
-    deadline: Optional[float] = None,
+    deadline: float | None = None,
 ) -> PipelineReport:
     """Run the three evidence stages for Ext^j of the power-ideal system.
 

@@ -9,7 +9,6 @@ tuples lexicographically.
 from __future__ import annotations
 
 from operator import add, le, sub
-from typing import Optional
 
 
 MultiIndex = tuple  # exponent tuple, one entry per variable
@@ -194,7 +193,7 @@ class Polynomial:
         return " + ".join(bits)
 
 
-def exact_divide(f: Polynomial, g: Polynomial) -> Optional[Polynomial]:
+def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial | None:
     """f / g when g divides f exactly, else None.
 
     Greedy leading-term cancellation in grlex.  Over a domain the leading

@@ -19,7 +19,6 @@ computed levels of a direct system, or "failed".
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -91,19 +90,19 @@ def verified(level=None) -> str:
 FAILED = "failed"
 
 
-@dataclass(frozen=True)
 class Claim:
     """One checked statement: registry id, instance result, and status."""
 
-    id: str
-    result: str
-    status: str
+    __slots__ = ("id", "result", "status")
 
-    def __post_init__(self):
-        if self.id not in CLAIMS:
-            raise ValueError(f"unregistered claim id: {self.id}")
-        if not _STATUS_RE.match(self.status):
-            raise ValueError(f"bad claim status: {self.status}")
+    def __init__(self, id: str, result: str, status: str):
+        if id not in CLAIMS:
+            raise ValueError(f"unregistered claim id: {id}")
+        if not _STATUS_RE.match(status):
+            raise ValueError(f"bad claim status: {status}")
+        self.id = id
+        self.result = result
+        self.status = status
 
     def failed(self) -> bool:
         return self.status == FAILED
@@ -178,13 +177,15 @@ def encode(obj, level: int = 0) -> str:
     raise ValueError(f"cannot serialize {type(obj).__name__}")
 
 
-@dataclass(frozen=True)
 class Report:
-    command: str
-    inputs: dict
-    results: dict
-    claims: tuple
-    timing: dict
+    __slots__ = ("command", "inputs", "results", "claims", "timing")
+
+    def __init__(self, command: str, inputs: dict, results: dict, claims: tuple, timing: dict):
+        self.command = command
+        self.inputs = inputs
+        self.results = results
+        self.claims = claims
+        self.timing = timing
 
     def failed_claims(self) -> tuple:
         return tuple(c for c in self.claims if c.failed())

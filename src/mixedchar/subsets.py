@@ -10,7 +10,6 @@ that keeps its faces that way.
 from __future__ import annotations
 
 import time
-from typing import Optional
 
 # Most entries any module-level cache of the package holds.
 CACHE_LIMIT = 4096
@@ -24,7 +23,7 @@ def cache_put(cache: dict, key, value):
     return value
 
 
-def check_deadline(deadline: Optional[float], what: str):
+def check_deadline(deadline: float | None, what: str):
     """Raise TimeoutError once time.monotonic() passes deadline (None: never)."""
     if deadline is not None and time.monotonic() > deadline:
         raise TimeoutError(f"{what} passed the --timeout-secs budget")

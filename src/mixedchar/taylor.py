@@ -59,10 +59,8 @@ entries; a complex keeps its own eliminations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb, prod
 from operator import attrgetter
-from typing import Optional
 
 from .intlinalg import CohomologyBasis, FinAbGroup, IntMatrix, InducedMap
 # the layer trace (perfbench/spans.py) wraps this name in this module
@@ -245,7 +243,7 @@ class TaylorComplex:
         return out
 
     def support_scan(
-        self, j: int, box=None, shell: bool = True, deadline: Optional[float] = None
+        self, j: int, box=None, shell: bool = True, deadline: float | None = None
     ) -> "ExtScanResult":
         """All nonzero Ext pieces in the box, ascending in alpha.
 
@@ -384,19 +382,37 @@ def _maybe_induced(src: GradedExtPiece, tgt: GradedExtPiece):
     return induced, induced.component_matrix()
 
 
-@dataclass(frozen=True)
 class MultMapReport:
-    j: int
-    alpha: tuple
-    variable: int
-    target_alpha: tuple
-    source_group: FinAbGroup
-    target_group: FinAbGroup
-    matrix: list
-    zero: bool
-    induced: object
-    source: GradedExtPiece
-    target: GradedExtPiece
+    __slots__ = (
+        "j", "alpha", "variable", "target_alpha", "source_group", "target_group",
+        "matrix", "zero", "induced", "source", "target",
+    )
+
+    def __init__(
+        self,
+        j: int,
+        alpha: tuple,
+        variable: int,
+        target_alpha: tuple,
+        source_group: FinAbGroup,
+        target_group: FinAbGroup,
+        matrix: list,
+        zero: bool,
+        induced: object,
+        source: GradedExtPiece,
+        target: GradedExtPiece,
+    ):
+        self.j = j
+        self.alpha = alpha
+        self.variable = variable
+        self.target_alpha = target_alpha
+        self.source_group = source_group
+        self.target_group = target_group
+        self.matrix = matrix
+        self.zero = zero
+        self.induced = induced
+        self.source = source
+        self.target = target
 
     def describe(self) -> dict:
         return {
@@ -410,15 +426,29 @@ class MultMapReport:
         }
 
 
-@dataclass(frozen=True)
 class ExtScanResult:
-    j: int
-    box: tuple
-    pieces: tuple
-    shell_checked: bool
-    shell_clean: bool
-    shell_offenders: tuple
-    degrees_scanned: int
+    __slots__ = (
+        "j", "box", "pieces", "shell_checked", "shell_clean", "shell_offenders",
+        "degrees_scanned",
+    )
+
+    def __init__(
+        self,
+        j: int,
+        box: tuple,
+        pieces: tuple,
+        shell_checked: bool,
+        shell_clean: bool,
+        shell_offenders: tuple,
+        degrees_scanned: int,
+    ):
+        self.j = j
+        self.box = box
+        self.pieces = pieces
+        self.shell_checked = shell_checked
+        self.shell_clean = shell_clean
+        self.shell_offenders = shell_offenders
+        self.degrees_scanned = degrees_scanned
 
     def complete_support(self) -> bool:
         return self.shell_checked and self.shell_clean
@@ -437,17 +467,33 @@ class ExtScanResult:
         }
 
 
-@dataclass(frozen=True)
 class TransitionMapReport:
-    ell: int
-    j: int
-    alpha: tuple
-    source_group: FinAbGroup
-    target_group: FinAbGroup
-    matrix: list
-    induced: object
-    source: GradedExtPiece
-    target: GradedExtPiece
+    __slots__ = (
+        "ell", "j", "alpha", "source_group", "target_group", "matrix", "induced", "source",
+        "target",
+    )
+
+    def __init__(
+        self,
+        ell: int,
+        j: int,
+        alpha: tuple,
+        source_group: FinAbGroup,
+        target_group: FinAbGroup,
+        matrix: list,
+        induced: object,
+        source: GradedExtPiece,
+        target: GradedExtPiece,
+    ):
+        self.ell = ell
+        self.j = j
+        self.alpha = alpha
+        self.source_group = source_group
+        self.target_group = target_group
+        self.matrix = matrix
+        self.induced = induced
+        self.source = source
+        self.target = target
 
 
 def comparison_chain_check(low: TaylorComplex, high: TaylorComplex) -> bool:
@@ -476,30 +522,32 @@ def require_chain_map(low: TaylorComplex, high: TaylorComplex) -> None:
 
 
 def transition_between(
-    source: GradedExtPiece, high: TaylorComplex, ell: int
+    source: GradedExtPiece, target: GradedExtPiece, ell: int
 ) -> TransitionMapReport:
-    """Induced map from source to high's Ext piece at the same j and alpha.
+    """Induced map from source to target, the next level's piece at the
+    same j and alpha.
 
-    source is a piece of the smaller (level-ell) ideal's complex, `high`
-    resolves the next level.  The comparison map must be a chain map
-    (require_chain_map, checked once per level pair by the caller).  Each
-    V_i only shrinks from low to high, so the high complex is a
-    subcomplex of the low one and the map is restriction of cochains.
+    source is a piece of the smaller (level-ell) ideal's complex, target
+    one of the complex resolving the next level.  The comparison map must
+    be a chain map (require_chain_map, checked once per level pair by the
+    caller).  Each V_i only shrinks from low to high, so the high complex
+    is a subcomplex of the low one and the map is restriction of cochains.
     Injectivity is asked of induced, p-locally (pipeline.check_transitions).
     """
-    tgt = high.ext_piece(source.j, source.alpha)
-    if not _is_subcomplex(source.triple, tgt.triple):
+    if (target.j, target.alpha) != (source.j, source.alpha):
+        raise ValueError("a transition maps a piece to the piece of the same j and alpha")
+    if not _is_subcomplex(source.triple, target.triple):
         raise ValueError("the higher level's complex is not a subcomplex of the lower level's")
-    induced, matrix = _maybe_induced(source, tgt)
+    induced, matrix = _maybe_induced(source, target)
     return TransitionMapReport(
         ell=ell,
         j=source.j,
         alpha=source.alpha,
         source_group=source.group,
-        target_group=tgt.group,
+        target_group=target.group,
         matrix=matrix,
         induced=induced,
         source=source,
-        target=tgt,
+        target=target,
     )
 

@@ -26,7 +26,6 @@ power x<k> or x<k>^<e>, and every sign is followed by a term.
 from __future__ import annotations
 
 import re
-from importlib import resources
 
 from .monomials import MonomialIdeal
 from .polynomials import Polynomial
@@ -181,6 +180,10 @@ def load_generators_text(text: str, ring, source: str = "<string>") -> tuple:
 
 
 def bundled_text(name: str) -> str:
+    # imported here: it loads zipfile, tempfile and pathlib, which only
+    # the fixture readers need, not every command's start-up
+    from importlib import resources
+
     return (resources.files("mixedchar") / "fixtures" / name).read_text(
         encoding="utf-8"
     )

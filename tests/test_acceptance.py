@@ -92,7 +92,7 @@ def test_criterion_3_transition_and_pipeline_verdict(capsys):
     assert support
     require_chain_map(low, high)
     for piece in support:
-        rep = transition_between(piece, high, 1)
+        rep = transition_between(piece, high.ext_piece(4, piece.alpha), 1)
         assert is_injective(rep.induced) and rep.induced.is_injective_localized(2)
     code, data, _ = run_cli(capsys, "pipeline", "--p", "2", "--levels", "2",
                             "--ideal", REISNER)

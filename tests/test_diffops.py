@@ -198,6 +198,16 @@ def test_pi_saturate_rejects_non_terms():
         pi_saturate([])
 
 
+def test_annihilators_compare_by_value():
+    a = Annihilator("pi_power", 2, 1)
+    assert a == Annihilator("pi_power", 2, 1)
+    assert a != Annihilator("pi_power", 2, 2)
+    assert a != Annihilator("pi_power", 3, 1)
+    assert a != Annihilator("zero", 2, 1)
+    assert Annihilator("zero", 2) == Annihilator("zero", 2, None)
+    assert a != ("pi_power", 2, 1)
+
+
 def test_infer_annihilator_branches():
     assert infer_annihilator(AnnihilatorEvidence(2, nonzero=False)).tag() == "(1)"
     a = infer_annihilator(AnnihilatorEvidence(2, nonzero=True, kill_exponent=1))

@@ -1,6 +1,6 @@
 import json
 
-from dataclasses import replace
+import pytest
 
 from mixedchar.filtrations import (
     FiltrationSpec,
@@ -29,7 +29,7 @@ def widen(spec, extra=5):
     tiers = []
     for t in spec.tiers:
         lo, hi = t.window
-        tiers.append(replace(t, window=(lo - extra, hi + extra)))
+        tiers.append(t.copy(window=(lo - extra, hi + extra)))
     return FiltrationSpec(spec.name, tuple(tiers))
 
 
@@ -152,7 +152,7 @@ def test_shift_fault_detected_on_condition_three():
         bad = inject_shift_fault(spec)
         report = check_axioms(bad)
         assert not report.ok()
-        assert (0, 3) in report.failed_conditions()
+        assert report.failed_conditions() == ((0, 3),)
         failed = [c for c in report.checks if not c.ok and c.condition == 3]
         assert any("escapes" in msg for c in failed for msg in c.failures)
         try:
@@ -167,12 +167,25 @@ def test_tail_fault_detected_on_condition_five():
     report = check_axioms(bad)
     assert report.failed_conditions() == ((0, 5),)
     bad_loc = inject_tail_fault(build_filtration_localization(X0))
-    assert (0, 5) in check_axioms(bad_loc).failed_conditions()
+    assert check_axioms(bad_loc).failed_conditions() == ((0, 5),)
     try:
         finite_type_and_verdict(bad)
         assert False
     except ValueError:
         pass
+
+
+def test_tier_copy_changes_only_the_named_fields():
+    tier = build_filtration_quotient(2).tiers[0]
+    copied = tier.copy(a=None, tail_iso_low=False)
+    for name in type(tier).__slots__:
+        if name in ("a", "tail_iso_low"):
+            continue
+        assert getattr(copied, name) is getattr(tier, name), name
+    assert (copied.a, copied.tail_iso_low) == (None, False)
+    assert (tier.a, tier.tail_iso_low) == (-2, True)  # the original is untouched
+    with pytest.raises(TypeError):
+        tier.copy(no_such_field=1)
 
 
 def test_verdict_stable_under_window_enlargement():

@@ -256,7 +256,7 @@ def test_transitions_and_mult_maps_match_taylor_inclusions():
             for _ in range(6):
                 alpha = _random_alpha(rng, high)
                 for j in range(low.r + 2):
-                    rep = transition_between(low.ext_piece(j, alpha), high, ell)
+                    rep = transition_between(low.ext_piece(j, alpha), high.ext_piece(j, alpha), ell)
                     want = oracle[ell].inclusion(j, alpha, oracle[ell + 1], alpha)
                     what = (ideal.gens, ell, j, alpha)
                     _assert_same_map(rep, want, oracle[ell], oracle[ell + 1], what)
@@ -294,7 +294,7 @@ def test_reisner_transitions_and_mult_maps_match_taylor_inclusions(j):
         if j == 4:
             assert len(support) == ell**6
         for piece in support:
-            rep = transition_between(piece, high, ell)
+            rep = transition_between(piece, high.ext_piece(j, piece.alpha), ell)
             want = oracle[ell].inclusion(j, piece.alpha, oracle[ell + 1], piece.alpha)
             _assert_same_map(rep, want, oracle[ell], oracle[ell + 1], (ell, piece.alpha))
             assert rep.matrix == _oracle_matrix(rep, want), (ell, piece.alpha)
@@ -322,7 +322,10 @@ def test_p_local_injectivity_is_decided_once_per_shared_map(monkeypatch):
         monkeypatch.setattr(module, name, {})
     ideal = MonomialIdeal(6, REISNER_ROWS)
     low, high = TaylorComplex(power_ideal(ideal, 2)), TaylorComplex(power_ideal(ideal, 3))
-    reps = [transition_between(piece, high, 2) for piece in low.support_scan(4).pieces]
+    reps = [
+        transition_between(piece, high.ext_piece(4, piece.alpha), 2)
+        for piece in low.support_scan(4).pieces
+    ]
     maps = {id(rep.induced): rep.induced for rep in reps}
     assert len(reps) == 64 and len(maps) == 1
     kernels = []
@@ -358,7 +361,7 @@ def test_nerve_caches_stay_bounded_over_many_ideals(monkeypatch):
             for piece in low.support_scan(j).pieces:
                 # groups stay right while entries are evicted under them
                 assert piece.group == strands.group(j, piece.alpha)
-                transition_between(piece, high, 1)
+                transition_between(piece, high.ext_piece(j, piece.alpha), 1)
                 low.mult_map(j, piece.alpha, rng.randrange(low.n))
         for cache in caches:
             size = len(getattr(*cache))

@@ -6,7 +6,13 @@ import pytest
 
 from mixedchar import taylor
 from mixedchar.monomials import MonomialIdeal
-from mixedchar.pipeline import annihilator_pipeline, build_levels, check_transitions, scan_levels
+from mixedchar.pipeline import (
+    _transition_injective_over,
+    annihilator_pipeline,
+    build_levels,
+    check_transitions,
+    scan_levels,
+)
 from mixedchar.taylor import TaylorComplex, transition_between
 from mixedchar.textio import reisner_ideal
 
@@ -133,14 +139,52 @@ def test_check_transitions_checks_each_level_pair_once_from_the_scanned_pieces(m
     assert [pair["checked"] for pair in pairs] == [1, 64]
     assert all(pair["all_injective"] for pair in pairs)
     assert len(chain_checks) == 2
-    # only the targets are built: one at level 2, 64 at level 3
-    assert pieces_built == {1: 0, 2: 1, 3: 64}
+    # every target is a scanned piece of the next level: none is built again
+    assert pieces_built == {1: 0, 2: 0, 3: 0}
     for ell, pair in zip((1, 2), pairs):
         low, high = complexes[ell], complexes[ell + 1]
         for piece, t in zip(support[ell], pair["transitions"]):
-            rep = transition_between(low.ext_piece(4, piece.alpha), high, ell)
+            alpha = piece.alpha
+            rep = transition_between(low.ext_piece(4, alpha), high.ext_piece(4, alpha), ell)
             assert t["alpha"] == list(rep.alpha)
             assert (rep.source.group, rep.source.triple) == (piece.group, piece.triple)
+
+
+def test_check_transitions_builds_only_the_targets_missing_from_the_next_scan(monkeypatch):
+    # Ext^2 of (x0 x2, x1 x2^2): one of the four Z pieces of level 1 sits
+    # in a degree where level 2 is zero, so the next scan has no such target
+    ideal = MonomialIdeal(3, [(1, 0, 1), (0, 1, 2)])
+    complexes = build_levels(ideal, 2, 2, None)
+    _, support, _, _ = scan_levels(complexes, 2, 2, None, None)
+    scanned = {piece.alpha for piece in support[2]}
+    missing = [piece.alpha for piece in support[1] if piece.alpha not in scanned]
+    built = []
+    ext_piece = TaylorComplex.ext_piece
+
+    def counted(tc, j, alpha):
+        built.append(alpha)
+        return ext_piece(tc, j, alpha)
+
+    monkeypatch.setattr(TaylorComplex, "ext_piece", counted)
+    (pair,) = check_transitions(complexes, support, 2, None)
+    monkeypatch.undo()
+    assert (len(missing), len(support[1])) == (1, 4) and built == missing
+    high = complexes[2]
+    for piece, t in zip(support[1], pair["transitions"]):
+        rep = transition_between(piece, high.ext_piece(2, piece.alpha), 1)
+        assert t["injective"] == _transition_injective_over(rep, 2)
+        if piece.alpha in missing:
+            assert not t["injective"]
+    assert not pair["all_injective"]
+
+
+def test_transition_between_needs_the_target_of_the_same_degree():
+    complexes = build_levels(reisner_ideal(), 2, 2, None)
+    piece = complexes[1].ext_piece(4, (-1,) * 6)
+    with pytest.raises(ValueError, match="same j and alpha"):
+        transition_between(piece, complexes[2].ext_piece(4, (-2,) * 6), 1)
+    with pytest.raises(ValueError, match="same j and alpha"):
+        transition_between(piece, complexes[2].ext_piece(3, (-1,) * 6), 1)
 
 
 def test_check_transitions_rejects_a_pair_that_is_not_a_chain_map():

@@ -310,19 +310,19 @@ def test_mult_map_between_torsion_pieces_is_identity():
 def test_transition_koszul():
     I = MonomialIdeal(2, [(1, 0), (0, 1)])
     low, high = TaylorComplex(I), TaylorComplex(power_ideal(I, 2))
-    report = transition_between(low.ext_piece(2, (-1, -1)), high, 1)
+    report = transition_between(low.ext_piece(2, (-1, -1)), high.ext_piece(2, (-1, -1)), 1)
     assert report.source_group == FinAbGroup.free(1)
     assert report.target_group == FinAbGroup.free(1)
     assert report.matrix == [[1]]
     assert is_injective(report.induced)
-    vacuous = transition_between(low.ext_piece(0, (0, 0)), high, 1)
+    vacuous = transition_between(low.ext_piece(0, (0, 0)), high.ext_piece(0, (0, 0)), 1)
     assert vacuous.source_group.is_trivial() and vacuous.induced is None
     assert all(_transition_injective_over(vacuous, p) for p in (2, 3))
 
 
 def test_transition_reisner_level1(rtc):
     tc2 = TaylorComplex(power_ideal(reisner(), 2))
-    report = transition_between(rtc.ext_piece(4, (-1,) * 6), tc2, 1)
+    report = transition_between(rtc.ext_piece(4, (-1,) * 6), tc2.ext_piece(4, (-1,) * 6), 1)
     assert report.source_group == FinAbGroup(0, (2,))
     assert report.target_group == FinAbGroup(0, (2,))
     assert report.matrix == [[1]]
@@ -339,7 +339,7 @@ def test_comparison_chain_check_rejects_unrelated_ideals():
     # past the chain check the nerves refuse it too: at (-1, 0) the nerve
     # of (x1) has a vertex, the nerve of (x0) only the empty face
     with pytest.raises(ValueError, match="not a subcomplex"):
-        transition_between(low.ext_piece(1, (-1, 0)), high, 1)
+        transition_between(low.ext_piece(1, (-1, 0)), high.ext_piece(1, (-1, 0)), 1)
     src, tgt = low.ext_piece(1, (-1, 0)).triple, high.ext_piece(1, (-1, 0)).triple
     with pytest.raises(ValueError, match="not a subcomplex"):
         _restriction(src, tgt)
