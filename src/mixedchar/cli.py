@@ -46,7 +46,7 @@ from .filtrations import (
 )
 from .groebner import sv_containment_check
 from .pipeline import annihilator_pipeline, build_levels, check_transitions, scan_levels
-from .reports import FAILED, Claim, Report, verified
+from .reports import Report, check
 from .scalars import DVR, PrimeField, RationalField, is_prime
 from .simplicial import (
     SimplicialComplex,
@@ -203,16 +203,7 @@ def cmd_scan(ns) -> Report:
         maps = [tc.mult_map(4, REISNER_SOCLE, i) for i in range(6)] if socle else []
         results["mult_maps"] = [m.describe() for m in maps]
         timing["mult_maps_checked"] = len(maps)
-        if socle and all(m.zero for m in maps):
-            claims.append(
-                Claim(
-                    "ext4-socle",
-                    "Ext^4 = Z/2 at (-1,...,-1), clean shell, six zero maps out",
-                    verified(),
-                )
-            )
-        else:
-            claims.append(Claim("ext4-socle", "Z/2 socle not reproduced", FAILED))
+        claims.append(check("ext4-socle", socle and all(m.zero for m in maps)))
     return Report(
         command="scan",
         inputs={
@@ -225,17 +216,6 @@ def cmd_scan(ns) -> Report:
         results=results,
         claims=tuple(claims),
         timing=timing,
-    )
-
-
-def _transition_claim(levels: int, ok: bool) -> Claim:
-    """The transition-injective claim, shared by transition and pipeline."""
-    return Claim(
-        "transition-injective",
-        f"levels 1..{levels}: injective on every computed support degree"
-        if ok
-        else f"levels 1..{levels}: injectivity not established",
-        verified() if ok else FAILED,
     )
 
 
@@ -259,7 +239,7 @@ def cmd_transition(ns) -> Report:
         command="transition",
         inputs={"ideal": source, "j": ns.j, "levels": ns.levels, "p": ns.p},
         results={"levels": checks, "all_injective": all_injective},
-        claims=(_transition_claim(ns.levels, all_injective and complete),),
+        claims=(check("transition-injective", all_injective and complete, levels=ns.levels),),
         timing={
             "degrees_scanned": sum(lv["degrees_scanned"] for lv in levels),
             "transitions_checked": sum(pair["checked"] for pair in pairs),
@@ -274,22 +254,14 @@ def cmd_pipeline(ns) -> Report:
         ideal, p=ns.p, j=ns.j, levels=ns.levels, box=box, deadline=_deadline(ns)
     )
     results = rep.describe()
-    claims = []
-    if rep.verdict is not None and rep.verdict.kind != "inconclusive":
-        claims.append(
-            Claim("top-annihilator", f"Ann = {rep.verdict.tag()}", verified(rep.levels))
-        )
-    elif rep.verdict is not None:
-        claims.append(Claim("top-annihilator", f"Ann = {rep.verdict.tag()}", FAILED))
-    else:
-        claims.append(
-            Claim(
-                "top-annihilator",
-                f"no conclusion: stage {rep.failing_stage()} did not certify",
-                FAILED,
-            )
-        )
+    conclusive = rep.verdict is not None and rep.verdict.kind != "inconclusive"
+    claims = [
+        check("top-annihilator", conclusive, rep.levels,
+              verdict=results["verdict"], stage=rep.failing_stage())
+    ]
     stage1 = rep.stages[0]
+    stage2 = next((s for s in rep.stages if s.name == "transition_injectivity"), None)
+    transitions = 0 if stage2 is None else sum(p["checked"] for p in stage2.details["pairs"])
     if ideal == reisner_ideal() and ns.j == 4 and ns.p == 2:
         torsion_ok = stage1.ok and all(
             lv["support_size"] == lv["level"] ** 6
@@ -297,23 +269,10 @@ def cmd_pipeline(ns) -> Report:
             and all(s["pi_exponents"] == [1] for s in lv["support"])
             for lv in stage1.details["levels"]
         )
-        claims.append(
-            Claim(
-                "levelwise-torsion",
-                f"levels 1..{ns.levels}: ell^6 pieces, all Z/2"
-                if torsion_ok
-                else f"levels 1..{ns.levels}: levelwise support not reproduced",
-                verified() if torsion_ok else FAILED,
-            )
-        )
-        stage2 = next((s for s in rep.stages if s.name == "transition_injectivity"), None)
-        if stage2 is not None and any(p["checked"] for p in stage2.details["pairs"]):
-            claims.append(_transition_claim(ns.levels, stage2.ok))
+        claims.append(check("levelwise-torsion", torsion_ok, levels=ns.levels))
+        if transitions:
+            claims.append(check("transition-injective", stage2.ok, levels=ns.levels))
     degrees = sum(lv["degrees_scanned"] for lv in stage1.details["levels"])
-    transitions = 0
-    for stage in rep.stages:
-        if stage.name == "transition_injectivity":
-            transitions = sum(p["checked"] for p in stage.details["pairs"])
     return Report(
         command="pipeline",
         inputs={
@@ -387,15 +346,7 @@ def cmd_simplicial(ns) -> Report:
         ok = all(
             z[spot].is_trivial() for spot in z if spot != 2
         ) and z.get(2) is not None and z[2].describe() == {"rank": 0, "torsion": [2]}
-        claims.append(
-            Claim(
-                "projective-plane-cohomology",
-                "reduced integral cohomology = Z/2 in degree 2 only"
-                if ok
-                else "integral cohomology not reproduced",
-                verified() if ok else FAILED,
-            )
-        )
+        claims.append(check("projective-plane-cohomology", ok))
     return Report(
         command="simplicial",
         inputs={"facets": source, "p": ns.p},
@@ -409,6 +360,8 @@ def cmd_hochster(ns) -> Report:
     cx, source = _load_facets(ns.facets)
     inputs = {"facets": source, "p": ns.p}
     claims = []
+    if ns.i is not None and ns.degree is None:
+        raise ValueError("--i needs --degree (the graded degree)")
     if ns.degree is not None:
         if ns.i is None:
             raise ValueError("--degree needs --i (the cohomological spot)")
@@ -426,15 +379,7 @@ def cmd_hochster(ns) -> Report:
         timing = {"faces": sum(cx.face_counts()), "fields": len(coeffs)}
         if ns.p is None and _is_rp2(cx):
             ok = levels == {"F2": [2, 3], "F3": [3], "Q": [3]}
-            claims.append(
-                Claim(
-                    "projective-plane-local-cohomology",
-                    "nonzero only in degrees {2,3} over F2 and {3} over F3, Q"
-                    if ok
-                    else "local cohomology degrees not reproduced",
-                    verified() if ok else FAILED,
-                )
-            )
+            claims.append(check("projective-plane-local-cohomology", ok))
     return Report(
         command="hochster",
         inputs=inputs,
@@ -450,11 +395,15 @@ def cmd_filtration(ns) -> Report:
     if ns.model == "quotient":
         if ns.ell is None:
             raise ValueError("quotient model needs --ell")
+        if ns.f is not None or ns.vars is not None:
+            raise ValueError("--f and --vars apply to the localization model only")
         spec = build_filtration_quotient(ns.ell, p=ns.p)
         inputs = {"model": "quotient", "ell": ns.ell, "p": ns.p}
     else:
         if ns.f is None:
             raise ValueError("localization model needs --f")
+        if ns.ell is not None:
+            raise ValueError("--ell applies to the quotient model only")
         try:
             f = parse_polynomial(ns.f, ring, ns.vars)
         except ValueError as exc:
@@ -475,20 +424,13 @@ def cmd_filtration(ns) -> Report:
     axioms = check_axioms(spec)
     results = {"spec": spec.describe(), "axioms": axioms.describe()}
     claims = [
-        Claim(
-            "filtration-axioms",
-            "all five layer conditions hold on the window"
-            if axioms.ok()
-            else "violated conditions (tier, condition): "
-            + str(sorted(axioms.failed_conditions())),
-            verified() if axioms.ok() else FAILED,
-        )
+        check("filtration-axioms", axioms.ok(), violated=list(axioms.failed_conditions()))
     ]
     if axioms.ok():
         check_deadline(deadline, "the length verdict")
         verdict = finite_type_and_verdict(spec)
         results["verdict"] = verdict.describe()
-        claims.append(Claim("length-verdict", verdict.tag(), verified()))
+        claims.append(check("length-verdict", True, verdict=verdict.tag()))
     tiers = len(spec.tiers)
     samples = sum(len(t.samples) for t in spec.tiers)
     return Report(
@@ -518,15 +460,7 @@ def cmd_radical_check(ns) -> Report:
     claims = []
     if ns.p is None:
         ok = all(entry["all_ok"] for entry in per_field.values())
-        claims.append(
-            Claim(
-                "four-element-radical",
-                "4 elements inside the ideal; all 10 cubics radical members over F2 and Q"
-                if ok
-                else "containment certificate not reproduced",
-                verified() if ok else FAILED,
-            )
-        )
+        claims.append(check("four-element-radical", ok))
     memberships = sum(len(e["radical_members"]) for e in per_field.values())
     return Report(
         command="radical-check",

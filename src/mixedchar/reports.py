@@ -11,9 +11,11 @@ stream.
 
 Claims are the statements a run can check.  Each claim cited in a
 report resolves to an entry in CLAIMS, the registry also rendered into
-docs/claims.md; a claim's status is "verified", "verified
-(evidence-at-level-N)" when the conclusion rests on finitely many
-computed levels of a direct system, or "failed".
+docs/claims.md: its statement and its two result texts, verified and
+failed, as str.format templates over fields the run supplies.  check
+builds every claim a command reports.  A claim's status is "verified",
+"verified (evidence-at-level-N)" when the conclusion rests on finitely
+many computed levels of a direct system, or "failed".
 """
 
 from __future__ import annotations
@@ -23,58 +25,79 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 
+# id: (statement, result if verified, result if failed).  Results are
+# str.format templates over the fields given to check; a failed result
+# may list alternatives.
 CLAIMS = {
     "ext4-socle": (
         "The fourth graded Ext module of the six-variable polynomial ring "
         "modulo the ten squarefree cubics is a single Z/2 concentrated in "
         "degree (-1,...,-1); the one-step enlargement shell is empty and "
-        "every multiplication map out of the piece is zero."
+        "every multiplication map out of the piece is zero.",
+        "Ext^4 = Z/2 at (-1,...,-1), clean shell, six zero maps out",
+        "Z/2 socle not reproduced",
     ),
     "levelwise-torsion": (
         "At ideal power ell, the fourth graded Ext module of the ten-cubic "
         "quotient has exactly ell^6 nonzero pieces, each Z/2, so the whole "
-        "module is killed by the prime."
+        "module is killed by the prime.",
+        "levels 1..{levels}: ell^6 pieces, all Z/2",
+        "levels 1..{levels}: levelwise support not reproduced",
     ),
     "transition-injective": (
         "The comparison chain maps between consecutive ideal powers induce "
         "injective maps over the p-local base ring on every graded Ext piece "
-        "computed that is nonzero there."
+        "computed that is nonzero there.",
+        "levels 1..{levels}: injective on every computed support degree",
+        "levels 1..{levels}: injectivity not established",
     ),
     "top-annihilator": (
         "The annihilator of the direct limit of the top graded Ext modules "
         "over the p-local base ring is determined by the computed levels: "
         "a pi power when torsion persists with a uniform kill exponent, "
         "the unit ideal when the support is empty, and the zero ideal when "
-        "no pi power kills."
+        "no pi power kills.",
+        "Ann = {verdict}",
+        ("Ann = {verdict}", "no conclusion: stage {stage} did not certify"),
     ),
     "four-element-radical": (
         "The four structured cubic sums lie termwise in the ten-cubic ideal "
         "and each of the ten cubics has a power inside the ideal the four "
         "elements generate, over F2 and over Q.  A cubic f is certified by "
         "the least k <= 4 with NF(f^k) = 0 in that ideal's reduced Groebner "
-        "basis, else by Rabinowitsch's added variable."
+        "basis, else by Rabinowitsch's added variable.",
+        "4 elements inside the ideal; all 10 cubics radical members over F2 and Q",
+        "containment certificate not reproduced",
     ),
     "filtration-axioms": (
         "The constructed layer chain satisfies all five conditions: "
         "differential stability, zero intersection and exhaustive union, "
         "pi shifting layers down by one, layers living over the residue "
         "ring, and pi an isomorphism between consecutive layers outside a "
-        "bounded window."
+        "bounded window.",
+        "all five layer conditions hold on the window",
+        "violated conditions (tier, condition): {violated}",
     ),
     "length-verdict": (
         "A chain bounded on both sides forces finite length with the "
         "summed bound gap as a pi-power kill exponent; a chain unbounded "
-        "on either side forces annihilator zero."
+        "on either side forces annihilator zero.",
+        "{verdict}",
+        "{verdict}",
     ),
     "projective-plane-cohomology": (
         "The six-vertex triangulation of the real projective plane has "
         "reduced integral cohomology Z/2 in degree two and zero in every "
-        "other degree."
+        "other degree.",
+        "reduced integral cohomology = Z/2 in degree 2 only",
+        "integral cohomology not reproduced",
     ),
     "projective-plane-local-cohomology": (
         "The face ring of the six-vertex projective plane has local "
         "cohomology concentrated in degrees two and three over F2, and in "
-        "degree three alone over F3 and over Q."
+        "degree three alone over F3 and over Q.",
+        "nonzero only in degrees {{2,3}} over F2 and {{3}} over F3, Q",
+        "local cohomology degrees not reproduced",
     ),
 }
 
@@ -112,6 +135,23 @@ class Claim:
 
     def describe(self) -> dict:
         return {"id": self.id, "result": self.result, "status": self.status}
+
+
+def check(cid: str, ok: bool, level: int | None = None, **fields) -> Claim:
+    """Claim cid with its registry result for ok, filled in from fields.
+
+    The status is verified(level) when ok, else FAILED.  Of alternative
+    results, the first whose fields are all given and not None is taken.
+    """
+    texts = CLAIMS[cid][1 if ok else 2]
+    given = {name: value for name, value in fields.items() if value is not None}
+    for text in (texts,) if isinstance(texts, str) else texts:
+        try:
+            result = text.format(**given)
+        except KeyError:
+            continue
+        return Claim(cid, result, verified(level) if ok else FAILED)
+    raise ValueError(f"claim {cid}: no result takes the fields {sorted(given)}")
 
 
 _INT_ONLY = {int}
@@ -216,8 +256,18 @@ def claims_markdown() -> str:
         "of annihilators of differential modules, or \"failed\" when the",
         "computation ran and contradicted the statement.",
         "",
+        "Under each statement are the claim's \"result\" texts for either",
+        "status.  The run fills in {levels}, the levels computed; {verdict},",
+        "the verdict's tag; {stage}, the first pipeline stage that did not",
+        "certify; and {violated}, the violated (tier, condition) pairs.  Of",
+        "two failed texts, the first is used when its field is known.",
+        "",
     ]
-    for cid, statement in CLAIMS.items():
+    for cid, (statement, *results) in CLAIMS.items():
         lines.append(f"- **{cid}** - {statement}")
+        for status, texts in zip(("verified", "failed"), results):
+            texts = (texts,) if isinstance(texts, str) else texts
+            shown = " or ".join(f"`{t.replace('{{', '{').replace('}}', '}')}`" for t in texts)
+            lines.append(f"  - {status}: {shown}")
     lines.append("")
     return "\n".join(lines)

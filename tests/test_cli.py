@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from mixedchar import cli, pipeline
 from mixedchar.cli import main
+from mixedchar.taylor import TaylorComplex
 
 from .conftest import RP2_FACETS, facets_text, random_facets
 
@@ -113,6 +115,103 @@ def test_pipeline_inconclusive_input_exits_two(capsys, tmp_path):
     claim = claim_by_id(data, "top-annihilator")
     assert claim["status"] == "failed"
     assert claim["result"] == "Ann = undetermined"
+
+
+def test_pipeline_outside_the_socle_box_fails_both_reisner_claims(capsys):
+    # one level-2 support degree has a coordinate below -1, so the box
+    # misses support and the graded-support stage does not certify
+    code, data, _ = run_json(
+        capsys, "pipeline", "--ideal", REISNER, "--p", "2", "--levels", "2", "--box", "-1:0"
+    )
+    assert code == 2
+    assert data["claims"] == [
+        {"id": "top-annihilator", "status": "failed",
+         "result": "no conclusion: stage graded_support did not certify"},
+        {"id": "levelwise-torsion", "status": "failed",
+         "result": "levels 1..2: levelwise support not reproduced"},
+    ]
+
+
+def test_pipeline_reports_a_failed_transition(capsys, monkeypatch):
+    monkeypatch.setattr(pipeline, "_transition_injective_over", lambda report, p: False)
+    code, data, _ = run_json(
+        capsys, "pipeline", "--ideal", REISNER, "--p", "2", "--levels", "2"
+    )
+    assert code == 2
+    assert data["claims"] == [
+        {"id": "top-annihilator", "status": "failed",
+         "result": "no conclusion: stage transition_injectivity did not certify"},
+        {"id": "levelwise-torsion", "status": "verified",
+         "result": "levels 1..2: ell^6 pieces, all Z/2"},
+        {"id": "transition-injective", "status": "failed",
+         "result": "levels 1..2: injectivity not established"},
+    ]
+
+
+def test_scan_reports_a_failed_socle(capsys, monkeypatch):
+    class NonzeroMap:
+        zero = False
+
+        def describe(self):
+            return {"zero": False}
+
+    monkeypatch.setattr(TaylorComplex, "mult_map", lambda self, j, alpha, i: NonzeroMap())
+    code, data, _ = run_json(capsys, "scan", "--ideal", REISNER, "--j", "4", "--box", "-1:0")
+    assert code == 2
+    assert data["claims"] == [
+        {"id": "ext4-socle", "status": "failed", "result": "Z/2 socle not reproduced"}
+    ]
+
+
+def test_radical_check_reports_a_failed_certificate(capsys, monkeypatch):
+    real = cli.sv_containment_check
+
+    def without_one_member(ring, order="grlex", deadline=None):
+        out = dict(real(ring, order=order, deadline=deadline))
+        out["radical_members"] = [False] + out["radical_members"][1:]
+        out["all_ok"] = False
+        return out
+
+    monkeypatch.setattr(cli, "sv_containment_check", without_one_member)
+    code, data, _ = run_json(capsys, "radical-check")
+    assert code == 2
+    assert data["claims"] == [
+        {"id": "four-element-radical", "status": "failed",
+         "result": "containment certificate not reproduced"}
+    ]
+
+
+def test_simplicial_reports_failed_projective_plane_cohomology(capsys, monkeypatch):
+    real = cli.reduced_cohomology
+
+    def without_torsion(cx, coeff="Z", deadline=None):
+        tables = real(cx, coeff, deadline=deadline)
+        z = tables["Z"]
+        return {**tables, "Z": {**z, 2: z[1]}}
+
+    monkeypatch.setattr(cli, "reduced_cohomology", without_torsion)
+    code, data, _ = run_json(capsys, "simplicial", "--facets", RP2)
+    assert code == 2
+    assert data["claims"] == [
+        {"id": "projective-plane-cohomology", "status": "failed",
+         "result": "integral cohomology not reproduced"}
+    ]
+
+
+def test_hochster_reports_failed_projective_plane_degrees(capsys, monkeypatch):
+    real = cli.hochster_nonzero_levels
+
+    def without_f2_spot_two(cx, p, deadline=None):
+        return {**real(cx, p, deadline=deadline), 2: (3,)}
+
+    monkeypatch.setattr(cli, "hochster_nonzero_levels", without_f2_spot_two)
+    code, data, _ = run_json(capsys, "hochster", "--facets", RP2)
+    assert code == 2
+    assert data["results"]["nonzero_levels"]["F2"] == [3]
+    assert data["claims"] == [
+        {"id": "projective-plane-local-cohomology", "status": "failed",
+         "result": "local cohomology degrees not reproduced"}
+    ]
 
 
 def test_reports_are_byte_identical_across_runs(capsys, tmp_path):
@@ -484,6 +583,35 @@ def test_filtration_model_argument_checks(capsys):
     assert code == 1 and "needs --f" in err
     code, _, err = run(capsys, "filtration", "--model", "localization", "--f", "0")
     assert code == 1 and "cannot localize at zero" in err
+
+
+def test_hochster_i_needs_degree(capsys):
+    code, out, err = run(capsys, "hochster", "--facets", RP2, "--i", "3")
+    assert code == 1 and out == ""
+    assert err == "error: --i needs --degree (the graded degree)\n"
+
+
+def test_filtration_rejects_the_other_models_flags(capsys):
+    rejected = (
+        (("localization", "--f", "x0", "--ell", "5"), "--ell applies to the quotient model only"),
+        (("quotient", "--ell", "2", "--f", "x0"), "--f and --vars apply to the localization model only"),
+        (("quotient", "--ell", "2", "--vars", "2"), "--f and --vars apply to the localization model only"),
+    )
+    for argv, message in rejected:
+        code, out, err = run(capsys, "filtration", "--model", *argv)
+        assert code == 1 and out == "", argv
+        assert err == f"error: {message}\n", argv
+
+
+def test_formats_doc_example_claims_are_what_the_command_prints(capsys):
+    doc = (REPO / "docs" / "formats.md").read_text()
+    intro = "Example claims from `mixedchar filtration --model quotient --ell 2`:\n\n```json\n"
+    block = doc.split(intro, 1)[1].split("```", 1)[0]
+    code, out, _ = run(capsys, "filtration", "--model", "quotient", "--ell", "2")
+    assert code == 0
+    assert json.loads("{" + block + "}")["claims"] == json.loads(out)["claims"]
+    # the block is the report's claims member, indented one level less
+    assert "\n".join("  " + line for line in block.splitlines()) in out
 
 
 def test_radical_check_single_field_has_no_claim(capsys):

@@ -12,6 +12,7 @@ from mixedchar.reports import (
     FAILED,
     Claim,
     Report,
+    check,
     claims_markdown,
     encode,
     verified,
@@ -40,6 +41,34 @@ def test_claim_line_matches_report_rendering():
     assert c.line() == "Ann = (2): verified (evidence-at-level-2)"
     assert not c.failed()
     assert Claim("top-annihilator", "Ann = (2)", FAILED).failed()
+
+
+def test_every_registry_entry_has_a_statement_and_two_results():
+    for cid, entry in CLAIMS.items():
+        statement, passed, failed = entry
+        assert statement.endswith(".") and not passed.endswith("."), cid
+        for text in (passed, *((failed,) if isinstance(failed, str) else failed)):
+            assert isinstance(text, str) and text, cid
+
+
+def test_check_picks_the_result_and_the_status():
+    c = check("top-annihilator", True, 2, verdict="(2)", stage=None)
+    assert c.line() == "Ann = (2): verified (evidence-at-level-2)"
+    c = check("top-annihilator", False, 2, verdict="undetermined", stage=None)
+    assert c.line() == "Ann = undetermined: failed"
+    c = check("top-annihilator", False, 2, verdict=None, stage="graded_support")
+    assert c.line() == "no conclusion: stage graded_support did not certify: failed"
+    c = check("transition-injective", False, levels=3)
+    assert c.result == "levels 1..3: injectivity not established"
+    c = check("projective-plane-local-cohomology", True)
+    assert c.result == "nonzero only in degrees {2,3} over F2 and {3} over F3, Q"
+
+
+def test_check_rejects_a_result_with_missing_fields():
+    with pytest.raises(ValueError, match="no result takes the fields"):
+        check("top-annihilator", False, verdict=None, stage=None)
+    with pytest.raises(ValueError, match="no result takes the fields"):
+        check("levelwise-torsion", True)
 
 
 def test_claim_rejects_unregistered_id():
