@@ -471,96 +471,87 @@ def cmd_radical_check(ns) -> Report:
     )
 
 
-def _add_tuning(sp):
-    sp.add_argument("--timeout-secs", type=float, default=None, help="give up after this much wall time")
+def _seconds(text: str) -> float:
+    """A --timeout-secs value, finite and >= 0: a nan or inf deadline never passes."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected finite seconds >= 0, got {text!r}")
+    return value
 
 
-def build_parser() -> _Parser:
+# name -> (help, handler, argument specs); every subcommand also takes _TUNING
+COMMANDS = {
+    "ext": ("one graded Ext piece", cmd_ext, (
+        ("--ideal", dict(required=True, help="ideal file, or - for stdin")),
+        ("--j", dict(type=int, required=True, help="cohomological degree")),
+        ("--alpha", dict(required=True, help="graded degree, comma-separated")),
+        ("--p", dict(type=int, default=2, help="prime for the local base ring")))),
+    "scan": ("all nonzero Ext pieces in a degree box", cmd_scan, (
+        ("--ideal", dict(required=True)),
+        ("--j", dict(type=int, required=True)),
+        ("--box", dict(help="intervals lo:hi, comma-separated (one per variable, or one for all)")),
+        ("--no-shell", dict(action="store_true", help="skip the enlargement shell certificate")),
+        ("--p", dict(type=int, default=2)))),
+    "transition": ("maps between consecutive ideal powers", cmd_transition, (
+        ("--ideal", dict(required=True)),
+        ("--j", dict(type=int, default=4)),
+        ("--levels", dict(type=int, default=2, help="check levels 1..N")),
+        ("--p", dict(type=int, default=2, help="prime of the p-local base")))),
+    "pipeline": ("staged annihilator computation", cmd_pipeline, (
+        ("--ideal", dict(required=True)),
+        ("--j", dict(type=int, default=4)),
+        ("--levels", dict(type=int, default=3)),
+        ("--p", dict(type=int, default=2)),
+        ("--box", dict()))),
+    "dsub": ("classify a differential submodule", cmd_dsub, (
+        ("--gens", dict(required=True, help="generator file, or - for stdin")),
+        ("--p", dict(type=int, default=2)))),
+    "saturate": ("strip pi powers from term generators", cmd_saturate, (
+        ("--gens", dict(required=True)),
+        ("--p", dict(type=int, default=2)))),
+    "simplicial": ("reduced cohomology of a facet complex", cmd_simplicial, (
+        ("--facets", dict(required=True, help="facet file, or - for stdin")),
+        ("--p", dict(type=int, help="also report dimensions over F_p (p prime)")))),
+    "hochster": ("graded local cohomology via links", cmd_hochster, (
+        ("--facets", dict(required=True)),
+        ("--p", dict(type=int, help="prime p for the field F_p (default: scan F2, F3, Q)")),
+        ("--i", dict(type=int, help="cohomological spot for a single piece")),
+        ("--degree", dict(help="graded degree for a single piece")))),
+    "filtration": ("layer chain axioms and length verdict", cmd_filtration, (
+        ("--model", dict(choices=["quotient", "localization"], required=True)),
+        ("--ell", dict(type=int, help="pi power for the quotient model")),
+        ("--f", dict(help="element to invert for the localization model")),
+        ("--vars", dict(type=int, help="variable count for parsing --f")),
+        ("--p", dict(type=int, default=2)),
+        ("--fault", dict(choices=["none", "shift", "tail"], default="none",
+                         help="inject a deliberate axiom violation")))),
+    "radical-check": ("four-element generation up to radical", cmd_radical_check, (
+        ("--p", dict(type=int, help="single prime field (default: F2 and Q)")),
+        ("--order", dict(choices=["grlex", "lex"], default="grlex")))),
+}
+_TUNING = ("--timeout-secs", dict(type=_seconds, help="give up after this much wall time"))
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser with every subcommand, or with only the named one."""
     parser = _Parser(prog="mixedchar", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="subcommand")
-
-    sp = sub.add_parser("ext", help="one graded Ext piece")
-    sp.add_argument("--ideal", required=True, help="ideal file, or - for stdin")
-    sp.add_argument("--j", type=int, required=True, help="cohomological degree")
-    sp.add_argument("--alpha", required=True, help="graded degree, comma-separated")
-    sp.add_argument("--p", type=int, default=2, help="prime for the local base ring")
-    _add_tuning(sp)
-    sp.set_defaults(handler=cmd_ext)
-
-    sp = sub.add_parser("scan", help="all nonzero Ext pieces in a degree box")
-    sp.add_argument("--ideal", required=True)
-    sp.add_argument("--j", type=int, required=True)
-    sp.add_argument("--box", default=None, help="intervals lo:hi, comma-separated (one per variable, or one for all)")
-    sp.add_argument("--no-shell", action="store_true", help="skip the enlargement shell certificate")
-    sp.add_argument("--p", type=int, default=2)
-    _add_tuning(sp)
-    sp.set_defaults(handler=cmd_scan)
-
-    sp = sub.add_parser("transition", help="maps between consecutive ideal powers")
-    sp.add_argument("--ideal", required=True)
-    sp.add_argument("--j", type=int, default=4)
-    sp.add_argument("--levels", type=int, default=2, help="check levels 1..N")
-    sp.add_argument("--p", type=int, default=2, help="prime of the p-local base")
-    _add_tuning(sp)
-    sp.set_defaults(handler=cmd_transition)
-
-    sp = sub.add_parser("pipeline", help="staged annihilator computation")
-    sp.add_argument("--ideal", required=True)
-    sp.add_argument("--j", type=int, default=4)
-    sp.add_argument("--levels", type=int, default=3)
-    sp.add_argument("--p", type=int, default=2)
-    sp.add_argument("--box", default=None)
-    _add_tuning(sp)
-    sp.set_defaults(handler=cmd_pipeline)
-
-    sp = sub.add_parser("dsub", help="classify a differential submodule")
-    sp.add_argument("--gens", required=True, help="generator file, or - for stdin")
-    sp.add_argument("--p", type=int, default=2)
-    _add_tuning(sp)
-    sp.set_defaults(handler=cmd_dsub)
-
-    sp = sub.add_parser("saturate", help="strip pi powers from term generators")
-    sp.add_argument("--gens", required=True)
-    sp.add_argument("--p", type=int, default=2)
-    _add_tuning(sp)
-    sp.set_defaults(handler=cmd_saturate)
-
-    sp = sub.add_parser("simplicial", help="reduced cohomology of a facet complex")
-    sp.add_argument("--facets", required=True, help="facet file, or - for stdin")
-    sp.add_argument("--p", type=int, default=None, help="also report dimensions over F_p (p prime)")
-    _add_tuning(sp)
-    sp.set_defaults(handler=cmd_simplicial)
-
-    sp = sub.add_parser("hochster", help="graded local cohomology via links")
-    sp.add_argument("--facets", required=True)
-    sp.add_argument("--p", type=int, default=None, help="prime p for the field F_p (default: scan F2, F3, Q)")
-    sp.add_argument("--i", type=int, default=None, help="cohomological spot for a single piece")
-    sp.add_argument("--degree", default=None, help="graded degree for a single piece")
-    _add_tuning(sp)
-    sp.set_defaults(handler=cmd_hochster)
-
-    sp = sub.add_parser("filtration", help="layer chain axioms and length verdict")
-    sp.add_argument("--model", choices=["quotient", "localization"], required=True)
-    sp.add_argument("--ell", type=int, default=None, help="pi power for the quotient model")
-    sp.add_argument("--f", default=None, help="element to invert for the localization model")
-    sp.add_argument("--vars", type=int, default=None, help="variable count for parsing --f")
-    sp.add_argument("--p", type=int, default=2)
-    sp.add_argument("--fault", choices=["none", "shift", "tail"], default="none", help="inject a deliberate axiom violation")
-    _add_tuning(sp)
-    sp.set_defaults(handler=cmd_filtration)
-
-    sp = sub.add_parser("radical-check", help="four-element generation up to radical")
-    sp.add_argument("--p", type=int, default=None, help="single prime field (default: F2 and Q)")
-    sp.add_argument("--order", choices=["grlex", "lex"], default="grlex")
-    _add_tuning(sp)
-    sp.set_defaults(handler=cmd_radical_check)
-
+    for name, (help_text, handler, specs) in COMMANDS.items():
+        if command in (None, name):
+            sp = sub.add_parser(name, help=help_text)
+            for flag, kwargs in specs + (_TUNING,):
+                sp.add_argument(flag, **kwargs)
+            sp.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    # --help, no arguments and unknown names get the full parser
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         ns = parser.parse_args(_fuse_values(argv))
     except UsageError as err:

@@ -26,7 +26,7 @@ import time
 from collections.abc import Iterable, Sequence
 
 from .monomials import MonomialIdeal
-from .polynomials import ORDER_KEYS, Polynomial, exp_leq, exp_max, exp_sub
+from .polynomials import ORDER_KEYS, Polynomial, exp_add, exp_leq, exp_max, exp_sub
 from .scalars import PrimeField, RationalField
 from .textio import reisner_ideal, schmitt_vogel_generators
 
@@ -44,15 +44,28 @@ def _monic(f: Polynomial, order: str) -> Polynomial:
     return f.scale(f.ring.divide(f.ring.one(), c))
 
 
+def _subtract_multiple(terms: dict, ring, g: Polynomial, shift, c) -> None:
+    """terms -= c * x^shift * g, in place; zero coefficients are dropped."""
+    neg, zero = ring.neg(c), ring.zero()
+    for t, v in g.terms.items():
+        e = exp_add(t, shift)
+        s = ring.add(terms.get(e, zero), ring.mul(neg, v))
+        if ring.is_zero(s):
+            terms.pop(e, None)
+        else:
+            terms[e] = s
+
+
 def spoly(f: Polynomial, g: Polynomial, order: str = "grlex") -> Polynomial:
     """The S-polynomial: both leading terms lifted to their lcm and cancelled."""
     ring = f.ring
     fe, fc = f.leading_term(order)
     ge, gc = g.leading_term(order)
     lcm = exp_max(fe, ge)
-    left = f.mul_monomial(exp_sub(lcm, fe), ring.divide(ring.one(), fc))
-    right = g.mul_monomial(exp_sub(lcm, ge), ring.divide(ring.one(), gc))
-    return left - right
+    terms: dict = {}
+    _subtract_multiple(terms, ring, f, exp_sub(lcm, fe), ring.neg(ring.divide(ring.one(), fc)))
+    _subtract_multiple(terms, ring, g, exp_sub(lcm, ge), ring.divide(ring.one(), gc))
+    return Polynomial(ring, f.n, terms)
 
 
 def normal_form(f: Polynomial, divisors: Sequence[tuple], order: str = "grlex") -> Polynomial:
@@ -63,19 +76,18 @@ def normal_form(f: Polynomial, divisors: Sequence[tuple], order: str = "grlex") 
     elements many times computes it once.
     """
     ring = f.ring
-    remainder = Polynomial.zero(ring, f.n)
-    p = f
-    while not p.is_zero():
-        e, c = p.leading_term(order)
+    key = ORDER_KEYS[order]
+    p, remainder = dict(f.terms), {}
+    while p:
+        e = max(p, key=key)
+        c = p[e]
         for (ge, gc), g in divisors:
             if exp_leq(ge, e):
-                p = p - g.mul_monomial(exp_sub(e, ge), ring.divide(c, gc))
+                _subtract_multiple(p, ring, g, exp_sub(e, ge), ring.divide(c, gc))
                 break
         else:
-            t = Polynomial.monomial(ring, f.n, e, c)
-            remainder = remainder + t
-            p = p - t
-    return remainder
+            remainder[e] = p.pop(e)
+    return Polynomial(ring, f.n, remainder)
 
 
 def _coprime(a, b) -> bool:

@@ -145,13 +145,6 @@ class Polynomial:
             return Polynomial.zero(ring, self.n)
         return Polynomial(ring, self.n, {e: ring.mul(c, v) for e, v in self.terms.items()})
 
-    def mul_monomial(self, e: MultiIndex, c=None) -> "Polynomial":
-        ring = self.ring
-        c = ring.one() if c is None else c
-        return Polynomial(
-            ring, self.n, {exp_add(t, e): ring.mul(c, v) for t, v in self.terms.items()}
-        )
-
     def map_coefficients(self, ring, fn) -> "Polynomial":
         """Push every coefficient through fn into another ring."""
         return Polynomial(ring, self.n, {e: fn(c) for e, c in self.terms.items()})

@@ -27,7 +27,7 @@ from mixedchar.intlinalg import (
     matrix_rank_mod_p,
 )
 from mixedchar.monomials import MonomialIdeal
-from mixedchar.polynomials import ORDER_KEYS, Polynomial, exp_add, exp_max, exp_sub
+from mixedchar.polynomials import ORDER_KEYS, Polynomial, exp_add, exp_leq, exp_max, exp_sub
 from mixedchar.scalars import DVR, PrimeField, padic_valuation
 from mixedchar.simplicial import MAX_VERTICES, SimplicialComplex
 from mixedchar.subsets import bits_to_subsets
@@ -59,6 +59,38 @@ def divisors(basis, order: str = "grlex") -> list:
 def ideal_member(f: Polynomial, basis, order: str = "grlex") -> bool:
     """Membership against a basis already closed under S-remainders."""
     return normal_form(f, divisors(basis, order), order).is_zero()
+
+
+def arithmetic_spoly(f: Polynomial, g: Polynomial, order: str = "grlex") -> Polynomial:
+    """groebner.spoly by whole-Polynomial arithmetic: each lifted leading
+    term is its own Polynomial, and their difference a third."""
+    ring = f.ring
+    fe, fc = f.leading_term(order)
+    ge, gc = g.leading_term(order)
+    lcm = exp_max(fe, ge)
+    left = f * Polynomial.monomial(ring, f.n, exp_sub(lcm, fe), ring.divide(ring.one(), fc))
+    right = g * Polynomial.monomial(ring, g.n, exp_sub(lcm, ge), ring.divide(ring.one(), gc))
+    return left - right
+
+
+def arithmetic_normal_form(f: Polynomial, divisors, order: str = "grlex") -> Polynomial:
+    """groebner.normal_form by whole-Polynomial arithmetic: the same division
+    steps (first listed divisor whose leading term divides the leading term
+    of what is left), each step building new Polynomials."""
+    ring = f.ring
+    remainder = Polynomial.zero(ring, f.n)
+    p = f
+    while not p.is_zero():
+        e, c = p.leading_term(order)
+        for (ge, gc), g in divisors:
+            if exp_leq(ge, e):
+                p = p - g * Polynomial.monomial(ring, f.n, exp_sub(e, ge), ring.divide(c, gc))
+                break
+        else:
+            t = Polynomial.monomial(ring, f.n, e, c)
+            remainder = remainder + t
+            p = p - t
+    return remainder
 
 
 def buchberger_all_pairs(gens, order: str = "grlex", deadline=None) -> list:

@@ -1,9 +1,11 @@
 """End-to-end command line runs: exit codes, report shape, determinism."""
 
+import argparse
 import hashlib
 import io
 import json
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -51,6 +53,74 @@ def test_unknown_value_is_a_usage_error(capsys):
     code, out, err = run(capsys, "ext", "--ideal", REISNER, "--j", "four",
                          "--alpha", "0,0,0,0,0,0")
     assert code == 1 and out == ""
+
+
+SUBCOMMANDS = (
+    "ext", "scan", "transition", "pipeline", "dsub",
+    "saturate", "simplicial", "hochster", "filtration", "radical-check",
+)
+USAGE = "usage: mixedchar [-h] subcommand ...\n"
+
+
+def full_parser_help(name):
+    """format_help() of one subcommand as the full parser builds it."""
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return subparsers.choices[name].format_help()
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_subcommand_help_is_the_full_parsers(capsys, name):
+    with pytest.raises(SystemExit) as stop:
+        main([name, "--help"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out == full_parser_help(name)
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(USAGE)
+    listed = re.findall(r"^    (\S+)", out, re.MULTILINE)
+    assert listed == list(SUBCOMMANDS)
+
+
+# argparse quotes the "choose from" names up to Python 3.12 and may print
+# them bare later; either form is pinned in full
+CHOICES = (", ".join(map(repr, SUBCOMMANDS)), ", ".join(SUBCOMMANDS))
+USAGE_ERRORS = {
+    "no arguments": ((), ("the following arguments are required: subcommand",)),
+    "unknown subcommand": (
+        ("nosuch", "--p", "2"),
+        tuple(f"argument subcommand: invalid choice: 'nosuch' (choose from {c})" for c in CHOICES),
+    ),
+    "missing flag": (
+        ("ext", "--j", "4", "--alpha", "0,0,0,0,0,0"),
+        ("the following arguments are required: --ideal",),
+    ),
+    "bad int": (
+        ("radical-check", "--p", "two"),
+        ("argument --p: invalid int value: 'two'",),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_errors_print_pinned_messages(capsys, case):
+    argv, messages = USAGE_ERRORS[case]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err in [f"error: {m}\n{USAGE}" for m in messages]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-0.5", "soon"])
+def test_timeout_rejects_values_it_would_ignore(capsys, value):
+    code, out, err = run(capsys, "radical-check", "--timeout-secs", value)
+    assert code == 1 and out == ""
+    first, second = err.splitlines()
+    assert first.startswith("error: argument --timeout-secs: ") and second == USAGE.strip()
 
 
 def test_ext_socle_piece(capsys):

@@ -176,7 +176,7 @@ def test_classifier_invariant_under_module_combinations():
         gens = [g for g in gens if not g.is_zero()]
         if not gens:
             continue
-        combo = gens[0].mul_monomial((1, 0)) + gens[-1].scale(ring.from_int(ring.p))
+        combo = gens[0] * Polynomial.variable(ring, n, 0) + gens[-1].scale(ring.from_int(ring.p))
         base = classify_d_submodule(gens).ell
         assert classify_d_submodule(gens + [combo]).ell == base
 

@@ -19,6 +19,7 @@ from mixedchar.groebner import (
 from mixedchar.monomials import MonomialIdeal
 from mixedchar.polynomials import Polynomial, exp_leq
 from mixedchar.scalars import DVR, PrimeField, RationalField
+from mixedchar.textio import schmitt_vogel_generators
 
 from . import oracles
 from .oracles import buchberger_all_pairs, divisors, ideal_member
@@ -100,6 +101,52 @@ def test_normal_form_remainder_has_no_reducible_term():
     for e in r.terms:
         assert not any(exp_leq(lt, e) for lt in lts)
     assert ideal_member(probe - r, gb)
+
+
+def test_normal_form_and_spoly_match_the_arithmetic_oracles():
+    rng = random.Random(61)
+    for ring in (F2, F3, QQ):
+        x0, x1, x2 = (Polynomial.variable(ring, 3, i) for i in range(3))
+        # lt x0*x1 and lt x0 both divide every multiple of x0*x1, in both orders
+        overlapping = [x0 * x1 + x2, x0 + x2]
+        for order in ("grlex", "lex"):
+            order_mattered = False
+            for trial in range(12):
+                gens = [g for g in random_system(ring, rng, count=3) if not g.is_zero()]
+                listed = divisors(overlapping + gens, order)
+                for a in gens + overlapping:
+                    for b in gens + overlapping:
+                        assert spoly(a, b, order) == oracles.arithmetic_spoly(a, b, order)
+                probe = random_system(ring, rng, count=1, terms=5)[0] * (x0 * x1)
+                probe = probe + random_system(ring, rng, count=1)[0]
+                remainders = []
+                for ds in (listed, listed[::-1]):
+                    r = normal_form(probe, ds, order)
+                    assert r == oracles.arithmetic_normal_form(probe, ds, order)
+                    assert normal_form(r, ds, order) == r  # already reduced
+                    assert normal_form(Polynomial.zero(ring, 3), ds, order).is_zero()
+                    remainders.append(r)
+                order_mattered |= remainders[0] != remainders[1]
+            # the divisor lists are not Groebner bases, so the first-listed
+            # divisor rule shows in the remainders
+            assert order_mattered, (ring, order)
+
+
+def test_groebner_basis_reaches_the_traced_functions(monkeypatch):
+    """perfbench/spans.py times groebner.normal_form and groebner.spoly and
+    counts their calls by wrapping those module names; inlining either into
+    buchberger would read zero there without failing a run."""
+    calls = {"normal_form": 0, "spoly": 0}
+    for name in calls:
+        original = getattr(groebner, name)
+
+        def counted(*args, name=name, original=original, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(groebner, name, counted)
+    assert groebner_basis(schmitt_vogel_generators(F2))
+    assert calls["normal_form"] > 0 and calls["spoly"] > 0, calls
 
 
 def test_groebner_is_deterministic():
