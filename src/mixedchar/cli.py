@@ -188,10 +188,10 @@ def cmd_scan(ns) -> Report:
     claims = []
     timing = {"degrees_scanned": scan.degrees_scanned, "pieces": len(scan.pieces)}
     socle_scope = (
-        ideal == reisner_ideal()
-        and ns.j == 4
+        ns.j == 4
         and box == REISNER_BOX
         and scan.shell_checked
+        and ideal == reisner_ideal()
     )
     if socle_scope:
         socle = (
@@ -262,7 +262,7 @@ def cmd_pipeline(ns) -> Report:
     stage1 = rep.stages[0]
     stage2 = next((s for s in rep.stages if s.name == "transition_injectivity"), None)
     transitions = 0 if stage2 is None else sum(p["checked"] for p in stage2.details["pairs"])
-    if ideal == reisner_ideal() and ns.j == 4 and ns.p == 2:
+    if ns.j == 4 and ns.p == 2 and ideal.n == 6 and ideal == reisner_ideal():
         torsion_ok = stage1.ok and all(
             lv["support_size"] == lv["level"] ** 6
             and lv["free_rank_total"] == 0
@@ -321,8 +321,13 @@ def cmd_saturate(ns) -> Report:
 
 
 def _is_rp2(cx: SimplicialComplex) -> bool:
-    """Whether cx is the bundled six-vertex projective plane."""
-    return cx == SimplicialComplex(*rp2_facets())
+    """Whether cx is the bundled six-vertex projective plane.  The fixture
+    is read last, only for a complex with its vertex and face counts."""
+    return (
+        cx.n == 6
+        and cx.face_counts() == [1, 6, 15, 10]
+        and cx == SimplicialComplex(*rp2_facets())
+    )
 
 
 def cmd_simplicial(ns) -> Report:

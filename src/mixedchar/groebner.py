@@ -106,12 +106,21 @@ def _update(heap, key, leads, active: list, h: int) -> list:
     pairing.
     """
     t = leads[h][0]
-    pending = [(g, exp_max(leads[g][0], t), _coprime(leads[g][0], t)) for g in active]
+    pending = []
+    for g in active:
+        lcm = exp_max(leads[g][0], t)
+        pending.append((g, lcm, _coprime(leads[g][0], t), sum(lcm)))
     kept = []
     while pending:
-        g, lcm, coprime = pending.pop()
-        if coprime or not any(exp_leq(o, lcm) for group in (pending, kept) for _, o, _ in group):
-            kept.append((g, lcm, coprime))
+        g, lcm, coprime, deg = pending.pop()
+        # an lcm of the same total degree divides this one only when equal
+        # to it, and one of larger degree never does
+        if coprime or not any(
+            o == lcm if d == deg else d < deg and exp_leq(o, lcm)
+            for group in (pending, kept)
+            for _, o, _, d in group
+        ):
+            kept.append((g, lcm, coprime, deg))
     old = [
         pair
         for pair in heap
@@ -119,7 +128,7 @@ def _update(heap, key, leads, active: list, h: int) -> list:
         or exp_max(leads[pair[1]][0], t) == pair[3]
         or exp_max(leads[pair[2]][0], t) == pair[3]
     ]
-    old.extend((key(lcm), g, h, lcm) for g, lcm, coprime in kept if not coprime)
+    old.extend((key(lcm), g, h, lcm) for g, lcm, coprime, _ in kept if not coprime)
     heap[:] = old
     heapq.heapify(heap)
     return [g for g in active if not exp_leq(t, leads[g][0])] + [h]

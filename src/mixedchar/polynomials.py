@@ -103,9 +103,6 @@ class Polynomial:
         e = max(self.terms, key=key)
         return e, self.terms[e]
 
-    def coefficient(self, e: MultiIndex):
-        return self.terms.get(tuple(e), self.ring.zero())
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
         out = dict(self.terms)

@@ -242,32 +242,3 @@ class Report:
             "timing": self.timing,
         }
         return encode(report) + "\n"
-
-
-def claims_markdown() -> str:
-    """The registry rendered for docs/claims.md; tests pin the file to this."""
-    lines = [
-        "# Claim registry",
-        "",
-        "Statements the command line can check, cited by id in every",
-        'report\'s "claims" list.  A claim\'s status is "verified", or',
-        '"verified (evidence-at-level-N)" when the conclusion follows from',
-        "the first N computed levels of a direct system by the classification",
-        "of annihilators of differential modules, or \"failed\" when the",
-        "computation ran and contradicted the statement.",
-        "",
-        "Under each statement are the claim's \"result\" texts for either",
-        "status.  The run fills in {levels}, the levels computed; {verdict},",
-        "the verdict's tag; {stage}, the first pipeline stage that did not",
-        "certify; and {violated}, the violated (tier, condition) pairs.  Of",
-        "two failed texts, the first is used when its field is known.",
-        "",
-    ]
-    for cid, (statement, *results) in CLAIMS.items():
-        lines.append(f"- **{cid}** - {statement}")
-        for status, texts in zip(("verified", "failed"), results):
-            texts = (texts,) if isinstance(texts, str) else texts
-            shown = " or ".join(f"`{t.replace('{{', '{').replace('}}', '}')}`" for t in texts)
-            lines.append(f"  - {status}: {shown}")
-    lines.append("")
-    return "\n".join(lines)

@@ -27,6 +27,20 @@ skips a nerve that is a cone (W empty) without eliminating.  The shared
 vertices are exactly W when W is a facet (the link is {empty set}, with
 reduced cohomology Z at spot -1) and whenever the link is not a cone, so
 every link that can contribute is still eliminated.
+
+The reduced cohomology of a complex is computed on its strong-collapse
+core (Barmak and Minian, Strong homotopy types, nerves and collapses,
+Discrete Comput. Geom. 2012): while some vertex v has a link that is a
+cone, delete v.  This is exact over Z.  K is the union of K minus v and
+the closed star of v, glued along the link of v; the star is a cone over
+v and the link a cone by choice, both contractible, so K is homotopy
+equivalent to K minus v and has the same reduced cohomology.  The test
+is link_is_cone at the face {v}, so a vertex that is a facet (link
+{empty set}) or lies in no face (void link) is never deleted.  The
+facets of K minus v are the sets F minus v that no facet without v
+contains, so a deletion tests only the facets through v, and only
+against the others.  The check that consecutive coboundaries compose to
+zero still runs on the input complex.
 """
 
 from __future__ import annotations
@@ -62,7 +76,7 @@ class SimplicialComplex:
     [1, 3, 1]
     """
 
-    __slots__ = ("n", "_spans", "_face_set", "_sized", "_facets", "_invariants")
+    __slots__ = ("n", "_spans", "_face_set", "_sized", "_maximal", "_invariants")
 
     def __init__(self, n: int, facets):
         _check_vertex_count(n)
@@ -72,24 +86,25 @@ class SimplicialComplex:
             if fm >> n:
                 raise ValueError(f"facet {tuple(facet)} has a vertex outside 0..{n - 1}")
             spans.append(fm)
-        self._set_faces(n, spans, None)
+        self._set_spans(n, spans, None)
 
     @classmethod
-    def from_faces(cls, n: int, faces) -> "SimplicialComplex":
-        """The complex with exactly these faces (bitmasks, downward closed)."""
-        _check_vertex_count(n)
+    def _from_facet_masks(cls, n: int, maximal) -> "SimplicialComplex":
+        """The complex whose facets are these pairwise incomparable masks."""
         cx = cls.__new__(cls)
-        cx._set_faces(n, (), frozenset(faces))
+        cx._set_spans(n, maximal, tuple(maximal))
         return cx
 
-    def _set_faces(self, n: int, spans, faces):
-        """Shared by both constructors: the faces, or None to close the span
-        masks downward on first use.  The rest waits until it is asked for."""
+    def _set_spans(self, n: int, spans, maximal):
+        """Shared by both constructors: the masks whose subsets are the
+        faces, and the facets as masks when known (else None).  Faces are
+        closed downward on first use, and the rest waits until it is asked
+        for."""
         self.n = n
         self._spans = spans
-        self._face_set = faces
+        self._face_set = None
         self._sized = None
-        self._facets = None
+        self._maximal = maximal
         self._invariants = {}
 
     @property
@@ -119,14 +134,20 @@ class SimplicialComplex:
         return self._sized
 
     @property
-    def facets(self) -> tuple:
-        """The maximal faces as sorted vertex tuples, found on first use: in a
+    def _facet_masks(self) -> tuple:
+        """The maximal faces as masks, found on first use: in a
         downward-closed family, the faces no single vertex extends."""
-        if self._facets is None:
+        if self._maximal is None:
             faces, singles = self._faces, [1 << v for v in range(self.n)]
-            maximal = [F for F in faces if not any(not F & b and F | b in faces for b in singles)]
-            self._facets = tuple(sorted(tuple(bits_to_subsets(F)) for F in maximal))
-        return self._facets
+            self._maximal = tuple(
+                F for F in faces if not any(not F & b and F | b in faces for b in singles)
+            )
+        return self._maximal
+
+    @property
+    def facets(self) -> tuple:
+        """The maximal faces as sorted vertex tuples."""
+        return tuple(sorted(tuple(bits_to_subsets(F)) for F in self._facet_masks))
 
     def is_void(self) -> bool:
         return not self._faces
@@ -149,40 +170,65 @@ class SimplicialComplex:
         cards = self._cards
         return cards[k] if 0 <= k < len(cards) else ()
 
-    def coboundary_invariants(self, cards, compose_check: bool, deadline) -> list:
+    def coboundary_invariants(self, cards, deadline) -> list:
         """(rank, nontrivial invariant factors) of the coboundary out of the
         faces of each cardinality in cards; (0, ()) where either side has no
         faces.
 
         Each coboundary is eliminated over Z at most once per complex and
-        kept.  With compose_check (cards then consecutive), every
-        coboundary out of cards is built and checked to compose to zero
-        with the next first.  deadline (a time.monotonic() value or None) is
-        checked before each elimination.
+        kept.  deadline (a time.monotonic() value or None) is checked before
+        each elimination.
         """
         faces, known = self._cards, self._invariants
-        wanted = [c for c in cards if 0 <= c < len(faces) - 1 and (compose_check or c not in known)]
-        if wanted:
-            maps = {c: coboundary_sign_entries(faces[c], faces[c + 1]) for c in wanted}
-            if compose_check:
-                check_composes_to_zero(list(maps.values()))
-            todo = [c for c in wanted if c not in known]
+        todo = [c for c in cards if 0 <= c < len(faces) - 1 and c not in known]
 
-            def before_each():
-                for c in todo:
-                    check_deadline(deadline, f"cohomology out of faces of cardinality {c}")
-                    yield maps[c]
+        def before_each():
+            for c in todo:
+                check_deadline(deadline, f"cohomology out of faces of cardinality {c}")
+                yield coboundary_sign_entries(faces[c], faces[c + 1])
 
-            for c, (rank, factors) in zip(todo, cochain_invariants(before_each())):
-                known[c] = (rank, tuple(factors))
+        for c, (rank, factors) in zip(todo, cochain_invariants(before_each())):
+            known[c] = (rank, tuple(factors))
         return [known.get(c, (0, ())) for c in cards]
 
+    def check_coboundaries(self):
+        """Raise ValueError unless consecutive coboundaries compose to zero."""
+        faces = self._cards
+        check_composes_to_zero(
+            [coboundary_sign_entries(faces[c], faces[c + 1]) for c in range(len(faces) - 1)]
+        )
+
+    def core(self, deadline=None) -> "SimplicialComplex":
+        """The strong-collapse core: vertices whose link is a cone deleted,
+        pass after pass, until a pass deletes none.  Homotopy equivalent to
+        this complex (see the module docstring), and this complex itself
+        when no vertex goes.  deadline (a time.monotonic() value) is
+        checked once per deletion.
+
+        >>> SimplicialComplex(4, [(0, 1, 2, 3)]).core().facets
+        ((3,),)
+        """
+        facets, deleted, rescan = list(self._facet_masks), False, True
+        while rescan:
+            rescan = False
+            for v in range(self.n):
+                b = 1 << v
+                if not link_is_cone(facets, b):
+                    continue
+                check_deadline(deadline, "the strong-collapse core")
+                kept = [F for F in facets if not F & b]
+                facets = kept + [
+                    G for G in (F ^ b for F in facets if F & b) if not any(G & H == G for H in kept)
+                ]
+                deleted = rescan = True
+        return SimplicialComplex._from_facet_masks(self.n, facets) if deleted else self
+
     def link(self, vertices) -> "SimplicialComplex":
+        """The link of a face: facets F minus W for the facets F containing
+        W, already pairwise incomparable; void when W is not a face."""
         W = _mask(vertices)
-        if W not in self._faces:
-            return SimplicialComplex.from_faces(self.n, ())
-        return SimplicialComplex.from_faces(
-            self.n, [G ^ W for G in self._faces if G & W == W]
+        return SimplicialComplex._from_facet_masks(
+            self.n, [F ^ W for F in self._facet_masks if F & W == W]
         )
 
     def reduced_euler_characteristic(self) -> int:
@@ -213,19 +259,28 @@ def reduced_cohomology(cx: SimplicialComplex, coeff="Z", deadline=None) -> dict:
     over that field.  The void complex yields an empty table, and any
     spot outside the table is zero.  A tuple of coefficients gives a dict
     of tables keyed by coefficient.  deadline (a time.monotonic() value)
-    is checked before each elimination.
+    is checked once per vertex the core deletes and before each
+    elimination.
 
-    Every table comes from the complex's coboundary_invariants.  With
+    Every table comes from the coboundary_invariants of the complex's
+    strong-collapse core, which has the same reduced cohomology.  With
     rank r and nontrivial invariant factors t for each coboundary, the
     spot of cardinality c has dimension faces(c) - r_in - r_out over Q, the
     same with r replaced by r minus the factors divisible by p over F_p,
-    and over Z that free rank plus the torsion t_in.  The Z table first
-    checks that consecutive coboundaries compose to zero.
+    and over Z that free rank plus the torsion t_in; faces(c) counts the
+    core's faces, none above its top.  The Z table first checks that the
+    input complex's consecutive coboundaries compose to zero.
     """
     coeffs = _coefficients(coeff)
-    counts = cx.face_counts()  # empty for the void complex, so every table is too
+    # one past the largest facet's size: 0 for the void complex, whose tables are empty
+    top = max((F.bit_count() + 1 for F in cx._facet_masks), default=0)
+    if "Z" in coeffs:
+        cx.check_coboundaries()
+    core = cx.core(deadline)
+    counts = core.face_counts()
+    counts += [0] * (top - len(counts))
     # the map into each cardinality's spot, then the one out of the top
-    stats = cx.coboundary_invariants(range(-1, len(counts)), "Z" in coeffs, deadline)
+    stats = core.coboundary_invariants(range(-1, top), deadline)
     tables = {}
     for k in coeffs:
         table = {}
@@ -276,7 +331,7 @@ def hochster_local_cohomology_piece(cx: SimplicialComplex, i: int, a, p, deadlin
         raise ValueError(f"degree {a} has a positive entry")
     check_deadline(deadline, "the Hochster piece")
     W = [i_ for i_, v in enumerate(a) if v]
-    if not cx.has_face(W) or link_is_cone(map(_mask, cx.facets), _mask(W)):
+    if not cx.has_face(W) or link_is_cone(cx._facet_masks, _mask(W)):
         return 0
     table = reduced_cohomology(cx.link(W), coeff=p, deadline=deadline)
     return table.get(i - len(W) - 1, 0)
@@ -293,7 +348,7 @@ def hochster_nonzero_levels(cx: SimplicialComplex, p, deadline=None):
     """
     coeffs = _coefficients(p)
     levels = {c: set() for c in coeffs}
-    facet_masks = [_mask(F) for F in cx.facets]
+    facet_masks = cx._facet_masks
     for W in cx._faces:
         check_deadline(deadline, "the Hochster link scan")
         if link_is_cone(facet_masks, W):

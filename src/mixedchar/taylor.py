@@ -218,7 +218,7 @@ class TaylorComplex:
             nerve, cone = _nerve(self.r, frozenset(filter(None, cover)))
             group = FinAbGroup.trivial()
             if not cone:
-                (r_in, t_in), (r_out, _) = nerve.coboundary_invariants((j - 2, j - 1), False, None)
+                (r_in, t_in), (r_out, _) = nerve.coboundary_invariants((j - 2, j - 1), None)
                 group = FinAbGroup(len(nerve.faces_of_size(j - 1)) - r_in - r_out, t_in)
             return GradedExtPiece(self, j, alpha, group, nerve)
         return GradedExtPiece(self, j, alpha, group, triple)

@@ -28,6 +28,7 @@ from mixedchar.intlinalg import (
 )
 from mixedchar.monomials import MonomialIdeal
 from mixedchar.polynomials import ORDER_KEYS, Polynomial, exp_add, exp_leq, exp_max, exp_sub
+from mixedchar.reports import CLAIMS
 from mixedchar.scalars import DVR, PrimeField, padic_valuation
 from mixedchar.simplicial import MAX_VERTICES, SimplicialComplex
 from mixedchar.subsets import bits_to_subsets
@@ -251,6 +252,12 @@ def coboundaries(cx: SimplicialComplex) -> list:
     return [_dense(*sign_entries(cards[c], cards[c + 1])) for c in range(top)]
 
 
+def complex_from_faces(n: int, faces) -> SimplicialComplex:
+    """The complex with exactly these faces (bitmasks, downward closed):
+    each face is given as a facet, and the closure adds nothing."""
+    return SimplicialComplex(n, [_vertices(F) for F in faces])
+
+
 def stanley_reisner_complex(I: MonomialIdeal) -> SimplicialComplex:
     """Complex whose faces are the squarefree monomials outside I."""
     if I.n > MAX_VERTICES:
@@ -260,7 +267,7 @@ def stanley_reisner_complex(I: MonomialIdeal) -> SimplicialComplex:
         if any(v > 1 for v in e):
             raise ValueError(f"generator {e} is not squarefree")
         gen_masks.append(sum(1 << i for i, v in enumerate(e) if v))
-    return SimplicialComplex.from_faces(
+    return complex_from_faces(
         I.n, [S for S in range(1 << I.n) if not any(g & S == g for g in gen_masks)]
     )
 
@@ -729,18 +736,27 @@ def dense_reduced_cohomology(cx, coeff="Z"):
     return table
 
 
+def link_by_faces(cx, W) -> SimplicialComplex:
+    """The link of the vertex set W, read off every face of cx: the faces G
+    containing W, less W.  Void when W is not a face.  The library builds
+    links from facets instead."""
+    m = sum(1 << v for v in W)
+    return complex_from_faces(cx.n, [G ^ m for G in cx._faces if G & m == m])
+
+
 def per_field_hochster_levels(cx, coeff):
     """Hochster's nonzero spots over one field, every link's cohomology dense.
 
-    The scan as it ran before all fields shared one elimination: every face
-    support, its link, and that link's cohomology over this field alone.
+    The scan as it ran before all fields shared one elimination and before
+    the library collapsed complexes: every face support, its link from the
+    faces, and that link's cohomology over this field alone.
     """
     levels = set()
     for c, count in enumerate(cx.face_counts()):
         if not count:
             continue
         for W in faces_of_cardinality(cx, c):
-            for spot, d in dense_reduced_cohomology(cx.link(W), coeff).items():
+            for spot, d in dense_reduced_cohomology(link_by_faces(cx, W), coeff).items():
                 if d:
                     levels.add(spot + len(W) + 1)
     return tuple(sorted(levels))
@@ -771,3 +787,37 @@ def canonical(obj):
     if callable(describe):
         return canonical(describe())
     raise ValueError(f"cannot serialize {type(obj).__name__}")
+
+
+def coefficient(f: Polynomial, e) -> object:
+    """The coefficient of x^e in f; the ring's zero when e is not a term."""
+    return f.terms.get(tuple(e), f.ring.zero())
+
+
+def claims_markdown() -> str:
+    """The claim registry rendered as docs/claims.md; the bundled file must equal it."""
+    lines = [
+        "# Claim registry",
+        "",
+        "Statements the command line can check, cited by id in every",
+        'report\'s "claims" list.  A claim\'s status is "verified", or',
+        '"verified (evidence-at-level-N)" when the conclusion follows from',
+        "the first N computed levels of a direct system by the classification",
+        "of annihilators of differential modules, or \"failed\" when the",
+        "computation ran and contradicted the statement.",
+        "",
+        "Under each statement are the claim's \"result\" texts for either",
+        "status.  The run fills in {levels}, the levels computed; {verdict},",
+        "the verdict's tag; {stage}, the first pipeline stage that did not",
+        "certify; and {violated}, the violated (tier, condition) pairs.  Of",
+        "two failed texts, the first is used when its field is known.",
+        "",
+    ]
+    for cid, (statement, *results) in CLAIMS.items():
+        lines.append(f"- **{cid}** - {statement}")
+        for status, texts in zip(("verified", "failed"), results):
+            texts = (texts,) if isinstance(texts, str) else texts
+            shown = " or ".join(f"`{t.replace('{{', '{').replace('}}', '}')}`" for t in texts)
+            lines.append(f"  - {status}: {shown}")
+    lines.append("")
+    return "\n".join(lines)

@@ -13,11 +13,10 @@ from mixedchar.reports import (
     Claim,
     Report,
     check,
-    claims_markdown,
     encode,
     verified,
 )
-from tests.oracles import canonical
+from tests.oracles import canonical, claims_markdown
 
 
 def make_report(claims=()):

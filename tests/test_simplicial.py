@@ -21,6 +21,7 @@ from .oracles import (
     dense_reduced_cohomology,
     faces_of_cardinality,
     is_cone_by_apex,
+    link_by_faces,
     pairwise_facets,
     per_field_hochster_levels,
     sign_entries,
@@ -358,3 +359,94 @@ def test_integral_table_rejects_a_non_complex(monkeypatch):
     monkeypatch.setattr(simplicial, "coboundary_sign_entries", flip_first_sign)
     with pytest.raises(ValueError, match="compose to zero"):
         reduced_cohomology(SimplicialComplex(3, [(0, 1, 2)]), "Z")
+
+
+# the strong-collapse core
+
+
+def _suspended_rp2():
+    """RP^2 on 0..5 suspended by the vertices 6 and 7: H~^3 = Z/2, and the
+    link of either suspension vertex is RP^2, 2-torsion in a link."""
+    return SimplicialComplex(8, [F + (a,) for F in RP2_FACETS for a in (6, 7)])
+
+
+CORE_CASES = {
+    "RP^2": rp2,
+    "suspended RP^2": _suspended_rp2,
+    "void": lambda: SimplicialComplex(3, []),
+    "empty face only": lambda: SimplicialComplex(3, [()]),
+    "simplex": lambda: SimplicialComplex(5, [range(5)]),
+    "disjoint points": lambda: SimplicialComplex(4, [(0,), (1,), (2,), (3,)]),
+    "points and an edge": lambda: SimplicialComplex(5, [(0,), (1, 2), (4,)]),
+    "circle with a whisker": lambda: SimplicialComplex(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]),
+}
+
+
+def _core_cases(with_rp2_pieces=True):
+    """The named cases, seeded random complexes shaped like the benchmark's,
+    then (with_rp2_pieces) benchmark-shaped ones that carry RP^2 on 0..5."""
+    cases = [pytest.param(CORE_CASES[name](), id=name) for name in sorted(CORE_CASES)]
+    rng = random.Random(307)
+    for trial in range(10):
+        n = 14 + trial % 3
+        cases.append(pytest.param(SimplicialComplex(n, random_facets(rng, n, 300)), id=f"random{trial}"))
+    if with_rp2_pieces:
+        cases += [pytest.param(_benchmark_shaped(seed), id=f"shaped{seed}") for seed in (305, 307, 309)]
+    return cases
+
+
+def _no_vertex_collapses(cx):
+    masks = cx._facet_masks
+    return not any(simplicial.link_is_cone(masks, 1 << v) for v in range(cx.n))
+
+
+@pytest.mark.parametrize("cx", _core_cases())
+def test_cohomology_on_the_core_matches_the_dense_route_on_the_whole_complex(cx):
+    coeffs = ("Z", "Q", 2, 3)
+    tables = reduced_cohomology(cx, coeffs)
+    for coeff in coeffs:
+        assert tables[coeff] == dense_reduced_cohomology(cx, coeff), coeff
+    core = cx.core()
+    assert _no_vertex_collapses(core) and core.facets == pairwise_facets(core._faces)
+    assert core._faces <= cx._faces
+    if not cx.is_void():  # homotopy equivalent, so the dense route agrees on the core
+        spots = dense_reduced_cohomology(core, "Z")
+        assert {s: g for s, g in tables["Z"].items() if s in spots} == spots
+        assert all(g == TRIVIAL for s, g in tables["Z"].items() if s not in spots)
+
+
+@pytest.mark.parametrize("cx", _core_cases(with_rp2_pieces=False))
+def test_hochster_levels_on_collapsed_links_match_the_dense_route(cx):
+    together = hochster_nonzero_levels(cx, (2, 3, "Q"))
+    for coeff in (2, 3, "Q"):
+        assert together[coeff] == per_field_hochster_levels(cx, coeff), coeff
+
+
+def test_the_core_of_a_simplex_is_one_vertex():
+    for n in range(1, 7):
+        core = SimplicialComplex(n, [range(n)]).core()
+        assert core.face_counts() == [1, 1], n
+
+
+def test_the_projective_plane_is_its_own_core():
+    cx = rp2()
+    assert all(len(cx.link((v,)).facets) == 5 for v in range(6))  # 5-cycles, no cones
+    assert cx.core() is cx
+
+
+def test_a_suspension_collapses_nowhere_and_keeps_its_torsion():
+    cx = _suspended_rp2()
+    assert cx.core() is cx
+    assert reduced_cohomology(cx)[3] == FinAbGroup(0, [2])
+
+
+def test_links_from_facets_equal_links_from_faces():
+    rng = random.Random(53)
+    for _ in range(20):
+        n = rng.randint(5, 7)
+        cx = SimplicialComplex(n, random_facets(rng, n, rng.randint(2, 30), sizes=(1, 4)))
+        for W in range(1 << n):
+            vertices = bits_to_subsets(W)
+            lk = cx.link(vertices)
+            assert lk == link_by_faces(cx, vertices), (cx, W)
+            assert lk.facets == pairwise_facets(lk._faces)
