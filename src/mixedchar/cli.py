@@ -425,15 +425,13 @@ def cmd_filtration(ns) -> Report:
         spec = inject_shift_fault(spec)
     elif ns.fault == "tail":
         spec = inject_tail_fault(spec)
-    check_deadline(deadline, "checking the filtration axioms")
-    axioms = check_axioms(spec)
+    axioms = check_axioms(spec, deadline)
     results = {"spec": spec.describe(), "axioms": axioms.describe()}
     claims = [
         check("filtration-axioms", axioms.ok(), violated=list(axioms.failed_conditions()))
     ]
     if axioms.ok():
-        check_deadline(deadline, "the length verdict")
-        verdict = finite_type_and_verdict(spec)
+        verdict = finite_type_and_verdict(spec, deadline)
         results["verdict"] = verdict.describe()
         claims.append(check("length-verdict", True, verdict=verdict.tag()))
     tiers = len(spec.tiers)

@@ -99,6 +99,13 @@ def apply_op(op: DividedPowerOp, f: Polynomial) -> Polynomial:
     return out
 
 
+def pi_power_tag(p: int, e: int) -> str:
+    """The ideal (p^e) of Z_(p) as a tag: (1), (p) or (p^e)."""
+    if e == 0:
+        return "(1)"
+    return f"({p})" if e == 1 else f"({p}^{e})"
+
+
 class DSubmoduleVerdict:
     """Classification of the differential submodule generated by polynomials.
 
@@ -117,11 +124,7 @@ class DSubmoduleVerdict:
         return self.ell == 0
 
     def ideal_tag(self) -> str:
-        if self.ell == 0:
-            return "(1)"
-        if self.ell == 1:
-            return f"({self.p})"
-        return f"({self.p}^{self.ell})"
+        return pi_power_tag(self.p, self.ell)
 
 
 def classify_d_submodule(gens: list) -> DSubmoduleVerdict:
@@ -213,11 +216,9 @@ class Annihilator:
 
     def tag(self) -> str:
         if self.kind == "unit":
-            return "(1)"
+            return pi_power_tag(self.p, 0)
         if self.kind == "pi_power":
-            if self.exponent == 1:
-                return f"({self.p})"
-            return f"({self.p}^{self.exponent})"
+            return pi_power_tag(self.p, self.exponent)
         if self.kind == "zero":
             return "(0)"
         return "undetermined"

@@ -21,6 +21,7 @@ from collections.abc import Callable
 
 from .polynomials import Polynomial, exact_divide
 from .scalars import DVR
+from .subsets import check_deadline
 
 
 def _min_valuation(f: Polynomial) -> int | None:
@@ -48,7 +49,7 @@ class Tier:
 
     __slots__ = (
         "name", "a", "b", "window", "membership", "pi_action", "zero", "samples",
-        "layer_class", "d_stable", "layer_in_base_category", "tail_iso_low", "tail_iso_high",
+        "layer_class", "tail_iso_low", "tail_iso_high",
     )
 
     def __init__(
@@ -62,8 +63,6 @@ class Tier:
         zero: Callable,
         samples: tuple,
         layer_class: str,
-        d_stable: bool = True,
-        layer_in_base_category: bool = True,
         tail_iso_low: bool = True,
         tail_iso_high: bool = True,
     ):
@@ -76,8 +75,6 @@ class Tier:
         self.zero = zero
         self.samples = samples
         self.layer_class = layer_class
-        self.d_stable = d_stable
-        self.layer_in_base_category = layer_in_base_category
         self.tail_iso_low = tail_iso_low
         self.tail_iso_high = tail_iso_high
 
@@ -145,16 +142,27 @@ class AxiomReport:
         return {"ok": self.ok(), "checks": [c.describe() for c in self.checks]}
 
 
-def check_axioms(spec: FiltrationSpec) -> AxiomReport:
-    """The five conditions, each verified on the window and tail flags."""
+def _runs(lo: int, hi: int, deadline: float | None, what: str):
+    """lo..hi as ranges of up to 1024 values, checking the deadline before each."""
+    for start in range(lo, hi + 1, 1024):
+        check_deadline(deadline, what)
+        yield range(start, min(start + 1024, hi + 1))
+
+
+def check_axioms(spec: FiltrationSpec, deadline: float | None = None) -> AxiomReport:
+    """The five conditions, each verified on the window and tail flags.
+
+    Every layer built here is differentially stable, so condition 1
+    always holds.  deadline is a time.monotonic() value, checked once per
+    tier and every 1024 window indices.
+    """
+    what = "checking the filtration axioms"
     checks = []
     for idx, tier in enumerate(spec.tiers):
-        lo, hi = tier.window
-        js = range(lo, hi + 1)
+        check_deadline(deadline, what)
+        window = (*tier.window, deadline, what)
         member = tier.membership
-
-        fail1 = () if tier.d_stable else ("layers declared not differentially stable",)
-        checks.append(AxiomCheck(idx, 1, not fail1, fail1))
+        checks.append(AxiomCheck(idx, 1, True))
 
         fails2 = []
         for k, x in enumerate(tier.samples):
@@ -164,25 +172,22 @@ def check_axioms(spec: FiltrationSpec) -> AxiomReport:
                 fails2.append(f"sample {k} lies in the declared zero layer N_{tier.a}")
             if tier.b is not None and not member(x, tier.b):
                 fails2.append(f"sample {k} misses the declared full layer N_{tier.b}")
-            if all(member(x, j) for j in js):
+            if all(member(x, j) for js in _runs(*window) for j in js):
                 fails2.append(f"sample {k} never exits inside the window")
-            if not any(member(x, j) for j in js):
+            if not any(member(x, j) for js in _runs(*window) for j in js):
                 fails2.append(f"sample {k} never enters inside the window")
         checks.append(AxiomCheck(idx, 2, not fails2, tuple(fails2)))
 
         fails3 = []
         for k, x in enumerate(tier.samples):
             px = tier.pi_action(x)
-            for j in js:
-                if member(x, j) and not member(px, j - 1):
-                    fails3.append(f"pi * sample {k} escapes N_{j - 1}")
+            for js in _runs(*window):
+                for j in js:
+                    if member(x, j) and not member(px, j - 1):
+                        fails3.append(f"pi * sample {k} escapes N_{j - 1}")
         checks.append(AxiomCheck(idx, 3, not fails3, tuple(fails3)))
 
-        fail4 = (
-            ()
-            if tier.layer_in_base_category and tier.layer_class
-            else ("layers declared outside the residue-ring category",)
-        )
+        fail4 = () if tier.layer_class else ("layers declared outside the residue-ring category",)
         checks.append(AxiomCheck(idx, 4, not fail4, fail4))
 
         fails5 = []
@@ -230,23 +235,27 @@ class InfiniteLength:
         }
 
 
-def finite_type_and_verdict(spec: FiltrationSpec):
+def finite_type_and_verdict(spec: FiltrationSpec, deadline: float | None = None):
     """FiniteLength with the summed bound gap, or InfiniteLength with (0).
 
     Axioms must pass first.  Finite type additionally verifies on every
     sample that the claimed pi power kills; the infinite branch spot
     checks that samples of unbounded tiers survive repeated pi action.
+    deadline is checked as in check_axioms, and every 1024 pi steps.
     """
-    report = check_axioms(spec)
+    what = "the length verdict"
+    report = check_axioms(spec, deadline)
     if not report.ok():
         raise ValueError(f"filtration axioms fail: {report.failed_conditions()}")
     if all(t.a is not None and t.b is not None for t in spec.tiers):
         ell = sum(t.b - t.a for t in spec.tiers)
         verified = True
         for tier in spec.tiers:
+            check_deadline(deadline, what)
             for x in tier.samples:
-                for _ in range(tier.b - tier.a):
-                    x = tier.pi_action(x)
+                for steps in _runs(tier.a, tier.b - 1, deadline, what):
+                    for _ in steps:
+                        x = tier.pi_action(x)
                 if not tier.zero(x):
                     verified = False
         return FiniteLength(ell, verified)
@@ -254,13 +263,15 @@ def finite_type_and_verdict(spec: FiltrationSpec):
     for tier in spec.tiers:
         if tier.a is not None and tier.b is not None:
             continue
+        check_deadline(deadline, what)
         lo, hi = tier.window
         steps = hi - lo + 4
         for x in tier.samples:
             if tier.zero(x):
                 continue
-            for _ in range(steps):
-                x = tier.pi_action(x)
+            for run in _runs(1, steps, deadline, what):
+                for _ in run:
+                    x = tier.pi_action(x)
             if tier.zero(x):
                 raise ValueError(
                     f"tier {tier.name}: a pi power killed a sample of an unbounded tier"
@@ -269,7 +280,7 @@ def finite_type_and_verdict(spec: FiltrationSpec):
     return InfiniteLength("(0)", powers)
 
 
-def build_filtration_quotient(ell: int, p: int = 2, n: int = 2, samples=None) -> FiltrationSpec:
+def build_filtration_quotient(ell: int, p: int = 2) -> FiltrationSpec:
     """The quotient by the ell-th pi power, layered by remaining pi content.
 
     N_j is the image of pi^(-j) for -ell <= j <= 0, clipped to the whole
@@ -277,8 +288,6 @@ def build_filtration_quotient(ell: int, p: int = 2, n: int = 2, samples=None) ->
     """
     if ell < 1:
         raise ValueError(f"need ell >= 1, got {ell}")
-    if n < 1:
-        raise ValueError("default samples need at least one variable")
     ring = DVR(p)
     pi = ring.uniformizer
 
@@ -291,16 +300,15 @@ def build_filtration_quotient(ell: int, p: int = 2, n: int = 2, samples=None) ->
             return True
         return _min_valuation(x) >= -j
 
-    if samples is None:
-        one = Polynomial.constant(ring, n, ring.one())
-        x0 = Polynomial.variable(ring, n, 0)
-        samples = (
-            Polynomial.zero(ring, n),
-            one,
-            x0,
-            one.scale(pi),
-            x0 * x0 + x0.scale(ring.pi_power(min(ell, 2))),
-        )
+    one = Polynomial.constant(ring, 2, ring.one())
+    x0 = Polynomial.variable(ring, 2, 0)
+    samples = (
+        Polynomial.zero(ring, 2),
+        one,
+        x0,
+        one.scale(pi),
+        x0 * x0 + x0.scale(ring.pi_power(min(ell, 2))),
+    )
     tier = Tier(
         name=f"R/pi^{ell}",
         a=-ell,
@@ -309,13 +317,13 @@ def build_filtration_quotient(ell: int, p: int = 2, n: int = 2, samples=None) ->
         membership=member,
         pi_action=lambda x: x.scale(pi),
         zero=zero,
-        samples=tuple(samples),
+        samples=samples,
         layer_class="rank-one free over the residue ring",
     )
     return FiltrationSpec(f"quotient pi^{ell}", (tier,))
 
 
-def build_filtration_localization(f: Polynomial, samples=None) -> FiltrationSpec:
+def build_filtration_localization(f: Polynomial) -> FiltrationSpec:
     """Layers of the localization at f, split along f = pi^e g.
 
     Membership of numerator / f^k in N_j is j - e*k + nu >= 0 with nu the
@@ -352,19 +360,18 @@ def build_filtration_localization(f: Polynomial, samples=None) -> FiltrationSpec
             return True
         return value >= 0
 
-    if samples is None:
-        one = Polynomial.constant(ring, f.n, ring.one())
-        raw = [
-            (Polynomial.zero(ring, f.n), 0),
-            (one, 0),
-            (one, 1),
-            (one.scale(pi), 2),
-        ]
-        if f.n >= 1:
-            x0 = Polynomial.variable(ring, f.n, 0)
-            raw.append((x0, 1))
-            raw.append((x0.scale(ring.pi_power(2)), 1))
-        samples = tuple(element(num, k) for num, k in raw)
+    one = Polynomial.constant(ring, f.n, ring.one())
+    raw = [
+        (Polynomial.zero(ring, f.n), 0),
+        (one, 0),
+        (one, 1),
+        (one.scale(pi), 2),
+    ]
+    if f.n >= 1:
+        x0 = Polynomial.variable(ring, f.n, 0)
+        raw.append((x0, 1))
+        raw.append((x0.scale(ring.pi_power(2)), 1))
+    samples = tuple(element(num, k) for num, k in raw)
 
     thresholds = []
     for x in samples:
@@ -387,22 +394,16 @@ def build_filtration_localization(f: Polynomial, samples=None) -> FiltrationSpec
     return FiltrationSpec(f"localization at pi^{e} * unit part", (tier,))
 
 
-def inject_shift_fault(spec: FiltrationSpec, tier_index: int = 0) -> FiltrationSpec:
-    """Copy with one tier's thresholds doubled: pi then fails to shift
+def inject_shift_fault(spec: FiltrationSpec) -> FiltrationSpec:
+    """Copy with the first tier's thresholds doubled: pi then fails to shift
     membership by one step, breaking the shift condition on the window."""
-    tier = spec.tiers[tier_index]
-    orig = tier.membership
-    bad = tier.copy(membership=lambda x, j: orig(x, 2 * j))
-    tiers = list(spec.tiers)
-    tiers[tier_index] = bad
-    return FiltrationSpec(spec.name + " [shift fault]", tuple(tiers))
+    orig = spec.tiers[0].membership
+    bad = spec.tiers[0].copy(membership=lambda x, j: orig(x, 2 * j))
+    return FiltrationSpec(spec.name + " [shift fault]", (bad,) + spec.tiers[1:])
 
 
-def inject_tail_fault(spec: FiltrationSpec, tier_index: int = 0) -> FiltrationSpec:
-    """Copy with one tier's low bound forgotten and its low tail declared
+def inject_tail_fault(spec: FiltrationSpec) -> FiltrationSpec:
+    """Copy with the first tier's low bound forgotten and its low tail declared
     non-isomorphic, breaking the almost-everywhere isomorphism condition."""
-    tier = spec.tiers[tier_index]
-    bad = tier.copy(a=None, tail_iso_low=False)
-    tiers = list(spec.tiers)
-    tiers[tier_index] = bad
-    return FiltrationSpec(spec.name + " [tail fault]", tuple(tiers))
+    bad = spec.tiers[0].copy(a=None, tail_iso_low=False)
+    return FiltrationSpec(spec.name + " [tail fault]", (bad,) + spec.tiers[1:])

@@ -22,12 +22,12 @@ Algorithms, section 4.2), and Rabinowitsch decides only past POWER_BOUND.
 from __future__ import annotations
 
 import heapq
-import time
 from collections.abc import Iterable, Sequence
 
 from .monomials import MonomialIdeal
 from .polynomials import ORDER_KEYS, Polynomial, exp_add, exp_leq, exp_max, exp_sub
 from .scalars import PrimeField, RationalField
+from .subsets import check_deadline
 from .textio import reisner_ideal, schmitt_vogel_generators
 
 # Largest power of a candidate tried before radical_member decides it.
@@ -161,8 +161,7 @@ def buchberger(
     for h in range(len(basis)):
         active = _update(heap, key, leads, active, h)
     while heap:
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError("basis computation passed its deadline")
+        check_deadline(deadline, "the Groebner basis")
         _, i, j, _ = heapq.heappop(heap)
         divisors = [(leads[g], basis[g]) for g in active]
         h = normal_form(spoly(basis[i], basis[j], order), divisors, order)
@@ -266,8 +265,7 @@ def sv_containment_check(ring, order: str = "grlex", deadline: float | None = No
     basis = groebner_basis(four, order, deadline)
     radical = []
     for e in ideal.gens:
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError("radical certificate passed its deadline")
+        check_deadline(deadline, "the radical certificate")
         cubic = Polynomial.monomial(ring, ideal.n, e)
         radical.append(radical_member_by_powers(cubic, four, basis, order, deadline))
     return {

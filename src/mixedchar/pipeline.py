@@ -98,7 +98,7 @@ def build_levels(ideal: MonomialIdeal, p: int, levels: int, deadline) -> dict:
 
 
 def _transition_injective_over(report, p: int) -> bool:
-    """p-local injectivity of a transition map report.
+    """p-local injectivity of a transition PieceMap.
 
     A missing induced map means one side has no integer components; the
     map is then injective exactly when the source is p-locally trivial.
@@ -178,7 +178,7 @@ def check_transitions(complexes: dict, support: dict, p: int, deadline) -> list:
             target = scanned.get(piece.alpha)
             if target is None:
                 target = high.ext_piece(piece.j, piece.alpha)
-            rep = transition_between(piece, target, ell)
+            rep = transition_between(piece, target)
             transitions.append(
                 {"alpha": list(piece.alpha), "injective": _transition_injective_over(rep, p)}
             )

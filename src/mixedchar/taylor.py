@@ -33,7 +33,8 @@ coboundary_invariants, the same route as simplicial.reduced_cohomology.
 Multiplication by x_i and the passage from one power level to the next
 both shrink every V_i (and may deactivate a variable), so the target
 complex is a subcomplex of the source complex.  The induced map on Ext
-is restriction of cochains from the source to the target.
+is restriction of cochains from the source to the target, one PieceMap
+for both (TaylorComplex.mult_map and transition_between).
 
 The complex depends on alpha only through the V_i, and V_i changes only
 where tau_i passes a distinct exponent of coordinate i.  tau_i = 0 (no
@@ -220,8 +221,8 @@ class TaylorComplex:
             if not cone:
                 (r_in, t_in), (r_out, _) = nerve.coboundary_invariants((j - 2, j - 1), None)
                 group = FinAbGroup(len(nerve.faces_of_size(j - 1)) - r_in - r_out, t_in)
-            return GradedExtPiece(self, j, alpha, group, nerve)
-        return GradedExtPiece(self, j, alpha, group, triple)
+            return GradedExtPiece(j, alpha, group, nerve)
+        return GradedExtPiece(j, alpha, group, triple)
 
     def ext_piece(self, j: int, alpha) -> "GradedExtPiece":
         alpha = tuple(alpha)
@@ -282,7 +283,7 @@ class TaylorComplex:
                 if not k & 1023:
                     check_deadline(deadline, what)
                 if all(lo <= a <= hi for a, (lo, hi) in zip(alpha, box)):
-                    pieces.append(GradedExtPiece(self, j, alpha, group, triple))
+                    pieces.append(GradedExtPiece(j, alpha, group, triple))
                 else:
                     offenders.append(alpha)
         pieces.sort(key=attrgetter("alpha"))
@@ -297,28 +298,13 @@ class TaylorComplex:
             degrees_scanned=prod(hi - lo + 1 + 2 * pad for lo, hi in box),
         )
 
-    def mult_map(self, j: int, alpha, i: int) -> "MultMapReport":
+    def mult_map(self, j: int, alpha, i: int) -> "PieceMap":
         """The map on Ext pieces induced by multiplication with the i-th variable."""
         if not 0 <= i < self.n:
             raise ValueError("variable index out of range")
         alpha = tuple(alpha)
         target_alpha = tuple(a + (1 if k == i else 0) for k, a in enumerate(alpha))
-        src = self.ext_piece(j, alpha)
-        tgt = self.ext_piece(j, target_alpha)
-        induced, matrix = _maybe_induced(src, tgt)
-        return MultMapReport(
-            j=j,
-            alpha=alpha,
-            variable=i,
-            target_alpha=target_alpha,
-            source_group=src.group,
-            target_group=tgt.group,
-            matrix=matrix,
-            zero=induced is None or induced.is_zero(),
-            induced=induced,
-            source=src,
-            target=tgt,
-        )
+        return PieceMap(self.ext_piece(j, alpha), self.ext_piece(j, target_alpha))
 
 
 class GradedExtPiece:
@@ -332,10 +318,9 @@ class GradedExtPiece:
     reads their faces.
     """
 
-    __slots__ = ("complex", "j", "alpha", "group", "_triple")
+    __slots__ = ("j", "alpha", "group", "_triple")
 
-    def __init__(self, tc, j, alpha, group, triple):
-        self.complex = tc
+    def __init__(self, j, alpha, group, triple):
         self.j = j
         self.alpha = alpha
         self.group = group
@@ -371,56 +356,43 @@ class GradedExtPiece:
         return f"GradedExtPiece(j={self.j}, alpha={self.alpha}, {self.group!r})"
 
 
-def _maybe_induced(src: GradedExtPiece, tgt: GradedExtPiece):
-    """(InducedMap or None, component matrix), skipping dense work whenever
-    one side has no surviving components; None means the map is zero."""
-    scomp = src.group.free_rank + len(src.group.factors)
-    tcomp = tgt.group.free_rank + len(tgt.group.factors)
-    if scomp == 0 or tcomp == 0:
-        return None, [[0] * scomp for _ in range(tcomp)]
-    induced = _restriction(src.triple, tgt.triple)
-    return induced, induced.component_matrix()
+class PieceMap:
+    """The map from source to target, two Ext pieces of one j, induced by
+    restriction of cochains to the target's complex.
 
+    induced is None when either side has no surviving components, and
+    then the map is zero with no dense work; matrix is the component
+    matrix.  Everything else is read off the two pieces.
+    """
 
-class MultMapReport:
-    __slots__ = (
-        "j", "alpha", "variable", "target_alpha", "source_group", "target_group",
-        "matrix", "zero", "induced", "source", "target",
-    )
+    __slots__ = ("source", "target", "induced", "matrix")
 
-    def __init__(
-        self,
-        j: int,
-        alpha: tuple,
-        variable: int,
-        target_alpha: tuple,
-        source_group: FinAbGroup,
-        target_group: FinAbGroup,
-        matrix: list,
-        zero: bool,
-        induced: object,
-        source: GradedExtPiece,
-        target: GradedExtPiece,
-    ):
-        self.j = j
-        self.alpha = alpha
-        self.variable = variable
-        self.target_alpha = target_alpha
-        self.source_group = source_group
-        self.target_group = target_group
-        self.matrix = matrix
-        self.zero = zero
-        self.induced = induced
+    def __init__(self, source: GradedExtPiece, target: GradedExtPiece):
         self.source = source
         self.target = target
+        scomp = source.group.free_rank + len(source.group.factors)
+        tcomp = target.group.free_rank + len(target.group.factors)
+        if scomp == 0 or tcomp == 0:
+            self.induced = None
+            self.matrix = [[0] * scomp for _ in range(tcomp)]
+        else:
+            self.induced = _restriction(source.triple, target.triple)
+            self.matrix = self.induced.component_matrix()
+
+    @property
+    def zero(self) -> bool:
+        return self.induced is None or self.induced.is_zero()
 
     def describe(self) -> dict:
+        """The report of a multiplication map; variable is the coordinate
+        where the two degrees differ."""
+        pairs = zip(self.source.alpha, self.target.alpha)
         return {
-            "j": self.j,
-            "alpha": list(self.alpha),
-            "variable": self.variable,
-            "source": self.source_group.describe(),
-            "target": self.target_group.describe(),
+            "j": self.source.j,
+            "alpha": list(self.source.alpha),
+            "variable": next(i for i, (a, b) in enumerate(pairs) if a != b),
+            "source": self.source.group.describe(),
+            "target": self.target.group.describe(),
             "matrix": self.matrix,
             "zero": self.zero,
         }
@@ -467,35 +439,6 @@ class ExtScanResult:
         }
 
 
-class TransitionMapReport:
-    __slots__ = (
-        "ell", "j", "alpha", "source_group", "target_group", "matrix", "induced", "source",
-        "target",
-    )
-
-    def __init__(
-        self,
-        ell: int,
-        j: int,
-        alpha: tuple,
-        source_group: FinAbGroup,
-        target_group: FinAbGroup,
-        matrix: list,
-        induced: object,
-        source: GradedExtPiece,
-        target: GradedExtPiece,
-    ):
-        self.ell = ell
-        self.j = j
-        self.alpha = alpha
-        self.source_group = source_group
-        self.target_group = target_group
-        self.matrix = matrix
-        self.induced = induced
-        self.source = source
-        self.target = target
-
-
 def comparison_chain_check(low: TaylorComplex, high: TaylorComplex) -> bool:
     """Whether e_S -> x^(a_S-high minus a_S-low) e_S is a chain map.
 
@@ -521,33 +464,19 @@ def require_chain_map(low: TaylorComplex, high: TaylorComplex) -> None:
         raise ValueError("comparison map is not a chain map between these complexes")
 
 
-def transition_between(
-    source: GradedExtPiece, target: GradedExtPiece, ell: int
-) -> TransitionMapReport:
-    """Induced map from source to target, the next level's piece at the
+def transition_between(source: GradedExtPiece, target: GradedExtPiece) -> PieceMap:
+    """The PieceMap from source to target, the next level's piece at the
     same j and alpha.
 
-    source is a piece of the smaller (level-ell) ideal's complex, target
-    one of the complex resolving the next level.  The comparison map must
-    be a chain map (require_chain_map, checked once per level pair by the
-    caller).  Each V_i only shrinks from low to high, so the high complex
-    is a subcomplex of the low one and the map is restriction of cochains.
+    source is a piece of the smaller ideal's complex, target one of the
+    complex resolving the next level.  The comparison map must be a chain
+    map (require_chain_map, checked once per level pair by the caller).
+    Each V_i only shrinks from low to high, so the high complex is a
+    subcomplex of the low one and the map is restriction of cochains.
     Injectivity is asked of induced, p-locally (pipeline.check_transitions).
     """
     if (target.j, target.alpha) != (source.j, source.alpha):
         raise ValueError("a transition maps a piece to the piece of the same j and alpha")
     if not _is_subcomplex(source.triple, target.triple):
         raise ValueError("the higher level's complex is not a subcomplex of the lower level's")
-    induced, matrix = _maybe_induced(source, target)
-    return TransitionMapReport(
-        ell=ell,
-        j=source.j,
-        alpha=source.alpha,
-        source_group=source.group,
-        target_group=target.group,
-        matrix=matrix,
-        induced=induced,
-        source=source,
-        target=target,
-    )
-
+    return PieceMap(source, target)

@@ -663,7 +663,7 @@ def degree_by_degree_scan(tc, j, box=None, shell=True):
         count += 1
         group = strands.group(j, alpha)
         if not group.is_trivial():
-            pieces.append(GradedExtPiece(tc, j, alpha, group, strands.strand_triple(j, alpha)))
+            pieces.append(GradedExtPiece(j, alpha, group, strands.strand_triple(j, alpha)))
     offenders = []
     if shell:
         for alpha in product(*(range(lo - 1, hi + 2) for lo, hi in box)):

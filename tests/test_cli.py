@@ -442,10 +442,12 @@ def test_timeouts_are_reported_as_timeouts(capsys, tmp_path):
 
 # an exponent of 10^6 once built a table per exponent value before the
 # first deadline check; a box of 10^8 values per coordinate once looped
-# over every value, unchecked
+# over every value, unchecked; a filtration window of 10^8 indices was
+# once walked, and pi applied 10^8 times per sample, unchecked
 HUGE_SCANS = {
-    "exponent": (("--ideal", "-", "--j", "2"), "vars 2\n1000000 0\n0 1\n", 2.5),
-    "box": (("--ideal", REISNER, "--j", "4", "--box=-100000000:0"), "", 5),
+    "exponent": (("scan", "--ideal", "-", "--j", "2"), "vars 2\n1000000 0\n0 1\n", 2.5),
+    "box": (("scan", "--ideal", REISNER, "--j", "4", "--box=-100000000:0"), "", 5),
+    "filtration": (("filtration", "--model", "quotient", "--ell", "100000000"), "", 5),
 }
 
 
@@ -453,7 +455,7 @@ HUGE_SCANS = {
 def test_huge_scans_end_within_the_timeout(name):
     argv, stdin, limit = HUGE_SCANS[name]
     proc = subprocess.run(
-        [sys.executable, "-m", "mixedchar.cli", "scan", *argv, "--timeout-secs", "1"],
+        [sys.executable, "-m", "mixedchar.cli", *argv, "--timeout-secs", "1"],
         input=stdin,
         capture_output=True,
         text=True,

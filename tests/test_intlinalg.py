@@ -253,7 +253,7 @@ def test_reduced_kernel_block_on_reisner_transitions(ell):
     pieces = low.support_scan(4).pieces
     assert len(pieces) == ell**6
     for piece in pieces:
-        induced = transition_between(piece, high.ext_piece(4, piece.alpha), ell).induced
+        induced = transition_between(piece, high.ext_piece(4, piece.alpha)).induced
         assert induced is not None
         assert is_injective(induced) == full_block_injective(induced)
         for p in (2, 3):

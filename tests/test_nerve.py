@@ -150,7 +150,7 @@ def test_zero_and_unit_ideals_match_the_strand_oracle():
                 found += not got.is_trivial()
                 for i in range(2):
                     report = tc.mult_map(j, alpha, i)
-                    want = strands.inclusion(j, alpha, strands, report.target_alpha)
+                    want = strands.inclusion(j, alpha, strands, report.target.alpha)
                     _assert_same_map(report, want, strands, strands, (ideal, j, alpha, i))
         assert found == support
 
@@ -216,8 +216,8 @@ def _connecting(strands, piece):
 
 def _oracle_matrix(report, oracle):
     """The oracle's component matrix in the shape the report gives one."""
-    scomp = report.source_group.free_rank + len(report.source_group.factors)
-    tcomp = report.target_group.free_rank + len(report.target_group.factors)
+    scomp = report.source.group.free_rank + len(report.source.group.factors)
+    tcomp = report.target.group.free_rank + len(report.target.group.factors)
     if scomp == 0 or tcomp == 0:
         return [[0] * scomp for _ in range(tcomp)]
     return oracle.component_matrix()
@@ -256,7 +256,7 @@ def test_transitions_and_mult_maps_match_taylor_inclusions():
             for _ in range(6):
                 alpha = _random_alpha(rng, high)
                 for j in range(low.r + 2):
-                    rep = transition_between(low.ext_piece(j, alpha), high.ext_piece(j, alpha), ell)
+                    rep = transition_between(low.ext_piece(j, alpha), high.ext_piece(j, alpha))
                     want = oracle[ell].inclusion(j, alpha, oracle[ell + 1], alpha)
                     what = (ideal.gens, ell, j, alpha)
                     _assert_same_map(rep, want, oracle[ell], oracle[ell + 1], what)
@@ -294,20 +294,20 @@ def test_reisner_transitions_and_mult_maps_match_taylor_inclusions(j):
         if j == 4:
             assert len(support) == ell**6
         for piece in support:
-            rep = transition_between(piece, high.ext_piece(j, piece.alpha), ell)
+            rep = transition_between(piece, high.ext_piece(j, piece.alpha))
             want = oracle[ell].inclusion(j, piece.alpha, oracle[ell + 1], piece.alpha)
             _assert_same_map(rep, want, oracle[ell], oracle[ell + 1], (ell, piece.alpha))
             assert rep.matrix == _oracle_matrix(rep, want), (ell, piece.alpha)
             assert rep.induced is not None and is_injective(rep.induced)
             for i in range(6):
                 report = low.mult_map(j, piece.alpha, i)
-                target = report.target_alpha
+                target = report.target.alpha
                 want = oracle[ell].inclusion(j, piece.alpha, oracle[ell], target)
                 what = (ell, piece.alpha, i)
                 _assert_same_map(report, want, oracle[ell], oracle[ell], what)
                 assert report.matrix == _oracle_matrix(report, want), what
                 checked += 1
-                free += report.source_group.free_rank > 0 and not report.zero
+                free += report.source.group.free_rank > 0 and not report.zero
     if j == 4:
         assert checked == 6 * (1 + 2**6)
     else:
@@ -323,7 +323,7 @@ def test_p_local_injectivity_is_decided_once_per_shared_map(monkeypatch):
     ideal = MonomialIdeal(6, REISNER_ROWS)
     low, high = TaylorComplex(power_ideal(ideal, 2)), TaylorComplex(power_ideal(ideal, 3))
     reps = [
-        transition_between(piece, high.ext_piece(4, piece.alpha), 2)
+        transition_between(piece, high.ext_piece(4, piece.alpha))
         for piece in low.support_scan(4).pieces
     ]
     maps = {id(rep.induced): rep.induced for rep in reps}
@@ -361,7 +361,7 @@ def test_nerve_caches_stay_bounded_over_many_ideals(monkeypatch):
             for piece in low.support_scan(j).pieces:
                 # groups stay right while entries are evicted under them
                 assert piece.group == strands.group(j, piece.alpha)
-                transition_between(piece, high.ext_piece(j, piece.alpha), 1)
+                transition_between(piece, high.ext_piece(j, piece.alpha))
                 low.mult_map(j, piece.alpha, rng.randrange(low.n))
         for cache in caches:
             size = len(getattr(*cache))

@@ -145,8 +145,8 @@ def test_check_transitions_checks_each_level_pair_once_from_the_scanned_pieces(m
         low, high = complexes[ell], complexes[ell + 1]
         for piece, t in zip(support[ell], pair["transitions"]):
             alpha = piece.alpha
-            rep = transition_between(low.ext_piece(4, alpha), high.ext_piece(4, alpha), ell)
-            assert t["alpha"] == list(rep.alpha)
+            rep = transition_between(low.ext_piece(4, alpha), high.ext_piece(4, alpha))
+            assert t["alpha"] == list(rep.source.alpha)
             assert (rep.source.group, rep.source.triple) == (piece.group, piece.triple)
 
 
@@ -171,7 +171,7 @@ def test_check_transitions_builds_only_the_targets_missing_from_the_next_scan(mo
     assert (len(missing), len(support[1])) == (1, 4) and built == missing
     high = complexes[2]
     for piece, t in zip(support[1], pair["transitions"]):
-        rep = transition_between(piece, high.ext_piece(2, piece.alpha), 1)
+        rep = transition_between(piece, high.ext_piece(2, piece.alpha))
         assert t["injective"] == _transition_injective_over(rep, 2)
         if piece.alpha in missing:
             assert not t["injective"]
@@ -182,9 +182,9 @@ def test_transition_between_needs_the_target_of_the_same_degree():
     complexes = build_levels(reisner_ideal(), 2, 2, None)
     piece = complexes[1].ext_piece(4, (-1,) * 6)
     with pytest.raises(ValueError, match="same j and alpha"):
-        transition_between(piece, complexes[2].ext_piece(4, (-2,) * 6), 1)
+        transition_between(piece, complexes[2].ext_piece(4, (-2,) * 6))
     with pytest.raises(ValueError, match="same j and alpha"):
-        transition_between(piece, complexes[2].ext_piece(3, (-1,) * 6), 1)
+        transition_between(piece, complexes[2].ext_piece(3, (-1,) * 6))
 
 
 def test_check_transitions_rejects_a_pair_that_is_not_a_chain_map():

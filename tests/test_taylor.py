@@ -208,7 +208,7 @@ def test_reisner_mult_maps_out_of_support_are_zero(rtc):
     for i in range(6):
         report = rtc.mult_map(4, (-1,) * 6, i)
         assert report.zero
-        assert report.target_group.is_trivial()
+        assert report.target.group.is_trivial()
         assert report.matrix == []
 
 
@@ -283,10 +283,10 @@ def test_mult_map_composites_commute():
     tc = TaylorComplex(MonomialIdeal(2, [(2, 1)]))
     start = (-2, -1)
     via_x = tc.mult_map(1, start, 0)
-    then_y = tc.mult_map(1, via_x.target_alpha, 1)
+    then_y = tc.mult_map(1, via_x.target.alpha, 1)
     via_y = tc.mult_map(1, start, 1)
-    then_x = tc.mult_map(1, via_y.target_alpha, 0)
-    assert then_y.target_alpha == then_x.target_alpha == (-1, 0)
+    then_x = tc.mult_map(1, via_y.target.alpha, 0)
+    assert then_y.target.alpha == then_x.target.alpha == (-1, 0)
     assert not any(m.zero for m in (via_x, then_y, via_y, then_x))
     final = then_y.induced.target
     assert final is then_x.induced.target  # shared presentation, same coordinates
@@ -300,31 +300,45 @@ def test_mult_map_composites_commute():
 def test_mult_map_between_torsion_pieces_is_identity():
     tc2 = TaylorComplex(power_ideal(reisner(), 2))
     report = tc2.mult_map(4, (-2,) * 6, 0)
-    assert report.source_group == FinAbGroup(0, (2,))
-    assert report.target_group == FinAbGroup(0, (2,))
+    assert report.source.group == FinAbGroup(0, (2,))
+    assert report.target.group == FinAbGroup(0, (2,))
     assert report.matrix == [[1]]
     assert not report.zero
     assert is_injective(report.induced)
 
 
+def test_mult_map_variable_is_the_coordinate_raised():
+    tc2 = TaylorComplex(power_ideal(reisner(), 2))
+    alpha = (-2,) * 6
+    for i in range(6):
+        report = tc2.mult_map(4, alpha, i)
+        assert not report.zero
+        assert report.describe()["variable"] == i
+        raised = tuple(a + (k == i) for k, a in enumerate(alpha))
+        for piece, want in ((report.source, alpha), (report.target, raised)):
+            expected = tc2.ext_piece(4, want)
+            assert (piece.j, piece.alpha, piece.group) == (4, want, expected.group)
+            assert piece.triple == expected.triple
+
+
 def test_transition_koszul():
     I = MonomialIdeal(2, [(1, 0), (0, 1)])
     low, high = TaylorComplex(I), TaylorComplex(power_ideal(I, 2))
-    report = transition_between(low.ext_piece(2, (-1, -1)), high.ext_piece(2, (-1, -1)), 1)
-    assert report.source_group == FinAbGroup.free(1)
-    assert report.target_group == FinAbGroup.free(1)
+    report = transition_between(low.ext_piece(2, (-1, -1)), high.ext_piece(2, (-1, -1)))
+    assert report.source.group == FinAbGroup.free(1)
+    assert report.target.group == FinAbGroup.free(1)
     assert report.matrix == [[1]]
     assert is_injective(report.induced)
-    vacuous = transition_between(low.ext_piece(0, (0, 0)), high.ext_piece(0, (0, 0)), 1)
-    assert vacuous.source_group.is_trivial() and vacuous.induced is None
+    vacuous = transition_between(low.ext_piece(0, (0, 0)), high.ext_piece(0, (0, 0)))
+    assert vacuous.source.group.is_trivial() and vacuous.induced is None
     assert all(_transition_injective_over(vacuous, p) for p in (2, 3))
 
 
 def test_transition_reisner_level1(rtc):
     tc2 = TaylorComplex(power_ideal(reisner(), 2))
-    report = transition_between(rtc.ext_piece(4, (-1,) * 6), tc2.ext_piece(4, (-1,) * 6), 1)
-    assert report.source_group == FinAbGroup(0, (2,))
-    assert report.target_group == FinAbGroup(0, (2,))
+    report = transition_between(rtc.ext_piece(4, (-1,) * 6), tc2.ext_piece(4, (-1,) * 6))
+    assert report.source.group == FinAbGroup(0, (2,))
+    assert report.target.group == FinAbGroup(0, (2,))
     assert report.matrix == [[1]]
     assert is_injective(report.induced)
     assert report.induced.is_injective_localized(2)
@@ -339,7 +353,7 @@ def test_comparison_chain_check_rejects_unrelated_ideals():
     # past the chain check the nerves refuse it too: at (-1, 0) the nerve
     # of (x1) has a vertex, the nerve of (x0) only the empty face
     with pytest.raises(ValueError, match="not a subcomplex"):
-        transition_between(low.ext_piece(1, (-1, 0)), high.ext_piece(1, (-1, 0)), 1)
+        transition_between(low.ext_piece(1, (-1, 0)), high.ext_piece(1, (-1, 0)))
     src, tgt = low.ext_piece(1, (-1, 0)).triple, high.ext_piece(1, (-1, 0)).triple
     with pytest.raises(ValueError, match="not a subcomplex"):
         _restriction(src, tgt)
@@ -400,7 +414,7 @@ def test_generator_cap():
 
 
 def test_dvr_invariants_read_off_p_parts():
-    piece = GradedExtPiece(None, 0, (), FinAbGroup(1, (6, 12)), (0, 0, 0))
+    piece = GradedExtPiece(0, (), FinAbGroup(1, (6, 12)), (0, 0, 0))
     assert piece.dvr_invariants(2) == (1, (1, 2))
     assert piece.dvr_invariants(3) == (1, (1, 1))
     assert piece.dvr_invariants(5) == (1, ())
