@@ -431,7 +431,7 @@ def cmd_filtration(ns) -> Report:
         check("filtration-axioms", axioms.ok(), violated=list(axioms.failed_conditions()))
     ]
     if axioms.ok():
-        verdict = finite_type_and_verdict(spec, deadline)
+        verdict = finite_type_and_verdict(spec, deadline, axioms)
         results["verdict"] = verdict.describe()
         claims.append(check("length-verdict", True, verdict=verdict.tag()))
     tiers = len(spec.tiers)

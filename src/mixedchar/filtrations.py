@@ -235,16 +235,20 @@ class InfiniteLength:
         }
 
 
-def finite_type_and_verdict(spec: FiltrationSpec, deadline: float | None = None):
+def finite_type_and_verdict(
+    spec: FiltrationSpec, deadline: float | None = None, axioms: AxiomReport | None = None
+):
     """FiniteLength with the summed bound gap, or InfiniteLength with (0).
 
-    Axioms must pass first.  Finite type additionally verifies on every
-    sample that the claimed pi power kills; the infinite branch spot
-    checks that samples of unbounded tiers survive repeated pi action.
-    deadline is checked as in check_axioms, and every 1024 pi steps.
+    Axioms must pass first: axioms is check_axioms(spec) when the caller
+    already has it, and is computed here otherwise.  Finite type
+    additionally verifies on every sample that the claimed pi power
+    kills; the infinite branch spot checks that samples of unbounded
+    tiers survive repeated pi action.  deadline is checked as in
+    check_axioms, and every 1024 pi steps.
     """
     what = "the length verdict"
-    report = check_axioms(spec, deadline)
+    report = check_axioms(spec, deadline) if axioms is None else axioms
     if not report.ok():
         raise ValueError(f"filtration axioms fail: {report.failed_conditions()}")
     if all(t.a is not None and t.b is not None for t in spec.tiers):

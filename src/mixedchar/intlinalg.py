@@ -312,16 +312,9 @@ def cochain_invariants(maps) -> list:
 
     maps are (entries, nrows, ncols) triples as coboundary_sign_entries
     returns them.  They are taken one at a time, so a lazy iterable can
-    do work (a deadline check) just before each elimination.  Every field
-    reads its ranks off the result: over Q the rank, over F_p (p prime)
-    the rank minus the factors divisible by p.
+    do work (a deadline check) just before each elimination.
     """
     return [invariant_factors_sparse(entries, nrows, ncols) for entries, nrows, ncols in maps]
-
-
-def rank_mod_p(rank: int, factors, p: int) -> int:
-    """Rank over F_p of an integer matrix with this rank and these invariant factors."""
-    return rank - sum(1 for d in factors if d % p == 0)
 
 
 def check_composes_to_zero(maps):
@@ -408,14 +401,15 @@ class FinAbGroup:
     __slots__ = ("free_rank", "factors")
 
     def __init__(self, free_rank: int, factors=()):
-        factors = tuple(int(d) for d in factors)
+        factors = tuple(map(int, factors))
         if free_rank < 0:
             raise ValueError("negative free rank")
-        for a, b in zip(factors, factors[1:]):
-            if b % a:
-                raise ValueError(f"invariant factors {factors} not a divisibility chain")
-        if any(d < 2 for d in factors):
-            raise ValueError(f"invariant factors must be >= 2, got {factors}")
+        if factors:  # most groups are torsion-free, and pay for no chain check
+            for a, b in zip(factors, factors[1:]):
+                if b % a:
+                    raise ValueError(f"invariant factors {factors} not a divisibility chain")
+            if any(d < 2 for d in factors):
+                raise ValueError(f"invariant factors must be >= 2, got {factors}")
         self.free_rank = free_rank
         self.factors = factors
 

@@ -13,10 +13,11 @@ complexes on which taylor computes graded Ext.
 
 Cohomology is computed over Z: a complex eliminates the coboundary out of
 each cardinality at most once, one sparse elimination giving its rank and
-invariant factors, and keeps them.  Every group is read off those: the
-spot of cardinality c has free rank faces(c) - r_in - r_out and torsion
-the factors of the map in, and the tables over Q and every F_p follow
-from the same ranks and factors.
+invariant factors, and keeps them.  Every group is read off those in one
+place (SimplicialComplex.reduced_groups): the spot of cardinality c has
+free rank faces(c) - r_in - r_out and torsion the factors of the map in.
+The tables over Q and every F_p follow from the Z groups by universal
+coefficients.
 
 Most links are cones, and one test (link_is_cone) finds them from the
 facets alone: the link of a face W has the facets F minus W for the
@@ -28,24 +29,28 @@ vertices are exactly W when W is a facet (the link is {empty set}, with
 reduced cohomology Z at spot -1) and whenever the link is not a cone, so
 every link that can contribute is still eliminated.
 
-The reduced cohomology of a complex is computed on its strong-collapse
-core (Barmak and Minian, Strong homotopy types, nerves and collapses,
-Discrete Comput. Geom. 2012): while some vertex v has a link that is a
-cone, delete v.  This is exact over Z.  K is the union of K minus v and
-the closed star of v, glued along the link of v; the star is a cone over
-v and the link a cone by choice, both contractible, so K is homotopy
-equivalent to K minus v and has the same reduced cohomology.  The test
-is link_is_cone at the face {v}, so a vertex that is a facet (link
-{empty set}) or lies in no face (void link) is never deleted.  The
-facets of K minus v are the sets F minus v that no facet without v
-contains, so a deletion tests only the facets through v, and only
-against the others.  The check that consecutive coboundaries compose to
-zero still runs on the input complex.
+Every group is computed on the complex's strong-collapse core (Barmak and
+Minian, Strong homotopy types, nerves and collapses, Discrete Comput.
+Geom. 2012): while some vertex v has a link that is a cone, delete v.
+This is exact over Z.  K is the union of K minus v and the closed star of
+v, glued along the link of v; the star is a cone over v and the link a
+cone by choice, both contractible, so K is homotopy equivalent to K minus
+v and has the same reduced cohomology.  The test is link_is_cone at the
+face {v}, so a vertex that is a facet (link {empty set}) or lies in no
+face (void link) is never deleted.  The facets of K minus v are the sets
+F minus v that no facet without v contains, so a deletion tests only the
+facets through v, and only against the others.  A complex finds its core
+once and keeps it, and the core keeps its own eliminations, so a taylor
+nerve met at many degrees, levels or ideals collapses and eliminates
+once.  Only groups move to the core: taylor reads the bases and induced
+maps of Ext off the full nerve's faces, since restriction of cochains
+needs them.  The check that consecutive coboundaries compose to zero
+still runs on the input complex.
 """
 
 from __future__ import annotations
 
-from .intlinalg import FinAbGroup, check_composes_to_zero, cochain_invariants, rank_mod_p
+from .intlinalg import FinAbGroup, check_composes_to_zero, cochain_invariants
 # the layer trace (perfbench/spans.py) wraps these two names in this module
 from .intlinalg import complex_cohomology, matrix_rank_mod_p  # noqa: F401
 from .scalars import is_prime
@@ -76,7 +81,7 @@ class SimplicialComplex:
     [1, 3, 1]
     """
 
-    __slots__ = ("n", "_spans", "_face_set", "_sized", "_maximal", "_invariants")
+    __slots__ = ("n", "_spans", "_face_set", "_sized", "_maximal", "_invariants", "_core")
 
     def __init__(self, n: int, facets):
         _check_vertex_count(n)
@@ -106,6 +111,7 @@ class SimplicialComplex:
         self._sized = None
         self._maximal = maximal
         self._invariants = {}
+        self._core = None
 
     @property
     def _faces(self) -> frozenset:
@@ -202,12 +208,15 @@ class SimplicialComplex:
         """The strong-collapse core: vertices whose link is a cone deleted,
         pass after pass, until a pass deletes none.  Homotopy equivalent to
         this complex (see the module docstring), and this complex itself
-        when no vertex goes.  deadline (a time.monotonic() value) is
-        checked once per deletion.
+        when no vertex goes.  Found once and kept; a core is its own core.
+        deadline (a time.monotonic() value) is checked once per deletion.
 
-        >>> SimplicialComplex(4, [(0, 1, 2, 3)]).core().facets
-        ((3,),)
+        >>> cx = SimplicialComplex(4, [(0, 1, 2, 3)])
+        >>> cx.core().facets, cx.core() is cx.core()
+        (((3,),), True)
         """
+        if self._core is not None:
+            return self if self._core is True else self._core
         facets, deleted, rescan = list(self._facet_masks), False, True
         while rescan:
             rescan = False
@@ -221,7 +230,31 @@ class SimplicialComplex:
                     G for G in (F ^ b for F in facets if F & b) if not any(G & H == G for H in kept)
                 ]
                 deleted = rescan = True
-        return SimplicialComplex._from_facet_masks(self.n, facets) if deleted else self
+        # True marks a complex that is its own core, with no reference cycle
+        # for the collector to find
+        if not deleted:
+            self._core = True
+            return self
+        core = SimplicialComplex._from_facet_masks(self.n, facets)
+        core._core, self._core = True, core
+        return core
+
+    def reduced_groups(self, cards: range, deadline=None) -> list:
+        """Reduced cohomology over Z at the spots of the faces with card
+        vertices (spot card - 1) for each card in a range, computed on the
+        strong-collapse core: free rank faces(card) - r_in - r_out, torsion
+        the factors of the map in.  Trivial past either end.  deadline is
+        checked as in core and before each elimination.
+
+        >>> SimplicialComplex(3, [(0, 1), (1, 2), (0, 2)]).reduced_groups(range(4))
+        [0, 0, Z, 0]
+        """
+        core = self.core(deadline)
+        stats = core.coboundary_invariants(range(cards.start - 1, cards.stop), deadline)
+        return [
+            FinAbGroup(len(core.faces_of_size(card)) - r_in - r_out, t_in)
+            for card, (r_in, t_in), (r_out, _) in zip(cards, stats, stats[1:])
+        ]
 
     def link(self, vertices) -> "SimplicialComplex":
         """The link of a face: facets F minus W for the facets F containing
@@ -262,36 +295,31 @@ def reduced_cohomology(cx: SimplicialComplex, coeff="Z", deadline=None) -> dict:
     is checked once per vertex the core deletes and before each
     elimination.
 
-    Every table comes from the coboundary_invariants of the complex's
-    strong-collapse core, which has the same reduced cohomology.  With
-    rank r and nontrivial invariant factors t for each coboundary, the
-    spot of cardinality c has dimension faces(c) - r_in - r_out over Q, the
-    same with r replaced by r minus the factors divisible by p over F_p,
-    and over Z that free rank plus the torsion t_in; faces(c) counts the
-    core's faces, none above its top.  The Z table first checks that the
-    input complex's consecutive coboundaries compose to zero.
+    Every table comes from the Z groups (reduced_groups, on the complex's
+    strong-collapse core) by universal coefficients: over Q the free rank,
+    over F_p the free rank plus the factors divisible by p at the spot and
+    at the spot above.  The Z table first checks that the input complex's
+    consecutive coboundaries compose to zero.
     """
     coeffs = _coefficients(coeff)
     # one past the largest facet's size: 0 for the void complex, whose tables are empty
     top = max((F.bit_count() + 1 for F in cx._facet_masks), default=0)
     if "Z" in coeffs:
         cx.check_coboundaries()
-    core = cx.core(deadline)
-    counts = core.face_counts()
-    counts += [0] * (top - len(counts))
-    # the map into each cardinality's spot, then the one out of the top
-    stats = core.coboundary_invariants(range(-1, top), deadline)
+    # the group at each cardinality's spot, then the trivial one past the top
+    groups = cx.reduced_groups(range(top + 1), deadline)
     tables = {}
     for k in coeffs:
         table = {}
-        for card, dim in enumerate(counts):
-            (r_in, t_in), (r_out, t_out) = stats[card], stats[card + 1]
+        for card, (here, above) in enumerate(zip(groups, groups[1:])):
             if k == "Z":
-                table[card - 1] = FinAbGroup(dim - r_in - r_out, t_in)
+                table[card - 1] = here
             elif k == "Q":
-                table[card - 1] = dim - r_in - r_out
+                table[card - 1] = here.free_rank
             else:
-                table[card - 1] = dim - rank_mod_p(r_in, t_in, k) - rank_mod_p(r_out, t_out, k)
+                table[card - 1] = here.free_rank + sum(
+                    1 for d in here.factors + above.factors if d % k == 0
+                )
         tables[k] = table
     return tables if isinstance(coeff, tuple) else tables[coeff]
 

@@ -27,8 +27,12 @@ whose facets are the maximal V_i: it has at most 2^r faces however many
 variables there are, where N_tau has up to 2^n.  The coboundaries have
 entries in {-1, 0, 1}, and a complex with a generator in every maximal
 V_i is a cone (simplicial.link_is_cone at the empty face), acyclic, with
-no elimination.  Otherwise the group is read off the complex's
-coboundary_invariants, the same route as simplicial.reduced_cohomology.
+no elimination.  Otherwise the group is SimplicialComplex.reduced_groups,
+the same route as simplicial.reduced_cohomology: it is read off the
+eliminations of the complex's strong-collapse core, which has the same
+cohomology and is found once per complex.  A group is a homotopy
+invariant, so it needs no chain map of the collapse; bases and induced
+maps do, and they are read off Delta's own faces.
 
 Multiplication by x_i and the passage from one power level to the next
 both shrink every V_i (and may deactivate a variable), so the target
@@ -54,7 +58,7 @@ A piece keeps Delta's faces of sizes j-2, j-1 and j as sorted tuples of
 generator bitmasks.  Complexes are cached by their V_i, and presentation
 bases and restriction maps by those face tuples, shared across degrees,
 levels and ideals, each cache holding at most subsets.CACHE_LIMIT
-entries; a complex keeps its own eliminations.
+entries; a complex keeps its own core, and the core its eliminations.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ from .monomials import MonomialIdeal
 from .polynomials import MultiIndex
 from .scalars import padic_valuation
 from .simplicial import SimplicialComplex, link_is_cone
-from .subsets import bits_to_subsets, cache_put, check_deadline, coboundary_sign_entries
+from .subsets import cache_put, check_deadline, coboundary_sign_entries
 
 # input validation: Delta on r generators has up to 2^r faces
 MAX_GENERATORS = 12
@@ -92,7 +96,7 @@ def _nerve(r: int, simplices: frozenset):
     hit = _NERVE_CACHE.get(key)
     if hit is None:
         maximal = [F for F in simplices if not any(F != G and F & G == F for G in simplices)]
-        cx = SimplicialComplex(r, [bits_to_subsets(F) for F in maximal] or [()])
+        cx = SimplicialComplex._from_facet_masks(r, maximal or [0])
         hit = cache_put(_NERVE_CACHE, key, (cx, link_is_cone(maximal, 0)))
     return hit
 
@@ -217,10 +221,7 @@ class TaylorComplex:
             group = FinAbGroup.trivial()
         else:
             nerve, cone = _nerve(self.r, frozenset(filter(None, cover)))
-            group = FinAbGroup.trivial()
-            if not cone:
-                (r_in, t_in), (r_out, _) = nerve.coboundary_invariants((j - 2, j - 1), None)
-                group = FinAbGroup(len(nerve.faces_of_size(j - 1)) - r_in - r_out, t_in)
+            group = FinAbGroup.trivial() if cone else nerve.reduced_groups(range(j - 1, j))[0]
             return GradedExtPiece(j, alpha, group, nerve)
         return GradedExtPiece(j, alpha, group, triple)
 

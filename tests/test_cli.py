@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from mixedchar import cli, pipeline
+from mixedchar import cli, filtrations, pipeline
 from mixedchar.cli import main
 from mixedchar.taylor import TaylorComplex
 
@@ -619,6 +619,23 @@ def test_filtration_quotient_verdict(capsys):
     verdict = claim_by_id(data, "length-verdict")
     assert verdict["result"] == "finite-length, killed by pi^3"
     assert data["results"]["verdict"]["ell_bound"] == 3
+
+
+def test_filtration_checks_its_axioms_once(capsys, monkeypatch):
+    # the verdict reuses the report the command already has
+    calls = []
+    real = filtrations.check_axioms
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(filtrations, "check_axioms", counted)
+    monkeypatch.setattr(cli, "check_axioms", counted)
+    for argv in (("--model", "quotient", "--ell", "3"), ("--model", "localization", "--f", "x0")):
+        calls.clear()
+        code, data, _ = run_json(capsys, "filtration", *argv)
+        assert code == 0 and "verdict" in data["results"] and len(calls) == 1, argv
 
 
 def test_filtration_localization_verdict(capsys):

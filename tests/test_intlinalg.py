@@ -146,8 +146,10 @@ def test_finabgroup_normalization_and_predicates():
     assert FinAbGroup.trivial().killed_by(1)
     assert FinAbGroup.cyclic(6).exponent() == 6
     assert FinAbGroup(0, (2, 6)).order() == 12
-    with pytest.raises(ValueError):
-        FinAbGroup(0, (4, 2))
+    for free, factors in ((0, (4, 2)), (1, (1,)), (0, (1, 2)), (-1, ())):
+        with pytest.raises(ValueError):
+            FinAbGroup(free, factors)
+    assert FinAbGroup(2, iter((2, 4))) == FinAbGroup(2, (2, 4))
 
 
 def test_complex_cohomology_times_two():

@@ -16,7 +16,7 @@ import random
 import pytest
 
 from mixedchar import intlinalg, subsets, taylor
-from mixedchar.intlinalg import IntMatrix, InducedMap
+from mixedchar.intlinalg import FinAbGroup, IntMatrix, InducedMap
 from mixedchar.monomials import MonomialIdeal, power_ideal
 from mixedchar.pipeline import _transition_injective_over
 from mixedchar.subsets import bits_to_subsets, coboundary_sign_entries
@@ -104,7 +104,9 @@ def test_the_nerve_cone_test_matches_an_apex_search():
 
 def test_each_nerve_eliminates_each_coboundary_once(monkeypatch):
     # the Reisner socle scan at level 1 meets 126 nerves, 32 of them no
-    # cone, with 64 coboundaries between them; level 2 meets the same nerves
+    # cone; their groups are read off strong-collapse cores, found once per
+    # nerve, with 8 coboundaries between them (64 on the full nerves);
+    # level 2 meets the same nerves
     monkeypatch.setattr(taylor, "_NERVE_CACHE", {})
     calls = []
     real = intlinalg.invariant_factors_sparse
@@ -112,11 +114,52 @@ def test_each_nerve_eliminates_each_coboundary_once(monkeypatch):
         intlinalg, "invariant_factors_sparse", lambda *args: calls.append(args) or real(*args)
     )
     ideal = MonomialIdeal(6, REISNER_ROWS)
-    for ell, eliminations in ((1, 64), (2, 64), (2, 64)):
+    for ell, eliminations in ((1, 8), (2, 8), (2, 8)):
         pieces = TaylorComplex(power_ideal(ideal, ell)).support_scan(4, ((-ell, 0),) * 6).pieces
         assert len(pieces) == ell**6 and len(calls) == eliminations, (ell, len(calls))
     nerves = [cone for _, cone in taylor._NERVE_CACHE.values()]
     assert (len(nerves), nerves.count(False)) == (126, 32)
+
+
+def test_groups_on_proper_cores_match_the_strand_oracle(monkeypatch):
+    # a non-cone nerve's group is read off its strong-collapse core; most
+    # cores here are strictly smaller than their nerves, and every group
+    # still matches the Taylor strands.  The Reisner Z/2 socle's nerve (six
+    # facets of five generators, no vertex link a cone) is its own core.
+    monkeypatch.setattr(taylor, "_NERVE_CACHE", {})
+    rng = random.Random(60607)
+    cases = []
+    for _ in range(200):
+        tc = TaylorComplex(_random_ideal(rng))
+        cases.append((tc, {_random_alpha(rng, tc) for _ in range(20)}))
+    reisner = MonomialIdeal(6, REISNER_ROWS)
+    for ell, sample in ((1, None), (2, 80)):
+        tc = TaylorComplex(power_ideal(reisner, ell))
+        box = list(itertools.product(range(-ell, 1), repeat=6))
+        cases.append((tc, rng.sample(box, sample) if sample else box))
+    compared = 0
+    for tc, degrees in cases:
+        strands = TaylorStrands(tc)
+        for alpha in sorted(degrees):
+            for j in range(tc.r + 2):
+                got = tc.ext_piece(j, alpha).group
+                assert got == strands.group(j, alpha), (tc.gens, j, alpha)
+                compared += 1
+    others = [cx for cx, cone in taylor._NERVE_CACHE.values() if not cone]
+    proper = [cx for cx in others if len(cx.core()._faces) < len(cx._faces)]
+    # proper cores that carry a nonzero group (free Ext^3 pieces on Reisner)
+    nonzero = sum(
+        cx.n == 10 and any(not g.is_trivial() for g in cx.reduced_groups(range(cx.n + 1)))
+        for cx in proper
+    )
+    assert compared > 10000 and len(others) > 50, (compared, len(others))
+    assert len(proper) > 40 and nonzero > 20, (len(proper), nonzero)
+    for cx in others:
+        assert cx.core() is cx.core() and cx.core().core() is cx.core()
+    socle = TaylorComplex(reisner).ext_piece(4, (-1,) * 6)
+    nerve = socle._triple
+    assert socle.group == FinAbGroup(0, (2,)) and nerve.core() is nerve
+    assert dense_reduced_cohomology(nerve, "Z")[2] == socle.group
 
 
 def test_wide_ideals_run_on_the_generators():
