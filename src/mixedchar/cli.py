@@ -181,7 +181,7 @@ def cmd_scan(ns) -> Report:
         raise ValueError(f"{ns.p} is not prime")
     ideal, source = _load_ideal(ns.ideal)
     tc = TaylorComplex(ideal)
-    box = _parse_box(ns.box, ideal.n) if ns.box else tc.default_box()
+    box = _parse_box(ns.box, ideal.n) if ns.box is not None else tc.default_box()
     scan = tc.support_scan(ns.j, box=box, shell=not ns.no_shell, deadline=_deadline(ns))
     results = scan.describe()
     results["pieces"] = [_piece_entry(p, ns.p) for p in scan.pieces]
@@ -249,7 +249,7 @@ def cmd_transition(ns) -> Report:
 
 def cmd_pipeline(ns) -> Report:
     ideal, source = _load_ideal(ns.ideal)
-    box = _parse_box(ns.box, ideal.n) if ns.box else None
+    box = _parse_box(ns.box, ideal.n) if ns.box is not None else None
     rep = annihilator_pipeline(
         ideal, p=ns.p, j=ns.j, levels=ns.levels, box=box, deadline=_deadline(ns)
     )
@@ -280,7 +280,7 @@ def cmd_pipeline(ns) -> Report:
             "j": ns.j,
             "levels": ns.levels,
             "p": ns.p,
-            "box": None if not ns.box else [list(iv) for iv in box],
+            "box": None if ns.box is None else [list(iv) for iv in box],
         },
         results=results,
         claims=tuple(claims),

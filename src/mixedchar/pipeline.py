@@ -113,7 +113,9 @@ def scan_levels(complexes: dict, j: int, p: int, box, deadline) -> tuple:
     """(per-level details, p-local support, kill exponent, free rank) by level.
 
     The support at a level is the list of its scanned pieces that survive
-    p-locally, ascending in alpha.
+    p-locally, ascending in alpha.  The degrees of one product of runs
+    share their group object, so the p-local invariants are read once per
+    group of a scan, not once per piece.
     """
     levels = []
     support = {}
@@ -124,8 +126,12 @@ def scan_levels(complexes: dict, j: int, p: int, box, deadline) -> tuple:
         found = []
         free_total = 0
         exp_top = 0
+        local = {}  # id of a group held by scan.pieces: its p-local invariants
         for piece in scan.pieces:
-            free, exps = piece.dvr_invariants(p)
+            invariants = local.get(id(piece.group))
+            if invariants is None:
+                invariants = local[id(piece.group)] = piece.dvr_invariants(p)
+            free, exps = invariants
             if free == 0 and not exps:
                 continue
             found.append((piece, free, exps))

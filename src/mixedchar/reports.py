@@ -3,11 +3,13 @@
 Every command emits one JSON report on standard output: sorted keys,
 two-space indent, integers and strings only (floats are rejected, exact
 rationals are rendered as "a/b"), so identical inputs produce identical
-bytes.  encode writes them in one walk of the report, byte for byte what
-json.dumps(sort_keys=True, indent=2) gives on the report's JSON-ready
-copy.  Timing holds work counters derived from the computation itself;
-wall-clock seconds go to standard error, outside the deterministic
-stream.
+bytes.  encode writes them byte for byte as json.dumps(sort_keys=True,
+indent=2) does on the report's JSON-ready copy, in one walk that appends
+to one buffer.  The sorted key heads of each dict shape are built once
+per call, and a bad value still raises on the first offender in
+insertion order.  Timing holds work counters derived from the
+computation itself; wall-clock seconds go to standard error, outside the
+deterministic stream.
 
 Claims are the statements a run can check.  Each claim cited in a
 report resolves to an entry in CLAIMS, the registry also rendered into
@@ -154,14 +156,33 @@ def check(cid: str, ok: bool, level: int | None = None, **fields) -> Claim:
     raise ValueError(f"claim {cid}: no result takes the fields {sorted(given)}")
 
 
-_INT_ONLY = {int}
-# encoders of the exact leaf types; dict values are looked up here inline
+# whether an iterable of types holds int alone (bool is its own type)
+_all_ints = {int}.issuperset
+# encoders of the exact leaf types; container values are looked up here inline
 _LEAVES = {
-    int: int.__repr__,
+    int: repr,
     str: _quote,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
 }
+
+
+def _indents(level: int) -> tuple:
+    """(newline into level + 1, item separator there, newline back to level)."""
+    inner = "\n" + "  " * (level + 1)
+    return inner, "," + inner, inner[:-2]
+
+
+def _shape(keys: tuple, level: int) -> tuple:
+    """A dict's sorted (key, head) pairs, its close, and its values' indents.
+
+    A head is what precedes the key's value: "{" or ",", the newline and
+    indent, and the quoted key with its ": ".
+    """
+    inner, _, outer = _indents(level)
+    ordered = sorted(keys)  # keys are distinct strings
+    heads = [("," if i else "{") + inner + _quote(k) + ": " for i, k in enumerate(ordered)]
+    return tuple(zip(ordered, heads)), outer + "}", _indents(level + 1)
 
 
 def encode(obj, level: int = 0) -> str:
@@ -169,52 +190,105 @@ def encode(obj, level: int = 0) -> str:
 
     The bytes are those of json.dumps(..., sort_keys=True, indent=2) on
     the JSON-ready copy with tuples as lists, Fractions as "a/b" (or "a"),
-    and objects replaced by their describe(); no copy is built.  Values
-    are encoded in insertion order and then sorted by key, so a float, a
-    non-string key or an unknown type raises on the first offender in
-    insertion order.  Most of a report is lists of ints, which are joined
-    in one step.  Strings are escaped by the stdlib encoder's own
-    encode_basestring_ascii.  A container is closed with one f-string, not
-    a chain of +, so at most three copies of its text are alive at once.
+    and objects replaced by their describe(); no copy is built.  One walk
+    appends the pieces to one buffer, joined once at the end.  Each dict's
+    sorted key heads are looked up by its keys in insertion order and its
+    level, in a shape table that lives for this call only; lists of ints,
+    most of a report, are joined in one step.  Strings are escaped by the
+    stdlib encoder's own encode_basestring_ascii.
+
+    A float, a non-string key or an unknown type raises on the first
+    offender in insertion order.  A dict with a non-string key is walked
+    in insertion order up to it.  When a value fails in sorted order, the
+    values inserted before it that the walk has not reached yet are
+    walked in insertion order, so an earlier offender among them raises
+    instead; every value is walked at most once.
     """
-    leaf = _LEAVES.get(type(obj))
-    if leaf is not None:
-        return leaf(obj)
-    if isinstance(obj, str):  # subclasses of the leaf types
-        return _quote(obj)
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        raise ValueError(f"float {obj!r} has no canonical form; use int or Fraction")
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = "\n" + "  " * (level + 1)
-        items = []
-        for k, v in obj.items():
-            if not isinstance(k, str):
-                raise ValueError(f"non-string key {k!r}")
-            leaf = _LEAVES.get(type(v))
-            items.append((k, _quote(k) + ": " + (leaf(v) if leaf else encode(v, level + 1))))
-        items.sort()  # keys are distinct, so only they are compared
-        body = ("," + inner).join([item for _, item in items])
-        return f"{{{inner}{body}{inner[:-2]}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = "\n" + "  " * (level + 1)
-        if _INT_ONLY.issuperset(map(type, obj)):
-            body = ("," + inner).join(map(int.__repr__, obj))
+    out = []
+    append = out.append
+    shapes = {}
+
+    def walk(obj, level):
+        kind = type(obj)
+        if kind is dict:
+            if not obj:
+                append("{}")
+                return
+            keys = tuple(obj)
+            shape = shapes.get((keys, level))
+            if shape is None:
+                if not all(isinstance(k, str) for k in keys):
+                    for k, v in obj.items():
+                        if not isinstance(k, str):
+                            raise ValueError(f"non-string key {k!r}")
+                        walk(v, level + 1)
+                shape = shapes[keys, level] = _shape(keys, level)
+            heads, close, (inner, sep, outer) = shape
+            try:
+                for key, head in heads:
+                    v = obj[key]
+                    kind = type(v)
+                    leaf = _LEAVES.get(kind)
+                    if leaf is not None:
+                        append(head + leaf(v))
+                    elif (kind is list or kind is tuple) and v and _all_ints(map(type, v)):
+                        append(f"{head}[{inner}{sep.join(map(repr, v))}{outer}]")
+                    else:
+                        append(head)
+                        walk(v, level + 1)
+            except ValueError:
+                for k in keys[: keys.index(key)]:
+                    if k > key:  # inserted earlier, sorted later: not walked yet
+                        walk(obj[k], level + 1)
+                raise
+            append(close)
+        elif kind is list or kind is tuple:
+            if not obj:
+                append("[]")
+                return
+            inner, sep, outer = _indents(level)
+            if _all_ints(map(type, obj)):
+                append(f"[{inner}{sep.join(map(repr, obj))}{outer}]")
+                return
+            sub_inner, sub_sep, sub_outer = _indents(level + 1)
+            head = "[" + inner
+            for v in obj:
+                kind = type(v)
+                leaf = _LEAVES.get(kind)
+                if leaf is not None:
+                    append(head + leaf(v))
+                elif (kind is list or kind is tuple) and v and _all_ints(map(type, v)):
+                    append(f"{head}[{sub_inner}{sub_sep.join(map(repr, v))}{sub_outer}]")
+                else:
+                    append(head)
+                    walk(v, level + 1)
+                head = sep
+            append(outer + "]")
         else:
-            body = ("," + inner).join([encode(v, level + 1) for v in obj])
-        return f"[{inner}{body}{inner[:-2]}]"
-    if isinstance(obj, Fraction):  # after the containers: an ABC check, slow
-        n, d = obj.numerator, obj.denominator
-        return _quote(str(n) if d == 1 else f"{n}/{d}")
-    describe = getattr(obj, "describe", None)
-    if callable(describe):
-        return encode(describe(), level)
-    raise ValueError(f"cannot serialize {type(obj).__name__}")
+            leaf = _LEAVES.get(kind)
+            if leaf is not None:
+                append(leaf(obj))
+            elif isinstance(obj, str):  # subclasses of the leaf and container types
+                append(_quote(obj))
+            elif isinstance(obj, int):
+                append(int.__repr__(obj))
+            elif isinstance(obj, float):
+                raise ValueError(f"float {obj!r} has no canonical form; use int or Fraction")
+            elif isinstance(obj, dict):
+                walk(dict(obj), level)
+            elif isinstance(obj, (list, tuple)):
+                walk(list(obj), level)
+            elif isinstance(obj, Fraction):  # after the containers: an ABC check, slow
+                n, d = obj.numerator, obj.denominator
+                append(_quote(str(n) if d == 1 else f"{n}/{d}"))
+            else:
+                describe = getattr(obj, "describe", None)
+                if not callable(describe):
+                    raise ValueError(f"cannot serialize {type(obj).__name__}")
+                walk(describe(), level)
+
+    walk(obj, level)
+    return "".join(out)
 
 
 class Report:

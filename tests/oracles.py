@@ -683,6 +683,36 @@ def degree_by_degree_scan(tc, j, box=None, shell=True):
     )
 
 
+def support_per_piece(complexes: dict, j: int, p: int, box=None) -> list:
+    """pipeline.scan_levels's support by level, dvr_invariants read off every piece.
+
+    Per level: {level, support_size, support, free_rank_total,
+    kill_exponent}, as in scan_levels's details.  This is the reference
+    for scan_levels, which reads the invariants once per group of a scan.
+    """
+    out = []
+    for ell, tc in sorted(complexes.items()):
+        support = []
+        for piece in tc.support_scan(j, box=box).pieces:
+            free, exps = piece.dvr_invariants(p)
+            if free or exps:
+                support.append(
+                    {"alpha": list(piece.alpha), "free_rank": free, "pi_exponents": list(exps)}
+                )
+        free_total = sum(s["free_rank"] for s in support)
+        exp_top = max((s["pi_exponents"][-1] for s in support if s["pi_exponents"]), default=0)
+        out.append(
+            {
+                "level": ell,
+                "support_size": len(support),
+                "support": support,
+                "free_rank_total": free_total,
+                "kill_exponent": None if free_total else exp_top,
+            }
+        )
+    return out
+
+
 def pairwise_facets(faces):
     """Maximal members of a family of bitmasks, each tested against every other.
 

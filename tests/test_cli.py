@@ -161,6 +161,16 @@ def test_scan_rejects_bad_box(capsys):
     assert code == 1 and "6 variables" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("scan", "--ideal", REISNER, "--j", "4", "--box", ""),
+     ("pipeline", "--ideal", REISNER, "--p", "2", "--levels", "1", "--box", "")],
+)
+def test_empty_box_is_rejected_not_defaulted(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: bad box interval '', expected 'lo:hi'\n")
+
+
 def test_pipeline_certifies_the_annihilator(capsys):
     code, data, err = run_json(
         capsys, "pipeline", "--p", "2", "--levels", "2", "--ideal", REISNER
@@ -299,12 +309,15 @@ def test_reports_are_byte_identical_across_runs(capsys, tmp_path):
 # sha256 of the report bytes and the exit code, the ten cubics read from
 # stdin; computed from the reports of the per-degree scan before scans were
 # grouped by class, and (transition-ext3, where Ext is free rather than
-# 2-torsion) on Taylor strands before Ext moved to nerves
+# 2-torsion) on Taylor strands before Ext moved to nerves; pipeline-level4,
+# the 1.9 MB report, is the digest the pipeline-deep benchmark workload pins
 GOLDEN_REPORTS = {
     "scan": (("scan", "--ideal", "-", "--j", "4", "--box", "-1:0"), 0,
              "83756484551f2551eaf6ca9a865177bf21a651f65e60e687c5ff88d7c4e818f5"),
     "pipeline": (("pipeline", "--ideal", "-", "--p", "2", "--levels", "3"), 0,
                  "3cc29122fff426d37da9dd4c40fba4fe6e1842eaf1d3751947a9a0f11d9b5c6b"),
+    "pipeline-level4": (("pipeline", "--ideal", "-", "--p", "2", "--levels", "4"), 0,
+                        "7103d961940444cd46bb4a041df7797c3eb33f09c07eb83c47df9690a473e12f"),
     "transition": (("transition", "--ideal", "-", "--levels", "3"), 0,
                    "632f7cfb002a7cc2685f4fd36d803b2f3e5f617e7a75eeefa5eb7976ff1e4174"),
     "transition-ext3": (("transition", "--ideal", "-", "--j", "3", "--levels", "3"), 2,

@@ -16,6 +16,8 @@ from mixedchar.pipeline import (
 from mixedchar.taylor import TaylorComplex, transition_between
 from mixedchar.textio import reisner_ideal
 
+from .oracles import support_per_piece
+
 
 def reisner_pipeline(levels):
     """The bundled ten-generator ideal at p = 2, j = 4."""
@@ -51,6 +53,35 @@ def test_reisner_two_levels():
     assert s3["verdict"] == "(2)"
     assert s3["status"] == "evidence-at-level-2"
     assert rep.evidence.kill_exponent == 1
+
+
+@pytest.mark.parametrize("p, sizes", [(2, [1, 64, 729]), (3, [0, 0, 0])])
+def test_scan_levels_reads_the_invariants_of_every_piece(p, sizes):
+    # the degrees of one product of runs share a group; at p = 3 the
+    # 2-torsion dies and the support is empty
+    complexes = build_levels(reisner_ideal(), p, 3, None)
+    details, support, kills, frees = scan_levels(complexes, 4, p, None, None)
+    want = support_per_piece(complexes, 4, p)
+    assert [{key: lv[key] for key in want[0]} for lv in details] == want
+    assert [lv["support_size"] for lv in want] == sizes
+    assert {ell: len(pieces) for ell, pieces in support.items()} == dict(zip((1, 2, 3), sizes))
+    assert kills == {lv["level"]: lv["kill_exponent"] for lv in want}
+    assert frees == {lv["level"]: lv["free_rank_total"] for lv in want}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_scan_levels_reads_each_group_of_a_mixed_scan(p):
+    # the first cubic times a seventh variable: Ext^4 mixes Z/2 and Z pieces
+    gens = [g + (int(k == 0),) for k, g in enumerate(reisner_ideal().gens)]
+    complexes = build_levels(MonomialIdeal(7, gens), p, 2, None)
+    details, _, kills, frees = scan_levels(complexes, 4, p, None, None)
+    want = support_per_piece(complexes, 4, p)
+    assert [{key: lv[key] for key in want[0]} for lv in details] == want
+    assert {(s["free_rank"], tuple(s["pi_exponents"])) for s in want[0]["support"]} == (
+        {(0, (1,)), (1, ())} if p == 2 else {(1, ())}
+    )
+    assert kills == {lv["level"]: lv["kill_exponent"] for lv in want}
+    assert frees == {lv["level"]: lv["free_rank_total"] for lv in want}
 
 
 def test_reisner_three_levels():

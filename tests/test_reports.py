@@ -201,6 +201,77 @@ def test_encoder_rejects_what_canonical_rejects(bad, message):
         Report(command="ext", inputs={}, results={"r": bad}, claims=(), timing={}).to_json()
 
 
+# dicts that share one key set, in any insertion order, at several depths
+# and across list elements, so the encoder reuses its cached key shapes
+@st.composite
+def shared_shape_trees(draw):
+    keys = draw(st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True))
+    leaves = (
+        scalars
+        | st.lists(st.integers(), max_size=4)
+        | st.lists(st.integers(), max_size=4).map(tuple)
+    )
+
+    def shaped(children):
+        return st.permutations(keys).flatmap(
+            lambda order: st.tuples(*[children] * len(order)).map(
+                lambda values: dict(zip(order, values))
+            )
+        )
+
+    tree = st.recursive(
+        leaves,
+        lambda children: (
+            shaped(children)
+            | st.lists(shaped(children), min_size=1, max_size=3)
+            | st.lists(children, max_size=3).map(tuple)
+            | shaped(children).map(Described)
+        ),
+        max_leaves=25,
+    )
+    return draw(st.lists(tree, min_size=2, max_size=4))
+
+
+@given(shared_shape_trees())
+def test_encoder_reuses_key_shapes_like_the_stdlib(tree):
+    assert encode(tree) == reference(tree)
+
+
+def test_encoder_sorts_each_insertion_order_of_one_key_set():
+    tree = [
+        {"b": 1, "a": [1, 2], "c": (3,)},
+        {"a": [], "c": Fraction(1, 3), "b": {"c": 0, "b": 1, "a": 2}},
+        {"c": {"a": (), "b": [4]}, "b": None, "a": Described({"b": 1, "a": 2})},
+    ]
+    assert encode(tree) == reference(tree)
+
+
+def test_encoder_nests_forty_levels_deep():
+    tree = [[1, -2], {"k": (3,), "j": []}]
+    for depth in range(40):
+        tree = {"b": tree, "a": [depth, depth + 1]} if depth % 2 else [tree, (depth,), "s"]
+    assert encode(tree) == reference(tree)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ([{"b": 1, "a": 2}, {"b": 0.5, "a": object()}], "float 0.5"),
+        ([{"b": 1, "a": 2}, {"b": object(), "a": 0.5}], "cannot serialize object"),
+        ([{"b": 1}, {"b": object(), 3: 1}], "cannot serialize object"),
+        ([{"b": 1}, {"b": 2}, {"b": 2, 3: 0.5}], "non-string key 3"),
+        ([{"c": 1, "a": {"y": 1, "x": 2}, "b": 3},
+          {"c": {"y": 0.5, "x": object()}, "a": {"y": 0.25, "x": 1}, "b": 2.0}], "float 0.5"),
+        ([{"b": [1], "a": 2}, {"b": [1, 2.0], "a": Described(object())}], "float 2.0"),
+    ],
+)
+def test_encoder_rejects_in_insertion_order_after_a_cached_shape(bad, message):
+    with pytest.raises(ValueError, match=message):
+        canonical(bad)
+    with pytest.raises(ValueError, match=message):
+        encode(bad)
+
+
 def test_claims_markdown_lists_every_id():
     text = claims_markdown()
     for cid in CLAIMS:
