@@ -65,6 +65,7 @@ from .textio import (
     parse_polynomial,
     reisner_ideal,
     rp2_facets,
+    variable_count,
 )
 
 REISNER_BOX = ((-1, 0),) * 6
@@ -409,13 +410,8 @@ def cmd_filtration(ns) -> Report:
             raise ValueError("localization model needs --f")
         if ns.ell is not None:
             raise ValueError("--ell applies to the quotient model only")
-        try:
-            f = parse_polynomial(ns.f, ring, ns.vars)
-        except ValueError as exc:
-            if ns.vars is None and "pass n" in str(exc):
-                f = parse_polynomial(ns.f, ring, 1)
-            else:
-                raise
+        n = variable_count(ns.f) if ns.vars is None else ns.vars
+        f = parse_polynomial(ns.f, ring, n)
         if f.is_zero():
             raise ValueError("cannot localize at zero")
         spec = build_filtration_localization(f)

@@ -6,8 +6,11 @@ conditions: every N_j differentially stable, intersection zero and union
 everything, pi N_j inside N_(j-1), layers N_j/N_(j-1) living over the
 residue ring, and multiplication by pi an isomorphism between
 consecutive layers for all but finitely many j.  The finite description
-keeps an explicit membership window, optional stabilization bounds
-(N_a = 0, N_b = the whole quotient), and declared tail flags.
+keeps an explicit window, optional stabilization bounds (N_a = 0, N_b =
+the whole quotient), declared tail flags, and each element's entry index,
+the least j with the element in N_j.  Window conditions are then integer
+comparisons and pi powers one step each, so a check costs the same
+whatever the window's length or the bound gaps.
 
 When every tier has both bounds, pi to the summed bound gap kills the
 module; when a bound is missing on some tier the annihilator is zero.
@@ -43,12 +46,14 @@ class LocalizedElement:
 class Tier:
     """One quotient in the chain, with its Z-indexed layer family.
 
-    membership(x, j) decides x in N_j for every j; pi_action and zero
-    act on the same element representation as the samples.
+    entry(x) is the least j with x in N_j, and None exactly when x is zero
+    (the one element in every N_j); since the layers increase with j, x
+    lies in N_j exactly when j >= entry(x).  pi_action(x, k=1) multiplies
+    by pi^k, on the same element representation as the samples.
     """
 
     __slots__ = (
-        "name", "a", "b", "window", "membership", "pi_action", "zero", "samples",
+        "name", "a", "b", "window", "entry", "pi_action", "samples",
         "layer_class", "tail_iso_low", "tail_iso_high",
     )
 
@@ -58,9 +63,8 @@ class Tier:
         a: int | None,
         b: int | None,
         window: tuple,
-        membership: Callable,
+        entry: Callable,
         pi_action: Callable,
-        zero: Callable,
         samples: tuple,
         layer_class: str,
         tail_iso_low: bool = True,
@@ -70,9 +74,8 @@ class Tier:
         self.a = a
         self.b = b
         self.window = window
-        self.membership = membership
+        self.entry = entry
         self.pi_action = pi_action
-        self.zero = zero
         self.samples = samples
         self.layer_class = layer_class
         self.tail_iso_low = tail_iso_low
@@ -83,6 +86,9 @@ class Tier:
         fields = {name: getattr(self, name) for name in Tier.__slots__}
         fields.update(changes)
         return Tier(**fields)
+
+    def zero(self, x) -> bool:
+        return self.entry(x) is None
 
     def describe(self) -> dict:
         return {
@@ -142,49 +148,44 @@ class AxiomReport:
         return {"ok": self.ok(), "checks": [c.describe() for c in self.checks]}
 
 
-def _runs(lo: int, hi: int, deadline: float | None, what: str):
-    """lo..hi as ranges of up to 1024 values, checking the deadline before each."""
-    for start in range(lo, hi + 1, 1024):
-        check_deadline(deadline, what)
-        yield range(start, min(start + 1024, hi + 1))
-
-
 def check_axioms(spec: FiltrationSpec, deadline: float | None = None) -> AxiomReport:
     """The five conditions, each verified on the window and tail flags.
 
-    Every layer built here is differentially stable, so condition 1
-    always holds.  deadline is a time.monotonic() value, checked once per
-    tier and every 1024 window indices.
+    The window conditions compare entry indices, so their cost does not
+    depend on the window's length, apart from writing one line per failing
+    index.  Every layer built here is differentially stable, so condition
+    1 always holds.  deadline is a time.monotonic() value, checked once
+    per tier.
     """
-    what = "checking the filtration axioms"
     checks = []
     for idx, tier in enumerate(spec.tiers):
-        check_deadline(deadline, what)
-        window = (*tier.window, deadline, what)
-        member = tier.membership
+        check_deadline(deadline, "checking the filtration axioms")
+        lo, hi = tier.window
         checks.append(AxiomCheck(idx, 1, True))
 
         fails2 = []
         for k, x in enumerate(tier.samples):
-            if tier.zero(x):
+            t = tier.entry(x)
+            if t is None:
                 continue
-            if tier.a is not None and member(x, tier.a):
+            if tier.a is not None and t <= tier.a:
                 fails2.append(f"sample {k} lies in the declared zero layer N_{tier.a}")
-            if tier.b is not None and not member(x, tier.b):
+            if tier.b is not None and t > tier.b:
                 fails2.append(f"sample {k} misses the declared full layer N_{tier.b}")
-            if all(member(x, j) for js in _runs(*window) for j in js):
+            if t <= lo:
                 fails2.append(f"sample {k} never exits inside the window")
-            if not any(member(x, j) for js in _runs(*window) for j in js):
+            if t > hi:
                 fails2.append(f"sample {k} never enters inside the window")
         checks.append(AxiomCheck(idx, 2, not fails2, tuple(fails2)))
 
+        # x in N_j but pi x outside N_(j-1): j >= entry(x) and j - 1 < u;
+        # u is None when pi x is zero, and then nothing escapes
         fails3 = []
         for k, x in enumerate(tier.samples):
-            px = tier.pi_action(x)
-            for js in _runs(*window):
-                for j in js:
-                    if member(x, j) and not member(px, j - 1):
-                        fails3.append(f"pi * sample {k} escapes N_{j - 1}")
+            u = tier.entry(tier.pi_action(x))
+            if u is not None:
+                escapes = range(max(lo, tier.entry(x)), min(hi, u) + 1)
+                fails3.extend(f"pi * sample {k} escapes N_{j - 1}" for j in escapes)
         checks.append(AxiomCheck(idx, 3, not fails3, tuple(fails3)))
 
         fail4 = () if tier.layer_class else ("layers declared outside the residue-ring category",)
@@ -244,25 +245,20 @@ def finite_type_and_verdict(
     already has it, and is computed here otherwise.  Finite type
     additionally verifies on every sample that the claimed pi power
     kills; the infinite branch spot checks that samples of unbounded
-    tiers survive repeated pi action.  deadline is checked as in
-    check_axioms, and every 1024 pi steps.
+    tiers survive a pi power longer than the window.  Each power is
+    applied in one pi_action call, so the cost does not depend on the
+    bound gap or the window.  deadline is checked once per tier.
     """
     what = "the length verdict"
     report = check_axioms(spec, deadline) if axioms is None else axioms
     if not report.ok():
         raise ValueError(f"filtration axioms fail: {report.failed_conditions()}")
     if all(t.a is not None and t.b is not None for t in spec.tiers):
-        ell = sum(t.b - t.a for t in spec.tiers)
         verified = True
         for tier in spec.tiers:
             check_deadline(deadline, what)
-            for x in tier.samples:
-                for steps in _runs(tier.a, tier.b - 1, deadline, what):
-                    for _ in steps:
-                        x = tier.pi_action(x)
-                if not tier.zero(x):
-                    verified = False
-        return FiniteLength(ell, verified)
+            verified &= all(tier.zero(tier.pi_action(x, tier.b - tier.a)) for x in tier.samples)
+        return FiniteLength(sum(t.b - t.a for t in spec.tiers), verified)
     powers = 0
     for tier in spec.tiers:
         if tier.a is not None and tier.b is not None:
@@ -271,12 +267,7 @@ def finite_type_and_verdict(
         lo, hi = tier.window
         steps = hi - lo + 4
         for x in tier.samples:
-            if tier.zero(x):
-                continue
-            for run in _runs(1, steps, deadline, what):
-                for _ in run:
-                    x = tier.pi_action(x)
-            if tier.zero(x):
+            if not tier.zero(x) and tier.zero(tier.pi_action(x, steps)):
                 raise ValueError(
                     f"tier {tier.name}: a pi power killed a sample of an unbounded tier"
                 )
@@ -295,14 +286,9 @@ def build_filtration_quotient(ell: int, p: int = 2) -> FiltrationSpec:
     ring = DVR(p)
     pi = ring.uniformizer
 
-    def zero(x: Polynomial) -> bool:
+    def entry(x: Polynomial) -> int | None:
         nu = _min_valuation(x)
-        return nu is None or nu >= ell
-
-    def member(x: Polynomial, j: int) -> bool:
-        if j >= 0 or zero(x):
-            return True
-        return _min_valuation(x) >= -j
+        return None if nu is None or nu >= ell else -nu
 
     one = Polynomial.constant(ring, 2, ring.one())
     x0 = Polynomial.variable(ring, 2, 0)
@@ -318,9 +304,8 @@ def build_filtration_quotient(ell: int, p: int = 2) -> FiltrationSpec:
         a=-ell,
         b=0,
         window=(-ell - 2, 2),
-        membership=member,
-        pi_action=lambda x: x.scale(pi),
-        zero=zero,
+        entry=entry,
+        pi_action=lambda x, k=1: x.scale(ring.pi_power(k)),
         samples=samples,
         layer_class="rank-one free over the residue ring",
     )
@@ -330,10 +315,11 @@ def build_filtration_quotient(ell: int, p: int = 2) -> FiltrationSpec:
 def build_filtration_localization(f: Polynomial) -> FiltrationSpec:
     """Layers of the localization at f, split along f = pi^e g.
 
-    Membership of numerator / f^k in N_j is j - e*k + nu >= 0 with nu the
+    numerator / f^k lies in N_j exactly when j >= e*k - nu, with nu the
     least coefficient valuation of the canonical numerator.  With e = 0
     the chain stabilizes above at N_0 = everything; it never stabilizes
-    below, and with e > 0 it stabilizes on neither side.
+    below, and with e > 0 it stabilizes on neither side.  The canonical
+    form is unique, so pi^k applied at once equals k single pi steps.
     """
     if f.is_zero():
         raise ValueError("cannot localize at zero")
@@ -341,7 +327,6 @@ def build_filtration_localization(f: Polynomial) -> FiltrationSpec:
     if not isinstance(ring, DVR):
         raise ValueError("localization model needs DVR coefficients")
     e = _min_valuation(f)
-    g = f.map_coefficients(ring, lambda c: ring.divide(c, ring.pi_power(e)))
     pi = ring.uniformizer
 
     def element(numerator: Polynomial, k: int) -> LocalizedElement:
@@ -355,14 +340,9 @@ def build_filtration_localization(f: Polynomial) -> FiltrationSpec:
             k -= 1
         return LocalizedElement(numerator, k)
 
-    def member(x: LocalizedElement, j: int) -> bool:
+    def entry(x: LocalizedElement) -> int | None:
         nu = _min_valuation(x.numerator)
-        if nu is None:
-            return True
-        value = j - e * x.f_power + nu
-        if e == 0 and j >= 0:
-            return True
-        return value >= 0
+        return None if nu is None else e * x.f_power - nu
 
     one = Polynomial.constant(ring, f.n, ring.one())
     raw = [
@@ -377,11 +357,7 @@ def build_filtration_localization(f: Polynomial) -> FiltrationSpec:
         raw.append((x0.scale(ring.pi_power(2)), 1))
     samples = tuple(element(num, k) for num, k in raw)
 
-    thresholds = []
-    for x in samples:
-        nu = _min_valuation(x.numerator)
-        if nu is not None:
-            thresholds.append(e * x.f_power - nu)
+    thresholds = [t for t in map(entry, samples) if t is not None]
     lo = min(thresholds + [0]) - 2
     hi = max(thresholds + [0]) + 2
     tier = Tier(
@@ -389,9 +365,8 @@ def build_filtration_localization(f: Polynomial) -> FiltrationSpec:
         a=None,
         b=0 if e == 0 else None,
         window=(lo, hi),
-        membership=member,
-        pi_action=lambda x: element(x.numerator.scale(pi), x.f_power),
-        zero=lambda x: x.numerator.is_zero(),
+        entry=entry,
+        pi_action=lambda x, k=1: element(x.numerator.scale(ring.pi_power(k)), x.f_power),
         samples=samples,
         layer_class="residue ring localized at the pi-free part",
     )
@@ -400,9 +375,17 @@ def build_filtration_localization(f: Polynomial) -> FiltrationSpec:
 
 def inject_shift_fault(spec: FiltrationSpec) -> FiltrationSpec:
     """Copy with the first tier's thresholds doubled: pi then fails to shift
-    membership by one step, breaking the shift condition on the window."""
-    orig = spec.tiers[0].membership
-    bad = spec.tiers[0].copy(membership=lambda x, j: orig(x, 2 * j))
+    membership by one step, breaking the shift condition on the window.
+
+    x in N_(2j) holds exactly when 2j >= t for the original entry t, so the
+    faulty entry is t / 2 rounded up."""
+    orig = spec.tiers[0].entry
+
+    def halved(x) -> int | None:
+        t = orig(x)
+        return None if t is None else -(-t // 2)
+
+    bad = spec.tiers[0].copy(entry=halved)
     return FiltrationSpec(spec.name + " [shift fault]", (bad,) + spec.tiers[1:])
 
 

@@ -15,9 +15,10 @@ vertex indices in [0, n).
 
 Generator file: an optional header `vars n`, then one polynomial
 expression per line; without the header n is 1 + the largest variable
-index in the file.  Expressions are sums of terms; a term is
-`*`-separated factors, each an integer, a fraction a/b, or a variable
-power x<k> or x<k>^<e>, and every sign is followed by a term.
+index in the file, and n must lie in 1..MAX_VARIABLES.  Expressions are
+sums of terms; a term is `*`-separated factors, each an integer, a
+fraction a/b, or a variable power x<k> or x<k>^<e>, and every sign is
+followed by a term.
 
     vars 2
     3*x0^2*x1 - 1/2*x1
@@ -33,6 +34,20 @@ from .polynomials import Polynomial
 _TERM_RE = re.compile(r"[+-]?[^+-]+")
 _NUMBER_RE = re.compile(r"(\d+)(?:/(\d+))?$")
 _VARIABLE_RE = re.compile(r"x(\d+)(?:\^(\d+))?$")
+_INDEX_RE = re.compile(r"x(\d+)")
+
+# each term is stored as an n-tuple of exponents, so n bounds the work per term
+MAX_VARIABLES = 64
+
+
+def _check_variable_count(n: int, where: str = "") -> None:
+    if not 1 <= n <= MAX_VARIABLES:
+        raise ValueError(f"{where}variable count {n} outside 1..{MAX_VARIABLES}")
+
+
+def variable_count(text: str) -> int:
+    """1 + the largest x<k> index in text, spaces dropped as parsing drops them; else 1."""
+    return 1 + max(map(int, _INDEX_RE.findall(re.sub(r"[^\S\n]+", "", text))), default=0)
 
 
 def _coefficient(ring, num: int, den: int):
@@ -73,7 +88,8 @@ def parse_polynomial(text: str, ring, n: int | None = None) -> Polynomial:
     """Parse one polynomial expression.
 
     When n is None the variable count is inferred as 1 + the largest
-    index that appears, which fails on constant expressions.
+    index that appears, which fails on constant expressions.  Either way
+    it must lie in 1..MAX_VARIABLES.
     """
     compact = re.sub(r"\s+", "", text)
     if not compact:
@@ -94,6 +110,7 @@ def parse_polynomial(text: str, ring, n: int | None = None) -> Polynomial:
                 "cannot infer the variable count from a constant; pass n"
             )
         n = 1 + max(indices)
+    _check_variable_count(n)
     f = Polynomial.zero(ring, n)
     for c, exps in terms:
         if exps and max(exps) >= n:
@@ -160,14 +177,17 @@ def load_facets_text(text: str, source: str = "<string>"):
 
 def load_generators_text(text: str, ring, source: str = "<string>") -> tuple:
     lines = list(_significant_lines(text))
+    where = source
     if lines and lines[0][1].split()[0] == "vars":
+        where = f"{source}:{lines[0][0]}"
         n = _header_value(iter(lines), "vars", source)
         lines = lines[1:]
     else:
-        indices = [int(k) for _, line in lines for k in re.findall(r"x(\d+)", line)]
-        if lines and not indices:
+        body = "\n".join(line for _, line in lines)
+        if lines and not _INDEX_RE.search(body):
             raise ValueError(f"{source}: cannot infer the variable count from constants")
-        n = 1 + max(indices, default=0)
+        n = variable_count(body)
+    _check_variable_count(n, f"{where}: ")
     gens = []
     for lineno, line in lines:
         try:

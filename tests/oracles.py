@@ -12,7 +12,13 @@ from itertools import product
 from math import comb
 
 from mixedchar.diffops import DividedPowerOp
-from mixedchar.filtrations import FiltrationSpec
+from mixedchar.filtrations import (
+    AxiomCheck,
+    AxiomReport,
+    FiltrationSpec,
+    FiniteLength,
+    InfiniteLength,
+)
 from mixedchar.groebner import _coprime, _monic, _require_field, normal_form, spoly
 from mixedchar.intlinalg import (
     CohomologyBasis,
@@ -168,6 +174,116 @@ def op_mod_pi(op: DividedPowerOp) -> DividedPowerOp:
 def concatenate(first: FiltrationSpec, second: FiltrationSpec) -> FiltrationSpec:
     """Stack two descriptions; bound gaps add in the finite verdict."""
     return FiltrationSpec(f"{first.name}+{second.name}", first.tiers + second.tiers)
+
+
+def layer_member(tier, x, j: int) -> bool:
+    """x in N_j, read off the tier's entry index."""
+    t = tier.entry(x)
+    return t is None or t <= j
+
+
+def _nu(f: Polynomial):
+    vals = [c.valuation() for c in f.terms.values()]
+    return min(vals) if vals else None
+
+
+def quotient_membership(ell: int):
+    """x in N_j for R/pi^ell, decided from the valuation at each j."""
+
+    def member(x: Polynomial, j: int) -> bool:
+        nu = _nu(x)
+        if j >= 0 or nu is None or nu >= ell:
+            return True
+        return nu >= -j
+
+    return member
+
+
+def localization_membership(f: Polynomial):
+    """x in N_j for R_f: j - e*k + nu >= 0, with N_0 everything when e = 0."""
+    e = _nu(f)
+
+    def member(x, j: int) -> bool:
+        nu = _nu(x.numerator)
+        if nu is None or (e == 0 and j >= 0):
+            return True
+        return j - e * x.f_power + nu >= 0
+
+    return member
+
+
+def shifted_membership(member):
+    """The shift fault on a membership predicate: thresholds doubled."""
+    return lambda x, j: member(x, 2 * j)
+
+
+def axioms_per_index(spec: FiltrationSpec, members: tuple) -> AxiomReport:
+    """check_axioms by asking members[tier](x, j) at every window index."""
+    checks = []
+    for idx, tier in enumerate(spec.tiers):
+        member = members[idx]
+        window = range(tier.window[0], tier.window[1] + 1)
+        checks.append(AxiomCheck(idx, 1, True))
+        fails2 = []
+        for k, x in enumerate(tier.samples):
+            if tier.zero(x):
+                continue
+            if tier.a is not None and member(x, tier.a):
+                fails2.append(f"sample {k} lies in the declared zero layer N_{tier.a}")
+            if tier.b is not None and not member(x, tier.b):
+                fails2.append(f"sample {k} misses the declared full layer N_{tier.b}")
+            if all(member(x, j) for j in window):
+                fails2.append(f"sample {k} never exits inside the window")
+            if not any(member(x, j) for j in window):
+                fails2.append(f"sample {k} never enters inside the window")
+        checks.append(AxiomCheck(idx, 2, not fails2, tuple(fails2)))
+        fails3 = []
+        for k, x in enumerate(tier.samples):
+            px = tier.pi_action(x)
+            for j in window:
+                if member(x, j) and not member(px, j - 1):
+                    fails3.append(f"pi * sample {k} escapes N_{j - 1}")
+        checks.append(AxiomCheck(idx, 3, not fails3, tuple(fails3)))
+        fail4 = () if tier.layer_class else ("layers declared outside the residue-ring category",)
+        checks.append(AxiomCheck(idx, 4, not fail4, fail4))
+        fails5 = []
+        if tier.a is None and not tier.tail_iso_low:
+            fails5.append("low tail: no bound and pi not an isomorphism on layers")
+        if tier.b is None and not tier.tail_iso_high:
+            fails5.append("high tail: no bound and pi not an isomorphism on layers")
+        checks.append(AxiomCheck(idx, 5, not fails5, tuple(fails5)))
+    return AxiomReport(tuple(checks))
+
+
+def verdict_per_step(spec: FiltrationSpec, members: tuple):
+    """finite_type_and_verdict applying pi one step at a time."""
+    report = axioms_per_index(spec, members)
+    if not report.ok():
+        raise ValueError(f"filtration axioms fail: {report.failed_conditions()}")
+    if all(t.a is not None and t.b is not None for t in spec.tiers):
+        verified = True
+        for tier in spec.tiers:
+            for x in tier.samples:
+                for _ in range(tier.b - tier.a):
+                    x = tier.pi_action(x)
+                verified = verified and tier.zero(x)
+        return FiniteLength(sum(t.b - t.a for t in spec.tiers), verified)
+    powers = 0
+    for tier in spec.tiers:
+        if tier.a is not None and tier.b is not None:
+            continue
+        steps = tier.window[1] - tier.window[0] + 4
+        for x in tier.samples:
+            if tier.zero(x):
+                continue
+            for _ in range(steps):
+                x = tier.pi_action(x)
+            if tier.zero(x):
+                raise ValueError(
+                    f"tier {tier.name}: a pi power killed a sample of an unbounded tier"
+                )
+        powers = max(powers, steps)
+    return InfiniteLength("(0)", powers)
 
 
 def _vertices(S: int) -> tuple:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from mixedchar import cli, filtrations, pipeline
+from mixedchar import cli, filtrations, pipeline, textio
 from mixedchar.cli import main
 from mixedchar.taylor import TaylorComplex
 
@@ -703,6 +703,84 @@ def test_filtration_rejects_the_other_models_flags(capsys):
         code, out, err = run(capsys, "filtration", "--model", *argv)
         assert code == 1 and out == "", argv
         assert err == f"error: {message}\n", argv
+
+
+# sha256 of the filtration reports and their exit codes, computed when the
+# axioms were checked at every window index and pi applied one step at a time
+GOLDEN_FILTRATION_REPORTS = {
+    "quotient-2": (("--model", "quotient", "--ell", "2"), 0,
+                   "b6fe00e520e3c41bb2cc5531a00642d84d93d32c478eb05922524d9b86b82a62"),
+    "quotient-3-shift": (("--model", "quotient", "--ell", "3", "--fault", "shift"), 2,
+                         "39d3a5ed5f0e8ee072b577a6a8f42371549fb222164dbea58f988eccb9ec5dd9"),
+    "quotient-1-tail": (("--model", "quotient", "--ell", "1", "--fault", "tail"), 2,
+                        "42c0155dada7ab9a2d869a368d931bb7d26d735b234bfe7aff1df1736901b0ff"),
+    "quotient-100000": (("--model", "quotient", "--ell", "100000"), 0,
+                        "8cac7eefe906d3e9ceedc652ee556f8e2861bb0e17f50aac29fdc4e4c1719953"),
+    "quotient-100000-shift": (
+        ("--model", "quotient", "--ell", "100000", "--fault", "shift"), 2,
+        "b9b2ae9d6414f2886b7ca64908d14e7b80139c3562c26d9a33c132e49ec5ae8e"),
+    "quotient-5-p3": (("--model", "quotient", "--ell", "5", "--p", "3"), 0,
+                      "dcb0faca9ecf7fcdb8ca8d65da4761b4335680bc547a88bd183ecc54c9ec8c7d"),
+    "x0": (("--model", "localization", "--f", "x0", "--vars", "2"), 0,
+           "4abd19cccebafb7596b6e69dabee394d8843670b6b3de0ed342b81a8248c189e"),
+    "pi": (("--model", "localization", "--f", "2"), 0,
+           "50c30dcf32ae3dabc2b7d9860e58a806dac5bfa59dde63b67cab1d08b586e85a"),
+    "4x0-shift": (("--model", "localization", "--f", "4*x0", "--fault", "shift"), 2,
+                  "c31066bcc722eec183531ac036fc0eb22e8195ed2c47f45098a6bbec9230c887"),
+    "pi-tail": (("--model", "localization", "--f", "2", "--fault", "tail"), 2,
+                "a537d657395b68f6009c1a55c8e2cb2724aa22c2de303bfa9145e9176d740c6a"),
+    "x0^2+2x1": (("--model", "localization", "--f", "x0^2+2*x1", "--vars", "2", "--p", "2"), 0,
+                 "dca5c532c91ef52855b8f11543636cc0f06112fd4dfb434527c73e95675fe19f"),
+    "9x0+3-p3": (("--model", "localization", "--f", "9*x0+3", "--p", "3"), 0,
+                 "e99a3977d645136005a554bdd88c5b066406df8cabf4e9b8ce0d2dfe7f56c512"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FILTRATION_REPORTS))
+def test_filtration_reports_match_golden_digests(capsys, name):
+    argv, exit_code, digest = GOLDEN_FILTRATION_REPORTS[name]
+    code, out, _ = run(capsys, "filtration", *argv)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fault, exit_code", [("none", 0), ("shift", 2)])
+def test_filtration_cost_does_not_grow_with_ell(fault, exit_code):
+    proc = subprocess.run(
+        [sys.executable, "-m", "mixedchar.cli", "filtration", "--model", "quotient",
+         "--ell", "1000000000", "--fault", fault, "--timeout-secs", "5"],
+        capture_output=True,
+        text=True,
+        timeout=5,  # past it the run is killed and the test fails
+    )
+    assert proc.returncode == exit_code, proc.stderr
+    results = json.loads(proc.stdout)["results"]
+    if fault == "none":
+        assert results["verdict"] == {
+            "kind": "finite", "ell_bound": 1000000000, "kill_verified": True,
+        }
+
+
+def test_variable_counts_outside_the_cap_exit_one(capsys, tmp_path):
+    header = tmp_path / "header.gens"
+    header.write_text("vars 1000000\n2*x0\n")
+    inferred = tmp_path / "inferred.gens"
+    inferred.write_text("x99999999\n")
+    cap = textio.MAX_VARIABLES
+    localization = ("filtration", "--model", "localization")
+    rejected = (
+        (("saturate", "--gens", str(header)), f"{header}:1: variable count 1000000"),
+        (("dsub", "--gens", str(inferred)), f"{inferred}: variable count 100000000"),
+        ((*localization, "--f", "x0", "--vars", "1000000"), "variable count 1000000"),
+        ((*localization, "--f", "x0", "--vars", "-1"), "variable count -1"),
+        ((*localization, "--f", "2", "--vars", "0"), "variable count 0"),
+        ((*localization, "--f", f"x{cap}"), f"variable count {cap + 1}"),
+    )
+    for argv, message in rejected:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message} outside 1..{cap}\n"), argv
+    code, data, _ = run_json(capsys, *localization, "--f", f"x{cap - 1}")
+    assert code == 0 and data["inputs"]["vars"] == cap
 
 
 def test_formats_doc_example_claims_are_what_the_command_prints(capsys):

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -16,8 +17,17 @@ from mixedchar.filtrations import (
 )
 from mixedchar.polynomials import Polynomial
 from mixedchar.scalars import DVR
+from mixedchar.textio import parse_polynomial
 
-from .oracles import concatenate
+from .oracles import (
+    axioms_per_index,
+    concatenate,
+    layer_member,
+    localization_membership,
+    quotient_membership,
+    shifted_membership,
+    verdict_per_step,
+)
 
 RING = DVR(2)
 PI = RING.uniformizer
@@ -64,9 +74,9 @@ def test_quotient_kill_is_sharp():
 def test_quotient_membership_worked_example():
     tier = build_filtration_quotient(2).tiers[0]
     x = ONE.scale(PI)
-    assert tier.membership(x, -1)
-    assert not tier.membership(x, -2)
-    assert tier.membership(Polynomial.zero(RING, 2), -2)
+    assert layer_member(tier, x, -1)
+    assert not layer_member(tier, x, -2)
+    assert layer_member(tier, Polynomial.zero(RING, 2), -2)
 
 
 def test_quotient_rejects_bad_parameters():
@@ -108,8 +118,8 @@ def test_localization_membership_worked_example():
     # (pi * x0) / x0^2 reduces to pi / x0, of numerator valuation one
     tier = build_filtration_localization(X0).tiers[0]
     x = LocalizedElement(X0.scale(PI), 2)
-    assert tier.membership(x, -1)
-    assert not tier.membership(x, -2)
+    assert layer_member(tier, x, -1)
+    assert not layer_member(tier, x, -2)
 
 
 def test_localization_rejects_zero():
@@ -130,7 +140,7 @@ def test_membership_monotone_in_j():
         tier = spec.tiers[0]
         lo, hi = tier.window
         for x in tier.samples:
-            flags = [tier.membership(x, j) for j in range(lo, hi + 1)]
+            flags = [layer_member(tier, x, j) for j in range(lo, hi + 1)]
             assert flags == sorted(flags)
 
 
@@ -139,7 +149,7 @@ def test_pi_action_shifts_entry_index_by_one():
     lo, hi = tier.window
 
     def entry(x):
-        return next(j for j in range(lo, hi + 1) if tier.membership(x, j))
+        return next(j for j in range(lo, hi + 1) if layer_member(tier, x, j))
 
     x = LocalizedElement(ONE, 0)
     assert entry(tier.pi_action(x)) == entry(x) - 1
@@ -221,3 +231,62 @@ def test_describe_round_trips_as_json():
 
     verdict = finite_type_and_verdict(build_filtration_quotient(2))
     assert json.loads(json.dumps(verdict.describe()))["ell_bound"] == 2
+
+
+def _reference_models():
+    """Every model the command line builds, with its per-tier membership
+    predicates: quotients at p = 2 and 3, and localizations."""
+    models = []
+    for p in (2, 3):
+        for ell in range(1, 9):
+            models.append((build_filtration_quotient(ell, p), (quotient_membership(ell),)))
+    for text, p in (("x0", 2), ("2", 2), ("4*x0", 2), ("x0^2+2*x1", 2), ("9*x0+3", 3)):
+        f = parse_polynomial(text, DVR(p), 2)
+        models.append((build_filtration_localization(f), (localization_membership(f),)))
+    return models
+
+
+def _outcome(verdict, *args):
+    try:
+        return verdict(*args).describe()
+    except ValueError as err:
+        return str(err)
+
+
+def test_entry_index_is_the_least_member_index():
+    for spec, (member,) in _reference_models():
+        tier = spec.tiers[0]
+        lo, hi = tier.window
+        for x in tier.samples:
+            for k in range(4):
+                y = tier.pi_action(x, k)
+                inside = [j for j in range(lo - 10, hi + 11) if member(y, j)]
+                expected = None if inside[0] == lo - 10 else inside[0]
+                assert tier.entry(y) == expected, (spec.name, k)
+
+
+def test_entry_checks_match_the_per_index_reference():
+    rng = random.Random(20)
+    cases = []
+    for spec, members in _reference_models():
+        shifted = (inject_shift_fault(spec), (shifted_membership(members[0]),) + members[1:])
+        cases += [(spec, members), shifted, (inject_tail_fault(spec), members)]
+        # declared bounds one step inside the true ones, so samples sit on them
+        tier = spec.tiers[0]
+        inside = tier.copy(a=None if tier.a is None else tier.a + 1,
+                           b=None if tier.b is None else tier.b - 1)
+        cases.append((FiltrationSpec(spec.name, (inside,)), members))
+        for base, base_members in ((spec, members), shifted):
+            lo, hi = base.tiers[0].window
+            # narrowed windows, still not empty, leave samples outside them
+            for extra in (rng.randint(1, 6), -rng.randint(1, (hi - lo) // 2)):
+                cases.append((widen(base, extra), base_members))
+    for _ in range(40):
+        (first, m1), (second, m2) = rng.sample(cases, 2)
+        cases.append((concatenate(first, second), m1 + m2))
+    for spec, members in cases:
+        got = check_axioms(spec).describe()
+        assert got == axioms_per_index(spec, members).describe(), spec.name
+        assert _outcome(finite_type_and_verdict, spec) == _outcome(
+            verdict_per_step, spec, members
+        ), spec.name

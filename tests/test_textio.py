@@ -8,6 +8,7 @@ from mixedchar.cli import _load_ideal
 from mixedchar.monomials import MonomialIdeal
 from mixedchar.scalars import DVR, IntegerRing, RationalField
 from mixedchar.textio import (
+    MAX_VARIABLES,
     load_facets_text,
     load_generators_text,
     load_ideal_text,
@@ -15,6 +16,7 @@ from mixedchar.textio import (
     reisner_ideal,
     rp2_facets,
     schmitt_vogel_generators,
+    variable_count,
 )
 
 from .conftest import REISNER_ROWS, RP2_FACETS
@@ -86,6 +88,32 @@ def test_headerless_generators_share_one_variable_count():
     fs = load_generators_text("x0\nx3 + 1\n", ZZ)
     assert all(f.n == 4 for f in fs)
     assert fs == load_generators_text("vars 4\nx0\nx3 + 1\n", ZZ)
+
+
+def test_variable_count_is_capped_on_every_path():
+    # the count is checked before any term becomes an n-tuple, so a short
+    # input cannot make every term huge
+    top = f"x{MAX_VARIABLES - 1}"
+    assert parse_polynomial(top, ZZ).n == MAX_VARIABLES
+    assert load_generators_text(f"{top}\n", ZZ)[0].n == MAX_VARIABLES
+    message = f"outside 1..{MAX_VARIABLES}"
+    for n in (-1, 0, MAX_VARIABLES + 1, 10**6):
+        with pytest.raises(ValueError, match=f"^variable count {n} {message}"):
+            parse_polynomial("x0", ZZ, n)
+    with pytest.raises(ValueError, match=f"^variable count {MAX_VARIABLES + 1} "):
+        parse_polynomial(f"x{MAX_VARIABLES}", ZZ)
+    with pytest.raises(ValueError, match=f"^g.gens:2: variable count 1000000 {message}"):
+        load_generators_text("# big\nvars 1000000\n2*x0\n", ZZ, source="g.gens")
+    with pytest.raises(ValueError, match=f"^g.gens: variable count 100000000 {message}"):
+        load_generators_text("x0\nx99999999\n", ZZ, source="g.gens")
+
+
+def test_variable_count_rule():
+    assert variable_count("7") == 1
+    assert variable_count("x0^2+2*x1") == 2
+    assert variable_count("3*x0 - x12^5") == 13
+    assert variable_count("x 1 + 2") == parse_polynomial("x 1 + 2", ZZ).n == 2
+    assert load_generators_text("x0\nx 3 + 1\n", ZZ)[0].n == 4
 
 
 def test_load_ideal_text_roundtrip():
