@@ -1,4 +1,4 @@
-"""Buchberger's algorithm over field coefficients, with radical membership.
+"""Buchberger's algorithm over field coefficients, and the four-element certificate.
 
 Pairs are processed smallest lcm first and pruned by the Gebauer-Moeller
 update (Gebauer and Moeller, J. Symb. Comput. 6, 1988; Becker and
@@ -11,13 +11,13 @@ monic, no leading term divides another, and every element is in normal
 form with respect to the rest, so it is canonical for the ideal and
 order whichever pairs were reduced.
 
-Radical membership adjoins an inverse variable for the candidate and
-asks whether the enlarged ideal becomes the unit ideal (Rabinowitsch).
-The four-element certificate first tries explicit powers in one reduced
-basis of the ideal: NF(f^k) = NF(f * NF(f^(k-1))) is zero exactly when
-f^k lies in it (Cox, Little and O'Shea, Ideals, Varieties, and
-Algorithms, section 4.2), and Rabinowitsch decides only past POWER_BOUND.
-"""
+The four-element certificate decides each cubic f by explicit powers in
+one reduced basis of the ideal: the least k <= POWER_BOUND with
+NF(f^k) = NF(f * NF(f^(k-1))) = 0, which holds exactly when f^k lies in
+it (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms, section
+4.2).  An integer certificate m^k = sum h_i g_i for each of the ten
+cubics, kept with the tests, shows such a k exists over every field and
+over Z_(2); a cubic with no such k would read false."""
 
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from .scalars import PrimeField, RationalField
 from .subsets import check_deadline
 from .textio import reisner_ideal, schmitt_vogel_generators
 
-# Largest power of a candidate tried before radical_member decides it.
+# Largest power of a cubic the four-element certificate tries.
 POWER_BOUND = 4
 
 
@@ -199,31 +199,6 @@ def groebner_basis(
     return reduce_basis(buchberger(gens, order, deadline), order)
 
 
-def radical_member(
-    f: Polynomial,
-    gens: Sequence[Polynomial],
-    order: str = "grlex",
-    deadline: float | None = None,
-) -> bool:
-    """Whether some power of f lands in the ideal the generators span.
-
-    Inverts f with one extra variable: the enlarged ideal is the unit
-    ideal exactly when f vanishes on the zero set of the generators.
-    deadline is a time.monotonic() value (None: no limit).
-    """
-    if f.is_zero():
-        return True
-    ring = f.ring
-    _require_field(ring)
-    n = f.n
-    ext = [g.extend_variables(n + 1) for g in gens if not g.is_zero()]
-    inverse = Polynomial.variable(ring, n + 1, n)
-    one = Polynomial.constant(ring, n + 1, ring.one())
-    ext.append(one - inverse * f.extend_variables(n + 1))
-    gb = groebner_basis(ext, order, deadline)
-    return any(g.is_constant() for g in gb)
-
-
 def power_exponent(f: Polynomial, basis: Sequence[Polynomial], order: str = "grlex"):
     """The least k <= POWER_BOUND with f^k in the ideal that basis spans
     (a Groebner basis under order), else None."""
@@ -234,12 +209,6 @@ def power_exponent(f: Polynomial, basis: Sequence[Polynomial], order: str = "grl
         if power.is_zero():
             return k
     return None
-
-
-def radical_member_by_powers(f, gens, basis, order: str = "grlex", deadline=None) -> bool:
-    """radical_member, first tried by power_exponent in basis, a Groebner
-    basis of the ideal gens span."""
-    return power_exponent(f, basis, order) is not None or radical_member(f, gens, order, deadline)
 
 
 def monomial_ideal_member(f: Polynomial, ideal: MonomialIdeal) -> bool:
@@ -255,8 +224,9 @@ def sv_containment_check(ring, order: str = "grlex", deadline: float | None = No
     The four structured cubic sums sit inside the ten-generator ideal
     termwise; each of the ten squarefree cubics has a power inside the
     ideal J the four elements span.  One reduced basis of J serves every
-    cubic's radical_member_by_powers.  The basis, each cubic and every
-    fallback share the deadline (a time.monotonic() value).
+    cubic's power_exponent; a cubic with no power up to POWER_BOUND in J
+    reads false.  The basis and each cubic share the deadline (a
+    time.monotonic() value).
     """
     _require_field(ring)
     ideal = reisner_ideal()
@@ -267,7 +237,7 @@ def sv_containment_check(ring, order: str = "grlex", deadline: float | None = No
     for e in ideal.gens:
         check_deadline(deadline, "the radical certificate")
         cubic = Polynomial.monomial(ring, ideal.n, e)
-        radical.append(radical_member_by_powers(cubic, four, basis, order, deadline))
+        radical.append(power_exponent(cubic, basis, order) is not None)
     return {
         "field": ring.name,
         "generators_in_ideal": in_ideal,

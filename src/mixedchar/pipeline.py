@@ -115,7 +115,8 @@ def scan_levels(complexes: dict, j: int, p: int, box, deadline) -> tuple:
     The support at a level is the list of its scanned pieces that survive
     p-locally, ascending in alpha.  The degrees of one product of runs
     share their group object, so the p-local invariants are read once per
-    group of a scan, not once per piece.
+    group of a scan, not once per piece.  deadline is a time.monotonic()
+    value, checked inside each scan and every 1024 pieces.
     """
     levels = []
     support = {}
@@ -127,7 +128,9 @@ def scan_levels(complexes: dict, j: int, p: int, box, deadline) -> tuple:
         free_total = 0
         exp_top = 0
         local = {}  # id of a group held by scan.pieces: its p-local invariants
-        for piece in scan.pieces:
+        for k, piece in enumerate(scan.pieces):
+            if not k & 1023:
+                check_deadline(deadline, f"level {ell} support")
             invariants = local.get(id(piece.group))
             if invariants is None:
                 invariants = local[id(piece.group)] = piece.dvr_invariants(p)
@@ -170,17 +173,19 @@ def check_transitions(complexes: dict, support: dict, p: int, deadline) -> list:
     The chain map is checked once per level pair.  Each transition starts
     from the scanned low piece and ends at the scanned high piece of the
     same alpha.  A target missing from support[ell + 1] (p-locally zero,
-    or on a top level that was not scanned) is computed afresh.
+    or on a top level that was not scanned) is computed afresh.  deadline
+    is a time.monotonic() value, checked every 1024 transitions.
     """
     pairs = []
     for ell in range(1, len(complexes)):
-        check_deadline(deadline, f"level {ell} transitions")
         low, high = complexes[ell], complexes[ell + 1]
         if support[ell]:
             require_chain_map(low, high)
         scanned = {piece.alpha: piece for piece in support.get(ell + 1, ())}
         transitions = []
-        for piece in support[ell]:
+        for k, piece in enumerate(support[ell]):
+            if not k & 1023:
+                check_deadline(deadline, f"level {ell} transitions")
             target = scanned.get(piece.alpha)
             if target is None:
                 target = high.ext_piece(piece.j, piece.alpha)

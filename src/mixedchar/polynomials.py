@@ -142,17 +142,6 @@ class Polynomial:
             return Polynomial.zero(ring, self.n)
         return Polynomial(ring, self.n, {e: ring.mul(c, v) for e, v in self.terms.items()})
 
-    def map_coefficients(self, ring, fn) -> "Polynomial":
-        """Push every coefficient through fn into another ring."""
-        return Polynomial(ring, self.n, {e: fn(c) for e, c in self.terms.items()})
-
-    def extend_variables(self, m: int) -> "Polynomial":
-        """Re-read the polynomial in a ring with m >= n variables."""
-        if m < self.n:
-            raise ValueError("cannot drop variables")
-        pad = (0,) * (m - self.n)
-        return Polynomial(self.ring, m, {e + pad: c for e, c in self.terms.items()})
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Polynomial)

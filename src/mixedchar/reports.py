@@ -67,7 +67,9 @@ CLAIMS = {
         "and each of the ten cubics has a power inside the ideal the four "
         "elements generate, over F2 and over Q.  A cubic f is certified by "
         "the least k <= 4 with NF(f^k) = 0 in that ideal's reduced Groebner "
-        "basis, else by Rabinowitsch's added variable.",
+        "basis.  An integer certificate f^k = sum h_i g_i at the same k "
+        "(tests/fixtures/four_element_certificate.txt) shows that such a k "
+        "exists over every field and over Z_(2).",
         "4 elements inside the ideal; all 10 cubics radical members over F2 and Q",
         "containment certificate not reproduced",
     ),

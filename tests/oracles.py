@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 from itertools import product
 from math import comb
+from pathlib import Path
 
 from mixedchar.diffops import DividedPowerOp
 from mixedchar.filtrations import (
@@ -19,7 +20,15 @@ from mixedchar.filtrations import (
     FiniteLength,
     InfiniteLength,
 )
-from mixedchar.groebner import _coprime, _monic, _require_field, normal_form, spoly
+from mixedchar.groebner import (
+    POWER_BOUND,
+    _coprime,
+    _monic,
+    _require_field,
+    groebner_basis,
+    normal_form,
+    spoly,
+)
 from mixedchar.intlinalg import (
     CohomologyBasis,
     FinAbGroup,
@@ -35,10 +44,11 @@ from mixedchar.intlinalg import (
 from mixedchar.monomials import MonomialIdeal
 from mixedchar.polynomials import ORDER_KEYS, Polynomial, exp_add, exp_leq, exp_max, exp_sub
 from mixedchar.reports import CLAIMS
-from mixedchar.scalars import DVR, PrimeField, padic_valuation
+from mixedchar.scalars import DVR, ZZ, PrimeField, padic_valuation
 from mixedchar.simplicial import MAX_VERTICES, SimplicialComplex
 from mixedchar.subsets import bits_to_subsets
 from mixedchar.taylor import ExtScanResult, GradedExtPiece
+from mixedchar.textio import parse_polynomial, reisner_ideal, schmitt_vogel_generators
 
 
 def from_rows(rows) -> IntMatrix:
@@ -56,6 +66,14 @@ def permute_variables(f: Polynomial, perm) -> Polynomial:
             ne[perm[i]] = k
         out[tuple(ne)] = c
     return Polynomial(f.ring, f.n, out)
+
+
+def extend_variables(f: Polynomial, m: int) -> Polynomial:
+    """f re-read in a ring with m >= n variables."""
+    if m < f.n:
+        raise ValueError("cannot drop variables")
+    pad = (0,) * (m - f.n)
+    return Polynomial(f.ring, m, {e + pad: c for e, c in f.terms.items()})
 
 
 def divisors(basis, order: str = "grlex") -> list:
@@ -143,6 +161,206 @@ def buchberger_all_pairs(gens, order: str = "grlex", deadline=None) -> list:
     return basis
 
 
+def radical_member(f: Polynomial, gens, order: str = "grlex", deadline=None) -> bool:
+    """Whether some power of f lands in the ideal the generators span.
+
+    Rabinowitsch's added variable: with y inverting f, the enlarged ideal
+    is the unit ideal exactly when f vanishes on the zero set of the
+    generators.  Its basis comes from groebner.groebner_basis, so a test
+    that swaps groebner.buchberger reaches it; deadline is a
+    time.monotonic() value (None: no limit).
+    """
+    if f.is_zero():
+        return True
+    ring = f.ring
+    _require_field(ring)
+    n = f.n
+    ext = [extend_variables(g, n + 1) for g in gens if not g.is_zero()]
+    inverse = Polynomial.variable(ring, n + 1, n)
+    one = Polynomial.constant(ring, n + 1, ring.one())
+    ext.append(one - inverse * extend_variables(f, n + 1))
+    return any(g.is_constant() for g in groebner_basis(ext, order, deadline))
+
+
+CERTIFICATE = Path(__file__).parent / "fixtures" / "four_element_certificate.txt"
+
+
+def power(f: Polynomial, k: int) -> Polynomial:
+    """f^k by repeated multiplication."""
+    out = Polynomial.constant(f.ring, f.n, f.ring.one())
+    for _ in range(k):
+        out = out * f
+    return out
+
+
+def solve_over_integers(columns, target: dict):
+    """An x with sum over c of x[c] * columns[c] == target over Z, or None.
+
+    columns are sparse vectors {row: int}, and so is target; x is a sparse
+    {column index: int}.  Elimination pivots on entries +-1 of least
+    Markowitz cost, so every row operation and back substitution stays in
+    Z.  The block no unit pivot reaches goes to its Smith form
+    U A W = D: A y = b has an integer solution exactly when D z = U b
+    does, and then y = W z.  Calls no Groebner code.
+    """
+    rows: dict = {}
+    for c, col in enumerate(columns):
+        for r, v in col.items():
+            rows.setdefault(r, {})[c] = v
+    b = dict(target)
+    for r in b:
+        rows.setdefault(r, {})
+    holders = {c: set(col) for c, col in enumerate(columns)}  # column -> active rows
+    pivots = []
+    while True:
+        best = None
+        for r, row in rows.items():
+            for c, v in row.items():
+                if v in (1, -1):
+                    cost = (len(row) - 1) * (len(holders[c]) - 1)
+                    if best is None or cost < best[0]:
+                        best = (cost, r, c)
+        if best is None:
+            break
+        _, r, c = best
+        prow, pb = rows.pop(r), b.pop(r, 0)
+        pv = prow[c]
+        for cc in prow:
+            holders[cc].discard(r)
+        for rr in list(holders[c]):
+            row = rows[rr]
+            q = row[c] * pv  # pv * pv = 1, so row - q * prow clears column c
+            for cc, v in prow.items():
+                s = row.get(cc, 0) - q * v
+                if s:
+                    row[cc] = s
+                    holders[cc].add(rr)
+                else:
+                    row.pop(cc, None)
+                    holders[cc].discard(rr)
+            s = b.get(rr, 0) - q * pb
+            if s:
+                b[rr] = s
+            else:
+                b.pop(rr, None)
+        pivots.append((c, pv, prow, pb))
+    x = {}
+    left = [r for r, row in rows.items() if row]
+    if any(b.get(r) for r, row in rows.items() if not row):
+        return None
+    if left:
+        cols = sorted({c for r in left for c in rows[r]})
+        block = IntMatrix(len(left), len(cols), [[rows[r].get(c, 0) for c in cols] for r in left])
+        D, U, W, _ = _snf(block, want_u=True, want_w=True)
+        z = [0] * len(cols)
+        for i, urow in enumerate(U.rows):
+            v = sum(u * b.get(r, 0) for u, r in zip(urow, left))
+            d = D.rows[i][i] if i < len(cols) else 0
+            if v % d if d else v:
+                return None
+            if d:
+                z[i] = v // d
+        for j, c in enumerate(cols):
+            s = sum(w * zi for w, zi in zip(W.rows[j], z))
+            if s:
+                x[c] = s
+    for c, pv, prow, pb in reversed(pivots):
+        s = pv * (pb - sum(v * x.get(cc, 0) for cc, v in prow.items() if cc != c))
+        if s:
+            x[c] = s
+    return x
+
+
+def power_certificate(m: Polynomial, gens, k: int):
+    """Cofactors h over Z with m^k == sum of h_i * g_i, or None when there are none.
+
+    m and the gens are homogeneous over Z, so each h_i may be taken
+    homogeneous of degree k * deg(m) - deg(g_i); the columns are the
+    shifts x^u * g_i and the rows the monomials of degree k * deg(m).
+    """
+    n = m.n
+    degree = k * sum(next(iter(m.terms)))
+    columns, labels = [], []
+    for i, g in enumerate(gens):
+        shift = degree - sum(next(iter(g.terms)))
+        for u in monomial_box(n, shift) if shift >= 0 else ():
+            if sum(u) == shift:
+                columns.append({exp_add(e, u): c for e, c in g.terms.items()})
+                labels.append((i, u))
+    x = solve_over_integers(columns, power(m, k).terms)
+    if x is None:
+        return None
+    cofactors = [{} for _ in gens]
+    for c, v in x.items():
+        i, u = labels[c]
+        cofactors[i][u] = v
+    return [Polynomial(ZZ, n, h) for h in cofactors]
+
+
+def polynomial_text(f: Polynomial) -> str:
+    """f as textio.parse_polynomial reads it back, largest grlex term first."""
+    out = []
+    for e, c in f.sorted_terms():
+        mono = "*".join(f"x{i}" if k == 1 else f"x{i}^{k}" for i, k in enumerate(e) if k)
+        body = mono if abs(c) == 1 and mono else "*".join(filter(None, (str(abs(c)), mono)))
+        if out:
+            out.append(f"{'-' if c < 0 else '+'} {body}")
+        else:
+            out.append(f"-{body}" if c < 0 else body)
+    return " ".join(out) or "0"
+
+
+def certificate_text() -> str:
+    """The fixture tests/fixtures/four_element_certificate.txt, found afresh:
+    for each cubic of reisner.ideal, the least k with an integer certificate
+    (a few seconds, nearly all of them on the k = 3 cubics).  Regenerate with
+    PYTHONPATH=src python -c "from tests.oracles import certificate_text; print(certificate_text(), end='')"
+    """
+    gens = schmitt_vogel_generators(ZZ)
+    ideal = reisner_ideal()
+    lines = [
+        "# Integer certificates that each cubic m of reisner.ideal lies in the",
+        "# radical of the ideal J the four elements g1..g4 of schmitt_vogel.gens",
+        "# span: m^k = h1*g1 + h2*g2 + h3*g3 + h4*g4 with h1..h4 in Z[x0..x5] and",
+        "# k least.  An identity over Z holds in every ring: over every field,",
+        "# over Z_(2) and over Z_2[[x0..x5]].  One block per cubic, in the order",
+        "# of textio.reisner_ideal().gens.  Written by tests/oracles.py",
+        "# certificate_text().",
+        "vars 6",
+    ]
+    for e in ideal.gens:
+        m = Polynomial.monomial(ZZ, ideal.n, e)
+        for k in range(1, POWER_BOUND + 1):
+            cofactors = power_certificate(m, gens, k)
+            if cofactors is not None:
+                break
+        else:
+            raise ValueError(f"no integer certificate for {polynomial_text(m)} at k <= {POWER_BOUND}")
+        lines += [f"cubic {polynomial_text(m)}", f"k {k}"]
+        lines += [f"h{i} {polynomial_text(h)}" for i, h in enumerate(cofactors, 1)]
+    return "\n".join(lines) + "\n"
+
+
+def read_certificate(path=CERTIFICATE) -> list:
+    """The fixture as (cubic, k, cofactors) over Z, one triple per cubic."""
+    entries = []
+    n = None
+    for line in path.read_text().splitlines():
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, value = line.split(None, 1)
+        if key == "vars":
+            n = int(value)
+        elif key == "cubic":
+            entries.append([parse_polynomial(value, ZZ, n), None, []])
+        elif key == "k":
+            entries[-1][1] = int(value)
+        else:
+            entries[-1][2].append(parse_polynomial(value, ZZ, n))
+    return entries
+
+
 def compose_divided_powers(ring, n: int, i: int, s: int, t: int) -> DividedPowerOp:
     """d_i^[s] after d_i^[t] equals C(s+t, s) * d_i^[s+t]."""
     if s < 0 or t < 0:
@@ -159,10 +377,14 @@ def _residue_field(ring) -> PrimeField:
     return PrimeField(ring.p)
 
 
+def map_coefficients(f: Polynomial, ring, fn) -> Polynomial:
+    """f with every coefficient pushed through fn into another ring."""
+    return Polynomial(ring, f.n, {e: fn(c) for e, c in f.terms.items()})
+
+
 def reduce_mod_pi(f: Polynomial) -> Polynomial:
     """Image of a V[x] polynomial in F_p[x]."""
-    F = _residue_field(f.ring)
-    return f.map_coefficients(F, lambda c: c.residue())
+    return map_coefficients(f, _residue_field(f.ring), lambda c: c.residue())
 
 
 def op_mod_pi(op: DividedPowerOp) -> DividedPowerOp:

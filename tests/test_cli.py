@@ -12,11 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from mixedchar import cli, filtrations, pipeline, textio
+from mixedchar import cli, filtrations, groebner, pipeline, textio
 from mixedchar.cli import main
 from mixedchar.taylor import TaylorComplex
 
 from .conftest import RP2_FACETS, facets_text, random_facets
+from .oracles import read_certificate
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "src" / "mixedchar" / "fixtures"
@@ -802,6 +803,27 @@ def test_radical_check_single_field_has_no_claim(capsys):
     assert entry["all_ok"] is True
     assert entry["generators_in_ideal"] == [True] * 4
     assert entry["radical_members"] == [True] * 10
+
+
+@pytest.mark.parametrize("argv", [("--p", "3"), ("--p", "5"), ("--p", "2", "--order", "lex")])
+def test_radical_check_certifies_every_cubic_beyond_the_default_fields(capsys, argv):
+    code, data, _ = run_json(capsys, "radical-check", *argv)
+    assert code == 0
+    (entry,) = data["results"]["fields"].values()
+    assert entry["radical_members"] == [True] * 10
+    assert entry["all_ok"] is True
+
+
+def test_radical_check_reads_false_for_a_cubic_past_the_power_bound(capsys, monkeypatch):
+    # the powers alone decide: a cubic whose least k exceeds the bound
+    # reads false, and the claim fails with exit code 2
+    monkeypatch.setattr(groebner, "POWER_BOUND", 2)
+    code, data, _ = run_json(capsys, "radical-check")
+    assert code == 2
+    for entry in data["results"]["fields"].values():
+        assert entry["radical_members"] == [k <= 2 for _, k, _ in read_certificate()]
+        assert entry["all_ok"] is False
+    assert claim_by_id(data, "four-element-radical")["status"] == "failed"
 
 
 def test_radical_check_certificate_claim(capsys):

@@ -114,6 +114,18 @@ def test_localization_verdicts_are_infinite():
         assert verdict.tag() == "infinite-length, annihilator (0)"
 
 
+def test_an_unbounded_tier_that_a_pi_power_kills_is_refused():
+    # the quotient tier without its zero bound still passes the axioms, with
+    # both tails declared isomorphic, but pi^3 kills every sample, so the
+    # infinite branch's spot check must refuse it
+    (tier,) = build_filtration_quotient(3).tiers
+    spec = FiltrationSpec("R/pi^3 with no zero bound", (tier.copy(a=None),))
+    assert tier.tail_iso_low and tier.tail_iso_high
+    assert check_axioms(spec).ok()
+    with pytest.raises(ValueError, match="a pi power killed a sample of an unbounded tier"):
+        finite_type_and_verdict(spec)
+
+
 def test_localization_membership_worked_example():
     # (pi * x0) / x0^2 reduces to pi / x0, of numerator valuation one
     tier = build_filtration_localization(X0).tiers[0]

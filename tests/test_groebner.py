@@ -10,8 +10,6 @@ from mixedchar.groebner import (
     groebner_basis,
     monomial_ideal_member,
     normal_form,
-    radical_member,
-    radical_member_by_powers,
     reduce_basis,
     spoly,
     sv_containment_check,
@@ -22,7 +20,7 @@ from mixedchar.scalars import DVR, PrimeField, RationalField
 from mixedchar.textio import schmitt_vogel_generators
 
 from . import oracles
-from .oracles import buchberger_all_pairs, divisors, ideal_member
+from .oracles import buchberger_all_pairs, divisors, ideal_member, radical_member
 
 QQ = RationalField()
 F2 = PrimeField(2)
@@ -199,63 +197,62 @@ def test_deadline_interrupts():
         radical_member(probe, [f1, f2], deadline=time.monotonic() - 1.0)
 
 
-def test_one_deadline_serves_all_ten_memberships(monkeypatch):
-    # with no power tried, every cubic falls back to radical_member; the
-    # basis of J and each fallback's enlarged basis get the one deadline
+def test_the_basis_of_j_gets_the_one_deadline(monkeypatch):
+    # the one reduced basis of J is built under the command's deadline, and
+    # each of the ten cubics checks that deadline before its powers
     deadline = time.monotonic() + 600
-    bases, fallbacks = [], []
+    bases, checks = [], []
 
     def basis(gens, order="grlex", deadline=None):
         bases.append(deadline)
         return groebner_basis(gens, order, deadline)
 
-    def member(f, gens, order="grlex", deadline=None):
-        fallbacks.append(deadline)
-        return radical_member(f, gens, order, deadline)
+    def check(deadline, what):
+        if what == "the radical certificate":  # not the pair loop's checks
+            checks.append(deadline)
 
-    monkeypatch.setattr(groebner, "POWER_BOUND", 0)
     monkeypatch.setattr(groebner, "groebner_basis", basis)
-    monkeypatch.setattr(groebner, "radical_member", member)
+    monkeypatch.setattr(groebner, "check_deadline", check)
     assert sv_containment_check(F2, deadline=deadline)["all_ok"]
-    assert fallbacks == [deadline] * 10
-    assert bases == [deadline] * 11  # J, then one per fallback
+    assert bases == [deadline]
+    assert checks == [deadline] * 10
 
 
-def _power(f, k):
-    out = Polynomial.constant(f.ring, f.n, f.ring.one())
-    for _ in range(k):
-        out = out * f
-    return out
-
-
-def test_power_route_with_its_fallback_agrees_with_radical_member():
+def test_every_power_exponent_certifies_a_member_and_is_minimal():
     """Random small ideals over F2, F3 and Q in both orders.  Each draw
     probes a member f with f^m in the ideal, m up to 7, so some members
-    need more than POWER_BOUND powers and reach the fallback, and a
-    random polynomial, which is often no member."""
+    need more than POWER_BOUND powers, and a random polynomial, which is
+    often no member.  Every k that power_exponent returns names a member
+    by the Rabinowitsch oracle, with g^k in the ideal and g^(k-1) not; a
+    None means no power up to POWER_BOUND lies in the ideal."""
     rng = random.Random(4242)
-    certified = fallback_members = non_members = 0
+    certified = members_past_the_bound = non_members = 0
     for order in ("grlex", "lex"):
         for ring in (F2, F3, QQ):
             for trial in range(6):
                 f = random_system(ring, rng, n=2, count=1, terms=2, deg=2)[0]
                 if f.is_zero() or f.is_constant():
                     continue
-                gens = [_power(f, rng.randint(1, 7))]
+                gens = [oracles.power(f, rng.randint(1, 7))]
                 gens += random_system(ring, rng, n=2, count=1, terms=2, deg=4)
                 basis = groebner_basis(gens, order)
                 probe = random_system(ring, rng, n=2, count=1, terms=2, deg=2)[0]
                 for g in (f, probe):
                     expected = radical_member(g, gens, order)
-                    assert radical_member_by_powers(g, gens, basis, order) == expected, (g, gens)
                     k = groebner.power_exponent(g, basis, order)
-                    if k is not None:  # the certificate: g^k is in the ideal, g^(k-1) is not
-                        assert ideal_member(_power(g, k), basis, order)
-                        assert k == 1 or not ideal_member(_power(g, k - 1), basis, order)
+                    if k is None:
+                        for j in range(1, groebner.POWER_BOUND + 1):
+                            assert not ideal_member(oracles.power(g, j), basis, order), (g, gens, j)
+                    else:  # the certificate: g^k is in the ideal, g^(k-1) is not
+                        assert expected, (g, gens)
+                        assert ideal_member(oracles.power(g, k), basis, order)
+                        assert k == 1 or not ideal_member(oracles.power(g, k - 1), basis, order)
                     certified += k is not None
-                    fallback_members += k is None and expected
+                    members_past_the_bound += k is None and expected
                     non_members += not expected
-    assert certified and fallback_members and non_members, (certified, fallback_members, non_members)
+    assert certified and members_past_the_bound and non_members, (
+        certified, members_past_the_bound, non_members,
+    )
 
 
 def test_field_coefficients_required():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from mixedchar import taylor
+from mixedchar import pipeline, subsets, taylor
 from mixedchar.monomials import MonomialIdeal
 from mixedchar.pipeline import (
     _transition_injective_over,
@@ -13,7 +13,7 @@ from mixedchar.pipeline import (
     check_transitions,
     scan_levels,
 )
-from mixedchar.taylor import TaylorComplex, transition_between
+from mixedchar.taylor import GradedExtPiece, TaylorComplex, transition_between
 from mixedchar.textio import reisner_ideal
 
 from .oracles import support_per_piece
@@ -207,6 +207,43 @@ def test_check_transitions_builds_only_the_targets_missing_from_the_next_scan(mo
         if piece.alpha in missing:
             assert not t["injective"]
     assert not pair["all_injective"]
+
+
+class _Clock:
+    """Stands in for the time module of subsets.check_deadline."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        return self.now
+
+
+def test_the_deadline_passes_inside_the_piece_and_transition_loops(monkeypatch):
+    # level 4 of Reisner has 4,096 support pieces and as many transitions to
+    # level 5; the clock passes the deadline at the first piece's invariants,
+    # or at the first transition, and the check at the 1024th must see it
+    complexes = build_levels(reisner_ideal(), 2, 5, None)
+    _, support, _, _ = scan_levels({4: complexes[4], 5: complexes[5]}, 4, 2, None, None)
+    support.update({1: [], 2: [], 3: []})
+    assert len(support[4]) == 4096
+    clock = _Clock()
+    monkeypatch.setattr(subsets, "time", clock)
+
+    def passing(fn):
+        def late(*args):
+            clock.now = 2.0
+            return fn(*args)
+
+        return late
+
+    monkeypatch.setattr(GradedExtPiece, "dvr_invariants", passing(GradedExtPiece.dvr_invariants))
+    with pytest.raises(TimeoutError, match="level 4 support"):
+        scan_levels({4: complexes[4]}, 4, 2, None, 1.0)
+    clock.now = 0.0
+    monkeypatch.setattr(pipeline, "transition_between", passing(transition_between))
+    with pytest.raises(TimeoutError, match="level 4 transitions"):
+        check_transitions(complexes, support, 2, 1.0)
 
 
 def test_transition_between_needs_the_target_of_the_same_degree():

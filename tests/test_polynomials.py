@@ -11,7 +11,7 @@ from mixedchar.polynomials import (
     exp_max,
 )
 
-from .oracles import permute_variables
+from .oracles import extend_variables, permute_variables
 
 
 def P(ring, n, terms):
@@ -143,7 +143,7 @@ def test_permute_and_extend_variables():
     f = P(ZZ, 2, {(2, 1): 5})
     g = permute_variables(f, [1, 0])
     assert g.terms == {(1, 2): 5}
-    h = f.extend_variables(4)
+    h = extend_variables(f, 4)
     assert h.terms == {(2, 1, 0, 0): 5}
     with pytest.raises(ValueError):
-        f.extend_variables(1)
+        extend_variables(f, 1)
