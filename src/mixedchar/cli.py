@@ -16,9 +16,11 @@ Exit codes: 0 success, 1 usage or input error, 2 when a checked claim
 failed, meaning the computation ran and did not reproduce the statement.
 
 Reports are byte-identical across runs for identical inputs.  The
-tuning flag --timeout-secs is never echoed into the report; wall-clock
-seconds go to standard error only, while the report's "timing" field
-carries deterministic work counters.
+tuning flag --timeout-secs is never echoed into the report; its budget
+starts once the arguments are parsed and covers encoding the report, and
+a run past it writes nothing to standard output.  Wall-clock seconds go
+to standard error only, while the report's "timing" field carries
+deterministic work counters.
 
 transition and pipeline share their level, scan and transition code:
 both work over the p-local base for --p (a prime), so a transition
@@ -148,12 +150,6 @@ def _parse_alpha(text: str, n: int):
     return alpha
 
 
-def _deadline(ns) -> float | None:
-    if ns.timeout_secs is None:
-        return None
-    return time.monotonic() + ns.timeout_secs
-
-
 def _piece_entry(piece, p: int) -> dict:
     free, exps = piece.dvr_invariants(p)
     entry = piece.describe()
@@ -161,12 +157,12 @@ def _piece_entry(piece, p: int) -> dict:
     return entry
 
 
-def cmd_ext(ns) -> Report:
+def cmd_ext(ns, deadline) -> Report:
     if not is_prime(ns.p):
         raise ValueError(f"{ns.p} is not prime")
     ideal, source = _load_ideal(ns.ideal)
     alpha = _parse_alpha(ns.alpha, ideal.n)
-    check_deadline(_deadline(ns), "building the Taylor complex")
+    check_deadline(deadline, "building the Taylor complex")
     piece = TaylorComplex(ideal).ext_piece(ns.j, alpha)
     return Report(
         command="ext",
@@ -177,13 +173,13 @@ def cmd_ext(ns) -> Report:
     )
 
 
-def cmd_scan(ns) -> Report:
+def cmd_scan(ns, deadline) -> Report:
     if not is_prime(ns.p):
         raise ValueError(f"{ns.p} is not prime")
     ideal, source = _load_ideal(ns.ideal)
     tc = TaylorComplex(ideal)
     box = _parse_box(ns.box, ideal.n) if ns.box is not None else tc.default_box()
-    scan = tc.support_scan(ns.j, box=box, shell=not ns.no_shell, deadline=_deadline(ns))
+    scan = tc.support_scan(ns.j, box=box, shell=not ns.no_shell, deadline=deadline)
     results = scan.describe()
     results["pieces"] = [_piece_entry(p, ns.p) for p in scan.pieces]
     claims = []
@@ -220,11 +216,10 @@ def cmd_scan(ns) -> Report:
     )
 
 
-def cmd_transition(ns) -> Report:
+def cmd_transition(ns, deadline) -> Report:
     if ns.levels < 2:
         raise ValueError("need --levels >= 2 to have maps between levels")
     ideal, source = _load_ideal(ns.ideal)
-    deadline = _deadline(ns)
     complexes = build_levels(ideal, ns.p, ns.levels, deadline)
     below_top = {ell: tc for ell, tc in complexes.items() if ell < ns.levels}
     levels, support, _, _ = scan_levels(below_top, ns.j, ns.p, None, deadline)
@@ -248,11 +243,11 @@ def cmd_transition(ns) -> Report:
     )
 
 
-def cmd_pipeline(ns) -> Report:
+def cmd_pipeline(ns, deadline) -> Report:
     ideal, source = _load_ideal(ns.ideal)
     box = _parse_box(ns.box, ideal.n) if ns.box is not None else None
     rep = annihilator_pipeline(
-        ideal, p=ns.p, j=ns.j, levels=ns.levels, box=box, deadline=_deadline(ns)
+        ideal, p=ns.p, j=ns.j, levels=ns.levels, box=box, deadline=deadline
     )
     results = rep.describe()
     conclusive = rep.verdict is not None and rep.verdict.kind != "inconclusive"
@@ -289,8 +284,7 @@ def cmd_pipeline(ns) -> Report:
     )
 
 
-def cmd_dsub(ns) -> Report:
-    deadline = _deadline(ns)
+def cmd_dsub(ns, deadline) -> Report:
     gens, source = _load_generators(ns.gens, DVR(ns.p))
     check_deadline(deadline, "classifying the differential submodule")
     verdict = classify_d_submodule(list(gens))
@@ -303,8 +297,7 @@ def cmd_dsub(ns) -> Report:
     )
 
 
-def cmd_saturate(ns) -> Report:
-    deadline = _deadline(ns)
+def cmd_saturate(ns, deadline) -> Report:
     gens, source = _load_generators(ns.gens, DVR(ns.p))
     check_deadline(deadline, "saturating the generators")
     ideal = pi_saturate(list(gens))
@@ -331,10 +324,10 @@ def _is_rp2(cx: SimplicialComplex) -> bool:
     )
 
 
-def cmd_simplicial(ns) -> Report:
+def cmd_simplicial(ns, deadline) -> Report:
     cx, source = _load_facets(ns.facets)
     coeffs = ("Z", "Q") if ns.p is None else ("Z", "Q", ns.p)
-    by_coeff = reduced_cohomology(cx, coeffs, deadline=_deadline(ns))
+    by_coeff = reduced_cohomology(cx, coeffs, deadline=deadline)
     tables = {coeff if coeff in ("Z", "Q") else f"F{coeff}": by_coeff[coeff] for coeff in coeffs}
     results = {
         "vertices": cx.n,
@@ -362,7 +355,7 @@ def cmd_simplicial(ns) -> Report:
     )
 
 
-def cmd_hochster(ns) -> Report:
+def cmd_hochster(ns, deadline) -> Report:
     cx, source = _load_facets(ns.facets)
     inputs = {"facets": source, "p": ns.p}
     claims = []
@@ -373,13 +366,13 @@ def cmd_hochster(ns) -> Report:
             raise ValueError("--degree needs --i (the cohomological spot)")
         a = _parse_alpha(ns.degree, cx.n)
         coeff = ns.p if ns.p is not None else "Q"
-        dim = hochster_local_cohomology_piece(cx, ns.i, a, coeff, deadline=_deadline(ns))
+        dim = hochster_local_cohomology_piece(cx, ns.i, a, coeff, deadline=deadline)
         inputs.update({"i": ns.i, "degree": list(a)})
         results = {"piece_dimension": dim, "coefficients": "Q" if ns.p is None else f"F{ns.p}"}
         timing = {"pieces": 1}
     else:
         coeffs = [("F2", 2), ("F3", 3), ("Q", "Q")] if ns.p is None else [(f"F{ns.p}", ns.p)]
-        found = hochster_nonzero_levels(cx, tuple(c for _, c in coeffs), deadline=_deadline(ns))
+        found = hochster_nonzero_levels(cx, tuple(c for _, c in coeffs), deadline=deadline)
         levels = {name: list(found[c]) for name, c in coeffs}
         results = {"nonzero_levels": levels}
         timing = {"faces": sum(cx.face_counts()), "fields": len(coeffs)}
@@ -395,8 +388,7 @@ def cmd_hochster(ns) -> Report:
     )
 
 
-def cmd_filtration(ns) -> Report:
-    deadline = _deadline(ns)
+def cmd_filtration(ns, deadline) -> Report:
     ring = DVR(ns.p)
     if ns.model == "quotient":
         if ns.ell is None:
@@ -441,12 +433,11 @@ def cmd_filtration(ns) -> Report:
     )
 
 
-def cmd_radical_check(ns) -> Report:
+def cmd_radical_check(ns, deadline) -> Report:
     if ns.p is not None:
         fields = [PrimeField(ns.p)]
     else:
         fields = [PrimeField(2), RationalField()]
-    deadline = _deadline(ns)
     per_field = {}
     for ring in fields:
         out = sv_containment_check(ring, order=ns.order, deadline=deadline)
@@ -558,15 +549,19 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     start = time.monotonic()
+    # one budget, from here until the report is encoded
+    deadline = None if ns.timeout_secs is None else start + ns.timeout_secs
     try:
-        report = ns.handler(ns)
+        report = ns.handler(ns, deadline)
+        text = report.to_json()
+        check_deadline(deadline, "writing the report")
     except TimeoutError as err:  # an OSError subclass, so it must come first
         print(f"timeout: {err}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    sys.stdout.write(report.to_json())
+    sys.stdout.write(text)
     print(f"wall_seconds={time.monotonic() - start:.3f}", file=sys.stderr)
     return report.exit_code()
 

@@ -310,29 +310,11 @@ def invariant_factors_sparse(entries: dict, nrows: int, ncols: int):
 def cochain_invariants(maps) -> list:
     """(rank, nontrivial invariant factors) of each map, one sparse elimination each.
 
-    maps are (entries, nrows, ncols) triples as coboundary_sign_entries
-    returns them.  They are taken one at a time, so a lazy iterable can
+    Each map is (entries, nrows, ncols), as coboundary_sign_entries
+    returns it.  They are taken one at a time, so a lazy iterable can
     do work (a deadline check) just before each elimination.
     """
     return [invariant_factors_sparse(entries, nrows, ncols) for entries, nrows, ncols in maps]
-
-
-def check_composes_to_zero(maps):
-    """Raise ValueError unless consecutive sparse maps compose to zero.
-
-    maps are (entries, nrows, ncols) triples; map k+1 is applied after
-    map k, so the product is one sparse pass over the later map's entries.
-    """
-    for (inner, _, _), (outer, _, _) in zip(maps, maps[1:]):
-        by_row: dict = {}
-        for (i, j), v in inner.items():
-            by_row.setdefault(i, []).append((j, v))
-        product: dict = {}
-        for (k, i), w in outer.items():
-            for j, v in by_row.get(i, ()):
-                product[k, j] = product.get((k, j), 0) + w * v
-        if any(product.values()):
-            raise ValueError("consecutive differentials do not compose to zero")
 
 
 def matrix_rank(M: IntMatrix) -> int:

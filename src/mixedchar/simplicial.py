@@ -42,19 +42,22 @@ F minus v that no facet without v contains, so a deletion tests only the
 facets through v, and only against the others.  A complex finds its core
 once and keeps it, and the core keeps its own eliminations, so a taylor
 nerve met at many degrees, levels or ideals collapses and eliminates
-once.  Only groups move to the core: taylor reads the bases and induced
-maps of Ext off the full nerve's faces, since restriction of cochains
-needs them.  The check that consecutive coboundaries compose to zero
-still runs on the input complex.
+once.  Only groups move to the core.  Presentation bases
+(SimplicialComplex.basis) and restriction of cochains to a subcomplex
+(SimplicialComplex.restriction), the maps taylor's Ext pieces induce,
+are read off the complex's own faces, since restriction needs them;
+each complex keeps them.  That the builder's coboundaries compose to
+zero is checked by the tests, entry for entry against an independent
+builder and as a product on seeded complexes, not at run time.
 """
 
 from __future__ import annotations
 
-from .intlinalg import FinAbGroup, check_composes_to_zero, cochain_invariants
+from .intlinalg import CohomologyBasis, FinAbGroup, InducedMap, IntMatrix, cochain_invariants
 # the layer trace (perfbench/spans.py) wraps these two names in this module
 from .intlinalg import complex_cohomology, matrix_rank_mod_p  # noqa: F401
 from .scalars import is_prime
-from .subsets import bits_to_subsets, check_deadline, coboundary_sign_entries
+from .subsets import bits_to_subsets, cache_put, check_deadline, coboundary_sign_entries
 
 MAX_VERTICES = 16
 
@@ -81,7 +84,10 @@ class SimplicialComplex:
     [1, 3, 1]
     """
 
-    __slots__ = ("n", "_spans", "_face_set", "_sized", "_maximal", "_invariants", "_core")
+    __slots__ = (
+        "n", "_spans", "_face_set", "_sized", "_maximal", "_invariants", "_core", "_bases",
+        "_restrictions",
+    )
 
     def __init__(self, n: int, facets):
         _check_vertex_count(n)
@@ -112,6 +118,8 @@ class SimplicialComplex:
         self._maximal = maximal
         self._invariants = {}
         self._core = None
+        self._bases = {}
+        self._restrictions = {}
 
     @property
     def _faces(self) -> frozenset:
@@ -197,12 +205,40 @@ class SimplicialComplex:
             known[c] = (rank, tuple(factors))
         return [known.get(c, (0, ())) for c in cards]
 
-    def check_coboundaries(self):
-        """Raise ValueError unless consecutive coboundaries compose to zero."""
-        faces = self._cards
-        check_composes_to_zero(
-            [coboundary_sign_entries(faces[c], faces[c + 1]) for c in range(len(faces) - 1)]
-        )
+    def has_subcomplex(self, sub: "SimplicialComplex") -> bool:
+        """Whether every face of sub is a face of this complex."""
+        return sub is self or sub._faces <= self._faces
+
+    def basis(self, card: int) -> CohomologyBasis:
+        """The presentation basis of the cohomology at the faces with card
+        vertices, read off this complex's own faces (restriction of
+        cochains needs them, so not the core's).  Kept per card, at most
+        subsets.CACHE_LIMIT of them."""
+        basis = self._bases.get(card)
+        if basis is None:
+            below, here, above = (self.faces_of_size(c) for c in (card - 1, card, card + 1))
+            d_in = _dense_coboundary(below, here) if below else None
+            d_out = _dense_coboundary(here, above) if above else None
+            basis = cache_put(self._bases, card, CohomologyBasis(d_in, d_out, len(here)))
+        return basis
+
+    def restriction(self, sub: "SimplicialComplex", card: int) -> InducedMap:
+        """Restriction of cochains to the subcomplex sub, on cohomology at
+        the faces with card vertices.  The chain matrix has a 1 where a face
+        of sub is the same face of this complex.  Kept per faces of sub and
+        card, at most subsets.CACHE_LIMIT of them."""
+        key = (sub._faces, card)
+        induced = self._restrictions.get(key)
+        if induced is None:
+            if not self.has_subcomplex(sub):
+                raise ValueError("target complex is not a subcomplex of the source complex")
+            src, tgt = self.basis(card), sub.basis(card)
+            spos = {F: c for c, F in enumerate(self.faces_of_size(card))}
+            chain = IntMatrix(tgt.dim, src.dim)
+            for row, F in enumerate(sub.faces_of_size(card)):
+                chain.rows[row][spos[F]] = 1
+            induced = cache_put(self._restrictions, key, InducedMap(src, tgt, chain))
+        return induced
 
     def core(self, deadline=None) -> "SimplicialComplex":
         """The strong-collapse core: vertices whose link is a cone deleted,
@@ -285,6 +321,14 @@ class SimplicialComplex:
         return f"SimplicialComplex({self.n}, facets={self.facets})"
 
 
+def _dense_coboundary(cols, rows) -> IntMatrix:
+    entries, nr, nc = coboundary_sign_entries(cols, rows)
+    M = IntMatrix(nr, nc)
+    for (i, j), v in entries.items():
+        M.rows[i][j] = v
+    return M
+
+
 def reduced_cohomology(cx: SimplicialComplex, coeff="Z", deadline=None) -> dict:
     """Reduced cohomology table, spots -1 .. dim.
 
@@ -298,14 +342,11 @@ def reduced_cohomology(cx: SimplicialComplex, coeff="Z", deadline=None) -> dict:
     Every table comes from the Z groups (reduced_groups, on the complex's
     strong-collapse core) by universal coefficients: over Q the free rank,
     over F_p the free rank plus the factors divisible by p at the spot and
-    at the spot above.  The Z table first checks that the input complex's
-    consecutive coboundaries compose to zero.
+    at the spot above.
     """
     coeffs = _coefficients(coeff)
     # one past the largest facet's size: 0 for the void complex, whose tables are empty
     top = max((F.bit_count() + 1 for F in cx._facet_masks), default=0)
-    if "Z" in coeffs:
-        cx.check_coboundaries()
     # the group at each cardinality's spot, then the trivial one past the top
     groups = cx.reduced_groups(range(top + 1), deadline)
     tables = {}

@@ -32,7 +32,8 @@ the same route as simplicial.reduced_cohomology: it is read off the
 eliminations of the complex's strong-collapse core, which has the same
 cohomology and is found once per complex.  A group is a homotopy
 invariant, so it needs no chain map of the collapse; bases and induced
-maps do, and they are read off Delta's own faces.
+maps do, and Delta reads them off its own faces
+(SimplicialComplex.basis and SimplicialComplex.restriction).
 
 Multiplication by x_i and the passage from one power level to the next
 both shrink every V_i (and may deactivate a variable), so the target
@@ -54,11 +55,10 @@ over S, so it is a chain map exactly when each generator of the higher
 list is divisible by the generator in the same position of the lower
 one (comparison_chain_check), an O(r*n) test.
 
-A piece keeps Delta's faces of sizes j-2, j-1 and j as sorted tuples of
-generator bitmasks.  Complexes are cached by their V_i, and presentation
-bases and restriction maps by those face tuples, shared across degrees,
-levels and ideals, each cache holding at most subsets.CACHE_LIMIT
-entries; a complex keeps its own core, and the core its eliminations.
+A piece keeps Delta and the face size its group sits at.  Complexes are
+cached by their V_i, at most subsets.CACHE_LIMIT of them, and shared
+across degrees, levels and ideals; a complex keeps its own core, bases
+and restriction maps, and the core its eliminations.
 """
 
 from __future__ import annotations
@@ -67,21 +67,22 @@ import itertools
 from math import comb, prod
 from operator import attrgetter
 
-from .intlinalg import CohomologyBasis, FinAbGroup, IntMatrix, InducedMap
-# the layer trace (perfbench/spans.py) wraps this name in this module
-from .intlinalg import invariant_factors_sparse  # noqa: F401
+from .intlinalg import FinAbGroup
 from .monomials import MonomialIdeal
 from .polynomials import MultiIndex
 from .scalars import padic_valuation
 from .simplicial import SimplicialComplex, link_is_cone
-from .subsets import cache_put, check_deadline, coboundary_sign_entries
+from .subsets import cache_put, check_deadline
+
+# the layer trace (perfbench/spans.py) wraps these two names in this
+# module; the calls are made in simplicial and intlinalg
+from .intlinalg import invariant_factors_sparse  # noqa: F401
+from .subsets import coboundary_sign_entries  # noqa: F401
 
 # input validation: Delta on r generators has up to 2^r faces
 MAX_GENERATORS = 12
 
 _NERVE_CACHE: dict = {}
-_BASIS_CACHE: dict = {}
-_RESTRICTION_CACHE: dict = {}
 
 
 def _nerve(r: int, simplices: frozenset):
@@ -99,50 +100,6 @@ def _nerve(r: int, simplices: frozenset):
         cx = SimplicialComplex._from_facet_masks(r, maximal or [0])
         hit = cache_put(_NERVE_CACHE, key, (cx, link_is_cone(maximal, 0)))
     return hit
-
-
-def _dense_coboundary(cols, rows) -> IntMatrix:
-    entries, nr, nc = coboundary_sign_entries(cols, rows)
-    M = IntMatrix(nr, nc)
-    for (i, j), v in entries.items():
-        M.rows[i][j] = v
-    return M
-
-
-def _nerve_basis(triple) -> CohomologyBasis:
-    basis = _BASIS_CACHE.get(triple)
-    if basis is None:
-        below, here, above = triple
-        d_in = _dense_coboundary(below, here) if below else None
-        d_out = _dense_coboundary(here, above) if above else None
-        basis = cache_put(_BASIS_CACHE, triple, CohomologyBasis(d_in, d_out, len(here)))
-    return basis
-
-
-def _is_subcomplex(src_triple, tgt_triple) -> bool:
-    """Whether every face of the target's face tuples is a face of the source's."""
-    return all(s is t or set(t).issubset(s) for s, t in zip(src_triple, tgt_triple))
-
-
-def _restriction(src_triple, tgt_triple) -> InducedMap:
-    """Restriction of cochains to a subcomplex, on cohomology at one spot.
-
-    The chain matrix has a 1 where a target face is the same face of the
-    source complex.
-    """
-    key = (src_triple, tgt_triple)
-    induced = _RESTRICTION_CACHE.get(key)
-    if induced is None:
-        if not _is_subcomplex(src_triple, tgt_triple):
-            raise ValueError("target complex is not a subcomplex of the source complex")
-        src = _nerve_basis(src_triple)
-        tgt = _nerve_basis(tgt_triple)
-        spos = {F: c for c, F in enumerate(src_triple[1])}
-        chain = IntMatrix(tgt.dim, src.dim)
-        for row, F in enumerate(tgt_triple[1]):
-            chain.rows[row][spos[F]] = 1
-        induced = cache_put(_RESTRICTION_CACHE, key, InducedMap(src, tgt, chain))
-    return induced
 
 
 class TaylorComplex:
@@ -213,17 +170,15 @@ class TaylorComplex:
 
     def _piece(self, j: int, alpha: tuple, cover: tuple) -> "GradedExtPiece":
         tau_zero = all(members is None for members in cover)
-        if self.r == 0:  # A/(0) = A: Z at spot 0 (the empty face) in the degrees alpha >= 0
-            triple = ((), (0,) if j == 0 and tau_zero else (), ())
-            group = FinAbGroup(len(triple[1]))
-        elif tau_zero:  # the void complex
-            triple = ((), (), ())
-            group = FinAbGroup.trivial()
-        else:
-            nerve, cone = _nerve(self.r, frozenset(filter(None, cover)))
-            group = FinAbGroup.trivial() if cone else nerve.reduced_groups(range(j - 1, j))[0]
-            return GradedExtPiece(j, alpha, group, nerve)
-        return GradedExtPiece(j, alpha, group, triple)
+        if self.r == 0:  # A/(0) = A: Z at the empty face (card 0) in the degrees alpha >= 0
+            cx = SimplicialComplex._from_facet_masks(0, [0] if tau_zero else [])
+            return GradedExtPiece(j, alpha, FinAbGroup(len(cx.faces_of_size(j))), cx, j)
+        if tau_zero:  # the void complex
+            void = SimplicialComplex._from_facet_masks(self.r, [])
+            return GradedExtPiece(j, alpha, FinAbGroup.trivial(), void, j - 1)
+        nerve, cone = _nerve(self.r, frozenset(filter(None, cover)))
+        group = FinAbGroup.trivial() if cone else nerve.reduced_groups(range(j - 1, j))[0]
+        return GradedExtPiece(j, alpha, group, nerve, j - 1)
 
     def ext_piece(self, j: int, alpha) -> "GradedExtPiece":
         alpha = tuple(alpha)
@@ -278,13 +233,13 @@ class TaylorComplex:
             found = self._piece(j, corner, tuple(members for _, _, members in combo))
             if not found.is_nonzero():
                 continue
-            group, triple = found.group, found.triple
+            group, cx, card = found.group, found.complex, found.card
             runs = [range(first, last + 1) for first, last, _ in combo]
             for k, alpha in enumerate(itertools.product(*runs)):
                 if not k & 1023:
                     check_deadline(deadline, what)
                 if all(lo <= a <= hi for a, (lo, hi) in zip(alpha, box)):
-                    pieces.append(GradedExtPiece(j, alpha, group, triple))
+                    pieces.append(GradedExtPiece(j, alpha, group, cx, card))
                 else:
                     offenders.append(alpha)
         pieces.sort(key=attrgetter("alpha"))
@@ -313,33 +268,22 @@ class GradedExtPiece:
 
     The group is reported over Z; over the p-local base ring only the free
     rank and the p-primary torsion survive, which dvr_invariants extracts.
-    triple holds the complex's faces of sizes j-2, j-1 and j, each a
-    sorted tuple of generator bitmasks.  It may be given as Delta itself,
-    which then lists them on first use: most pieces are cones, and nothing
-    reads their faces.
+    It is the cohomology of complex at the faces with card vertices:
+    Delta at card j-1, void when tau = 0, and for the zero ideal {empty
+    set} (tau = 0) or the void complex at card j.
     """
 
-    __slots__ = ("j", "alpha", "group", "_triple")
+    __slots__ = ("j", "alpha", "group", "complex", "card")
 
-    def __init__(self, j, alpha, group, triple):
+    def __init__(self, j, alpha, group, cx, card):
         self.j = j
         self.alpha = alpha
         self.group = group
-        self._triple = triple
-
-    @property
-    def triple(self) -> tuple:
-        if isinstance(self._triple, SimplicialComplex):
-            sizes = (self.j - 2, self.j - 1, self.j)
-            self._triple = tuple(self._triple.faces_of_size(k) for k in sizes)
-        return self._triple
+        self.complex = cx
+        self.card = card
 
     def is_nonzero(self) -> bool:
         return not self.group.is_trivial()
-
-    @property
-    def basis(self) -> CohomologyBasis:
-        return _nerve_basis(self.triple)
 
     def dvr_invariants(self, p: int):
         """(free rank, ascending pi-adic exponents of the surviving torsion)."""
@@ -363,22 +307,26 @@ class PieceMap:
 
     induced is None when either side has no surviving components, and
     then the map is zero with no dense work; matrix is the component
-    matrix.  Everything else is read off the two pieces.
+    matrix, computed when read.  Everything else is read off the two
+    pieces.
     """
 
-    __slots__ = ("source", "target", "induced", "matrix")
+    __slots__ = ("source", "target", "induced")
 
     def __init__(self, source: GradedExtPiece, target: GradedExtPiece):
         self.source = source
         self.target = target
-        scomp = source.group.free_rank + len(source.group.factors)
-        tcomp = target.group.free_rank + len(target.group.factors)
-        if scomp == 0 or tcomp == 0:
-            self.induced = None
-            self.matrix = [[0] * scomp for _ in range(tcomp)]
-        else:
-            self.induced = _restriction(source.triple, target.triple)
-            self.matrix = self.induced.component_matrix()
+        self.induced = None
+        if source.is_nonzero() and target.is_nonzero():
+            self.induced = source.complex.restriction(target.complex, source.card)
+
+    @property
+    def matrix(self) -> list:
+        if self.induced is not None:
+            return self.induced.component_matrix()
+        src, tgt = self.source.group, self.target.group
+        cols = src.free_rank + len(src.factors)
+        return [[0] * cols for _ in range(tgt.free_rank + len(tgt.factors))]
 
     @property
     def zero(self) -> bool:
@@ -478,6 +426,6 @@ def transition_between(source: GradedExtPiece, target: GradedExtPiece) -> PieceM
     """
     if (target.j, target.alpha) != (source.j, source.alpha):
         raise ValueError("a transition maps a piece to the piece of the same j and alpha")
-    if not _is_subcomplex(source.triple, target.triple):
+    if not source.complex.has_subcomplex(target.complex):
         raise ValueError("the higher level's complex is not a subcomplex of the lower level's")
     return PieceMap(source, target)

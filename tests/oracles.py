@@ -535,6 +535,23 @@ def sign_entries(cols, rows):
     return entries, len(rows), len(cols)
 
 
+def composite_entries(inner, outer) -> dict:
+    """The nonzero entries of outer after inner, two sparse maps given as
+    (entries, nrows, ncols): entry (k, j) sums outer[k, i] * inner[i, j]
+    over the rows i of inner."""
+    (first, first_rows, _), (second, _, second_cols) = inner, outer
+    if second_cols != first_rows:
+        raise ValueError("the maps do not chain")
+    columns_of_row: dict = {}
+    for (i, j), v in first.items():
+        columns_of_row.setdefault(i, []).append((j, v))
+    product: dict = {}
+    for (k, i), w in second.items():
+        for j, v in columns_of_row.get(i, ()):
+            product[k, j] = product.get((k, j), 0) + w * v
+    return {key: v for key, v in product.items() if v}
+
+
 def _members(bits: int) -> list:
     """The subsets a family integer marks (bit S for the subset S), as vertex tuples."""
     return [_vertices(S) for S in range(bits.bit_length()) if bits >> S & 1]
@@ -988,7 +1005,7 @@ def degree_by_degree_scan(tc, j, box=None, shell=True):
 
     Every degree of the box, then every degree of its one-step enlargement
     outside the box, gets its own strand group; no grouping into classes
-    and no nerve.  Pieces carry strand triples.  This is the reference for
+    and no nerve.  Pieces carry no complex.  This is the reference for
     the library's class-grouped nerve scan.
     """
     strands = TaylorStrands(tc)
@@ -1001,7 +1018,7 @@ def degree_by_degree_scan(tc, j, box=None, shell=True):
         count += 1
         group = strands.group(j, alpha)
         if not group.is_trivial():
-            pieces.append(GradedExtPiece(j, alpha, group, strands.strand_triple(j, alpha)))
+            pieces.append(GradedExtPiece(j, alpha, group, None, None))
     offenders = []
     if shell:
         for alpha in product(*(range(lo - 1, hi + 2) for lo, hi in box)):

@@ -12,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from mixedchar import cli, filtrations, groebner, pipeline, textio
+from mixedchar import cli, filtrations, groebner, intlinalg, pipeline, subsets, textio
 from mixedchar.cli import main
+from mixedchar.reports import Report
 from mixedchar.taylor import TaylorComplex
 
 from .conftest import RP2_FACETS, facets_text, random_facets
@@ -452,6 +453,59 @@ def test_timeouts_are_reported_as_timeouts(capsys, tmp_path):
         code, out, err = run(capsys, *command, "--timeout-secs", "0")
         assert code == 1 and out == "", command
         assert err.startswith("timeout:"), command
+
+
+class _Clock:
+    """Stands in for the time module of cli and subsets.check_deadline."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        return self.now
+
+
+def test_one_budget_covers_loading_and_encoding(capsys, monkeypatch):
+    # the budget starts once the arguments are parsed: a slow load or a
+    # slow encoding past it is a timeout, with nothing on stdout
+    clock = _Clock()
+    monkeypatch.setattr(cli, "time", clock)
+    monkeypatch.setattr(subsets, "time", clock)
+
+    def slow(fn):
+        def late(*args, **kwargs):
+            clock.now += 10.0
+            return fn(*args, **kwargs)
+
+        return late
+
+    for owner, name in ((cli, "load_facets_text"), (Report, "to_json")):
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, slow(getattr(owner, name)))
+            for budget, exit_code in (("5", 1), ("25", 0)):
+                code, out, err = run(capsys, "simplicial", "--facets", RP2, "--timeout-secs", budget)
+                assert code == exit_code, (name, budget)
+                if exit_code:
+                    assert out == "" and err.startswith("timeout:"), name
+                    assert err.count("\n") == 1, err
+                else:
+                    assert json.loads(out)["command"] == "simplicial"
+
+
+def test_only_reports_with_map_matrices_compute_them(capsys, monkeypatch):
+    # pipeline's transitions never print a matrix; the scan prints its six
+    # multiplication maps, whose targets are trivial
+    calls = []
+    matrix = intlinalg.InducedMap.component_matrix
+    monkeypatch.setattr(
+        intlinalg.InducedMap, "component_matrix", lambda m: calls.append(m) or matrix(m)
+    )
+    for name in ("pipeline", "scan"):
+        argv, exit_code, digest = GOLDEN_REPORTS[name]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(Path(REISNER).read_text()))
+        code, out, _ = run(capsys, *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (exit_code, digest)
+        assert calls == [], name
 
 
 # an exponent of 10^6 once built a table per exponent value before the

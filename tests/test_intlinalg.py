@@ -375,11 +375,12 @@ def test_solve_in_kernel_on_strand_bases():
                 checked += 1
                 # the library's basis of the same piece, on its nerve
                 piece = tc.ext_piece(j, alpha)
-                below, here, above = piece.triple
+                cx, card = piece.complex, piece.card
+                below, here, above = (cx.faces_of_size(card + d) for d in (-1, 0, 1))
                 if here:
                     d_in = _dense_of(*coboundary_sign_entries(below, here)) if below else None
                     d_out = _dense_of(*coboundary_sign_entries(here, above)) if above else None
-                    basis = piece.basis
+                    basis = cx.basis(card)
                     assert basis.dim == len(here)
                     nerve_rejected += _check_solve_in_kernel(nerve_rng, basis, d_in, d_out)
                     nerve_checked += 1

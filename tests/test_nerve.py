@@ -157,7 +157,7 @@ def test_groups_on_proper_cores_match_the_strand_oracle(monkeypatch):
     for cx in others:
         assert cx.core() is cx.core() and cx.core().core() is cx.core()
     socle = TaylorComplex(reisner).ext_piece(4, (-1,) * 6)
-    nerve = socle._triple
+    nerve = socle.complex
     assert socle.group == FinAbGroup(0, (2,)) and nerve.core() is nerve
     assert dense_reduced_cohomology(nerve, "Z")[2] == socle.group
 
@@ -177,7 +177,7 @@ def test_wide_ideals_run_on_the_generators():
             for j in range(tc.r + 2):
                 piece = tc.ext_piece(j, alpha)
                 assert piece.group == strands.group(j, alpha), (tc.gens, j, alpha)
-                assert all(F >> tc.r == 0 for faces in piece.triple for F in faces)
+                assert all(F >> tc.r == 0 for F in piece.complex._faces)
 
 
 def test_zero_and_unit_ideals_match_the_strand_oracle():
@@ -239,14 +239,14 @@ def _connecting(strands, piece):
     (0) has no generators: its one complex is the strand itself.
     """
     strand = strands.strand_triple(piece.j, piece.alpha)
-    key = (piece.triple, strand)
+    key = (piece.complex, piece.card, strand)
     if key not in _CONNECTING:
-        basis = piece.basis
+        basis = piece.complex.basis(piece.card)
         if strands.r == 0:
             chain = IntMatrix.identity(basis.dim)
         else:
             entries, nrows, ncols = coboundary_sign_entries(
-                piece.triple[1], bits_to_subsets(strand[1])
+                piece.complex.faces_of_size(piece.card), bits_to_subsets(strand[1])
             )
             chain = IntMatrix(nrows, ncols)
             for (i, k), v in entries.items():
@@ -358,11 +358,10 @@ def test_reisner_transitions_and_mult_maps_match_taylor_inclusions(j):
 
 
 def test_p_local_injectivity_is_decided_once_per_shared_map(monkeypatch):
-    # the restriction cache hands every Reisner level-2 transition at j = 4
-    # the same map, so each prime costs one kernel block however many
-    # transitions ask
-    for module, name in ((taylor, "_BASIS_CACHE"), (taylor, "_RESTRICTION_CACHE")):
-        monkeypatch.setattr(module, name, {})
+    # the nerve's restriction store hands every Reisner level-2 transition
+    # at j = 4 the same map, so each prime costs one kernel block however
+    # many transitions ask; fresh nerves keep no map from earlier tests
+    monkeypatch.setattr(taylor, "_NERVE_CACHE", {})
     ideal = MonomialIdeal(6, REISNER_ROWS)
     low, high = TaylorComplex(power_ideal(ideal, 2)), TaylorComplex(power_ideal(ideal, 3))
     reps = [
@@ -385,30 +384,36 @@ def test_p_local_injectivity_is_decided_once_per_shared_map(monkeypatch):
 
 
 def test_nerve_caches_stay_bounded_over_many_ideals(monkeypatch):
-    limit = 24
+    # the nerve store, and the bases and restriction maps each nerve keeps
+    limit = 3
     monkeypatch.setattr(subsets, "CACHE_LIMIT", limit)
-    caches = {
-        (taylor, "_NERVE_CACHE"),
-        (taylor, "_BASIS_CACHE"),
-        (taylor, "_RESTRICTION_CACHE"),
-    }
-    for module, name in caches:
-        monkeypatch.setattr(module, name, {})
+    monkeypatch.setattr(taylor, "_NERVE_CACHE", {})
     rng = random.Random(60604)
-    largest = dict.fromkeys(caches, 0)
+    largest = {"nerves": 0, "bases": 0, "restrictions": 0}
     for _ in range(300):
         ideal = _random_ideal(rng)
         low, high = TaylorComplex(ideal), TaylorComplex(power_ideal(ideal, 2))
         strands = TaylorStrands(low)
+        complexes = []
         for j in range(low.r + 2):
             for piece in low.support_scan(j).pieces:
                 # groups stay right while entries are evicted under them
                 assert piece.group == strands.group(j, piece.alpha)
-                transition_between(piece, high.ext_piece(j, piece.alpha))
+                target = high.ext_piece(j, piece.alpha)
+                transition_between(piece, target)
                 low.mult_map(j, piece.alpha, rng.randrange(low.n))
-        for cache in caches:
-            size = len(getattr(*cache))
-            assert size <= limit, cache
-            largest[cache] = max(largest[cache], size)
-    # every cache filled up, so the bound was what held it
+                # a piece reads its nerve at one card; restricting at every
+                # card makes a nerve keep more than one basis and map
+                for card in range(low.r + 1):
+                    piece.complex.restriction(target.complex, card)
+                complexes += [piece.complex, target.complex]
+        sizes = {
+            "nerves": len(taylor._NERVE_CACHE),
+            "bases": max((len(cx._bases) for cx in complexes), default=0),
+            "restrictions": max((len(cx._restrictions) for cx in complexes), default=0),
+        }
+        for store, size in sizes.items():
+            assert size <= limit, store
+            largest[store] = max(largest[store], size)
+    # every store filled up, so the bound was what held it
     assert all(size == limit for size in largest.values()), largest

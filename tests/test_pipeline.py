@@ -178,7 +178,9 @@ def test_check_transitions_checks_each_level_pair_once_from_the_scanned_pieces(m
             alpha = piece.alpha
             rep = transition_between(low.ext_piece(4, alpha), high.ext_piece(4, alpha))
             assert t["alpha"] == list(rep.source.alpha)
-            assert (rep.source.group, rep.source.triple) == (piece.group, piece.triple)
+            assert (rep.source.group, rep.source.complex, rep.source.card) == (
+                piece.group, piece.complex, piece.card
+            )
 
 
 def test_check_transitions_builds_only_the_targets_missing_from_the_next_scan(monkeypatch):

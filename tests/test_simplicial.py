@@ -18,6 +18,7 @@ from mixedchar.textio import reisner_ideal, rp2_facets
 
 from .conftest import RP2_FACETS, random_facets
 from .oracles import (
+    composite_entries,
     dense_reduced_cohomology,
     faces_of_cardinality,
     is_cone_by_apex,
@@ -336,29 +337,61 @@ def test_one_elimination_matches_the_dense_route_on_every_link(seed):
         assert together[coeff] == per_field_hochster_levels(cx, coeff)
 
 
+def _parity_mismatches(cx, build) -> list:
+    """The cardinalities c whose coboundary out of c, by build on cx's
+    faces, differs from the position-parity oracle's anywhere."""
+    cards = cx._cards
+    return [
+        c
+        for c in range(len(cards) - 1)
+        if build(cards[c], cards[c + 1])
+        != sign_entries(*(faces_of_cardinality(cx, d) for d in (c, c + 1)))
+    ]
+
+
+def _composites_off_zero(cx, build) -> list:
+    """The cardinalities c where build's coboundary out of c followed by
+    its coboundary out of c + 1 is not zero."""
+    cards = cx._cards
+    maps = [build(cards[c], cards[c + 1]) for c in range(len(cards) - 1)]
+    return [c for c, pair in enumerate(zip(maps, maps[1:])) if composite_entries(*pair)]
+
+
 @pytest.mark.parametrize("seed", [301, 302])
 def test_builder_entries_match_the_position_parity_oracle(seed):
     # entry for entry, signs included: a uniform sign flip leaves every
     # group unchanged, so only this comparison sees one
     cx = _benchmark_shaped(seed)
     for k in [cx] + [cx.link(W) for W in faces_of_cardinality(cx, 2)]:
-        cards = k._cards
-        for c in range(len(cards) - 1):
-            cols, rows = (faces_of_cardinality(k, d) for d in (c, c + 1))
-            assert coboundary_sign_entries(cards[c], cards[c + 1]) == sign_entries(cols, rows)
+        assert _parity_mismatches(k, coboundary_sign_entries) == [], k
 
 
-def test_integral_table_rejects_a_non_complex(monkeypatch):
+@pytest.mark.parametrize("seed", [301, 302, 303, 304])
+def test_consecutive_coboundaries_compose_to_zero(seed):
+    # no run-time check repeats this: on the seeded complexes, the link of
+    # every face, and RP^2
+    cx = _benchmark_shaped(seed)
+    links = [cx.link(bits_to_subsets(W)) for W in cx._faces]
+    composites = 0
+    for k in [cx, rp2()] + links:
+        assert _composites_off_zero(k, coboundary_sign_entries) == [], k
+        composites += max(len(k._cards) - 2, 0)
+    assert composites > len(links)
+
+
+def test_a_flipped_sign_fails_both_builder_checks():
+    # one sign of the map out of the empty face flipped: the composite is
+    # no longer zero, and the entries differ from the oracle's
     def flip_first_sign(cols, rows):
         entries, nrows, ncols = coboundary_sign_entries(cols, rows)
-        if tuple(cols) != (0,):  # flip one sign of the map out of the empty face only
+        if tuple(cols) != (0,):
             return entries, nrows, ncols
         key = min(entries)
         return {**entries, key: -entries[key]}, nrows, ncols
 
-    monkeypatch.setattr(simplicial, "coboundary_sign_entries", flip_first_sign)
-    with pytest.raises(ValueError, match="compose to zero"):
-        reduced_cohomology(SimplicialComplex(3, [(0, 1, 2)]), "Z")
+    for cx in (SimplicialComplex(3, [(0, 1, 2)]), rp2(), _benchmark_shaped(301)):
+        assert _composites_off_zero(cx, flip_first_sign) == [0], cx
+        assert _parity_mismatches(cx, flip_first_sign) == [0], cx
 
 
 # the strong-collapse core

@@ -6,11 +6,10 @@ import pytest
 from mixedchar.intlinalg import FinAbGroup
 from mixedchar.monomials import MonomialIdeal, power_ideal
 from mixedchar.pipeline import _transition_injective_over
+from mixedchar.subsets import coboundary_sign_entries
 from mixedchar.taylor import (
     GradedExtPiece,
     TaylorComplex,
-    _dense_coboundary,
-    _restriction,
     comparison_chain_check,
     require_chain_map,
     transition_between,
@@ -19,6 +18,7 @@ from mixedchar.taylor import (
 from tests.conftest import REISNER_ROWS
 from tests.oracles import (
     TaylorStrands,
+    _dense,
     degree_by_degree_scan,
     is_injective,
     subset_walk_chain_check,
@@ -103,8 +103,8 @@ def _assert_same_scan(got, want, tc):
         (p.alpha, p.j, p.group) for p in want.pieces
     ]
     # each expanded piece carries the nerve of its own degree
-    assert [p.triple for p in got.pieces] == [
-        tc.ext_piece(p.j, p.alpha).triple for p in got.pieces
+    assert [(p.complex, p.card) for p in got.pieces] == [
+        (e.complex, e.card) for e in (tc.ext_piece(p.j, p.alpha) for p in got.pieces)
     ]
     assert got.shell_offenders == want.shell_offenders
     assert got.degrees_scanned == want.degrees_scanned
@@ -184,7 +184,7 @@ def test_reisner_ext4_piece_is_z2(rtc):
     dims = tuple(t.bit_count() for t in TaylorStrands(rtc).strand_triple(4, (-1,) * 6))
     assert dims == tuple(_covering_subset_count(REISNER_ROWS, s) for s in (3, 4, 5))
     # at tau = 1 a face of the nerve is a set of generators avoiding one variable
-    dims = tuple(len(t) for t in piece.triple)
+    dims = tuple(len(piece.complex.faces_of_size(piece.card + d)) for d in (-1, 0, 1))
     assert dims == tuple(_nerve_face_count(REISNER_ROWS, s) for s in (2, 3, 4))
     assert piece.dvr_invariants(2) == (0, (1,))
     assert piece.dvr_invariants(3) == (0, ())
@@ -270,8 +270,10 @@ def test_strand_matrices_are_signs_and_compose_to_zero(rtc):
             assert all(v in (-1, 0, 1) for row in m.rows for v in row)
         assert (d_out @ d_in).is_zero()
         # the nerve coboundaries around the same spot
-        below, here, above = tc.ext_piece(j, alpha).triple
-        d_in, d_out = _dense_coboundary(below, here), _dense_coboundary(here, above)
+        piece = tc.ext_piece(j, alpha)
+        below, here, above = (piece.complex.faces_of_size(piece.card + d) for d in (-1, 0, 1))
+        d_in = _dense(*coboundary_sign_entries(below, here))
+        d_out = _dense(*coboundary_sign_entries(here, above))
         for m in (d_in, d_out):
             assert all(v in (-1, 0, 1) for row in m.rows for v in row)
         assert (d_out @ d_in).is_zero()
@@ -318,7 +320,7 @@ def test_mult_map_variable_is_the_coordinate_raised():
         for piece, want in ((report.source, alpha), (report.target, raised)):
             expected = tc2.ext_piece(4, want)
             assert (piece.j, piece.alpha, piece.group) == (4, want, expected.group)
-            assert piece.triple == expected.triple
+            assert (piece.complex, piece.card) == (expected.complex, expected.card)
 
 
 def test_transition_koszul():
@@ -354,9 +356,9 @@ def test_comparison_chain_check_rejects_unrelated_ideals():
     # of (x1) has a vertex, the nerve of (x0) only the empty face
     with pytest.raises(ValueError, match="not a subcomplex"):
         transition_between(low.ext_piece(1, (-1, 0)), high.ext_piece(1, (-1, 0)))
-    src, tgt = low.ext_piece(1, (-1, 0)).triple, high.ext_piece(1, (-1, 0)).triple
+    src, tgt = low.ext_piece(1, (-1, 0)), high.ext_piece(1, (-1, 0))
     with pytest.raises(ValueError, match="not a subcomplex"):
-        _restriction(src, tgt)
+        src.complex.restriction(tgt.complex, src.card)
 
 
 def _raised(rng, gens, top):
@@ -414,7 +416,7 @@ def test_generator_cap():
 
 
 def test_dvr_invariants_read_off_p_parts():
-    piece = GradedExtPiece(0, (), FinAbGroup(1, (6, 12)), (0, 0, 0))
+    piece = GradedExtPiece(0, (), FinAbGroup(1, (6, 12)), None, None)
     assert piece.dvr_invariants(2) == (1, (1, 2))
     assert piece.dvr_invariants(3) == (1, (1, 1))
     assert piece.dvr_invariants(5) == (1, ())
