@@ -11,6 +11,22 @@ monic, no leading term divides another, and every element is in normal
 form with respect to the rest, so it is canonical for the ideal and
 order whichever pairs were reduced.
 
+The arithmetic is specialised to the two coefficient fields buchberger
+accepts (_kernel).  Over F_p a coefficient is an int in [0, p); over Q it
+is an int while integral and a Fraction only when not, which in the
+certificate's bases is 3 coefficients of 67.  Every divisor and S-pair
+partner the library passes is monic, so a leading coefficient of 1 is
+used as it is, with no division.  Each basis element's leading exponent
+carries a support mask, one bit per variable that occurs (support_mask,
+the "short exponent vector" of Bachmann and Schoenemann, ISSAC 1998):
+one AND rejects most divisors in a division step and decides whether a
+pair is coprime.  The Gebauer-Moeller test among the new pairs is
+decided once per distinct lcm (_update), which keeps the same pairs as
+testing each pair against every other.  Polynomials the kernel builds
+skip the per-term checks of Polynomial(), as their terms are canonical,
+and each division step finds its leading term by ORDER_MAX, with no
+Python call per term.
+
 The four-element certificate decides each cubic f by explicit powers in
 one reduced basis of the ideal: the least k <= POWER_BOUND with
 NF(f^k) = NF(f * NF(f^(k-1))) = 0, which holds exactly when f^k lies in
@@ -23,15 +39,20 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Iterable, Sequence
+from itertools import compress
+from operator import add, le, sub
 
 from .monomials import MonomialIdeal
-from .polynomials import ORDER_KEYS, Polynomial, exp_add, exp_leq, exp_max, exp_sub
+from .polynomials import ORDER_KEYS, ORDER_MAX, Polynomial, exp_leq, exp_max, exp_sub
 from .scalars import PrimeField, RationalField
 from .subsets import check_deadline
-from .textio import reisner_ideal, schmitt_vogel_generators
+from .textio import MAX_VARIABLES, reisner_ideal, schmitt_vogel_generators
 
 # Largest power of a cubic the four-element certificate tries.
 POWER_BOUND = 4
+
+# one bit per variable, as many as a polynomial file may have
+_BITS = tuple(1 << i for i in range(MAX_VARIABLES))
 
 
 def _require_field(ring) -> None:
@@ -39,99 +60,173 @@ def _require_field(ring) -> None:
         raise ValueError(f"need field coefficients, got {ring!r}")
 
 
+def support_mask(e) -> int:
+    """The support of an exponent as a bitmask, bit i set when e[i] > 0.
+
+    x^a can divide x^b only when support_mask(a) & ~support_mask(b) == 0,
+    so one AND rejects most divisors before the exact comparison, and two
+    exponents are coprime exactly when their masks share no bit.  Only the
+    first MAX_VARIABLES variables have a bit: past them a mask still
+    rejects only non-divisors but no longer decides coprimality, so
+    buchberger refuses more variables."""
+    return sum(compress(_BITS, e))
+
+
+def _integral(q):
+    """A rational coefficient as an int when it is one, else the Fraction."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _kernel(ring) -> tuple:
+    """(subtract, divide) for the field ring, in the coefficients the
+    module docstring describes.
+
+    subtract(terms, g_terms, shift, c) does terms -= c * x^shift * g in
+    place, dropping the coefficients it cancels; c is never zero, so a sum
+    that cancels is always one already stored.  divide(a, b) is a / b.
+    An int k over Q equals Fraction(k) and hashes alike, so polynomials
+    compare as they would with Fractions throughout.
+    """
+    _require_field(ring)
+    if isinstance(ring, PrimeField):
+        p = ring.p
+
+        def subtract(terms, g_terms, shift, c):
+            get = terms.get
+            for t, v in g_terms.items():
+                e = tuple(map(add, t, shift))
+                s = (get(e, 0) - c * v) % p
+                if s:
+                    terms[e] = s
+                else:
+                    del terms[e]
+
+        def divide(a, b):
+            return a * pow(b, p - 2, p) % p
+
+        return subtract, divide
+
+    def subtract(terms, g_terms, shift, c):
+        get = terms.get
+        for t, v in g_terms.items():
+            e = tuple(map(add, t, shift))
+            s = get(e, 0) - c * v
+            if not s:
+                del terms[e]
+            elif type(s) is int:
+                terms[e] = s
+            else:
+                terms[e] = _integral(s)
+
+    def divide(a, b):
+        return _integral(ring.divide(a, b))
+
+    return subtract, divide
+
+
 def _monic(f: Polynomial, order: str) -> Polynomial:
     _, c = f.leading_term(order)
-    return f.scale(f.ring.divide(f.ring.one(), c))
+    subtract, divide = _kernel(f.ring)
+    terms: dict = {}
+    subtract(terms, f.terms, (0,) * f.n, -divide(1, c))
+    return Polynomial._of(f.ring, f.n, terms)
 
 
-def _subtract_multiple(terms: dict, ring, g: Polynomial, shift, c) -> None:
-    """terms -= c * x^shift * g, in place; zero coefficients are dropped."""
-    neg, zero = ring.neg(c), ring.zero()
-    for t, v in g.terms.items():
-        e = exp_add(t, shift)
-        s = ring.add(terms.get(e, zero), ring.mul(neg, v))
-        if ring.is_zero(s):
-            terms.pop(e, None)
-        else:
-            terms[e] = s
+def _multiply(f: Polynomial, g: Polynomial) -> Polynomial:
+    """f * g through the field kernel."""
+    subtract, _ = _kernel(f.ring)
+    terms: dict = {}
+    for t, v in f.terms.items():
+        subtract(terms, g.terms, t, -v)
+    return Polynomial._of(f.ring, f.n, terms)
 
 
 def spoly(f: Polynomial, g: Polynomial, order: str = "grlex") -> Polynomial:
     """The S-polynomial: both leading terms lifted to their lcm and cancelled."""
-    ring = f.ring
+    subtract, divide = _kernel(f.ring)
     fe, fc = f.leading_term(order)
     ge, gc = g.leading_term(order)
     lcm = exp_max(fe, ge)
     terms: dict = {}
-    _subtract_multiple(terms, ring, f, exp_sub(lcm, fe), ring.neg(ring.divide(ring.one(), fc)))
-    _subtract_multiple(terms, ring, g, exp_sub(lcm, ge), ring.divide(ring.one(), gc))
-    return Polynomial(ring, f.n, terms)
+    subtract(terms, f.terms, exp_sub(lcm, fe), -1 if fc == 1 else -divide(1, fc))
+    subtract(terms, g.terms, exp_sub(lcm, ge), 1 if gc == 1 else divide(1, gc))
+    return Polynomial._of(f.ring, f.n, terms)
 
 
-def normal_form(f: Polynomial, divisors: Sequence[tuple], order: str = "grlex") -> Polynomial:
+def normal_form(
+    f: Polynomial, divisors: Sequence[tuple], order: str = "grlex", masks=None
+) -> Polynomial:
     """Remainder of f under full division by the divisors, in listed order.
 
     Each divisor is a pair (leading term, g), the leading term of g under
     order as (exponent, coefficient), so a caller that divides by the same
-    elements many times computes it once.
+    elements many times computes it once; masks, when given, are the
+    support_mask of each divisor's leading exponent, in the same order.
     """
-    ring = f.ring
-    key = ORDER_KEYS[order]
+    subtract, divide = _kernel(f.ring)
+    largest = ORDER_MAX[order]
+    if masks is None:
+        masks = [support_mask(ge) for (ge, _), _ in divisors]
     p, remainder = dict(f.terms), {}
     while p:
-        e = max(p, key=key)
-        c = p[e]
-        for (ge, gc), g in divisors:
-            if exp_leq(ge, e):
-                _subtract_multiple(p, ring, g, exp_sub(e, ge), ring.divide(c, gc))
+        e = largest(p)
+        outside = ~support_mask(e)
+        for m, divisor in zip(masks, divisors):
+            if m & outside:
+                continue
+            (ge, gc), g = divisor
+            if all(map(le, ge, e)):
+                c = p[e]
+                subtract(p, g.terms, tuple(map(sub, e, ge)), c if gc == 1 else divide(c, gc))
                 break
         else:
             remainder[e] = p.pop(e)
-    return Polynomial(ring, f.n, remainder)
+    return Polynomial._of(f.ring, f.n, remainder)
 
 
-def _coprime(a, b) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
-
-
-def _update(heap, key, leads, active: list, h: int) -> list:
+def _update(heap, key, leads, masks, active: list, h: int) -> list:
     """The Gebauer-Moeller update for the new element h; returns the new active set.
 
-    heap holds the pending pairs as (key of lcm, i, j, lcm).  Of the pairs
-    (g, h) with g active, one per minimal lcm survives; a pair whose lcm is
-    a multiple of another new pair's lcm is dropped, a coprime pair takes
-    part in that test before it is dropped (it counts as treated).  An old
-    pair (i, j) is dropped when lt(h) divides its lcm and neither lcm(i, h)
-    nor lcm(j, h) equals it.  Elements whose leading term lt(h) divides stop
+    heap holds the pending pairs as (key of lcm, i, j, lcm).  Of the new
+    pairs (g, h), g active, only those whose lcm is minimal among the new
+    lcms can survive: a pair whose lcm is a proper multiple of another's
+    is dropped.  A minimal lcm shared with a coprime pair is dropped
+    altogether (the coprime pair is treated, and not kept), and otherwise
+    the first pair in active order with that lcm is kept.  This is the
+    pairwise test of Gebauer and Moeller, in which a coprime pair takes part
+    before it is dropped, decided once per distinct lcm.  An old pair (i, j)
+    is dropped when lt(h) divides its lcm and neither lcm(i, h) nor
+    lcm(j, h) equals it.  Elements whose leading term lt(h) divides stop
     pairing.
     """
-    t = leads[h][0]
-    pending = []
+    t, tm = leads[h][0], masks[h]
+    first: dict = {}
+    coprime = set()
     for g in active:
-        lcm = exp_max(leads[g][0], t)
-        pending.append((g, lcm, _coprime(leads[g][0], t), sum(lcm)))
-    kept = []
-    while pending:
-        g, lcm, coprime, deg = pending.pop()
-        # an lcm of the same total degree divides this one only when equal
-        # to it, and one of larger degree never does
-        if coprime or not any(
-            o == lcm if d == deg else d < deg and exp_leq(o, lcm)
-            for group in (pending, kept)
-            for _, o, _, d in group
-        ):
-            kept.append((g, lcm, coprime, deg))
+        lcm = tuple(map(max, leads[g][0], t))
+        first.setdefault(lcm, g)
+        if not masks[g] & tm:
+            coprime.add(lcm)
+    minimal: list = []
+    # distinct lcms of one degree never divide each other
+    for lcm in sorted(first, key=sum):
+        outside = ~(masks[first[lcm]] | tm)
+        for m, o in minimal:
+            if not m & outside and all(map(le, o, lcm)):
+                break
+        else:
+            minimal.append((~outside, lcm))
     old = [
         pair
         for pair in heap
-        if not exp_leq(t, pair[3])
+        if not all(map(le, t, pair[3]))
         or exp_max(leads[pair[1]][0], t) == pair[3]
         or exp_max(leads[pair[2]][0], t) == pair[3]
     ]
-    old.extend((key(lcm), g, h, lcm) for g, lcm, coprime, _ in kept if not coprime)
+    old.extend((key(lcm), first[lcm], h, lcm) for _, lcm in minimal if lcm not in coprime)
     heap[:] = old
     heapq.heapify(heap)
-    return [g for g in active if not exp_leq(t, leads[g][0])] + [h]
+    return [g for g in active if tm & ~masks[g] or not all(map(le, t, leads[g][0]))] + [h]
 
 
 def buchberger(
@@ -150,21 +245,26 @@ def buchberger(
     ring = basis[0].ring
     _require_field(ring)
     n = basis[0].n
+    if n > len(_BITS):  # _update reads coprime pairs off the masks
+        raise ValueError(f"at most {len(_BITS)} variables, got {n}")
     unit = [Polynomial.constant(ring, n, ring.one())]
     basis = [_monic(g, order) for g in basis]
     if any(g.is_constant() for g in basis):
         return unit
     key = ORDER_KEYS[order]
     leads = [g.leading_term(order) for g in basis]
+    masks = [support_mask(e) for e, _ in leads]
     heap: list = []
     active: list = []
     for h in range(len(basis)):
-        active = _update(heap, key, leads, active, h)
+        active = _update(heap, key, leads, masks, active, h)
     while heap:
         check_deadline(deadline, "the Groebner basis")
         _, i, j, _ = heapq.heappop(heap)
         divisors = [(leads[g], basis[g]) for g in active]
-        h = normal_form(spoly(basis[i], basis[j], order), divisors, order)
+        h = normal_form(
+            spoly(basis[i], basis[j], order), divisors, order, [masks[g] for g in active]
+        )
         if h.is_zero():
             continue
         if h.is_constant():
@@ -172,7 +272,8 @@ def buchberger(
         h = _monic(h, order)
         basis.append(h)
         leads.append(h.leading_term(order))
-        active = _update(heap, key, leads, active, len(basis) - 1)
+        masks.append(support_mask(leads[-1][0]))
+        active = _update(heap, key, leads, masks, active, len(basis) - 1)
     return [basis[g] for g in active]
 
 
@@ -186,9 +287,10 @@ def reduce_basis(basis: Sequence[Polynomial], order: str = "grlex") -> tuple:
     for lead, g in ordered:
         if not any(exp_leq(other[0], lead[0]) for other, _ in minimal):
             minimal.append((lead, g))
+    masks = [support_mask(e) for (e, _), _ in minimal]
     reduced = []
     for i, (_, g) in enumerate(minimal):
-        rest = normal_form(g, minimal[:i] + minimal[i + 1 :], order)
+        rest = normal_form(g, minimal[:i] + minimal[i + 1 :], order, masks[:i] + masks[i + 1 :])
         reduced.append(_monic(rest, order))
     return tuple(reduced)
 
@@ -199,13 +301,14 @@ def groebner_basis(
     return reduce_basis(buchberger(gens, order, deadline), order)
 
 
-def power_exponent(f: Polynomial, basis: Sequence[Polynomial], order: str = "grlex"):
-    """The least k <= POWER_BOUND with f^k in the ideal that basis spans
-    (a Groebner basis under order), else None."""
-    divisors = [(g.leading_term(order), g) for g in basis]
+def power_exponent(f: Polynomial, divisors: Sequence[tuple], order: str = "grlex"):
+    """The least k <= POWER_BOUND with f^k in the ideal that a Groebner
+    basis under order spans, else None.  The basis comes as normal_form's
+    (leading term, g) divisor pairs, so one basis serves many f."""
+    masks = [support_mask(e) for (e, _), _ in divisors]
     power = Polynomial.constant(f.ring, f.n, f.ring.one())
     for k in range(1, POWER_BOUND + 1):
-        power = normal_form(f * power, divisors, order)
+        power = normal_form(_multiply(f, power), divisors, order, masks)
         if power.is_zero():
             return k
     return None
@@ -232,12 +335,12 @@ def sv_containment_check(ring, order: str = "grlex", deadline: float | None = No
     ideal = reisner_ideal()
     four = schmitt_vogel_generators(ring)
     in_ideal = [monomial_ideal_member(g, ideal) for g in four]
-    basis = groebner_basis(four, order, deadline)
+    divisors = [(g.leading_term(order), g) for g in groebner_basis(four, order, deadline)]
     radical = []
     for e in ideal.gens:
         check_deadline(deadline, "the radical certificate")
         cubic = Polynomial.monomial(ring, ideal.n, e)
-        radical.append(power_exponent(cubic, basis, order) is not None)
+        radical.append(power_exponent(cubic, divisors, order) is not None)
     return {
         "field": ring.name,
         "generators_in_ideal": in_ideal,

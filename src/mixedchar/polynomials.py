@@ -43,6 +43,15 @@ def lex_key(e: MultiIndex):
 ORDER_KEYS = {"grlex": grlex_key, "lex": lex_key}
 
 
+def _grlex_max(exponents) -> MultiIndex:
+    return max(zip(map(sum, exponents), exponents))[1]
+
+
+# The largest of a collection of exponents under each order, the same as
+# max(..., key=ORDER_KEYS[order]) but with no Python call per exponent.
+ORDER_MAX = {"grlex": _grlex_max, "lex": max}
+
+
 class Polynomial:
     """A polynomial with exact coefficients from a fixed ring object.
 
@@ -66,6 +75,14 @@ class Polynomial:
                     raise ValueError(f"exponent {e} has wrong arity, expected {n}")
                 if not ring.is_zero(c):
                     self.terms[tuple(e)] = c
+
+    @classmethod
+    def _of(cls, ring, n: int, terms: dict) -> "Polynomial":
+        """A polynomial owning terms, which must already be canonical: every
+        exponent of arity n and no zero coefficient.  No check is made."""
+        f = cls.__new__(cls)
+        f.ring, f.n, f.terms = ring, n, terms
+        return f
 
     @classmethod
     def zero(cls, ring, n: int) -> "Polynomial":
@@ -99,8 +116,7 @@ class Polynomial:
         """(exponent, coefficient) of the largest term in the given order."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        key = ORDER_KEYS[order]
-        e = max(self.terms, key=key)
+        e = ORDER_MAX[order](self.terms)
         return e, self.terms[e]
 
     def __add__(self, other: "Polynomial") -> "Polynomial":

@@ -13,9 +13,12 @@ complexes on which taylor computes graded Ext.
 
 Cohomology is computed over Z: a complex eliminates the coboundary out of
 each cardinality at most once, one sparse elimination giving its rank and
-invariant factors, and keeps them.  Every group is read off those in one
-place (SimplicialComplex.reduced_groups): the spot of cardinality c has
-free rank faces(c) - r_in - r_out and torsion the factors of the map in.
+invariant factors, and keeps them.  The coboundary out of the empty face
+is never eliminated: it is one column of +-1, of rank 1 with no torsion
+once the complex has a vertex, so a core of dimension at most 0 needs no
+matrix at all.  Every group is read off those in one place
+(SimplicialComplex.reduced_groups): the spot of cardinality c has free
+rank faces(c) - r_in - r_out and torsion the factors of the map in.
 The tables over Q and every F_p follow from the Z groups by universal
 coefficients.
 
@@ -189,11 +192,15 @@ class SimplicialComplex:
         faces of each cardinality in cards; (0, ()) where either side has no
         faces.
 
-        Each coboundary is eliminated over Z at most once per complex and
-        kept.  deadline (a time.monotonic() value or None) is checked before
-        each elimination.
+        The coboundary out of the empty face is one column of +-1, so its
+        rank is 1, with no torsion, whenever the complex has a vertex; it is
+        never eliminated.  Every other coboundary is eliminated over Z at
+        most once per complex and kept.  deadline (a time.monotonic() value
+        or None) is checked before each elimination.
         """
         faces, known = self._cards, self._invariants
+        if len(faces) > 1:
+            known[0] = (1, ())
         todo = [c for c in cards if 0 <= c < len(faces) - 1 and c not in known]
 
         def before_each():

@@ -211,9 +211,12 @@ class TaylorComplex:
         Each coordinate's scanned values split into runs with one V_i (or
         tau_i = 0).  Every degree in a product of runs has the same complex,
         hence the same group: one piece per product is exact, and only the
-        nonzero ones are expanded into degrees.  degrees_scanned still
-        counts degrees.  deadline is a time.monotonic() value, checked once
-        per product and every 1024 degrees of an expansion.
+        nonzero ones are expanded into degrees.  Each run is cut at the box
+        edges first, so a product of cut runs lies wholly inside the box (its
+        degrees are pieces) or wholly in the shell (offenders), decided once
+        for all its degrees.  degrees_scanned still counts degrees.  deadline
+        is a time.monotonic() value, checked once per product and every 1024
+        degrees of an expansion.
         """
         if box is None:
             box = self.default_box()
@@ -234,14 +237,18 @@ class TaylorComplex:
             if not found.is_nonzero():
                 continue
             group, cx, card = found.group, found.complex, found.card
-            runs = [range(first, last + 1) for first, last, _ in combo]
-            for k, alpha in enumerate(itertools.product(*runs)):
-                if not k & 1023:
-                    check_deadline(deadline, what)
-                if all(lo <= a <= hi for a, (lo, hi) in zip(alpha, box)):
-                    pieces.append(GradedExtPiece(j, alpha, group, cx, card))
-                else:
-                    offenders.append(alpha)
+            expanded = 0
+            cuts = [_cut_at_box(run[0], run[1], *edges) for run, edges in zip(combo, box)]
+            for part in itertools.product(*cuts):
+                inside = all(within for _, within in part)
+                for alpha in itertools.product(*(values for values, _ in part)):
+                    if not expanded & 1023:
+                        check_deadline(deadline, what)
+                    expanded += 1
+                    if inside:
+                        pieces.append(GradedExtPiece(j, alpha, group, cx, card))
+                    else:
+                        offenders.append(alpha)
         pieces.sort(key=attrgetter("alpha"))
         offenders.sort()
         return ExtScanResult(
@@ -261,6 +268,19 @@ class TaylorComplex:
         alpha = tuple(alpha)
         target_alpha = tuple(a + (1 if k == i else 0) for k, a in enumerate(alpha))
         return PieceMap(self.ext_piece(j, alpha), self.ext_piece(j, target_alpha))
+
+
+def _cut_at_box(first: int, last: int, lo: int, hi: int) -> list:
+    """The values first..last cut at the box edges lo and hi, as
+    (range, whether inside lo..hi) parts, each nonempty."""
+    parts = []
+    if first < lo:
+        parts.append((range(first, min(last, lo - 1) + 1), False))
+    if first <= hi and lo <= last:
+        parts.append((range(max(first, lo), min(last, hi) + 1), True))
+    if hi < last:
+        parts.append((range(max(first, hi + 1), last + 1), False))
+    return parts
 
 
 class GradedExtPiece:

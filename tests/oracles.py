@@ -22,7 +22,6 @@ from mixedchar.filtrations import (
 )
 from mixedchar.groebner import (
     POWER_BOUND,
-    _coprime,
     _monic,
     _require_field,
     groebner_basis,
@@ -116,6 +115,103 @@ def arithmetic_normal_form(f: Polynomial, divisors, order: str = "grlex") -> Pol
             remainder = remainder + t
             p = p - t
     return remainder
+
+
+def _reference_subtract(terms: dict, ring, g: Polynomial, shift, c) -> None:
+    """terms -= c * x^shift * g, in place, by the ring's own operations."""
+    neg, zero = ring.neg(c), ring.zero()
+    for t, v in g.terms.items():
+        e = exp_add(t, shift)
+        s = ring.add(terms.get(e, zero), ring.mul(neg, v))
+        if ring.is_zero(s):
+            terms.pop(e, None)
+        else:
+            terms[e] = s
+
+
+def reference_normal_form(f: Polynomial, divisors, order: str = "grlex") -> Polynomial:
+    """groebner.normal_form as the library ran it before its field kernels:
+    generic ring arithmetic, every quotient by ring.divide, and each
+    divisor tried by exp_leq alone."""
+    ring = f.ring
+    key = ORDER_KEYS[order]
+    p, remainder = dict(f.terms), {}
+    while p:
+        e = max(p, key=key)
+        c = p[e]
+        for (ge, gc), g in divisors:
+            if exp_leq(ge, e):
+                _reference_subtract(p, ring, g, exp_sub(e, ge), ring.divide(c, gc))
+                break
+        else:
+            remainder[e] = p.pop(e)
+    return Polynomial(ring, f.n, remainder)
+
+
+def _coprime(a, b) -> bool:
+    return all(x == 0 or y == 0 for x, y in zip(a, b))
+
+
+def reference_update(heap, key, leads, active: list, h: int) -> list:
+    """groebner._update as the library ran it before it decided once per
+    distinct lcm: each new pair, last active first, is tested against every
+    pending and kept new pair (Gebauer and Moeller's pairwise form)."""
+    t = leads[h][0]
+    pending = []
+    for g in active:
+        lcm = exp_max(leads[g][0], t)
+        pending.append((g, lcm, _coprime(leads[g][0], t), sum(lcm)))
+    kept = []
+    while pending:
+        g, lcm, coprime, deg = pending.pop()
+        if coprime or not any(
+            o == lcm if d == deg else d < deg and exp_leq(o, lcm)
+            for group in (pending, kept)
+            for _, o, _, d in group
+        ):
+            kept.append((g, lcm, coprime, deg))
+    old = [
+        pair
+        for pair in heap
+        if not exp_leq(t, pair[3])
+        or exp_max(leads[pair[1]][0], t) == pair[3]
+        or exp_max(leads[pair[2]][0], t) == pair[3]
+    ]
+    old.extend((key(lcm), g, h, lcm) for g, lcm, coprime, _ in kept if not coprime)
+    heap[:] = old
+    heapq.heapify(heap)
+    return [g for g in active if not exp_leq(t, leads[g][0])] + [h]
+
+
+def reference_pair_trace(gens, order: str = "grlex"):
+    """groebner.buchberger's pair loop run on reference_update and
+    reference_normal_form: (the popped pairs (i, j) in order, the active
+    set after each update, every S-remainder), and the basis it returns."""
+    basis = [_monic(g, order) for g in gens if not g.is_zero()]
+    heap, active, actives, pops, remainders = [], [], [], [], []
+    unit = [Polynomial.constant(basis[0].ring, basis[0].n, basis[0].ring.one())] if basis else []
+    if any(g.is_constant() for g in basis):
+        return (pops, actives, remainders), unit
+    key = ORDER_KEYS[order]
+    leads = [g.leading_term(order) for g in basis]
+    for h in range(len(basis)):
+        active = reference_update(heap, key, leads, active, h)
+        actives.append(active)
+    while heap:
+        _, i, j, _ = heapq.heappop(heap)
+        pops.append((i, j))
+        divisors = [(leads[g], basis[g]) for g in active]
+        h = reference_normal_form(spoly(basis[i], basis[j], order), divisors, order)
+        remainders.append(h)
+        if h.is_zero():
+            continue
+        if h.is_constant():
+            return (pops, actives, remainders), unit
+        basis.append(_monic(h, order))
+        leads.append(basis[-1].leading_term(order))
+        active = reference_update(heap, key, leads, active, len(basis) - 1)
+        actives.append(active)
+    return (pops, actives, remainders), [basis[g] for g in active]
 
 
 def buchberger_all_pairs(gens, order: str = "grlex", deadline=None) -> list:

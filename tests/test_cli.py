@@ -324,6 +324,16 @@ GOLDEN_REPORTS = {
                    "632f7cfb002a7cc2685f4fd36d803b2f3e5f617e7a75eeefa5eb7976ff1e4174"),
     "transition-ext3": (("transition", "--ideal", "-", "--j", "3", "--levels", "3"), 2,
                         "fb6961499c6ec0ce1dc7d6722645e61784816392e6b9701ea9ed4b43f68f0be0"),
+    # the four-element certificate reads no input (F2 and Q, or the field --p
+    # names); taken before Groebner division moved to per-field kernels
+    "radical": (("radical-check",), 0,
+                "a16e567f4c0ee8ad1489f664d99a743449f5ce52edfa7327b1c3196a5bd389c3"),
+    "radical-lex": (("radical-check", "--order", "lex"), 0,
+                    "9637331269ed955a42570610b0dee0674c03f11f985db3e5f90f7a29b6bdb01a"),
+    "radical-p3": (("radical-check", "--p", "3"), 0,
+                   "c6d0f2fbed872667f05e5e24c5751e20ce3f4b1a472ddb7c9e785dcf5a86bc98"),
+    "radical-p5-lex": (("radical-check", "--p", "5", "--order", "lex"), 0,
+                       "f1be6e1265666c6866fde1df7b28b1e448efbef43e8ad33b9e32d0e9e9da8580"),
 }
 
 

@@ -1,6 +1,8 @@
+import heapq
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -239,7 +241,7 @@ def test_every_power_exponent_certifies_a_member_and_is_minimal():
                 probe = random_system(ring, rng, n=2, count=1, terms=2, deg=2)[0]
                 for g in (f, probe):
                     expected = radical_member(g, gens, order)
-                    k = groebner.power_exponent(g, basis, order)
+                    k = groebner.power_exponent(g, divisors(basis, order), order)
                     if k is None:
                         for j in range(1, groebner.POWER_BOUND + 1):
                             assert not ideal_member(oracles.power(g, j), basis, order), (g, gens, j)
@@ -316,3 +318,66 @@ def test_pair_pruning_forms_fewer_s_polynomials_on_the_certificate(monkeypatch):
                 assert sv_containment_check(F2, order)["all_ok"]
             formed.append(len(calls))
         assert 0 < formed[0] < formed[1], (order, formed)
+
+
+def library_pair_trace(gens, order, monkeypatch):
+    """groebner.buchberger run with its pops, updates and S-remainders
+    recorded, in the shape of oracles.reference_pair_trace; each remainder
+    is checked against oracles.arithmetic_normal_form as it is made."""
+    pops, actives, remainders = [], [], []
+    update, nf = groebner._update, groebner.normal_form
+
+    def recorded_pop(heap):
+        pair = heapq.heappop(heap)
+        pops.append(pair[1:3])
+        return pair
+
+    def recorded_update(*args):
+        actives.append(update(*args))
+        return actives[-1]
+
+    def recorded_normal_form(f, listed, order, masks):
+        remainders.append(nf(f, listed, order, masks))
+        assert remainders[-1] == oracles.arithmetic_normal_form(f, listed, order)
+        return remainders[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(groebner, "heapq", SimpleNamespace(heappop=recorded_pop, heapify=heapq.heapify))
+        m.setattr(groebner, "_update", recorded_update)
+        m.setattr(groebner, "normal_form", recorded_normal_form)
+        basis = buchberger(gens, order)
+    return (pops, actives, remainders), basis
+
+
+def test_pair_updates_and_remainders_match_the_reference_loop(monkeypatch):
+    """The field kernels, support masks and once-per-lcm update do the same
+    work in the same order as the pairwise update and generic division
+    they replaced (oracles.reference_update, reference_normal_form), on the
+    four generators and seeded random systems over F2, F3 and Q in both
+    orders: the same pairs popped, the same active set after every update,
+    and every S-remainder equal to both references and to the arithmetic
+    oracle."""
+    rng = random.Random(4343)
+    remainders = []
+    for ring in (F2, F3, QQ):
+        systems = [schmitt_vogel_generators(ring)]
+        systems += [random_system(ring, rng, n=3, count=4, terms=3) for _ in range(6)]
+        for order in ("grlex", "lex"):
+            for gens in systems:
+                trace, basis = library_pair_trace(gens, order, monkeypatch)
+                reference, reference_basis = oracles.reference_pair_trace(gens, order)
+                assert trace[0] == reference[0], (ring, order, "popped pairs")
+                assert trace[1] == reference[1], (ring, order, "active sets")
+                assert trace[2] == reference[2], (ring, order, "S-remainders")
+                assert basis == reference_basis
+                remainders += trace[2]
+    assert any(r.is_zero() for r in remainders) and not all(r.is_zero() for r in remainders)
+
+
+def test_more_variables_than_the_support_masks_hold_are_refused():
+    # _update reads coprime pairs off one bit per variable
+    n = groebner.MAX_VARIABLES + 1
+    gens = [Polynomial.variable(F2, n, 0), Polynomial.variable(F2, n, n - 1)]
+    with pytest.raises(ValueError, match="variables"):
+        groebner_basis(gens)
+    assert len(groebner_basis([Polynomial.variable(F2, n - 1, i) for i in (0, n - 2)])) == 2

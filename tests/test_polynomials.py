@@ -5,6 +5,8 @@ import pytest
 
 from mixedchar.scalars import DVR, PrimeField, QQ, ZZ
 from mixedchar.polynomials import (
+    ORDER_KEYS,
+    ORDER_MAX,
     Polynomial,
     exact_divide,
     exp_leq,
@@ -147,3 +149,12 @@ def test_permute_and_extend_variables():
     assert h.terms == {(2, 1, 0, 0): 5}
     with pytest.raises(ValueError):
         extend_variables(f, 1)
+
+
+def test_order_max_picks_the_largest_exponent_under_each_order_key():
+    rng = random.Random(71)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        exps = {tuple(rng.randrange(4) for _ in range(n)) for _ in range(rng.randint(1, 12))}
+        for order, key in ORDER_KEYS.items():
+            assert ORDER_MAX[order](exps) == max(exps, key=key), (order, exps)

@@ -483,3 +483,26 @@ def test_links_from_facets_equal_links_from_faces():
             lk = cx.link(vertices)
             assert lk == link_by_faces(cx, vertices), (cx, W)
             assert lk.facets == pairwise_facets(lk._faces)
+
+
+def test_a_core_of_dimension_at_most_zero_needs_no_matrix(monkeypatch):
+    """{empty set} and m points: Z at spot -1, or Z^(m-1) at spot 0, read
+    with no elimination, since the coboundary out of the empty face is a
+    column of +-1.  The circle still eliminates, once: vertices to edges."""
+    eliminated = []
+    invariants = simplicial.cochain_invariants
+
+    def counted(maps):
+        maps = list(maps)
+        eliminated.extend(maps)
+        return invariants(maps)
+
+    monkeypatch.setattr(simplicial, "cochain_invariants", counted)
+    for m in range(7):
+        cx = SimplicialComplex(max(m, 1), [(v,) for v in range(m)] or [()])
+        for coeff in ("Z", "Q", 2):
+            assert reduced_cohomology(cx, coeff) == dense_reduced_cohomology(cx, coeff), (m, coeff)
+    assert eliminated == []
+    circle = SimplicialComplex(3, [(0, 1), (1, 2), (0, 2)])
+    assert reduced_cohomology(circle) == dense_reduced_cohomology(circle, "Z")
+    assert [shape for _, *shape in eliminated] == [[3, 3]]
