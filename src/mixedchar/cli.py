@@ -150,13 +150,6 @@ def _parse_alpha(text: str, n: int):
     return alpha
 
 
-def _piece_entry(piece, p: int) -> dict:
-    free, exps = piece.dvr_invariants(p)
-    entry = piece.describe()
-    entry["p_local"] = {"free_rank": free, "pi_exponents": list(exps)}
-    return entry
-
-
 def cmd_ext(ns, deadline) -> Report:
     if not is_prime(ns.p):
         raise ValueError(f"{ns.p} is not prime")
@@ -167,7 +160,7 @@ def cmd_ext(ns, deadline) -> Report:
     return Report(
         command="ext",
         inputs={"ideal": source, "j": ns.j, "alpha": list(alpha), "p": ns.p},
-        results={"piece": _piece_entry(piece, ns.p)},
+        results={"piece": piece.describe(ns.p)},
         claims=(),
         timing={"degrees_computed": 1},
     )
@@ -180,8 +173,7 @@ def cmd_scan(ns, deadline) -> Report:
     tc = TaylorComplex(ideal)
     box = _parse_box(ns.box, ideal.n) if ns.box is not None else tc.default_box()
     scan = tc.support_scan(ns.j, box=box, shell=not ns.no_shell, deadline=deadline)
-    results = scan.describe()
-    results["pieces"] = [_piece_entry(p, ns.p) for p in scan.pieces]
+    results = scan.describe(ns.p, deadline)
     claims = []
     timing = {"degrees_scanned": scan.degrees_scanned, "pieces": len(scan.pieces)}
     socle_scope = (

@@ -16,16 +16,18 @@ accepts (_kernel).  Over F_p a coefficient is an int in [0, p); over Q it
 is an int while integral and a Fraction only when not, which in the
 certificate's bases is 3 coefficients of 67.  Every divisor and S-pair
 partner the library passes is monic, so a leading coefficient of 1 is
-used as it is, with no division.  Each basis element's leading exponent
-carries a support mask, one bit per variable that occurs (support_mask,
-the "short exponent vector" of Bachmann and Schoenemann, ISSAC 1998):
-one AND rejects most divisors in a division step and decides whether a
-pair is coprime.  The Gebauer-Moeller test among the new pairs is
-decided once per distinct lcm (_update), which keeps the same pairs as
-testing each pair against every other.  Polynomials the kernel builds
-skip the per-term checks of Polynomial(), as their terms are canonical,
-and each division step finds its leading term by ORDER_MAX, with no
-Python call per term.
+used as it is, with no division.  Each basis element gets one division
+record, built once (divisor): leading exponent, leading coefficient, the
+support mask of the leading exponent, one bit per variable that occurs
+(support_mask, the "short exponent vector" of Bachmann and Schoenemann,
+ISSAC 1998), and the element.  Division, S-polynomials and the pair
+update read the records; one AND of masks rejects most divisors and
+decides whether a pair is coprime.  The Gebauer-Moeller test among the
+new pairs is decided once per distinct lcm (_update), which keeps the
+same pairs as testing each pair against every other.  Polynomials the
+kernel builds skip the per-term checks of Polynomial(), as their terms
+are canonical, and each division step finds its leading term by
+ORDER_MAX, with no Python call per term.
 
 The four-element certificate decides each cubic f by explicit powers in
 one reduced basis of the ideal: the least k <= POWER_BOUND with
@@ -141,11 +143,19 @@ def _multiply(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial._of(f.ring, f.n, terms)
 
 
-def spoly(f: Polynomial, g: Polynomial, order: str = "grlex") -> Polynomial:
-    """The S-polynomial: both leading terms lifted to their lcm and cancelled."""
+def divisor(g: Polynomial, order: str = "grlex") -> tuple:
+    """g's division record: (leading exponent, leading coefficient,
+    support_mask of the leading exponent, g), built once per element."""
+    e, c = g.leading_term(order)
+    return e, c, support_mask(e), g
+
+
+def spoly(a: tuple, b: tuple) -> Polynomial:
+    """The S-polynomial of two division records: both leading terms lifted
+    to their lcm and cancelled."""
+    fe, fc, _, f = a
+    ge, gc, _, g = b
     subtract, divide = _kernel(f.ring)
-    fe, fc = f.leading_term(order)
-    ge, gc = g.leading_term(order)
     lcm = exp_max(fe, ge)
     terms: dict = {}
     subtract(terms, f.terms, exp_sub(lcm, fe), -1 if fc == 1 else -divide(1, fc))
@@ -153,41 +163,34 @@ def spoly(f: Polynomial, g: Polynomial, order: str = "grlex") -> Polynomial:
     return Polynomial._of(f.ring, f.n, terms)
 
 
-def normal_form(
-    f: Polynomial, divisors: Sequence[tuple], order: str = "grlex", masks=None
-) -> Polynomial:
+def normal_form(f: Polynomial, divisors: Sequence[tuple], order: str = "grlex") -> Polynomial:
     """Remainder of f under full division by the divisors, in listed order.
 
-    Each divisor is a pair (leading term, g), the leading term of g under
-    order as (exponent, coefficient), so a caller that divides by the same
-    elements many times computes it once; masks, when given, are the
-    support_mask of each divisor's leading exponent, in the same order.
+    Each divisor is a division record (divisor), so a caller that divides
+    by the same elements many times builds each record once.
     """
     subtract, divide = _kernel(f.ring)
     largest = ORDER_MAX[order]
-    if masks is None:
-        masks = [support_mask(ge) for (ge, _), _ in divisors]
     p, remainder = dict(f.terms), {}
     while p:
         e = largest(p)
         outside = ~support_mask(e)
-        for m, divisor in zip(masks, divisors):
-            if m & outside:
+        for ge, gc, m, g in divisors:
+            if m & outside or not all(map(le, ge, e)):
                 continue
-            (ge, gc), g = divisor
-            if all(map(le, ge, e)):
-                c = p[e]
-                subtract(p, g.terms, tuple(map(sub, e, ge)), c if gc == 1 else divide(c, gc))
-                break
+            c = p[e]
+            subtract(p, g.terms, tuple(map(sub, e, ge)), c if gc == 1 else divide(c, gc))
+            break
         else:
             remainder[e] = p.pop(e)
     return Polynomial._of(f.ring, f.n, remainder)
 
 
-def _update(heap, key, leads, masks, active: list, h: int) -> list:
+def _update(heap, key, elements, active: list, h: int) -> list:
     """The Gebauer-Moeller update for the new element h; returns the new active set.
 
-    heap holds the pending pairs as (key of lcm, i, j, lcm).  Of the new
+    elements are the records of the basis so far; heap holds the pending
+    pairs as (key of lcm, i, j, lcm).  Of the new
     pairs (g, h), g active, only those whose lcm is minimal among the new
     lcms can survive: a pair whose lcm is a proper multiple of another's
     is dropped.  A minimal lcm shared with a coprime pair is dropped
@@ -199,18 +202,19 @@ def _update(heap, key, leads, masks, active: list, h: int) -> list:
     lcm(j, h) equals it.  Elements whose leading term lt(h) divides stop
     pairing.
     """
-    t, tm = leads[h][0], masks[h]
+    t, _, tm, _ = elements[h]
     first: dict = {}
     coprime = set()
     for g in active:
-        lcm = tuple(map(max, leads[g][0], t))
+        ge, _, gm, _ = elements[g]
+        lcm = tuple(map(max, ge, t))
         first.setdefault(lcm, g)
-        if not masks[g] & tm:
+        if not gm & tm:
             coprime.add(lcm)
     minimal: list = []
     # distinct lcms of one degree never divide each other
     for lcm in sorted(first, key=sum):
-        outside = ~(masks[first[lcm]] | tm)
+        outside = ~(elements[first[lcm]][2] | tm)
         for m, o in minimal:
             if not m & outside and all(map(le, o, lcm)):
                 break
@@ -220,13 +224,14 @@ def _update(heap, key, leads, masks, active: list, h: int) -> list:
         pair
         for pair in heap
         if not all(map(le, t, pair[3]))
-        or exp_max(leads[pair[1]][0], t) == pair[3]
-        or exp_max(leads[pair[2]][0], t) == pair[3]
+        or exp_max(elements[pair[1]][0], t) == pair[3]
+        or exp_max(elements[pair[2]][0], t) == pair[3]
     ]
     old.extend((key(lcm), first[lcm], h, lcm) for _, lcm in minimal if lcm not in coprime)
     heap[:] = old
     heapq.heapify(heap)
-    return [g for g in active if tm & ~masks[g] or not all(map(le, t, leads[g][0]))] + [h]
+    keep = [g for g in active if tm & ~elements[g][2] or not all(map(le, t, elements[g][0]))]
+    return keep + [h]
 
 
 def buchberger(
@@ -235,9 +240,10 @@ def buchberger(
     """A (not yet reduced) Groebner basis of the ideal the generators span.
 
     Pairs are pruned by the Gebauer-Moeller update (_update); a popped
-    pair's S-polynomial is reduced by the active elements.  Stops early
-    with the unit ideal as soon as a constant shows up; raises TimeoutError
-    when the deadline passes.
+    pair's S-polynomial is reduced by the active elements, whose records
+    are listed anew only when an update changes the active set.  Stops
+    early with the unit ideal as soon as a constant shows up; raises
+    TimeoutError when the deadline passes.
     """
     basis = [g for g in gens if not g.is_zero()]
     if not basis:
@@ -248,33 +254,27 @@ def buchberger(
     if n > len(_BITS):  # _update reads coprime pairs off the masks
         raise ValueError(f"at most {len(_BITS)} variables, got {n}")
     unit = [Polynomial.constant(ring, n, ring.one())]
-    basis = [_monic(g, order) for g in basis]
-    if any(g.is_constant() for g in basis):
+    elements = [divisor(_monic(g, order), order) for g in basis]
+    if any(g.is_constant() for *_, g in elements):
         return unit
     key = ORDER_KEYS[order]
-    leads = [g.leading_term(order) for g in basis]
-    masks = [support_mask(e) for e, _ in leads]
     heap: list = []
     active: list = []
-    for h in range(len(basis)):
-        active = _update(heap, key, leads, masks, active, h)
+    for h in range(len(elements)):
+        active = _update(heap, key, elements, active, h)
+    divisors = [elements[g] for g in active]
     while heap:
         check_deadline(deadline, "the Groebner basis")
         _, i, j, _ = heapq.heappop(heap)
-        divisors = [(leads[g], basis[g]) for g in active]
-        h = normal_form(
-            spoly(basis[i], basis[j], order), divisors, order, [masks[g] for g in active]
-        )
+        h = normal_form(spoly(elements[i], elements[j]), divisors, order)
         if h.is_zero():
             continue
         if h.is_constant():
             return unit
-        h = _monic(h, order)
-        basis.append(h)
-        leads.append(h.leading_term(order))
-        masks.append(support_mask(leads[-1][0]))
-        active = _update(heap, key, leads, masks, active, len(basis) - 1)
-    return [basis[g] for g in active]
+        elements.append(divisor(_monic(h, order), order))
+        active = _update(heap, key, elements, active, len(elements) - 1)
+        divisors = [elements[g] for g in active]
+    return [g for *_, g in divisors]
 
 
 def reduce_basis(basis: Sequence[Polynomial], order: str = "grlex") -> tuple:
@@ -282,17 +282,15 @@ def reduce_basis(basis: Sequence[Polynomial], order: str = "grlex") -> tuple:
     if not basis:
         return ()
     key = ORDER_KEYS[order]
-    ordered = sorted(((g.leading_term(order), g) for g in basis), key=lambda t: key(t[0][0]))
+    ordered = sorted((divisor(g, order) for g in basis), key=lambda d: key(d[0]))
     minimal: list = []
-    for lead, g in ordered:
-        if not any(exp_leq(other[0], lead[0]) for other, _ in minimal):
-            minimal.append((lead, g))
-    masks = [support_mask(e) for (e, _), _ in minimal]
-    reduced = []
-    for i, (_, g) in enumerate(minimal):
-        rest = normal_form(g, minimal[:i] + minimal[i + 1 :], order, masks[:i] + masks[i + 1 :])
-        reduced.append(_monic(rest, order))
-    return tuple(reduced)
+    for d in ordered:
+        if not any(exp_leq(other[0], d[0]) for other in minimal):
+            minimal.append(d)
+    return tuple(
+        _monic(normal_form(d[3], minimal[:i] + minimal[i + 1 :], order), order)
+        for i, d in enumerate(minimal)
+    )
 
 
 def groebner_basis(
@@ -303,12 +301,11 @@ def groebner_basis(
 
 def power_exponent(f: Polynomial, divisors: Sequence[tuple], order: str = "grlex"):
     """The least k <= POWER_BOUND with f^k in the ideal that a Groebner
-    basis under order spans, else None.  The basis comes as normal_form's
-    (leading term, g) divisor pairs, so one basis serves many f."""
-    masks = [support_mask(e) for (e, _), _ in divisors]
+    basis under order spans, else None.  The basis comes as division
+    records (divisor), so one basis serves many f."""
     power = Polynomial.constant(f.ring, f.n, f.ring.one())
     for k in range(1, POWER_BOUND + 1):
-        power = normal_form(_multiply(f, power), divisors, order, masks)
+        power = normal_form(_multiply(f, power), divisors, order)
         if power.is_zero():
             return k
     return None
@@ -335,7 +332,7 @@ def sv_containment_check(ring, order: str = "grlex", deadline: float | None = No
     ideal = reisner_ideal()
     four = schmitt_vogel_generators(ring)
     in_ideal = [monomial_ideal_member(g, ideal) for g in four]
-    divisors = [(g.leading_term(order), g) for g in groebner_basis(four, order, deadline)]
+    divisors = [divisor(g, order) for g in groebner_basis(four, order, deadline)]
     radical = []
     for e in ideal.gens:
         check_deadline(deadline, "the radical certificate")

@@ -4,7 +4,10 @@ Everything here is over Z with arbitrary-precision integers.  Matrices are
 dense lists of lists, except for coboundaries: there a sparse elimination
 splits off unit pivots (invariant factor 1), taking the shortest waiting
 row from a heap instead of searching the whole matrix, and hands the small
-dense core that is left to the Smith form.  Maps of cohomology groups test
+dense core that is left to the Smith form.  The Smith form has one call
+shape: it always returns U, W and both inverses.  A cohomology basis reads
+its kernel off W and the kernel coordinates of a vector off W^-1, one
+Smith form of the outgoing map.  Maps of cohomology groups test
 injectivity through an integer kernel on the presentation coordinates
 whose relation is not 1, the only ones the groups see.
 """
@@ -12,6 +15,7 @@ whose relation is not 1, the only ones the groups see.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from itertools import compress
 
 from .scalars import padic_valuation
 
@@ -82,67 +86,55 @@ class IntMatrix:
         return f"IntMatrix({self.nrows}x{self.ncols})"
 
 
-def _snf(M: IntMatrix, want_u=False, want_w=False, want_uinv=False):
-    """(D, U, W, Uinv): U @ M @ W == D, diagonal chain d_i | d_{i+1}, d_i >= 0.
+def _add_row(rows, i, j, k):
+    """rows[i] += k * rows[j], visiting only the nonzero entries of rows[j]."""
+    ri, rj = rows[i], rows[j]
+    for c in compress(range(len(rj)), rj):
+        ri[c] += k * rj[c]
 
-    U, W and Uinv (the inverse of U) are None unless asked for.  Pivoting
-    on a minimal-magnitude entry keeps intermediate growth down.
+
+def _snf(M: IntMatrix):
+    """(D, U, W, Uinv, Winv): U @ M @ W == D, diagonal chain d_i | d_{i+1}, d_i >= 0.
+
+    Uinv and Winv are the inverses of the unimodular U and W.  Pivoting on
+    a minimal-magnitude entry of M's block keeps intermediate growth down;
+    the four transforms follow each step and never steer it.  W and Uinv
+    are kept transposed, so every transform update is a row operation.
     """
     m, n = M.nrows, M.ncols
     A = [r[:] for r in M.rows]
-    U = IntMatrix.identity(m).rows if want_u else None
-    W = IntMatrix.identity(n).rows if want_w else None
-    Uinv = IntMatrix.identity(m).rows if want_uinv else None
+    U = IntMatrix.identity(m).rows
+    Uinv_t = IntMatrix.identity(m).rows
+    W_t = IntMatrix.identity(n).rows
+    Winv = IntMatrix.identity(n).rows
 
     def row_swap(i, j):
-        A[i], A[j] = A[j], A[i]
-        if U is not None:
-            U[i], U[j] = U[j], U[i]
-        if Uinv is not None:
-            for r in Uinv:
-                r[i], r[j] = r[j], r[i]
+        for rows in (A, U, Uinv_t):
+            rows[i], rows[j] = rows[j], rows[i]
 
     def row_add(i, j, k):
-        # row i += k * row j
-        Ai, Aj = A[i], A[j]
-        for c in range(n):
-            if Aj[c]:
-                Ai[c] += k * Aj[c]
-        if U is not None:
-            Ui, Uj = U[i], U[j]
-            for c in range(m):
-                if Uj[c]:
-                    Ui[c] += k * Uj[c]
-        if Uinv is not None:
-            # Uinv <- Uinv * E_ij(k)^-1: col j -= k * col i
-            for r in Uinv:
-                if r[i]:
-                    r[j] -= k * r[i]
+        # row i += k * row j; Uinv col j -= k * col i
+        _add_row(A, i, j, k)
+        _add_row(U, i, j, k)
+        _add_row(Uinv_t, j, i, -k)
 
     def row_neg(i):
-        A[i] = [-v for v in A[i]]
-        if U is not None:
-            U[i] = [-v for v in U[i]]
-        if Uinv is not None:
-            for r in Uinv:
-                r[i] = -r[i]
+        for rows in (A, U, Uinv_t):
+            rows[i] = [-v for v in rows[i]]
 
     def col_swap(i, j):
         for r in A:
             r[i], r[j] = r[j], r[i]
-        if W is not None:
-            for r in W:
-                r[i], r[j] = r[j], r[i]
+        for rows in (W_t, Winv):
+            rows[i], rows[j] = rows[j], rows[i]
 
     def col_add(i, j, k):
-        # col i += k * col j
+        # col i += k * col j; Winv row j -= k * row i
         for r in A:
             if r[j]:
                 r[i] += k * r[j]
-        if W is not None:
-            for r in W:
-                if r[j]:
-                    r[i] += k * r[j]
+        _add_row(W_t, i, j, k)
+        _add_row(Winv, j, i, -k)
 
     t = 0
     while True:
@@ -209,11 +201,13 @@ def _snf(M: IntMatrix, want_u=False, want_w=False, want_uinv=False):
             continue
         t += 1
 
-    D = IntMatrix(m, n, A)
-    Umat = IntMatrix(m, m, U) if U is not None else None
-    Wmat = IntMatrix(n, n, W) if W is not None else None
-    Uinvmat = IntMatrix(m, m, Uinv) if Uinv is not None else None
-    return D, Umat, Wmat, Uinvmat
+    return (
+        IntMatrix(m, n, A),
+        IntMatrix(m, m, U),
+        IntMatrix(n, n, zip(*W_t)),
+        IntMatrix(m, m, zip(*Uinv_t)),
+        IntMatrix(n, n, Winv),
+    )
 
 
 def diagonal_of(D: IntMatrix) -> list:
@@ -221,7 +215,7 @@ def diagonal_of(D: IntMatrix) -> list:
 
 
 def invariant_factors_dense(M: IntMatrix):
-    """(rank, nontrivial invariant factors) via full SNF, no transforms."""
+    """(rank, nontrivial invariant factors), read off the Smith form's diagonal."""
     D = _snf(M)[0]
     diag = [d for d in diagonal_of(D) if d != 0]
     return len(diag), [d for d in diag if d != 1]
@@ -352,19 +346,19 @@ def matrix_rank_mod_p(M: IntMatrix, p: int) -> int:
     return rank
 
 
+def _rank(D: IntMatrix) -> int:
+    """The rank of a Smith form: its nonzero diagonal entries come first."""
+    return sum(1 for d in diagonal_of(D) if d)
+
+
 def integer_kernel(M: IntMatrix) -> list:
     """Basis of {x in Z^n : M x = 0}, as a list of column vectors.
 
-    Columns of W at zero diagonal positions of the Smith form; this basis
-    generates the full kernel subgroup, not just a finite-index sublattice.
+    The columns of W past the rank of the Smith form; this basis generates
+    the full kernel subgroup, not just a finite-index sublattice.
     """
-    D, _, W, _ = _snf(M, want_w=True)
-    diag = diagonal_of(D)
-    basis = []
-    for k in range(M.ncols):
-        if k >= len(diag) or diag[k] == 0:
-            basis.append(W.column(k))
-    return basis
+    D, _, W, _, _ = _snf(M)
+    return [W.column(k) for k in range(_rank(D), M.ncols)]
 
 
 class FinAbGroup:
@@ -497,21 +491,24 @@ def complex_cohomology(deltas: list, spot: int) -> FinAbGroup:
 class CohomologyBasis:
     """Explicit presentation of ker(d_out)/im(d_in) supporting induced maps.
 
-    K holds an integer basis of ker(d_out) as columns; X expresses im(d_in)
-    in that basis; the Smith form of X gives presentation coordinates
-    z = U_X y in which the relation lattice is diagonal.
+    One Smith form U d_out W = D of rank r gives both the kernel and its
+    coordinates: K, the columns of W past r, is an integer basis of
+    ker(d_out), and a vector b lies in ker(d_out) exactly when the first r
+    entries of W^-1 b vanish, the rest being its coordinates in K.  X
+    expresses im(d_in) in that basis; the Smith form of X gives
+    presentation coordinates z = U_X y in which the relation lattice is
+    diagonal.  With no outgoing map d_out is the map to zero, so K is the
+    identity.
     """
 
-    __slots__ = ("dim", "K", "ksnf", "xdiag", "ux", "uxinv", "group")
+    __slots__ = ("dim", "K", "winv", "xdiag", "ux", "uxinv", "group")
 
     def __init__(self, d_in, d_out, dim: int):
-        if d_out is not None:
-            kvecs = integer_kernel(d_out)
-        else:
-            kvecs = [IntMatrix.identity(dim).column(i) for i in range(dim)]
+        D, _, W, _, Winv = _snf(d_out if d_out is not None else IntMatrix(0, dim))
+        r = _rank(D)
         self.dim = dim
-        self.K = IntMatrix.from_cols(kvecs, dim)
-        self.ksnf = _snf(self.K, want_u=True, want_w=True)[:3]
+        self.K = IntMatrix(dim, dim - r, [row[r:] for row in W.rows])
+        self.winv = Winv.rows
         k = self.K.ncols
         if d_in is not None and d_in.ncols:
             xcols = []
@@ -523,7 +520,7 @@ class CohomologyBasis:
             X = IntMatrix.from_cols(xcols, k)
         else:
             X = IntMatrix(k, 0)
-        D_X, U_X, _, Uinv_X = _snf(X, want_u=True, want_uinv=True)
+        D_X, U_X, _, Uinv_X, _ = _snf(X)
         diag = diagonal_of(D_X)
         self.xdiag = [diag[i] if i < len(diag) else 0 for i in range(k)]
         self.ux = U_X
@@ -531,29 +528,16 @@ class CohomologyBasis:
         self.group = FinAbGroup.from_diagonal(self.xdiag, k)
 
     def _solve_in_kernel(self, b: list):
-        """Integer x with K x = b, or None when b is outside the lattice.
+        """Integer x with K x = b, or None when b is outside ker(d_out).
 
-        With U K W = D, x = W y where D y = U b; b (a coboundary column or
-        an included kernel vector) is mostly zeros, so both products sum
-        only over nonzero entries.
+        x is the tail of W^-1 b past the rank, whose head must vanish; b
+        (a coboundary column or an included kernel vector) is mostly
+        zeros, so each entry sums only over its nonzero entries.
         """
-        D, U, W = self.ksnf
-        diag = diagonal_of(D)
         bnz = [(t, v) for t, v in enumerate(b) if v]
-        y = [0] * self.K.ncols
-        for i, urow in enumerate(U.rows):
-            c = sum(urow[t] * v for t, v in bnz)
-            d = diag[i] if i < len(diag) else 0
-            if d == 0:
-                if c != 0:
-                    return None
-            else:
-                q, r = divmod(c, d)
-                if r:
-                    return None
-                y[i] = q
-        ynz = [(t, v) for t, v in enumerate(y) if v]
-        return [sum(wrow[t] * v for t, v in ynz) for wrow in W.rows]
+        y = [sum(row[t] * v for t, v in bnz) for row in self.winv]
+        r = self.dim - self.K.ncols
+        return None if any(y[:r]) else y[r:]
 
     def presentation_rank(self) -> int:
         return self.K.ncols

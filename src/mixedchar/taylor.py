@@ -310,11 +310,14 @@ class GradedExtPiece:
         exps = (padic_valuation(d, p) for d in self.group.factors)
         return self.group.free_rank, tuple(sorted(e for e in exps if e))
 
-    def describe(self) -> dict:
+    def describe(self, p: int) -> dict:
+        """The report entry of the piece, with its invariants over Z_(p)."""
+        free, exps = self.dvr_invariants(p)
         return {
             "alpha": list(self.alpha),
             "j": self.j,
             "group": self.group.describe(),
+            "p_local": {"free_rank": free, "pi_exponents": list(exps)},
         }
 
     def __repr__(self):
@@ -394,11 +397,19 @@ class ExtScanResult:
     def complete_support(self) -> bool:
         return self.shell_checked and self.shell_clean
 
-    def describe(self) -> dict:
+    def describe(self, p: int, deadline: float | None = None) -> dict:
+        """The report entry of the scan, each piece with its invariants over
+        Z_(p).  deadline (a time.monotonic() value) is checked every 1024
+        pieces: a scan that ends inside the budget can still hold millions."""
+        pieces = []
+        for k, piece in enumerate(self.pieces):
+            if not k & 1023:
+                check_deadline(deadline, f"describing the Ext^{self.j} scan")
+            pieces.append(piece.describe(p))
         return {
             "j": self.j,
             "box": [list(iv) for iv in self.box],
-            "pieces": [p.describe() for p in self.pieces],
+            "pieces": pieces,
             "shell": {
                 "checked": self.shell_checked,
                 "clean": self.shell_clean,

@@ -53,7 +53,10 @@ def variable_count(text: str) -> int:
 def _coefficient(ring, num: int, den: int):
     if den == 1:
         return ring.from_int(num)
-    c = ring.divide(ring.from_int(num), ring.from_int(den))
+    d = ring.from_int(den)
+    if ring.is_zero(d):  # 0, or a multiple of p over F_p: no inverse to divide by
+        raise ValueError(f"coefficient {num}/{den} has denominator zero in {ring!r}")
+    c = ring.divide(ring.from_int(num), d)
     if c is None:
         raise ValueError(f"coefficient {num}/{den} does not lie in {ring!r}")
     return c

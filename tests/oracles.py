@@ -24,6 +24,7 @@ from mixedchar.groebner import (
     POWER_BOUND,
     _monic,
     _require_field,
+    divisor,
     groebner_basis,
     normal_form,
     spoly,
@@ -35,6 +36,7 @@ from mixedchar.intlinalg import (
     InducedMap,
     _snf,
     complex_cohomology,
+    diagonal_of,
     integer_kernel,
     invariant_factors_dense,
     invariant_factors_sparse,
@@ -76,8 +78,8 @@ def extend_variables(f: Polynomial, m: int) -> Polynomial:
 
 
 def divisors(basis, order: str = "grlex") -> list:
-    """The basis as groebner.normal_form's (leading term, g) pairs."""
-    return [(g.leading_term(order), g) for g in basis]
+    """The basis as groebner.normal_form's division records."""
+    return [divisor(g, order) for g in basis]
 
 
 def ideal_member(f: Polynomial, basis, order: str = "grlex") -> bool:
@@ -106,7 +108,7 @@ def arithmetic_normal_form(f: Polynomial, divisors, order: str = "grlex") -> Pol
     p = f
     while not p.is_zero():
         e, c = p.leading_term(order)
-        for (ge, gc), g in divisors:
+        for ge, gc, _, g in divisors:
             if exp_leq(ge, e):
                 p = p - g * Polynomial.monomial(ring, f.n, exp_sub(e, ge), ring.divide(c, gc))
                 break
@@ -139,7 +141,7 @@ def reference_normal_form(f: Polynomial, divisors, order: str = "grlex") -> Poly
     while p:
         e = max(p, key=key)
         c = p[e]
-        for (ge, gc), g in divisors:
+        for ge, gc, _, g in divisors:
             if exp_leq(ge, e):
                 _reference_subtract(p, ring, g, exp_sub(e, ge), ring.divide(c, gc))
                 break
@@ -193,22 +195,22 @@ def reference_pair_trace(gens, order: str = "grlex"):
     if any(g.is_constant() for g in basis):
         return (pops, actives, remainders), unit
     key = ORDER_KEYS[order]
-    leads = [g.leading_term(order) for g in basis]
+    leads = divisors(basis, order)
     for h in range(len(basis)):
         active = reference_update(heap, key, leads, active, h)
         actives.append(active)
     while heap:
         _, i, j, _ = heapq.heappop(heap)
         pops.append((i, j))
-        divisors = [(leads[g], basis[g]) for g in active]
-        h = reference_normal_form(spoly(basis[i], basis[j], order), divisors, order)
+        listed = [leads[g] for g in active]
+        h = reference_normal_form(spoly(leads[i], leads[j]), listed, order)
         remainders.append(h)
         if h.is_zero():
             continue
         if h.is_constant():
             return (pops, actives, remainders), unit
         basis.append(_monic(h, order))
-        leads.append(basis[-1].leading_term(order))
+        leads.append(divisor(basis[-1], order))
         active = reference_update(heap, key, leads, active, len(basis) - 1)
         actives.append(active)
     return (pops, actives, remainders), [basis[g] for g in active]
@@ -246,7 +248,8 @@ def buchberger_all_pairs(gens, order: str = "grlex", deadline=None) -> list:
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("basis computation passed its deadline")
         _, i, j = heapq.heappop(heap)
-        h = normal_form(spoly(basis[i], basis[j], order), divisors(basis, order), order)
+        listed = divisors(basis, order)
+        h = normal_form(spoly(listed[i], listed[j]), listed, order)
         if h.is_zero():
             continue
         if h.is_constant():
@@ -347,7 +350,7 @@ def solve_over_integers(columns, target: dict):
     if left:
         cols = sorted({c for r in left for c in rows[r]})
         block = IntMatrix(len(left), len(cols), [[rows[r].get(c, 0) for c in cols] for r in left])
-        D, U, W, _ = _snf(block, want_u=True, want_w=True)
+        D, U, W, _, _ = _snf(block)
         z = [0] * len(cols)
         for i, urow in enumerate(U.rows):
             v = sum(u * b.get(r, 0) for u, r in zip(urow, left))
@@ -660,7 +663,7 @@ def family_entries(col_bits: int, row_bits: int):
 
 def smith_normal_form(M: IntMatrix):
     """(D, U, W) with U, W unimodular, U @ M @ W == D, diagonal chain d_i | d_{i+1}."""
-    return _snf(M, want_u=True, want_w=True)[:3]
+    return _snf(M)[:3]
 
 
 def _unimodular_inverse(M: IntMatrix) -> IntMatrix:
@@ -690,10 +693,35 @@ def smith_normal_form_full(M: IntMatrix):
     """(D, U, W, Uinv, Winv): smith_normal_form with both inverses.
 
     Uinv is tracked by the elimination itself; Winv is W inverted exactly
-    over Q, which fails unless W is unimodular.
+    over Q, which fails unless W is unimodular, and not the Winv the
+    elimination tracks, so the two can be compared.
     """
-    D, U, W, Uinv = _snf(M, want_u=True, want_w=True, want_uinv=True)
+    D, U, W, Uinv, _ = _snf(M)
     return D, U, W, Uinv, _unimodular_inverse(W)
+
+
+def reference_solve_in_kernel(basis: CohomologyBasis, vectors) -> list:
+    """CohomologyBasis._solve_in_kernel on each vector, as the library ran
+    it before it read coordinates off W^-1 of the outgoing map: one second
+    Smith form U K W = D of the kernel matrix itself, then x = W y where
+    D y = U b, or None when b is outside the lattice K spans."""
+    D, U, W = smith_normal_form(basis.K)
+    diag = diagonal_of(D)
+    out = []
+    for b in vectors:
+        bnz = [(t, v) for t, v in enumerate(b) if v]
+        y = [0] * basis.K.ncols
+        for i, urow in enumerate(U.rows):
+            c = sum(urow[t] * v for t, v in bnz)
+            d = diag[i] if i < len(diag) else 0
+            if c % d if d else c:
+                out.append(None)
+                break
+            if d:
+                y[i] = c // d
+        else:
+            out.append([sum(w * v for w, v in zip(wrow, y)) for wrow in W.rows])
+    return out
 
 
 def coboundaries(cx: SimplicialComplex) -> list:

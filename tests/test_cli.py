@@ -626,6 +626,25 @@ def test_dsub_names_the_line_of_a_dangling_sign(capsys, tmp_path):
         assert err.startswith(f"error: {path}:{line}: a sign with no term after it"), err
 
 
+def test_a_zero_denominator_exits_one_with_one_line(capsys, monkeypatch, tmp_path):
+    """dsub, saturate and filtration --f read coefficients through one
+    parser: a denominator of 0 is an input error, not a traceback."""
+    path = tmp_path / "zero.gens"
+    path.write_text("x1\n1/0*x0\n")
+    message = "in term '1/0*x0': coefficient 1/0 has denominator zero in Z_(2)"
+    cases = (
+        (("dsub", "--gens", str(path)), f"{path}:2: {message}"),
+        (("saturate", "--gens", str(path)), f"{path}:2: {message}"),
+        (("filtration", "--model", "localization", "--f", "1/0*x0"), message),
+    )
+    for argv, expected in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {expected}\n"), argv
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1/0*x0\n"))
+    code, out, err = run(capsys, "dsub", "--gens", "-")
+    assert (code, out, err) == (1, "", f"error: <stdin>:1: {message}\n")
+
+
 def test_dsub_header_file(capsys, tmp_path):
     path = tmp_path / "one.gens"
     path.write_text("vars 1\n8*x0\n")

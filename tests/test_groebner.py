@@ -73,11 +73,10 @@ def test_every_spair_reduces_to_zero():
     rng = random.Random(52)
     for ring in (QQ, F2):
         for trial in range(6):
-            gb = groebner_basis(random_system(ring, rng))
+            gb = divisors(groebner_basis(random_system(ring, rng)))
             for i in range(len(gb)):
                 for j in range(i + 1, len(gb)):
-                    s = spoly(gb[i], gb[j])
-                    assert normal_form(s, divisors(gb)).is_zero()
+                    assert normal_form(spoly(gb[i], gb[j]), gb).is_zero()
 
 
 def test_normal_form_ignores_basis_order():
@@ -116,7 +115,8 @@ def test_normal_form_and_spoly_match_the_arithmetic_oracles():
                 listed = divisors(overlapping + gens, order)
                 for a in gens + overlapping:
                     for b in gens + overlapping:
-                        assert spoly(a, b, order) == oracles.arithmetic_spoly(a, b, order)
+                        records = divisors([a, b], order)
+                        assert spoly(*records) == oracles.arithmetic_spoly(a, b, order)
                 probe = random_system(ring, rng, count=1, terms=5)[0] * (x0 * x1)
                 probe = probe + random_system(ring, rng, count=1)[0]
                 remainders = []
@@ -130,6 +130,26 @@ def test_normal_form_and_spoly_match_the_arithmetic_oracles():
             # the divisor lists are not Groebner bases, so the first-listed
             # divisor rule shows in the remainders
             assert order_mattered, (ring, order)
+
+
+def test_spoly_and_normal_form_read_leading_terms_off_the_records(monkeypatch):
+    """A division record is built once per element: neither spoly nor
+    normal_form scans a polynomial for its leading term again."""
+
+    def no_scan(self, order="grlex"):
+        raise AssertionError("leading_term scanned again")
+
+    for ring in (F2, QQ):
+        gens = schmitt_vogel_generators(ring)
+        for order in ("grlex", "lex"):
+            records = divisors(gens, order)
+            spolys = [oracles.arithmetic_spoly(a, b, order) for a in gens for b in gens]
+            remainders = [oracles.arithmetic_normal_form(s, records, order) for s in spolys]
+            with monkeypatch.context() as m:
+                m.setattr(Polynomial, "leading_term", no_scan)
+                got = [spoly(a, b) for a in records for b in records]
+                assert got == spolys
+                assert [normal_form(s, records, order) for s in got] == remainders
 
 
 def test_groebner_basis_reaches_the_traced_functions(monkeypatch):
@@ -303,9 +323,9 @@ def test_pair_pruning_keeps_the_reduced_basis_and_the_radical_verdict(order, mon
 def test_pair_pruning_forms_fewer_s_polynomials_on_the_certificate(monkeypatch):
     calls = []
 
-    def counted(f, g, order="grlex"):
+    def counted(a, b):
         calls.append(1)
-        return spoly(f, g, order)
+        return spoly(a, b)
 
     monkeypatch.setattr(groebner, "spoly", counted)
     monkeypatch.setattr(oracles, "spoly", counted)
@@ -336,8 +356,8 @@ def library_pair_trace(gens, order, monkeypatch):
         actives.append(update(*args))
         return actives[-1]
 
-    def recorded_normal_form(f, listed, order, masks):
-        remainders.append(nf(f, listed, order, masks))
+    def recorded_normal_form(f, listed, order):
+        remainders.append(nf(f, listed, order))
         assert remainders[-1] == oracles.arithmetic_normal_form(f, listed, order)
         return remainders[-1]
 

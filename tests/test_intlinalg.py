@@ -26,8 +26,10 @@ from .oracles import (
     from_rows,
     full_block_injective,
     is_injective,
+    reference_solve_in_kernel,
     size_masks,
     smith_normal_form,
+    smith_normal_form_full,
 )
 
 
@@ -67,10 +69,14 @@ def test_snf_remultiplication_oracle_random():
     for _ in range(200):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         M = _random_matrix(rng, m, n)
-        D, U, W = smith_normal_form(M)
+        D, U, W, Uinv, Winv = intlinalg._snf(M)
         assert (U @ M @ W) == D
         assert abs(_det(U)) == 1
         assert abs(_det(W)) == 1
+        assert (U @ Uinv) == IntMatrix.identity(m)
+        assert (W @ Winv) == IntMatrix.identity(n)
+        # the tracked inverse equals W inverted exactly over Q
+        assert Winv == smith_normal_form_full(M)[4]
         diag = diagonal_of(D)
         for i in range(D.nrows):
             for j in range(D.ncols):
@@ -194,6 +200,29 @@ def test_induced_map_through_kernel():
     m = InducedMap(basis, basis, swap)
     assert is_injective(m)
     assert m.component_matrix() in ([[1]], [[-1]])
+
+
+def test_a_basis_with_an_outgoing_map_makes_two_smith_forms(monkeypatch):
+    """One Smith form of d_out gives the kernel and its coordinates, one of X
+    the presentation; no Smith form of the kernel matrix and no separate
+    integer_kernel."""
+    shapes = []
+    snf = intlinalg._snf
+
+    def counted(M):
+        shapes.append((M.nrows, M.ncols))
+        return snf(M)
+
+    def no_kernel(M):
+        raise AssertionError("the basis called integer_kernel")
+
+    monkeypatch.setattr(intlinalg, "_snf", counted)
+    monkeypatch.setattr(intlinalg, "integer_kernel", no_kernel)
+    # 0 -> Z --[1, 1]^T--> Z^2 --[1, -1]--> Z: the middle group is 0
+    basis = CohomologyBasis(from_rows([[1], [1]]), from_rows([[1, -1]]), 2)
+    assert basis.group == FinAbGroup.trivial()
+    assert basis.K.column(0) in ([1, 1], [-1, -1])
+    assert shapes == [(1, 2), (1, 1)]
 
 
 def _random_chain(rng):
@@ -331,18 +360,22 @@ def _check_solve_in_kernel(rng, basis, d_in, d_out, samples=6):
     targets = [d_in.column(j) for j in rng.sample(cols, min(samples, len(cols)))]
     for _ in range(3):
         targets.append(_kernel_times(basis, [rng.randint(-3, 3) for _ in range(k)]))
-    for b in targets:
-        x = basis._solve_in_kernel(b)
+    accepted = [basis._solve_in_kernel(b) for b in targets]
+    for b, x in zip(targets, accepted):
         assert x is not None and len(x) == k
         assert _kernel_times(basis, x) == b
-    if d_out is None:
-        return 0
-    off = [t for t in range(basis.dim) if any(d_out.column(t))]
-    for t in rng.sample(off, min(samples, len(off))):
-        e = [0] * basis.dim
-        e[t] = 1
-        assert basis._solve_in_kernel(e) is None
-    return min(samples, len(off))
+    rejected = []
+    if d_out is not None:
+        off = [t for t in range(basis.dim) if any(d_out.column(t))]
+        for t in rng.sample(off, min(samples, len(off))):
+            e = [0] * basis.dim
+            e[t] = 1
+            assert basis._solve_in_kernel(e) is None
+            rejected.append(e)
+    # the route through a Smith form of K itself gives the same answers
+    expected = accepted + [None] * len(rejected)
+    assert reference_solve_in_kernel(basis, targets + rejected) == expected
+    return len(rejected)
 
 
 def _up_closed_triple(rng, r):

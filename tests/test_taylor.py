@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -94,11 +95,15 @@ def test_principal_ideal_scan_reports_truncated_support():
     assert not scan.shell_clean
     assert set(scan.shell_offenders) == {(-2, 1), (-1, 1), (1, -1)}
     assert not scan.complete_support()
+    # describing the pieces checks the budget too: a scan can hold millions
+    with pytest.raises(TimeoutError, match="describing the Ext\\^1 scan"):
+        scan.describe(2, time.monotonic() - 1)
+    assert scan.describe(2, time.monotonic() + 60) == scan.describe(2)
 
 
 def _assert_same_scan(got, want, tc):
     """got from the class scan on nerves, want from the per-degree strand oracle."""
-    assert got.describe() == want.describe()
+    assert got.describe(2) == want.describe(2)
     assert [(p.alpha, p.j, p.group) for p in got.pieces] == [
         (p.alpha, p.j, p.group) for p in want.pieces
     ]

@@ -1,12 +1,13 @@
 """Input parsing and the bundled fixture files."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
 from mixedchar.cli import _load_ideal
 from mixedchar.monomials import MonomialIdeal
-from mixedchar.scalars import DVR, IntegerRing, RationalField
+from mixedchar.scalars import DVR, IntegerRing, PrimeField, RationalField
 from mixedchar.textio import (
     MAX_VARIABLES,
     load_facets_text,
@@ -49,6 +50,18 @@ def test_parse_polynomial_cancellation():
 def test_parse_polynomial_rejects_inexact_coefficient():
     with pytest.raises(ValueError, match="1/2"):
         parse_polynomial("1/2*x0", ZZ)
+
+
+def test_a_denominator_that_is_zero_in_the_ring_is_a_value_error():
+    # 3 is zero in F_3, and 0 in every ring: a ValueError naming the term,
+    # not a ZeroDivisionError from the ring's division
+    cases = [(ring, "1/0*x0") for ring in (ZZ, QQ, DVR(2), PrimeField(3))]
+    cases += [(PrimeField(3), "x1 - 1/3*x0"), (PrimeField(2), "2/4*x0")]
+    for ring, text in cases:
+        term = re.escape(text.replace(" ", "")[-6:])
+        with pytest.raises(ValueError, match=f"in term '-?{term}': .* denominator zero"):
+            parse_polynomial(text, ring)
+    assert parse_polynomial("1/3*x0", PrimeField(5)).terms == {(1,): 2}
 
 
 def test_parse_polynomial_dvr_fraction():
