@@ -254,7 +254,7 @@ def cmd_pipeline(ns, deadline) -> Report:
         torsion_ok = stage1.ok and all(
             lv["support_size"] == lv["level"] ** 6
             and lv["free_rank_total"] == 0
-            and all(s["pi_exponents"] == [1] for s in lv["support"])
+            and all(s["pi_exponents"] == [1] for s in lv["support"].fields)
             for lv in stage1.details["levels"]
         )
         claims.append(check("levelwise-torsion", torsion_ok, levels=ns.levels))

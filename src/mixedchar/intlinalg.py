@@ -368,8 +368,8 @@ class FinAbGroup:
 
     >>> FinAbGroup.from_diagonal([1, 2, 0], ambient_rank=3)
     Z + Z/2
-    >>> FinAbGroup(0, (2,)).killed_by(2)
-    True
+    >>> FinAbGroup(0, (2,)).describe()
+    {'rank': 0, 'torsion': [2]}
     >>> FinAbGroup.trivial().is_trivial()
     True
     """
@@ -394,14 +394,6 @@ class FinAbGroup:
         return cls(0, ())
 
     @classmethod
-    def free(cls, r: int) -> "FinAbGroup":
-        return cls(r, ())
-
-    @classmethod
-    def cyclic(cls, d: int) -> "FinAbGroup":
-        return cls(0, (d,))
-
-    @classmethod
     def from_diagonal(cls, diag, ambient_rank: int) -> "FinAbGroup":
         """Cokernel Z^ambient_rank / (diagonal relations)."""
         nonzero = [d for d in diag if d != 0]
@@ -409,25 +401,6 @@ class FinAbGroup:
 
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.factors
-
-    def order(self):
-        """Group order; None when infinite."""
-        if self.free_rank:
-            return None
-        n = 1
-        for d in self.factors:
-            n *= d
-        return n
-
-    def killed_by(self, m: int) -> bool:
-        """Whether m annihilates the group (trivial group counts)."""
-        return self.free_rank == 0 and all(m % d == 0 for d in self.factors)
-
-    def exponent(self):
-        """Least m >= 1 with m * G = 0; None when the free part is nonzero."""
-        if self.free_rank:
-            return None
-        return self.factors[-1] if self.factors else 1
 
     def describe(self) -> dict:
         return {"rank": self.free_rank, "torsion": list(self.factors)}

@@ -24,9 +24,18 @@ from __future__ import annotations
 
 from .diffops import Annihilator, AnnihilatorEvidence, infer_annihilator
 from .monomials import MonomialIdeal, power_ideal
+from .reports import Rows
 from .scalars import is_prime
 from .subsets import check_deadline
-from .taylor import TaylorComplex, require_chain_map, transition_between
+from .taylor import (
+    ScanPieces,
+    TaylorComplex,
+    ascending_degrees,
+    degree_count,
+    dvr_invariants,
+    require_chain_map,
+    transition_between,
+)
 
 
 class PipelineStage:
@@ -112,11 +121,13 @@ def _transition_injective_over(report, p: int) -> bool:
 def scan_levels(complexes: dict, j: int, p: int, box, deadline) -> tuple:
     """(per-level details, p-local support, kill exponent, free rank) by level.
 
-    The support at a level is the list of its scanned pieces that survive
-    p-locally, ascending in alpha.  The degrees of one product of runs
-    share their group object, so the p-local invariants are read once per
-    group of a scan, not once per piece.  deadline is a time.monotonic()
-    value, checked inside each scan and every 1024 pieces.
+    The support at a level is the scan's products that survive p-locally,
+    kept as products: a ScanPieces view, ascending in alpha, that builds a
+    piece only when one is read.  The degrees of a product share their
+    group, so the p-local invariants are read once per product, and the
+    details list the support as Rows whose free_rank and pi_exponents are
+    one dict per product.  deadline is a time.monotonic() value, checked
+    inside each scan and after each product's invariants.
     """
     levels = []
     support = {}
@@ -124,24 +135,23 @@ def scan_levels(complexes: dict, j: int, p: int, box, deadline) -> tuple:
     frees = {}
     for ell, tc in sorted(complexes.items()):
         scan = tc.support_scan(j, box=box, deadline=deadline)
-        found = []
-        free_total = 0
-        exp_top = 0
-        local = {}  # id of a group held by scan.pieces: its p-local invariants
-        for k, piece in enumerate(scan.pieces):
-            if not k & 1023:
-                check_deadline(deadline, f"level {ell} support")
-            invariants = local.get(id(piece.group))
-            if invariants is None:
-                invariants = local[id(piece.group)] = piece.dvr_invariants(p)
-            free, exps = invariants
+        what = f"level {ell} support"
+        kept = []
+        fields = []
+        size = free_total = exp_top = 0
+        for cell in scan.products:
+            free, exps = dvr_invariants(cell[1], p)
+            check_deadline(deadline, what)
             if free == 0 and not exps:
                 continue
-            found.append((piece, free, exps))
-            free_total += free
+            count = degree_count(cell[0])
+            kept.append(cell)
+            fields.append({"free_rank": free, "pi_exponents": list(exps)})
+            size += count
+            free_total += free * count
             if exps:
                 exp_top = max(exp_top, exps[-1])
-        support[ell] = [piece for piece, _, _ in found]
+        support[ell] = ScanPieces(j, kept)
         frees[ell] = free_total
         kills[ell] = None if free_total else exp_top
         levels.append(
@@ -149,15 +159,8 @@ def scan_levels(complexes: dict, j: int, p: int, box, deadline) -> tuple:
                 "level": ell,
                 "box": [list(iv) for iv in scan.box],
                 "degrees_scanned": scan.degrees_scanned,
-                "support_size": len(found),
-                "support": [
-                    {
-                        "alpha": list(piece.alpha),
-                        "free_rank": free,
-                        "pi_exponents": list(exps),
-                    }
-                    for piece, free, exps in found
-                ],
+                "support_size": size,
+                "support": _support_rows(kept, fields),
                 "free_rank_total": free_total,
                 "kill_exponent": kills[ell],
                 "complete_support": scan.complete_support(),
@@ -166,27 +169,39 @@ def scan_levels(complexes: dict, j: int, p: int, box, deadline) -> tuple:
     return levels, support, kills, frees
 
 
+def _support_rows(products: list, fields: list) -> Rows:
+    """The support entries of a level: alpha, with fields[k] for products[k]."""
+    cells = [(cell[0], shared) for cell, shared in zip(products, fields)]
+
+    def rows():
+        return ((alpha, cell[1]) for alpha, cell in ascending_degrees(cells))
+
+    return Rows("alpha", fields, rows)
+
+
 def check_transitions(complexes: dict, support: dict, p: int, deadline) -> list:
     """Per level ell below the last complex, whether the transition to
     level ell + 1 is p-locally injective at each piece of support[ell].
 
     The chain map is checked once per level pair.  Each transition starts
-    from the scanned low piece and ends at the scanned high piece of the
-    same alpha.  A target missing from support[ell + 1] (p-locally zero,
-    or on a top level that was not scanned) is computed afresh.  deadline
-    is a time.monotonic() value, checked every 1024 transitions.
+    from a low piece of support[ell] and ends at the piece of the same
+    alpha that support[ell + 1] holds (ScanPieces.at), so only the pieces
+    mapped are built.  A target missing from support[ell + 1] (p-locally
+    zero, or on a top level that was not scanned) is computed afresh.
+    deadline is a time.monotonic() value, checked every 1024 transitions.
     """
     pairs = []
     for ell in range(1, len(complexes)):
         low, high = complexes[ell], complexes[ell + 1]
         if support[ell]:
             require_chain_map(low, high)
-        scanned = {piece.alpha: piece for piece in support.get(ell + 1, ())}
+        scanned = support.get(ell + 1)
+        what = f"level {ell} transitions"
         transitions = []
         for k, piece in enumerate(support[ell]):
             if not k & 1023:
-                check_deadline(deadline, f"level {ell} transitions")
-            target = scanned.get(piece.alpha)
+                check_deadline(deadline, what)
+            target = None if scanned is None else scanned.at(piece.alpha)
             if target is None:
                 target = high.ext_piece(piece.j, piece.alpha)
             rep = transition_between(piece, target)

@@ -55,8 +55,8 @@ ORDER_MAX = {"grlex": _grlex_max, "lex": max}
 class Polynomial:
     """A polynomial with exact coefficients from a fixed ring object.
 
-    >>> from mixedchar.scalars import ZZ
-    >>> f = Polynomial(ZZ, 2, {(1, 0): 3, (0, 2): 1})
+    >>> from mixedchar.scalars import PrimeField
+    >>> f = Polynomial(PrimeField(7), 2, {(1, 0): 3, (0, 2): 1})
     >>> f.leading_term()
     ((0, 2), 1)
     >>> (f * f).terms[(1, 2)]

@@ -285,12 +285,71 @@ def encode(obj, level: int = 0) -> str:
                 append(_quote(str(n) if d == 1 else f"{n}/{d}"))
             else:
                 describe = getattr(obj, "describe", None)
-                if not callable(describe):
+                if callable(describe):
+                    walk(describe(), level)
+                elif kind is Rows:
+                    obj.emit(append, level)
+                else:
                     raise ValueError(f"cannot serialize {type(obj).__name__}")
-                walk(describe(), level)
 
     walk(obj, level)
     return "".join(out)
+
+
+class Rows:
+    """A report list of dicts that differ in one field, the rest shared.
+
+    rows() yields (value, fields) for each entry in order: value the key
+    field, a tuple of ints, and fields the dict of the other fields, one
+    object shared by a run of entries; fields lists those objects.  key
+    sorts before every key of fields, so encode renders an entry as its
+    key and value followed by a tail encoded once per fields object (emit).
+    Iterated, the entries are plain dicts.
+    """
+
+    __slots__ = ("key", "fields", "rows")
+
+    def __init__(self, key: str, fields: list, rows):
+        self.key = key
+        self.fields = fields
+        self.rows = rows
+
+    def __iter__(self):
+        key = self.key
+        return ({key: list(value), **fields} for value, fields in self.rows())
+
+    def emit(self, append, level: int) -> None:
+        """Append the list's JSON as encode writes it at level.
+
+        An entry is rendered by one %-format of its value into a template
+        made once per fields object and value length, holding the item
+        separator, the key, the value's brackets and the encoded tail.
+        """
+        inner, sep, outer = _indents(level)
+        entry_inner, _, entry_outer = _indents(level + 1)
+        value_inner, value_sep, value_outer = _indents(level + 2)
+        key = self.key
+        opening = sep + "{" + entry_inner + _quote(key) + ": "
+        templates = {}  # (id of a fields object, value length): template
+        held = []  # the fields objects, alive while their ids are keys
+        first = True
+        for value, fields in self.rows():
+            template = templates.get((id(fields), len(value)))
+            if template is None:
+                if fields and min(fields) <= key:
+                    raise ValueError(f"row field {min(fields)!r} sorts before {key!r}")
+                tail = "," + encode(fields, level + 1)[1:] if fields else entry_outer + "}"
+                slots = value_sep.join(["%d"] * len(value))
+                brackets = f"[{value_inner}{slots}{value_outer}]" if value else "[]"
+                template = opening.replace("%", "%%") + brackets + tail.replace("%", "%%")
+                templates[id(fields), len(value)] = template
+                held.append(fields)
+            if first:  # the first entry follows "[" and no separator
+                append("[" + inner + (template % value)[len(sep):])
+                first = False
+            else:
+                append(template % value)
+        append("[]" if first else outer + "]")
 
 
 class Report:

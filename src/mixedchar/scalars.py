@@ -1,4 +1,4 @@
-"""Exact coefficient rings: Z, Q, F_p, and Z localized at a prime p.
+"""Exact coefficient rings: Q, F_p, and Z localized at a prime p.
 
 The localized ring V = Z_(p) is a discrete valuation ring with uniformizer
 pi = p.  Its elements are stored as a unit part (a rational with numerator
@@ -141,52 +141,6 @@ class DVRScalar:
         if self.val == 0:
             return str(self.unit)
         return f"{self.unit}*{self.p}^{self.val}"
-
-
-class IntegerRing:
-    """Z with exact division as partial operation."""
-
-    name = "Z"
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def from_int(self, k: int):
-        return k
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
-    def is_unit(self, a) -> bool:
-        return a in (1, -1)
-
-    def divide(self, a, b):
-        """a / b if exact, else None."""
-        if b == 0:
-            raise ZeroDivisionError
-        q, r = divmod(a, b)
-        return q if r == 0 else None
-
-    def __eq__(self, other):
-        return isinstance(other, IntegerRing)
-
-    def __hash__(self):
-        return hash("Z")
-
-    def __repr__(self):
-        return "Z"
 
 
 class RationalField:
@@ -346,5 +300,4 @@ class DVR:
         return self.name
 
 
-ZZ = IntegerRing()
 QQ = RationalField()

@@ -44,8 +44,10 @@ for both (TaylorComplex.mult_map and transition_between).
 The complex depends on alpha only through the V_i, and V_i changes only
 where tau_i passes a distinct exponent of coordinate i.  tau_i = 0 (no
 V_i) is a class of its own, apart from tau_i > 0 with V_i empty.  Support
-scans compute one piece per product of these breakpoint classes, whatever
-the width of the box or the size of the exponents.
+scans compute one group per product of these breakpoint classes, whatever
+the width of the box or the size of the exponents, and keep each nonzero
+product as its ranges of degrees: a scan's size is its number of
+products, not of degrees.
 
 Two levels are compared by position, with no table of the lcms a_S.
 The comparison map e_S -> x^(a_S-high minus a_S-low) e_S between the
@@ -55,17 +57,20 @@ over S, so it is a chain map exactly when each generator of the higher
 list is divisible by the generator in the same position of the lower
 one (comparison_chain_check), an O(r*n) test.
 
-A piece keeps Delta and the face size its group sits at.  Complexes are
-cached by their V_i, at most subsets.CACHE_LIMIT of them, and shared
-across degrees, levels and ideals; a complex keeps its own core, bases
-and restriction maps, and the core its eliminations.
+A piece keeps Delta and the face size its group sits at; so does a
+product, for all of its degrees.  ExtScanResult.pieces is a lazy view
+(ScanPieces) that walks the products' runs in ascending alpha
+(ascending_degrees) and builds a piece only for the degree read, so a
+report lists a million degrees of one product without holding a million
+pieces.  Complexes are cached by their V_i, at most subsets.CACHE_LIMIT
+of them, and shared across degrees, levels and ideals; a complex keeps
+its own core, bases and restriction maps, and the core its eliminations.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import comb, prod
-from operator import attrgetter
 
 from .intlinalg import FinAbGroup
 from .monomials import MonomialIdeal
@@ -168,23 +173,28 @@ class TaylorComplex:
         tau = self.tau_of(alpha)
         return tuple(None if t == 0 else self._below(i, t) for i, t in enumerate(tau))
 
-    def _piece(self, j: int, alpha: tuple, cover: tuple) -> "GradedExtPiece":
-        tau_zero = all(members is None for members in cover)
+    def _ext_at(self, j: int, simplices) -> tuple:
+        """(group, complex, card) of Ext^j where the nonempty V_i are the
+        masks in simplices, a frozenset, or None where tau = 0."""
         if self.r == 0:  # A/(0) = A: Z at the empty face (card 0) in the degrees alpha >= 0
-            cx = SimplicialComplex._from_facet_masks(0, [0] if tau_zero else [])
-            return GradedExtPiece(j, alpha, FinAbGroup(len(cx.faces_of_size(j))), cx, j)
-        if tau_zero:  # the void complex
+            cx = SimplicialComplex._from_facet_masks(0, [0] if simplices is None else [])
+            return FinAbGroup(len(cx.faces_of_size(j))), cx, j
+        if simplices is None:  # the void complex
             void = SimplicialComplex._from_facet_masks(self.r, [])
-            return GradedExtPiece(j, alpha, FinAbGroup.trivial(), void, j - 1)
-        nerve, cone = _nerve(self.r, frozenset(filter(None, cover)))
+            return FinAbGroup.trivial(), void, j - 1
+        nerve, cone = _nerve(self.r, simplices)
         group = FinAbGroup.trivial() if cone else nerve.reduced_groups(range(j - 1, j))[0]
-        return GradedExtPiece(j, alpha, group, nerve, j - 1)
+        return group, nerve, j - 1
 
     def ext_piece(self, j: int, alpha) -> "GradedExtPiece":
         alpha = tuple(alpha)
         if len(alpha) != self.n:
             raise ValueError("degree length does not match the variable count")
-        return self._piece(j, alpha, self._cover(alpha))
+        cover = self._cover(alpha)
+        simplices = None
+        if any(members is not None for members in cover):
+            simplices = frozenset(filter(None, cover))
+        return GradedExtPiece(j, alpha, *self._ext_at(j, simplices))
 
     def default_box(self):
         return tuple((-self.a_full[i], 0) for i in range(self.n))
@@ -202,21 +212,25 @@ class TaylorComplex:
     def support_scan(
         self, j: int, box=None, shell: bool = True, deadline: float | None = None
     ) -> "ExtScanResult":
-        """All nonzero Ext pieces in the box, ascending in alpha.
+        """The nonzero Ext^j in the box, as products of runs of degrees.
 
         With shell=True the scan also walks the one-step enlargement of the
-        box; nonzero pieces found there are reported as offenders, meaning
+        box; nonzero degrees found there are reported as offenders, meaning
         the box truncates the support.
 
         Each coordinate's scanned values split into runs with one V_i (or
-        tau_i = 0).  Every degree in a product of runs has the same complex,
-        hence the same group: one piece per product is exact, and only the
-        nonzero ones are expanded into degrees.  Each run is cut at the box
-        edges first, so a product of cut runs lies wholly inside the box (its
-        degrees are pieces) or wholly in the shell (offenders), decided once
-        for all its degrees.  degrees_scanned still counts degrees.  deadline
-        is a time.monotonic() value, checked once per product and every 1024
-        degrees of an expansion.
+        tau_i = 0), its classes.  Every degree of a product of classes has
+        the same complex, hence the same group, decided once.  A class with
+        every generator in V_i makes Delta the full simplex, a cone, so no
+        product through it is visited.  Each class is then cut at the box
+        edges into runs lying wholly inside the box or wholly in the shell,
+        and each nonzero product of cut runs is kept as (ranges, group,
+        complex, card): ExtScanResult.products inside the box, and
+        shell_products outside it.  Both lists are in ascending order of
+        their runs, so ascending_degrees reads their degrees in ascending
+        alpha; nothing is expanded here.  degrees_scanned still counts
+        degrees.  deadline is a time.monotonic() value, checked once per
+        product of classes.
         """
         if box is None:
             box = self.default_box()
@@ -224,40 +238,68 @@ class TaylorComplex:
         if len(box) != self.n or any(lo > hi for lo, hi in box):
             raise ValueError("invalid scan box")
         pad = 1 if shell else 0
+        what = f"Ext^{j} support scan"
         classes = [
             self._scan_classes(i, lo - pad, hi + pad) for i, (lo, hi) in enumerate(box)
         ]
-        what = f"Ext^{j} support scan"
-        pieces = []
-        offenders = []
-        for combo in itertools.product(*classes):
-            check_deadline(deadline, what)
-            corner = tuple(first for first, _, _ in combo)
-            found = self._piece(j, corner, tuple(members for _, _, members in combo))
-            if not found.is_nonzero():
-                continue
-            group, cx, card = found.group, found.complex, found.card
-            expanded = 0
-            cuts = [_cut_at_box(run[0], run[1], *edges) for run, edges in zip(combo, box)]
-            for part in itertools.product(*cuts):
-                inside = all(within for _, within in part)
-                for alpha in itertools.product(*(values for values, _ in part)):
-                    if not expanded & 1023:
-                        check_deadline(deadline, what)
-                    expanded += 1
-                    if inside:
-                        pieces.append(GradedExtPiece(j, alpha, group, cx, card))
-                    else:
-                        offenders.append(alpha)
-        pieces.sort(key=attrgetter("alpha"))
-        offenders.sort()
+        masks = [[members for _, _, members in runs] for runs in classes]
+        full = (1 << self.r) - 1
+        found = {}  # simplices (or None where tau = 0): (group, complex, card), None if zero
+        n = self.n
+
+        def nonzero(depth, simplices):
+            """The nonzero class products below a prefix, as a trie of
+            class indices ending in (group, complex, card); None if none."""
+            if depth == n:
+                check_deadline(deadline, what)
+                if simplices not in found:
+                    ext = self._ext_at(j, simplices)
+                    found[simplices] = None if ext[0].is_trivial() else ext
+                return found[simplices]
+            node = {}
+            for k, members in enumerate(masks[depth]):
+                if members == full:  # Delta is the full simplex
+                    continue
+                below = simplices
+                if members is not None:  # tau_i > 0: V_i joins the nerve
+                    below = frozenset() if simplices is None else simplices
+                    if members and members not in below:
+                        below = below | {members}
+                child = nonzero(depth + 1, below)
+                if child is not None:
+                    node[k] = child
+            return node or None
+
+        # each coordinate's classes cut at the box edges, ascending in alpha
+        cuts = [
+            [
+                (part, within, k)
+                for k in reversed(range(len(runs)))
+                for part, within in _cut_at_box(runs[k][0], runs[k][1], lo, hi)
+            ]
+            for runs, (lo, hi) in zip(classes, box)
+        ]
+        products = []
+        shell_products = []
+
+        def expand(depth, node, ranges, within):
+            if depth == n:
+                (products if within else shell_products).append((ranges, *node))
+                return
+            for part, inside, k in cuts[depth]:
+                child = node.get(k)
+                if child is not None:
+                    expand(depth + 1, child, ranges + (part,), within and inside)
+
+        trie = nonzero(0, None)
+        if trie is not None:
+            expand(0, trie, (), True)
         return ExtScanResult(
             j=j,
             box=box,
-            pieces=tuple(pieces),
+            products=products,
             shell_checked=shell,
-            shell_clean=not offenders,
-            shell_offenders=tuple(offenders),
+            shell_products=shell_products,
             degrees_scanned=prod(hi - lo + 1 + 2 * pad for lo, hi in box),
         )
 
@@ -307,8 +349,7 @@ class GradedExtPiece:
 
     def dvr_invariants(self, p: int):
         """(free rank, ascending pi-adic exponents of the surviving torsion)."""
-        exps = (padic_valuation(d, p) for d in self.group.factors)
-        return self.group.free_rank, tuple(sorted(e for e in exps if e))
+        return dvr_invariants(self.group, p)
 
     def describe(self, p: int) -> dict:
         """The report entry of the piece, with its invariants over Z_(p)."""
@@ -370,29 +411,150 @@ class PieceMap:
         }
 
 
+def dvr_invariants(group: FinAbGroup, p: int):
+    """(free rank, ascending pi-adic exponents of the surviving torsion) of
+    a group over Z, read over Z_(p)."""
+    exps = (padic_valuation(d, p) for d in group.factors)
+    return group.free_rank, tuple(sorted(e for e in exps if e))
+
+
+def ascending_degrees(cells):
+    """(alpha, cell) for every degree alpha of every cell, ascending in alpha.
+
+    A cell is a tuple whose first item is its ranges, one per coordinate.
+    The cells must come in ascending order of their ranges, and in each
+    coordinate two cells' ranges are equal or disjoint: the products of a
+    scan are.  Ascending alpha over such a grid is a nested walk of the
+    coordinates' runs, so no degree is sorted.  The walk runs on a trie of
+    the cells' ranges, in which a cell that no other shares a prefix with
+    is a leaf, read with itertools.product.
+    """
+    if not cells:
+        return iter(())
+    if not cells[0][0]:  # no variables: the one degree ()
+        return iter([((), cells[0])])
+    # trie: (range, child) pairs, a child being a list of those or a cell
+    root = []
+    for cell in cells:
+        ranges = cell[0]
+        node = root
+        depth = 0
+        while node and node[-1][0] == ranges[depth]:
+            child = node[-1][1]
+            if type(child) is not list:  # a leaf shared from here on: split it
+                child = [(child[0][depth + 1], child)]
+                node[-1] = (ranges[depth], child)
+            node = child
+            depth += 1
+        node.append((ranges[depth], cell))
+    return _walk(root, (), 0)
+
+
+def _walk(node, fixed, depth):
+    for values, child in node:
+        if type(child) is list:
+            for a in values:
+                yield from _walk(child, fixed + ((a,),), depth + 1)
+        else:
+            for alpha in itertools.product(*fixed, *child[0][depth:]):
+                yield alpha, child
+
+
+def degree_count(ranges) -> int:
+    """The number of degrees in a product of ranges."""
+    return prod(map(len, ranges))
+
+
+class ScanPieces:
+    """The pieces of products of runs, ascending in alpha, built when read.
+
+    products are (ranges, group, complex, card) cells as ExtScanResult
+    keeps them.  The length is the sum of the products' degree counts, and
+    iteration is ascending_degrees, one GradedExtPiece per degree; nothing
+    is stored per degree.  at(alpha) finds one degree's piece.
+    """
+
+    __slots__ = ("j", "products", "_index")
+
+    def __init__(self, j: int, products):
+        self.j = j
+        self.products = products
+        self._index = None
+
+    def __len__(self) -> int:
+        return sum(degree_count(cell[0]) for cell in self.products)
+
+    def __iter__(self):
+        j = self.j
+        for alpha, (_, group, cx, card) in ascending_degrees(self.products):
+            yield GradedExtPiece(j, alpha, group, cx, card)
+
+    def __getitem__(self, k: int) -> "GradedExtPiece":
+        for index, piece in enumerate(self):
+            if index == k:
+                return piece
+        raise IndexError("scan piece index out of range")
+
+    def at(self, alpha: tuple):
+        """The piece at alpha, or None when no product holds alpha."""
+        if self._index is None:
+            runs = [set() for _ in alpha]  # per coordinate: the products' ranges
+            for cell in self.products:
+                for values, seen in zip(cell[0], runs):
+                    seen.add(values)
+            self._index = runs, {cell[0]: cell for cell in self.products}
+        runs, cells = self._index
+        ranges = []
+        for a, seen in zip(alpha, runs):
+            for values in seen:
+                if a in values:
+                    ranges.append(values)
+                    break
+            else:
+                return None
+        cell = cells.get(tuple(ranges))
+        return None if cell is None else GradedExtPiece(self.j, alpha, *cell[1:])
+
+
 class ExtScanResult:
-    __slots__ = (
-        "j", "box", "pieces", "shell_checked", "shell_clean", "shell_offenders",
-        "degrees_scanned",
-    )
+    """A support scan: its nonzero products of runs inside the box and in
+    the shell, each (ranges, group, complex, card), in ascending order of
+    their runs (TaylorComplex.support_scan).
+
+    pieces is a ScanPieces view of the products, so a scan holds no
+    per-degree object until one is read; shell_offenders lists the shell's
+    degrees, ascending.
+    """
+
+    __slots__ = ("j", "box", "products", "shell_checked", "shell_products", "degrees_scanned")
 
     def __init__(
         self,
         j: int,
         box: tuple,
-        pieces: tuple,
+        products: list,
         shell_checked: bool,
-        shell_clean: bool,
-        shell_offenders: tuple,
+        shell_products: list,
         degrees_scanned: int,
     ):
         self.j = j
         self.box = box
-        self.pieces = pieces
+        self.products = products
         self.shell_checked = shell_checked
-        self.shell_clean = shell_clean
-        self.shell_offenders = shell_offenders
+        self.shell_products = shell_products
         self.degrees_scanned = degrees_scanned
+
+    @property
+    def pieces(self) -> ScanPieces:
+        return ScanPieces(self.j, self.products)
+
+    @property
+    def shell_clean(self) -> bool:
+        return not self.shell_products
+
+    @property
+    def shell_offenders(self) -> tuple:
+        return tuple(alpha for alpha, _ in ascending_degrees(self.shell_products))
 
     def complete_support(self) -> bool:
         return self.shell_checked and self.shell_clean

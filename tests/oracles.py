@@ -44,12 +44,61 @@ from mixedchar.intlinalg import (
 )
 from mixedchar.monomials import MonomialIdeal
 from mixedchar.polynomials import ORDER_KEYS, Polynomial, exp_add, exp_leq, exp_max, exp_sub
-from mixedchar.reports import CLAIMS
-from mixedchar.scalars import DVR, ZZ, PrimeField, padic_valuation
+from mixedchar.reports import CLAIMS, Rows
+from mixedchar.scalars import DVR, PrimeField, padic_valuation
 from mixedchar.simplicial import MAX_VERTICES, SimplicialComplex
 from mixedchar.subsets import bits_to_subsets
 from mixedchar.taylor import ExtScanResult, GradedExtPiece
 from mixedchar.textio import parse_polynomial, reisner_ideal, schmitt_vogel_generators
+
+
+class IntegerRing:
+    """Z with exact division as partial operation."""
+
+    name = "Z"
+
+    def zero(self):
+        return 0
+
+    def one(self):
+        return 1
+
+    def from_int(self, k: int):
+        return k
+
+    def add(self, a, b):
+        return a + b
+
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return a * b
+
+    def is_zero(self, a) -> bool:
+        return a == 0
+
+    def is_unit(self, a) -> bool:
+        return a in (1, -1)
+
+    def divide(self, a, b):
+        """a / b if exact, else None."""
+        if b == 0:
+            raise ZeroDivisionError
+        q, r = divmod(a, b)
+        return q if r == 0 else None
+
+    def __eq__(self, other):
+        return isinstance(other, IntegerRing)
+
+    def __hash__(self):
+        return hash("Z")
+
+    def __repr__(self):
+        return "Z"
+
+
+ZZ = IntegerRing()
 
 
 def from_rows(rows) -> IntMatrix:
@@ -1129,37 +1178,68 @@ def degree_by_degree_scan(tc, j, box=None, shell=True):
 
     Every degree of the box, then every degree of its one-step enlargement
     outside the box, gets its own strand group; no grouping into classes
-    and no nerve.  Pieces carry no complex.  This is the reference for
-    the library's class-grouped nerve scan.
+    and no nerve.  Each nonzero degree is a product of one-value ranges,
+    and products carry no complex.  This is the reference for the
+    library's class-grouped nerve scan.
     """
     strands = TaylorStrands(tc)
     if box is None:
         box = tc.default_box()
     box = tuple((int(lo), int(hi)) for lo, hi in box)
-    pieces = []
+    products = []
     count = 0
     for alpha in product(*(range(lo, hi + 1) for lo, hi in box)):
         count += 1
         group = strands.group(j, alpha)
         if not group.is_trivial():
-            pieces.append(GradedExtPiece(j, alpha, group, None, None))
+            products.append((_point(alpha), group, None, None))
     offenders = []
     if shell:
         for alpha in product(*(range(lo - 1, hi + 2) for lo, hi in box)):
             if all(lo <= a <= hi for a, (lo, hi) in zip(alpha, box)):
                 continue
             count += 1
-            if not strands.group(j, alpha).is_trivial():
-                offenders.append(alpha)
+            group = strands.group(j, alpha)
+            if not group.is_trivial():
+                offenders.append((_point(alpha), group, None, None))
     return ExtScanResult(
         j=j,
         box=box,
-        pieces=tuple(pieces),
+        products=products,
         shell_checked=shell,
-        shell_clean=not offenders,
-        shell_offenders=tuple(offenders),
+        shell_products=offenders,
         degrees_scanned=count,
     )
+
+
+def _point(alpha) -> tuple:
+    return tuple(range(a, a + 1) for a in alpha)
+
+
+def scan_by_degree(tc, j, box=None, shell=True):
+    """TaylorComplex.support_scan read one degree at a time off ext_piece.
+
+    Every degree of the box padded by one step (shell) or of the box alone
+    gets its own ext_piece, in ascending alpha; no runs.  Returns (the
+    nonzero degrees inside the box as (alpha, group, complex, card), the
+    nonzero degrees outside it ascending, the count of degrees).
+    """
+    if box is None:
+        box = tc.default_box()
+    pad = 1 if shell else 0
+    pieces = []
+    offenders = []
+    count = 0
+    for alpha in product(*(range(lo - pad, hi + pad + 1) for lo, hi in box)):
+        count += 1
+        piece = tc.ext_piece(j, alpha)
+        if piece.group.is_trivial():
+            continue
+        if all(lo <= a <= hi for a, (lo, hi) in zip(alpha, box)):
+            pieces.append((alpha, piece.group, piece.complex, piece.card))
+        else:
+            offenders.append(alpha)
+    return pieces, offenders, count
 
 
 def support_per_piece(complexes: dict, j: int, p: int, box=None) -> list:
@@ -1167,7 +1247,7 @@ def support_per_piece(complexes: dict, j: int, p: int, box=None) -> list:
 
     Per level: {level, support_size, support, free_rank_total,
     kill_exponent}, as in scan_levels's details.  This is the reference
-    for scan_levels, which reads the invariants once per group of a scan.
+    for scan_levels, which reads the invariants once per product of a scan.
     """
     out = []
     for ell, tc in sorted(complexes.items()):
@@ -1272,7 +1352,7 @@ def per_field_hochster_levels(cx, coeff):
 
 
 def canonical(obj):
-    """JSON-ready copy: tuples to lists, Fractions to 'a/b', floats rejected.
+    """JSON-ready copy: tuples and Rows to lists, Fractions to 'a/b', floats rejected.
 
     The reference for reports.encode: json.dumps(canonical(x),
     sort_keys=True, indent=2) gives the bytes of the report encoder.
@@ -1290,7 +1370,7 @@ def canonical(obj):
                 raise ValueError(f"non-string key {k!r}")
             out[k] = canonical(v)
         return out
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, Rows)):
         return [canonical(v) for v in obj]
     describe = getattr(obj, "describe", None)
     if callable(describe):

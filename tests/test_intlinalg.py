@@ -146,12 +146,8 @@ def test_finabgroup_normalization_and_predicates():
     g = FinAbGroup.from_diagonal([1, 2, 0], ambient_rank=3)
     assert g == FinAbGroup(1, (2,))
     assert repr(g) == "Z + Z/2"
-    assert FinAbGroup.cyclic(2).killed_by(2)
-    assert not FinAbGroup.cyclic(4).killed_by(2)
-    assert not FinAbGroup.free(1).killed_by(2)
-    assert FinAbGroup.trivial().killed_by(1)
-    assert FinAbGroup.cyclic(6).exponent() == 6
-    assert FinAbGroup(0, (2, 6)).order() == 12
+    assert FinAbGroup.trivial().is_trivial() and FinAbGroup(0) == FinAbGroup.trivial()
+    assert not FinAbGroup(0, (2,)).is_trivial() and not FinAbGroup(1).is_trivial()
     for free, factors in ((0, (4, 2)), (1, (1,)), (0, (1, 2)), (-1, ())):
         with pytest.raises(ValueError):
             FinAbGroup(free, factors)
@@ -161,15 +157,15 @@ def test_finabgroup_normalization_and_predicates():
 def test_complex_cohomology_times_two():
     # 0 -> Z --(x2)--> Z -> 0, cohomology at the target spot
     delta = from_rows([[2]])
-    assert complex_cohomology([delta], 1) == FinAbGroup.cyclic(2)
+    assert complex_cohomology([delta], 1) == FinAbGroup(0, (2,))
     assert complex_cohomology([delta], 0) == FinAbGroup.trivial()
 
 
 def test_complex_cohomology_hollow_triangle():
     # coboundary of the triangle graph: rows edges 01, 02, 12, cols vertices
     d0 = from_rows([[-1, 1, 0], [-1, 0, 1], [0, -1, 1]])
-    assert complex_cohomology([d0], 1) == FinAbGroup.free(1)
-    assert complex_cohomology([d0], 0) == FinAbGroup.free(1)
+    assert complex_cohomology([d0], 1) == FinAbGroup(1)
+    assert complex_cohomology([d0], 0) == FinAbGroup(1)
 
 
 def test_complex_cohomology_rejects_non_complex():
@@ -182,7 +178,7 @@ def test_cohomology_basis_and_induced_map_identity():
     # quotient Z^2 / im(diag(2, 3)) with no outgoing map
     d_in = from_rows([[2, 0], [0, 3]])
     basis = CohomologyBasis(d_in, None, 2)
-    assert basis.group == FinAbGroup.cyclic(6)
+    assert basis.group == FinAbGroup(0, (6,))
     ident = InducedMap(basis, basis, IntMatrix.identity(2))
     assert is_injective(ident)
     assert not ident.is_zero()
@@ -195,7 +191,7 @@ def test_induced_map_through_kernel():
     # complex 0 -> Z^2 --[[1,1]]--> Z -> 0 at spot 0: kernel is Z(1,-1)
     d_out = from_rows([[1, 1]])
     basis = CohomologyBasis(None, d_out, 2)
-    assert basis.group == FinAbGroup.free(1)
+    assert basis.group == FinAbGroup(1)
     swap = from_rows([[0, 1], [1, 0]])
     m = InducedMap(basis, basis, swap)
     assert is_injective(m)

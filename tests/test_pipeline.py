@@ -13,10 +13,11 @@ from mixedchar.pipeline import (
     check_transitions,
     scan_levels,
 )
-from mixedchar.taylor import GradedExtPiece, TaylorComplex, transition_between
+from mixedchar.reports import encode
+from mixedchar.taylor import TaylorComplex, transition_between
 from mixedchar.textio import reisner_ideal
 
-from .oracles import support_per_piece
+from .oracles import canonical, support_per_piece
 
 
 def reisner_pipeline(levels):
@@ -42,8 +43,9 @@ def test_reisner_two_levels():
     ]
     s1 = stage(rep, "graded_support").details
     assert [lv["support_size"] for lv in s1["levels"]] == [1, 64]
-    assert s1["levels"][0]["support"][0]["alpha"] == [-1] * 6
-    assert s1["levels"][0]["support"][0]["pi_exponents"] == [1]
+    (entry,) = s1["levels"][0]["support"]
+    assert entry["alpha"] == [-1] * 6
+    assert entry["pi_exponents"] == [1]
     assert s1["kill_consistent_with_level_one"] is True
     s2 = stage(rep, "transition_injectivity").details
     assert [(p["level"], p["checked"], p["all_injective"]) for p in s2["pairs"]] == [
@@ -62,7 +64,7 @@ def test_scan_levels_reads_the_invariants_of_every_piece(p, sizes):
     complexes = build_levels(reisner_ideal(), p, 3, None)
     details, support, kills, frees = scan_levels(complexes, 4, p, None, None)
     want = support_per_piece(complexes, 4, p)
-    assert [{key: lv[key] for key in want[0]} for lv in details] == want
+    assert canonical([{key: lv[key] for key in want[0]} for lv in details]) == want
     assert [lv["support_size"] for lv in want] == sizes
     assert {ell: len(pieces) for ell, pieces in support.items()} == dict(zip((1, 2, 3), sizes))
     assert kills == {lv["level"]: lv["kill_exponent"] for lv in want}
@@ -76,7 +78,7 @@ def test_scan_levels_reads_each_group_of_a_mixed_scan(p):
     complexes = build_levels(MonomialIdeal(7, gens), p, 2, None)
     details, _, kills, frees = scan_levels(complexes, 4, p, None, None)
     want = support_per_piece(complexes, 4, p)
-    assert [{key: lv[key] for key in want[0]} for lv in details] == want
+    assert canonical([{key: lv[key] for key in want[0]} for lv in details]) == want
     assert {(s["free_rank"], tuple(s["pi_exponents"])) for s in want[0]["support"]} == (
         {(0, (1,)), (1, ())} if p == 2 else {(1, ())}
     )
@@ -143,8 +145,9 @@ def test_parameter_validation():
 def test_describe_is_json_ready():
     rep = reisner_pipeline(levels=2)
     d = rep.describe()
-    text = json.dumps(d, sort_keys=True)
-    assert json.loads(text) == d
+    text = encode(d)
+    assert json.loads(text) == canonical(d)
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2)
     assert d["verdict"] == "(2)"
     assert d["ideal"]["vars"] == 6
     assert len(d["ideal"]["generators"]) == 10
@@ -223,8 +226,9 @@ class _Clock:
 
 def test_the_deadline_passes_inside_the_piece_and_transition_loops(monkeypatch):
     # level 4 of Reisner has 4,096 support pieces and as many transitions to
-    # level 5; the clock passes the deadline at the first piece's invariants,
-    # or at the first transition, and the check at the 1024th must see it
+    # level 5; the clock passes the deadline at the first product's
+    # invariants, and the check after them must see it, or at the first
+    # transition, and the check at the 1024th must see it
     complexes = build_levels(reisner_ideal(), 2, 5, None)
     _, support, _, _ = scan_levels({4: complexes[4], 5: complexes[5]}, 4, 2, None, None)
     support.update({1: [], 2: [], 3: []})
@@ -239,7 +243,7 @@ def test_the_deadline_passes_inside_the_piece_and_transition_loops(monkeypatch):
 
         return late
 
-    monkeypatch.setattr(GradedExtPiece, "dvr_invariants", passing(GradedExtPiece.dvr_invariants))
+    monkeypatch.setattr(pipeline, "dvr_invariants", passing(pipeline.dvr_invariants))
     with pytest.raises(TimeoutError, match="level 4 support"):
         scan_levels({4: complexes[4]}, 4, 2, None, 1.0)
     clock.now = 0.0

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mixedchar.scalars import DVR, PrimeField, QQ, ZZ
+from mixedchar.scalars import DVR, PrimeField, QQ
 from mixedchar.polynomials import (
     ORDER_KEYS,
     ORDER_MAX,
@@ -13,7 +13,7 @@ from mixedchar.polynomials import (
     exp_max,
 )
 
-from .oracles import extend_variables, permute_variables
+from .oracles import ZZ, extend_variables, permute_variables
 
 
 def P(ring, n, terms):

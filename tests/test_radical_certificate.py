@@ -12,10 +12,10 @@ import pytest
 
 from mixedchar.groebner import POWER_BOUND, groebner_basis, power_exponent
 from mixedchar.polynomials import Polynomial
-from mixedchar.scalars import ZZ, PrimeField, RationalField
+from mixedchar.scalars import PrimeField, RationalField
 from mixedchar.textio import reisner_ideal, schmitt_vogel_generators
 
-from .oracles import divisors, power, power_certificate, read_certificate
+from .oracles import ZZ, divisors, power, power_certificate, read_certificate
 
 CERTIFICATE = read_certificate()
 

@@ -12,6 +12,7 @@ from mixedchar.reports import (
     FAILED,
     Claim,
     Report,
+    Rows,
     check,
     encode,
     verified,
@@ -281,3 +282,38 @@ def test_claims_markdown_lists_every_id():
 def test_bundled_claims_doc_is_current():
     doc = Path(__file__).resolve().parents[1] / "docs" / "claims.md"
     assert doc.read_text() == claims_markdown()
+
+
+@st.composite
+def row_trees(draw):
+    """Rows of entries keyed "a", under a few levels of lists and dicts."""
+    fields = draw(st.lists(
+        st.dictionaries(st.text(max_size=3).map(lambda k: "b" + k), trees, max_size=3),
+        min_size=1, max_size=3,
+    ))
+    picks = draw(st.lists(
+        st.tuples(st.lists(st.integers(), max_size=4).map(tuple),
+                  st.integers(0, len(fields) - 1)),
+        max_size=6,
+    ))
+    tree = Rows("a", fields, lambda: ((value, fields[k]) for value, k in picks))
+    for wrap in draw(st.lists(st.booleans(), max_size=3)):
+        tree = [tree] if wrap else {"x": tree, "y": 1}
+    return tree
+
+
+@given(row_trees())
+def test_rows_encode_as_the_list_of_their_entries(tree):
+    assert encode(tree) == reference(tree)
+
+
+def test_rows_iterate_as_dicts():
+    shared = {"free_rank": 0, "pi_exponents": [1]}
+    rows = Rows("alpha", [shared], lambda: iter([((-1, -1), shared), ((-1, 0), shared)]))
+    assert list(rows) == [{"alpha": [-1, -1], **shared}, {"alpha": [-1, 0], **shared}]
+
+
+def test_rows_reject_a_shared_field_that_sorts_before_the_key():
+    rows = Rows("b", [{"a": 1}], lambda: iter([((0,), {"a": 1})]))
+    with pytest.raises(ValueError, match="sorts before"):
+        encode({"rows": rows})

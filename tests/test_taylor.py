@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -22,6 +23,7 @@ from tests.oracles import (
     _dense,
     degree_by_degree_scan,
     is_injective,
+    scan_by_degree,
     subset_walk_chain_check,
 )
 
@@ -70,7 +72,7 @@ def test_double_boundary_vanishes_on_random_ideals():
 
 def test_koszul_ext_pieces():
     tc = TaylorComplex(MonomialIdeal(2, [(1, 0), (0, 1)]))
-    assert tc.ext_piece(2, (-1, -1)).group == FinAbGroup.free(1)
+    assert tc.ext_piece(2, (-1, -1)).group == FinAbGroup(1)
     assert tc.ext_piece(2, (0, -1)).group.is_trivial()
     assert tc.ext_piece(2, (0, 0)).group.is_trivial()
     for alpha in itertools.product((-1, 0), repeat=2):
@@ -89,7 +91,7 @@ def test_principal_ideal_scan_reports_truncated_support():
         (-1, 0),
         (0, -1),
     ]
-    assert all(p.group == FinAbGroup.free(1) for p in scan.pieces)
+    assert all(p.group == FinAbGroup(1) for p in scan.pieces)
     # the quotient by one monomial has pieces in every degree above -a_full,
     # so the one-step shell must flag the box as truncating
     assert not scan.shell_clean
@@ -158,6 +160,58 @@ def test_class_scan_matches_the_degree_by_degree_oracle():
     assert pieces > 2000 and offenders > 2000
 
 
+def test_run_walk_matches_the_per_degree_oracle():
+    # every degree of the padded box read off its own ext_piece, in
+    # ascending alpha, against the scan's products walked run by run
+    rng = random.Random(27)
+    cuts = nonzero = offenders = mixed = 0
+    for _ in range(150):
+        tc = TaylorComplex(_random_ideal(rng, n=rng.randint(2, 4), max_gens=5, max_exp=3))
+        box = []
+        for i, top in enumerate(tc.a_full):
+            lo = rng.randint(-top - 1, 0)
+            hi = rng.randint(lo, 1)
+            box.append((lo, hi))
+            # box edges strictly inside a breakpoint class cut it mid-way
+            for first, last, _ in tc._scan_classes(i, -top - 3, 3):
+                cuts += (first < lo <= last) + (first <= hi < last)
+        for j in range(tc.r + 2):
+            for shell in (True, False):
+                scan = tc.support_scan(j, box=box, shell=shell)
+                pieces, outside, count = scan_by_degree(tc, j, box, shell)
+                got = [(p.alpha, p.group, p.complex, p.card) for p in scan.pieces]
+                assert got == pieces
+                assert len(scan.pieces) == len(pieces)
+                assert list(scan.shell_offenders) == outside
+                assert scan.shell_clean == (not outside)
+                assert scan.degrees_scanned == count
+                nonzero += len(pieces)
+                offenders += len(outside)
+                cells = scan.products + scan.shell_products
+                mixed += any(a[1] != b[1] for a, b in zip(cells, cells[1:]))
+    # neighbouring products with different groups: a group reused fails
+    assert cuts > 300 and nonzero > 800 and offenders > 2000 and mixed > 4, (
+        cuts, nonzero, offenders, mixed
+    )
+
+
+def test_a_huge_scan_holds_no_piece_per_degree():
+    # Ext^2 of (x0^1000000, x1) is Z at a million degrees: one product
+    tc = TaylorComplex(MonomialIdeal(2, [(1000000, 0), (0, 1)]))
+    tracemalloc.start()
+    try:
+        scan = tc.support_scan(2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(scan.pieces) == 1000000 and peak < 1000000, peak
+    assert len(scan.products) == 1 and scan.complete_support()
+    first = scan.pieces[0]
+    assert (first.alpha, first.group) == ((-1000000, -1), FinAbGroup(1))
+    assert scan.pieces.at((-1, -1)).group == FinAbGroup(1)
+    assert scan.pieces.at((0, -1)) is None
+
+
 @pytest.mark.parametrize("ell", [1, 2, 3])
 def test_class_scan_matches_the_oracle_on_reisner_levels(ell):
     tc = TaylorComplex(power_ideal(reisner(), ell))
@@ -204,9 +258,9 @@ def test_reisner_ext4_scan(rtc):
 
 
 def test_reisner_ext_vanishing_spots(rtc):
-    assert rtc.support_scan(0, shell=False).pieces == ()
-    assert rtc.support_scan(5, shell=False).pieces == ()
-    assert rtc.support_scan(6, shell=False).pieces == ()
+    assert len(rtc.support_scan(0, shell=False).pieces) == 0
+    assert len(rtc.support_scan(5, shell=False).pieces) == 0
+    assert len(rtc.support_scan(6, shell=False).pieces) == 0
 
 
 def test_reisner_mult_maps_out_of_support_are_zero(rtc):
@@ -332,8 +386,8 @@ def test_transition_koszul():
     I = MonomialIdeal(2, [(1, 0), (0, 1)])
     low, high = TaylorComplex(I), TaylorComplex(power_ideal(I, 2))
     report = transition_between(low.ext_piece(2, (-1, -1)), high.ext_piece(2, (-1, -1)))
-    assert report.source.group == FinAbGroup.free(1)
-    assert report.target.group == FinAbGroup.free(1)
+    assert report.source.group == FinAbGroup(1)
+    assert report.target.group == FinAbGroup(1)
     assert report.matrix == [[1]]
     assert is_injective(report.induced)
     vacuous = transition_between(low.ext_piece(0, (0, 0)), high.ext_piece(0, (0, 0)))

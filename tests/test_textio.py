@@ -7,7 +7,7 @@ import pytest
 
 from mixedchar.cli import _load_ideal
 from mixedchar.monomials import MonomialIdeal
-from mixedchar.scalars import DVR, IntegerRing, PrimeField, RationalField
+from mixedchar.scalars import DVR, PrimeField, RationalField
 from mixedchar.textio import (
     MAX_VARIABLES,
     load_facets_text,
@@ -21,10 +21,9 @@ from mixedchar.textio import (
 )
 
 from .conftest import REISNER_ROWS, RP2_FACETS
-from .oracles import coefficient
+from .oracles import ZZ, coefficient
 
 QQ = RationalField()
-ZZ = IntegerRing()
 
 
 def test_parse_polynomial_terms():
