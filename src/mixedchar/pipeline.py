@@ -81,6 +81,8 @@ class PipelineReport:
         return None
 
     def describe(self) -> dict:
+        """The report body.  Each level's support is a reports.Rows, not a
+        list: reports.encode writes it, the stdlib json module cannot."""
         return {
             "p": self.p,
             "j": self.j,
@@ -113,7 +115,7 @@ def _transition_injective_over(report, p: int) -> bool:
     map is then injective exactly when the source is p-locally trivial.
     """
     if report.induced is None:
-        free, exps = report.source.dvr_invariants(p)
+        free, exps = dvr_invariants(report.source.group, p)
         return free == 0 and not exps
     return report.induced.is_injective_localized(p)
 
@@ -127,7 +129,8 @@ def scan_levels(complexes: dict, j: int, p: int, box, deadline) -> tuple:
     group, so the p-local invariants are read once per product, and the
     details list the support as Rows whose free_rank and pi_exponents are
     one dict per product.  deadline is a time.monotonic() value, checked
-    inside each scan and after each product's invariants.
+    inside each scan, after each product's invariants and every 1024
+    entries while the Rows are encoded.
     """
     levels = []
     support = {}
@@ -160,7 +163,7 @@ def scan_levels(complexes: dict, j: int, p: int, box, deadline) -> tuple:
                 "box": [list(iv) for iv in scan.box],
                 "degrees_scanned": scan.degrees_scanned,
                 "support_size": size,
-                "support": _support_rows(kept, fields),
+                "support": _support_rows(kept, fields, deadline, what),
                 "free_rank_total": free_total,
                 "kill_exponent": kills[ell],
                 "complete_support": scan.complete_support(),
@@ -169,12 +172,19 @@ def scan_levels(complexes: dict, j: int, p: int, box, deadline) -> tuple:
     return levels, support, kills, frees
 
 
-def _support_rows(products: list, fields: list) -> Rows:
-    """The support entries of a level: alpha, with fields[k] for products[k]."""
+def _support_rows(products: list, fields: list, deadline, what: str) -> Rows:
+    """The support entries of a level: alpha, with fields[k] for products[k].
+
+    The entries are walked when the report is encoded, so the walk checks
+    deadline every 1024 entries.
+    """
     cells = [(cell[0], shared) for cell, shared in zip(products, fields)]
 
     def rows():
-        return ((alpha, cell[1]) for alpha, cell in ascending_degrees(cells))
+        for k, (alpha, cell) in enumerate(ascending_degrees(cells)):
+            if not k & 1023:
+                check_deadline(deadline, what)
+            yield alpha, cell[1]
 
     return Rows("alpha", fields, rows)
 

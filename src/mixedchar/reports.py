@@ -301,10 +301,13 @@ class Rows:
 
     rows() yields (value, fields) for each entry in order: value the key
     field, a tuple of ints, and fields the dict of the other fields, one
-    object shared by a run of entries; fields lists those objects.  key
-    sorts before every key of fields, so encode renders an entry as its
-    key and value followed by a tail encoded once per fields object (emit).
-    Iterated, the entries are plain dicts.
+    object shared by a run of entries; fields lists those objects, and
+    every fields yielded is one of them.  key sorts before every key of
+    fields, so encode renders an entry as its key and value followed by a
+    tail encoded once per fields object (emit).  Iterated, the entries are
+    plain dicts; a Rows has no len and no indexing, and the stdlib json
+    module cannot serialize it, so a report holding one goes through
+    encode (or list(rows)).
     """
 
     __slots__ = ("key", "fields", "rows")
@@ -321,35 +324,31 @@ class Rows:
     def emit(self, append, level: int) -> None:
         """Append the list's JSON as encode writes it at level.
 
-        An entry is rendered by one %-format of its value into a template
-        made once per fields object and value length, holding the item
-        separator, the key, the value's brackets and the encoded tail.
+        An entry is the item separator and key, its value rendered by one
+        %-format made once per value length, and the tail of its fields
+        object, encoded once per object of self.fields.
         """
         inner, sep, outer = _indents(level)
         entry_inner, _, entry_outer = _indents(level + 1)
         value_inner, value_sep, value_outer = _indents(level + 2)
         key = self.key
+        tails = {}  # id of an object of self.fields: its encoded tail
+        for fields in self.fields:
+            if fields and min(fields) <= key:
+                raise ValueError(f"row field {min(fields)!r} sorts before {key!r}")
+            tail = "," + encode(fields, level + 1)[1:] if fields else entry_outer + "}"
+            tails[id(fields)] = tail
         opening = sep + "{" + entry_inner + _quote(key) + ": "
-        templates = {}  # (id of a fields object, value length): template
-        held = []  # the fields objects, alive while their ids are keys
-        first = True
+        head = "[" + opening[1:]  # the first entry follows "[" and no comma
+        slots = {0: "[]"}  # value length: the %-format of a value that long
         for value, fields in self.rows():
-            template = templates.get((id(fields), len(value)))
-            if template is None:
-                if fields and min(fields) <= key:
-                    raise ValueError(f"row field {min(fields)!r} sorts before {key!r}")
-                tail = "," + encode(fields, level + 1)[1:] if fields else entry_outer + "}"
-                slots = value_sep.join(["%d"] * len(value))
-                brackets = f"[{value_inner}{slots}{value_outer}]" if value else "[]"
-                template = opening.replace("%", "%%") + brackets + tail.replace("%", "%%")
-                templates[id(fields), len(value)] = template
-                held.append(fields)
-            if first:  # the first entry follows "[" and no separator
-                append("[" + inner + (template % value)[len(sep):])
-                first = False
-            else:
-                append(template % value)
-        append("[]" if first else outer + "]")
+            form = slots.get(len(value))
+            if form is None:
+                ints = value_sep.join(["%d"] * len(value))
+                form = slots[len(value)] = f"[{value_inner}{ints}{value_outer}]"
+            append(head + form % value + tails[id(fields)])
+            head = opening
+        append(outer + "]" if head is opening else "[]")
 
 
 class Report:

@@ -329,7 +329,8 @@ class GradedExtPiece:
     """One multidegree of Ext^j of the ambient ring modulo a monomial ideal.
 
     The group is reported over Z; over the p-local base ring only the free
-    rank and the p-primary torsion survive, which dvr_invariants extracts.
+    rank and the p-primary torsion survive, which dvr_invariants(group, p)
+    extracts.
     It is the cohomology of complex at the faces with card vertices:
     Delta at card j-1, void when tau = 0, and for the zero ideal {empty
     set} (tau = 0) or the void complex at card j.
@@ -347,13 +348,9 @@ class GradedExtPiece:
     def is_nonzero(self) -> bool:
         return not self.group.is_trivial()
 
-    def dvr_invariants(self, p: int):
-        """(free rank, ascending pi-adic exponents of the surviving torsion)."""
-        return dvr_invariants(self.group, p)
-
     def describe(self, p: int) -> dict:
         """The report entry of the piece, with its invariants over Z_(p)."""
-        free, exps = self.dvr_invariants(p)
+        free, exps = dvr_invariants(self.group, p)
         return {
             "alpha": list(self.alpha),
             "j": self.j,

@@ -48,7 +48,7 @@ from mixedchar.reports import CLAIMS, Rows
 from mixedchar.scalars import DVR, PrimeField, padic_valuation
 from mixedchar.simplicial import MAX_VERTICES, SimplicialComplex
 from mixedchar.subsets import bits_to_subsets
-from mixedchar.taylor import ExtScanResult, GradedExtPiece
+from mixedchar.taylor import ExtScanResult, GradedExtPiece, dvr_invariants
 from mixedchar.textio import parse_polynomial, reisner_ideal, schmitt_vogel_generators
 
 
@@ -1253,7 +1253,7 @@ def support_per_piece(complexes: dict, j: int, p: int, box=None) -> list:
     for ell, tc in sorted(complexes.items()):
         support = []
         for piece in tc.support_scan(j, box=box).pieces:
-            free, exps = piece.dvr_invariants(p)
+            free, exps = dvr_invariants(piece.group, p)
             if free or exps:
                 support.append(
                     {"alpha": list(piece.alpha), "free_rank": free, "pi_exponents": list(exps)}

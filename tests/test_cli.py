@@ -545,6 +545,23 @@ def test_huge_scans_end_within_the_timeout(name):
         assert proc.returncode == 1 and proc.stderr.startswith("timeout:"), proc.stderr
 
 
+def test_a_huge_pipeline_support_ends_within_the_timeout():
+    # one product of 3*10^6 support degrees, listed only as the report is
+    # encoded; with one level no transition is checked, so the listing
+    # itself must check the budget
+    proc = subprocess.run(
+        [sys.executable, "-m", "mixedchar.cli", "pipeline", "--ideal", "-", "--p", "2",
+         "--j", "2", "--levels", "1", "--timeout-secs", "1"],
+        input="vars 2\n3000000 0\n0 1\n",
+        capture_output=True,
+        text=True,
+        timeout=5,  # past it the run is killed and the test fails
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == "timeout: level 1 support passed the --timeout-secs budget\n"
+    assert proc.stdout == ""
+
+
 def test_transition_claim(capsys):
     code, data, _ = run_json(
         capsys, "transition", "--ideal", REISNER, "--j", "4", "--levels", "2"

@@ -20,7 +20,12 @@ from mixedchar.intlinalg import FinAbGroup, IntMatrix, InducedMap
 from mixedchar.monomials import MonomialIdeal, power_ideal
 from mixedchar.pipeline import _transition_injective_over
 from mixedchar.subsets import bits_to_subsets, coboundary_sign_entries
-from mixedchar.taylor import TaylorComplex, require_chain_map, transition_between
+from mixedchar.taylor import (
+    TaylorComplex,
+    dvr_invariants,
+    require_chain_map,
+    transition_between,
+)
 
 from tests.conftest import REISNER_ROWS
 from tests.oracles import (
@@ -224,7 +229,7 @@ def _zero(induced):
 def _injective_over(induced, source, p):
     """p-local injectivity of a library map; None means a side has no components."""
     if induced is None:
-        free, exps = source.dvr_invariants(p)
+        free, exps = dvr_invariants(source.group, p)
         return free == 0 and not exps
     return induced.is_injective_localized(p)
 

@@ -142,7 +142,8 @@ def test_parameter_validation():
         annihilator_pipeline(I, p=4)
 
 
-def test_describe_is_json_ready():
+def test_describe_encodes_as_sorted_json():
+    # the support lists are reports.Rows, which only reports.encode writes
     rep = reisner_pipeline(levels=2)
     d = rep.describe()
     text = encode(d)
