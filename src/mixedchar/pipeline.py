@@ -12,7 +12,11 @@ stages assemble the finite-level evidence:
   colimit_conclusion    feeds the evidence to the annihilator inference.
 
 The transition subcommand runs the same build_levels, scan_levels and
-check_transitions, so a transition is judged injective in one place.
+check_transitions, so a transition is judged injective in one place
+(_transition_injective_over).  It is judged once per cell of degrees that
+share their source and target groups, not once per degree; where the
+next level's nerve is the same complex the map is the identity, read
+with no basis.
 
 With no pi-torsion the inference refuses to pick between (0) and a unit
 annihilator; the report says so rather than guessing.  Verdicts carry
@@ -24,14 +28,14 @@ from __future__ import annotations
 
 from .diffops import Annihilator, AnnihilatorEvidence, infer_annihilator
 from .monomials import MonomialIdeal, power_ideal
-from .reports import Rows
 from .scalars import is_prime
 from .subsets import check_deadline
 from .taylor import (
+    GradedExtPiece,
     ScanPieces,
     TaylorComplex,
-    ascending_degrees,
     degree_count,
+    degree_rows,
     dvr_invariants,
     require_chain_map,
     transition_between,
@@ -111,13 +115,18 @@ def build_levels(ideal: MonomialIdeal, p: int, levels: int, deadline) -> dict:
 def _transition_injective_over(report, p: int) -> bool:
     """p-local injectivity of a transition PieceMap.
 
-    A missing induced map means one side has no integer components; the
-    map is then injective exactly when the source is p-locally trivial.
+    An identity (the target's complex is the source's, at the same card)
+    is injective for every p, with no basis built.  A missing induced map
+    means one side has no integer components; the map is then injective
+    exactly when the source is p-locally trivial.
     """
-    if report.induced is None:
+    if report.identity:
+        return True
+    induced = report.induced
+    if induced is None:
         free, exps = dvr_invariants(report.source.group, p)
         return free == 0 and not exps
-    return report.induced.is_injective_localized(p)
+    return induced.is_injective_localized(p)
 
 
 def scan_levels(complexes: dict, j: int, p: int, box, deadline) -> tuple:
@@ -140,7 +149,7 @@ def scan_levels(complexes: dict, j: int, p: int, box, deadline) -> tuple:
         scan = tc.support_scan(j, box=box, deadline=deadline)
         what = f"level {ell} support"
         kept = []
-        fields = []
+        rows = []
         size = free_total = exp_top = 0
         for cell in scan.products:
             free, exps = dvr_invariants(cell[1], p)
@@ -149,7 +158,7 @@ def scan_levels(complexes: dict, j: int, p: int, box, deadline) -> tuple:
                 continue
             count = degree_count(cell[0])
             kept.append(cell)
-            fields.append({"free_rank": free, "pi_exponents": list(exps)})
+            rows.append((cell[0], {"free_rank": free, "pi_exponents": list(exps)}))
             size += count
             free_total += free * count
             if exps:
@@ -163,7 +172,7 @@ def scan_levels(complexes: dict, j: int, p: int, box, deadline) -> tuple:
                 "box": [list(iv) for iv in scan.box],
                 "degrees_scanned": scan.degrees_scanned,
                 "support_size": size,
-                "support": _support_rows(kept, fields, deadline, what),
+                "support": degree_rows(rows, deadline, what),
                 "free_rank_total": free_total,
                 "kill_exponent": kills[ell],
                 "complete_support": scan.complete_support(),
@@ -172,58 +181,47 @@ def scan_levels(complexes: dict, j: int, p: int, box, deadline) -> tuple:
     return levels, support, kills, frees
 
 
-def _support_rows(products: list, fields: list, deadline, what: str) -> Rows:
-    """The support entries of a level: alpha, with fields[k] for products[k].
-
-    The entries are walked when the report is encoded, so the walk checks
-    deadline every 1024 entries.
-    """
-    cells = [(cell[0], shared) for cell, shared in zip(products, fields)]
-
-    def rows():
-        for k, (alpha, cell) in enumerate(ascending_degrees(cells)):
-            if not k & 1023:
-                check_deadline(deadline, what)
-            yield alpha, cell[1]
-
-    return Rows("alpha", fields, rows)
-
-
 def check_transitions(complexes: dict, support: dict, p: int, deadline) -> list:
     """Per level ell below the last complex, whether the transition to
-    level ell + 1 is p-locally injective at each piece of support[ell].
+    level ell + 1 is p-locally injective at each degree of support[ell].
 
-    The chain map is checked once per level pair.  Each transition starts
-    from a low piece of support[ell] and ends at the piece of the same
-    alpha that support[ell + 1] holds (ScanPieces.at), so only the pieces
-    mapped are built.  A target missing from support[ell + 1] (p-locally
-    zero, or on a top level that was not scanned) is computed afresh.
-    deadline is a time.monotonic() value, checked every 1024 transitions.
+    The chain map is checked once per level pair.  Each product of
+    support[ell] is cut at level ell + 1's breakpoint classes
+    (TaylorComplex.ext_cells), so every degree of a cell has one source
+    and one target (group, complex, card), and the map is decided once per
+    cell by _transition_injective_over, on the pieces at the cell's first
+    degree.  A scanned next level and the transition subcommand's
+    unscanned top level take the same route.  transitions lists every
+    degree as reports.Rows keyed by alpha, with one {"injective": ...}
+    tail per answer; the cells are sorted by their runs' starts, so the
+    list is ascending in alpha.  deadline is a time.monotonic() value,
+    checked once per cell and every 1024 entries while the list is
+    encoded.
     """
     pairs = []
     for ell in range(1, len(complexes)):
         low, high = complexes[ell], complexes[ell + 1]
-        if support[ell]:
+        j, products = support[ell].j, support[ell].products
+        if products:
             require_chain_map(low, high)
-        scanned = support.get(ell + 1)
         what = f"level {ell} transitions"
-        transitions = []
-        for k, piece in enumerate(support[ell]):
-            if not k & 1023:
+        answers = {False: {"injective": False}, True: {"injective": True}}
+        cells = []
+        for ranges, *source in products:
+            for cut, *target in high.ext_cells(j, ranges):
                 check_deadline(deadline, what)
-            target = None if scanned is None else scanned.at(piece.alpha)
-            if target is None:
-                target = high.ext_piece(piece.j, piece.alpha)
-            rep = transition_between(piece, target)
-            transitions.append(
-                {"alpha": list(piece.alpha), "injective": _transition_injective_over(rep, p)}
-            )
+                alpha = tuple(values[0] for values in cut)
+                rep = transition_between(
+                    GradedExtPiece(j, alpha, *source), GradedExtPiece(j, alpha, *target)
+                )
+                cells.append((cut, answers[_transition_injective_over(rep, p)]))
+        cells.sort(key=lambda cell: [values[0] for values in cell[0]])
         pairs.append(
             {
                 "level": ell,
-                "checked": len(transitions),
-                "all_injective": all(t["injective"] for t in transitions),
-                "transitions": transitions,
+                "checked": sum(degree_count(cell[0]) for cell in cells),
+                "all_injective": all(cell[1]["injective"] for cell in cells),
+                "transitions": degree_rows(cells, deadline, what),
             }
         )
     return pairs

@@ -39,7 +39,12 @@ Multiplication by x_i and the passage from one power level to the next
 both shrink every V_i (and may deactivate a variable), so the target
 complex is a subcomplex of the source complex.  The induced map on Ext
 is restriction of cochains from the source to the target, one PieceMap
-for both (TaylorComplex.mult_map and transition_between).
+for both (TaylorComplex.mult_map and transition_between).  Where the
+target complex is the source complex (at the same card) it is the
+identity, read off the group with no basis.  For a squarefree ideal
+every transition out of a nonzero piece is one: V_i at tau_i is the
+generators with g_i = 0 at both levels while tau_i <= ell, and every
+generator past it, where the complex is a cone.
 
 The complex depends on alpha only through the V_i, and V_i changes only
 where tau_i passes a distinct exponent of coordinate i.  tau_i = 0 (no
@@ -47,7 +52,10 @@ V_i) is a class of its own, apart from tau_i > 0 with V_i empty.  Support
 scans compute one group per product of these breakpoint classes, whatever
 the width of the box or the size of the exponents, and keep each nonzero
 product as its ranges of degrees: a scan's size is its number of
-products, not of degrees.
+products, not of degrees.  Cut at another complex's classes
+(TaylorComplex.ext_cells), a product splits into cells on which the
+source and target groups are both fixed, so a map between two levels is
+decided once per cell.
 
 Two levels are compared by position, with no table of the lcms a_S.
 The comparison map e_S -> x^(a_S-high minus a_S-low) e_S between the
@@ -60,11 +68,13 @@ one (comparison_chain_check), an O(r*n) test.
 A piece keeps Delta and the face size its group sits at; so does a
 product, for all of its degrees.  ExtScanResult.pieces is a lazy view
 (ScanPieces) that walks the products' runs in ascending alpha
-(ascending_degrees) and builds a piece only for the degree read, so a
-report lists a million degrees of one product without holding a million
-pieces.  Complexes are cached by their V_i, at most subsets.CACHE_LIMIT
-of them, and shared across degrees, levels and ideals; a complex keeps
-its own core, bases and restriction maps, and the core its eliminations.
+(ascending_degrees) and builds a piece only for the degree read.  A
+report lists the degrees the same way, as reports.Rows (degree_rows) with
+one shared tail per product or cell, so it lists a million degrees of one
+product without holding a million pieces or dicts.  Complexes are cached
+by their V_i, at most subsets.CACHE_LIMIT of them, and shared across
+degrees, levels and ideals; a complex keeps its own core, bases and
+restriction maps, and the core its eliminations.
 """
 
 from __future__ import annotations
@@ -75,6 +85,7 @@ from math import comb, prod
 from .intlinalg import FinAbGroup
 from .monomials import MonomialIdeal
 from .polynomials import MultiIndex
+from .reports import Rows
 from .scalars import padic_valuation
 from .simplicial import SimplicialComplex, link_is_cone
 from .subsets import cache_put, check_deadline
@@ -190,11 +201,7 @@ class TaylorComplex:
         alpha = tuple(alpha)
         if len(alpha) != self.n:
             raise ValueError("degree length does not match the variable count")
-        cover = self._cover(alpha)
-        simplices = None
-        if any(members is not None for members in cover):
-            simplices = frozenset(filter(None, cover))
-        return GradedExtPiece(j, alpha, *self._ext_at(j, simplices))
+        return GradedExtPiece(j, alpha, *self._ext_at(j, _simplices(self._cover(alpha))))
 
     def default_box(self):
         return tuple((-self.a_full[i], 0) for i in range(self.n))
@@ -208,6 +215,18 @@ class TaylorComplex:
             if first <= last:
                 out.append((first, last, members))
         return out
+
+    def ext_cells(self, j: int, ranges) -> list:
+        """ranges, one nonempty range of degrees per coordinate, cut at this
+        complex's breakpoint classes: one (ranges, group, complex, card)
+        cell per product of the cut runs, each decided once.  The cells are
+        in the order of the classes, not ascending in alpha."""
+        runs = [self._scan_classes(i, values[0], values[-1]) for i, values in enumerate(ranges)]
+        cells = []
+        for parts in itertools.product(*runs):
+            cut = tuple(range(first, last + 1) for first, last, _ in parts)
+            cells.append((cut, *self._ext_at(j, _simplices([m for _, _, m in parts]))))
+        return cells
 
     def support_scan(
         self, j: int, box=None, shell: bool = True, deadline: float | None = None
@@ -312,6 +331,14 @@ class TaylorComplex:
         return PieceMap(self.ext_piece(j, alpha), self.ext_piece(j, target_alpha))
 
 
+def _simplices(cover) -> frozenset | None:
+    """The _ext_at key of a cover, V_i per variable or None where tau_i = 0:
+    the nonempty V_i, or None when every tau_i is 0."""
+    if all(members is None for members in cover):
+        return None
+    return frozenset(filter(None, cover))
+
+
 def _cut_at_box(first: int, last: int, lo: int, hi: int) -> list:
     """The values first..last cut at the box edges lo and hi, as
     (range, whether inside lo..hi) parts, each nonempty."""
@@ -350,13 +377,7 @@ class GradedExtPiece:
 
     def describe(self, p: int) -> dict:
         """The report entry of the piece, with its invariants over Z_(p)."""
-        free, exps = dvr_invariants(self.group, p)
-        return {
-            "alpha": list(self.alpha),
-            "j": self.j,
-            "group": self.group.describe(),
-            "p_local": {"free_rank": free, "pi_exponents": list(exps)},
-        }
+        return {"alpha": list(self.alpha), **_piece_fields(self.j, self.group, p)}
 
     def __repr__(self):
         return f"GradedExtPiece(j={self.j}, alpha={self.alpha}, {self.group!r})"
@@ -366,32 +387,49 @@ class PieceMap:
     """The map from source to target, two Ext pieces of one j, induced by
     restriction of cochains to the target's complex.
 
-    induced is None when either side has no surviving components, and
-    then the map is zero with no dense work; matrix is the component
-    matrix, computed when read.  Everything else is read off the two
-    pieces.
+    identity says the target's complex is the source's at the same card:
+    restriction is then the identity on cochains, so on the group, and
+    matrix, zero and injectivity (pipeline._transition_injective_over) are
+    read off the group with no basis.  It tests the complex by identity,
+    not by its faces, which it would have to build: nerves are shared by
+    their V_i (_nerve), so two pieces with the same V_i hold one object,
+    and an equal complex held twice only takes the general route.
+    Otherwise induced, the InducedMap, is built when read (the complex
+    keeps it); it is None when either side has no surviving components,
+    and then the map is zero with no dense work.  matrix is the component
+    matrix, computed when read.
     """
 
-    __slots__ = ("source", "target", "induced")
+    __slots__ = ("source", "target", "identity")
 
     def __init__(self, source: GradedExtPiece, target: GradedExtPiece):
         self.source = source
         self.target = target
-        self.induced = None
-        if source.is_nonzero() and target.is_nonzero():
-            self.induced = source.complex.restriction(target.complex, source.card)
+        self.identity = source.card == target.card and source.complex is target.complex
+
+    @property
+    def induced(self):
+        if self.source.is_nonzero() and self.target.is_nonzero():
+            return self.source.complex.restriction(self.target.complex, self.source.card)
+        return None
 
     @property
     def matrix(self) -> list:
-        if self.induced is not None:
-            return self.induced.component_matrix()
         src, tgt = self.source.group, self.target.group
         cols = src.free_rank + len(src.factors)
+        if self.identity:  # the identity on the surviving components
+            return [[int(row == col) for col in range(cols)] for row in range(cols)]
+        induced = self.induced
+        if induced is not None:
+            return induced.component_matrix()
         return [[0] * cols for _ in range(tgt.free_rank + len(tgt.factors))]
 
     @property
     def zero(self) -> bool:
-        return self.induced is None or self.induced.is_zero()
+        if self.identity:
+            return not self.source.is_nonzero()
+        induced = self.induced
+        return induced is None or induced.is_zero()
 
     def describe(self) -> dict:
         """The report of a multiplication map; variable is the coordinate
@@ -413,6 +451,17 @@ def dvr_invariants(group: FinAbGroup, p: int):
     a group over Z, read over Z_(p)."""
     exps = (padic_valuation(d, p) for d in group.factors)
     return group.free_rank, tuple(sorted(e for e in exps if e))
+
+
+def _piece_fields(j: int, group: FinAbGroup, p: int) -> dict:
+    """A piece's report entry but its alpha: j, the group, and its
+    invariants over Z_(p)."""
+    free, exps = dvr_invariants(group, p)
+    return {
+        "j": j,
+        "group": group.describe(),
+        "p_local": {"free_rank": free, "pi_exponents": list(exps)},
+    }
 
 
 def ascending_degrees(cells):
@@ -462,21 +511,42 @@ def degree_count(ranges) -> int:
     return prod(map(len, ranges))
 
 
+def degree_rows(cells, deadline, what: str) -> Rows:
+    """The report list of every degree of cells, ascending in alpha, as
+    reports.Rows keyed by alpha.
+
+    A cell is (ranges, fields), fields the dict of the entry's other
+    fields, one object shared by every degree of the cell and maybe by
+    other cells; the cells are as ascending_degrees takes them.  The
+    entries are first walked when the report is encoded, so the walk
+    checks deadline (a time.monotonic() value) every 1024 entries, naming
+    what.
+    """
+    fields = list({id(cell[1]): cell[1] for cell in cells}.values())
+
+    def rows():
+        for k, (alpha, cell) in enumerate(ascending_degrees(cells)):
+            if not k & 1023:
+                check_deadline(deadline, what)
+            yield alpha, cell[1]
+
+    return Rows("alpha", fields, rows)
+
+
 class ScanPieces:
     """The pieces of products of runs, ascending in alpha, built when read.
 
     products are (ranges, group, complex, card) cells as ExtScanResult
     keeps them.  The length is the sum of the products' degree counts, and
     iteration is ascending_degrees, one GradedExtPiece per degree; nothing
-    is stored per degree.  at(alpha) finds one degree's piece.
+    is stored per degree.
     """
 
-    __slots__ = ("j", "products", "_index")
+    __slots__ = ("j", "products")
 
     def __init__(self, j: int, products):
         self.j = j
         self.products = products
-        self._index = None
 
     def __len__(self) -> int:
         return sum(degree_count(cell[0]) for cell in self.products)
@@ -492,26 +562,6 @@ class ScanPieces:
                 return piece
         raise IndexError("scan piece index out of range")
 
-    def at(self, alpha: tuple):
-        """The piece at alpha, or None when no product holds alpha."""
-        if self._index is None:
-            runs = [set() for _ in alpha]  # per coordinate: the products' ranges
-            for cell in self.products:
-                for values, seen in zip(cell[0], runs):
-                    seen.add(values)
-            self._index = runs, {cell[0]: cell for cell in self.products}
-        runs, cells = self._index
-        ranges = []
-        for a, seen in zip(alpha, runs):
-            for values in seen:
-                if a in values:
-                    ranges.append(values)
-                    break
-            else:
-                return None
-        cell = cells.get(tuple(ranges))
-        return None if cell is None else GradedExtPiece(self.j, alpha, *cell[1:])
-
 
 class ExtScanResult:
     """A support scan: its nonzero products of runs inside the box and in
@@ -519,7 +569,7 @@ class ExtScanResult:
     their runs (TaylorComplex.support_scan).
 
     pieces is a ScanPieces view of the products, so a scan holds no
-    per-degree object until one is read; shell_offenders lists the shell's
+    per-degree object until one is read; describe lists the shell's
     degrees, ascending.
     """
 
@@ -549,30 +599,33 @@ class ExtScanResult:
     def shell_clean(self) -> bool:
         return not self.shell_products
 
-    @property
-    def shell_offenders(self) -> tuple:
-        return tuple(alpha for alpha, _ in ascending_degrees(self.shell_products))
-
     def complete_support(self) -> bool:
         return self.shell_checked and self.shell_clean
 
     def describe(self, p: int, deadline: float | None = None) -> dict:
         """The report entry of the scan, each piece with its invariants over
-        Z_(p).  deadline (a time.monotonic() value) is checked every 1024
-        pieces: a scan that ends inside the budget can still hold millions."""
-        pieces = []
-        for k, piece in enumerate(self.pieces):
+        Z_(p).  The pieces are reports.Rows (degree_rows): a piece's fields
+        but its alpha are one dict per product, and the entries are walked
+        when the report is encoded, checking deadline (a time.monotonic()
+        value) every 1024 of them, since a scan that ends inside the budget
+        can still hold millions.  So the stdlib json module cannot write
+        this dict; reports.encode can.  The shell's offenders are listed
+        here, checking deadline every 1024 of them."""
+        what = f"describing the Ext^{self.j} scan"
+        offenders = []
+        for k, (alpha, _) in enumerate(ascending_degrees(self.shell_products)):
             if not k & 1023:
-                check_deadline(deadline, f"describing the Ext^{self.j} scan")
-            pieces.append(piece.describe(p))
+                check_deadline(deadline, what)
+            offenders.append(list(alpha))
+        cells = [(cell[0], _piece_fields(self.j, cell[1], p)) for cell in self.products]
         return {
             "j": self.j,
             "box": [list(iv) for iv in self.box],
-            "pieces": pieces,
+            "pieces": degree_rows(cells, deadline, what),
             "shell": {
                 "checked": self.shell_checked,
                 "clean": self.shell_clean,
-                "offenders": [list(a) for a in self.shell_offenders],
+                "offenders": offenders,
             },
             "degrees_scanned": self.degrees_scanned,
         }

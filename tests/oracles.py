@@ -48,7 +48,7 @@ from mixedchar.reports import CLAIMS, Rows
 from mixedchar.scalars import DVR, PrimeField, padic_valuation
 from mixedchar.simplicial import MAX_VERTICES, SimplicialComplex
 from mixedchar.subsets import bits_to_subsets
-from mixedchar.taylor import ExtScanResult, GradedExtPiece, dvr_invariants
+from mixedchar.taylor import ExtScanResult, GradedExtPiece, ascending_degrees, dvr_invariants
 from mixedchar.textio import parse_polynomial, reisner_ideal, schmitt_vogel_generators
 
 
@@ -1212,6 +1212,11 @@ def degree_by_degree_scan(tc, j, box=None, shell=True):
     )
 
 
+def shell_offenders(scan) -> tuple:
+    """The degrees of a scan's shell products, ascending."""
+    return tuple(alpha for alpha, _ in ascending_degrees(scan.shell_products))
+
+
 def _point(alpha) -> tuple:
     return tuple(range(a, a + 1) for a in alpha)
 
@@ -1270,6 +1275,42 @@ def support_per_piece(complexes: dict, j: int, p: int, box=None) -> list:
             }
         )
     return out
+
+
+def per_degree_transitions(complexes: dict, support: dict, p: int) -> list:
+    """pipeline.check_transitions decided degree by degree.
+
+    Per level pair: {level, checked, all_injective, transitions}, the
+    transitions a list of {alpha, injective}, one per degree of
+    support[ell] in ascending alpha.  Every target is the next level's own
+    ext_piece, and every map with both sides nonzero goes through the
+    restriction's InducedMap, identities included.  This is the reference
+    for check_transitions, which decides once per cell of runs.
+    """
+    pairs = []
+    for ell in range(1, len(complexes)):
+        high = complexes[ell + 1]
+        transitions = []
+        for piece in support[ell]:
+            target = high.ext_piece(piece.j, piece.alpha)
+            if not piece.complex.has_subcomplex(target.complex):
+                raise ValueError("the higher level's complex is not a subcomplex")
+            if piece.is_nonzero() and target.is_nonzero():
+                induced = piece.complex.restriction(target.complex, piece.card)
+                injective = induced.is_injective_localized(p)
+            else:
+                free, exps = dvr_invariants(piece.group, p)
+                injective = free == 0 and not exps
+            transitions.append({"alpha": list(piece.alpha), "injective": injective})
+        pairs.append(
+            {
+                "level": ell,
+                "checked": len(transitions),
+                "all_injective": all(t["injective"] for t in transitions),
+                "transitions": transitions,
+            }
+        )
+    return pairs
 
 
 def pairwise_facets(faces):

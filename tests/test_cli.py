@@ -324,6 +324,16 @@ GOLDEN_REPORTS = {
                    "632f7cfb002a7cc2685f4fd36d803b2f3e5f617e7a75eeefa5eb7976ff1e4174"),
     "transition-ext3": (("transition", "--ideal", "-", "--j", "3", "--levels", "3"), 2,
                         "fb6961499c6ec0ce1dc7d6722645e61784816392e6b9701ea9ed4b43f68f0be0"),
+    # level 4, with its top level not scanned, taken while every transition
+    # was decided degree by degree
+    "transition-level4": (
+        ("transition", "--ideal", "-", "--j", "4", "--levels", "4", "--p", "2"), 0,
+        "22093379624b1c44881bd4a72b3f5833f52d2f77c60f515c1922d41617c6b26a",
+    ),
+    "transition-ext3-level4": (
+        ("transition", "--ideal", "-", "--j", "3", "--levels", "4", "--p", "2"), 2,
+        "fb017fdd7f49f056f9594389c88f672d3964dd1f1ce91a96556f36664d59a215",
+    ),
     # the four-element certificate reads no input (F2 and Q, or the field --p
     # names); taken before Groebner division moved to per-field kernels
     "radical": (("radical-check",), 0,
@@ -526,6 +536,8 @@ HUGE_SCANS = {
     "exponent": (("scan", "--ideal", "-", "--j", "2"), "vars 2\n1000000 0\n0 1\n", 2.5),
     "box": (("scan", "--ideal", REISNER, "--j", "4", "--box=-100000000:0"), "", 5),
     "filtration": (("filtration", "--model", "quotient", "--ell", "100000000"), "", 5),
+    # few pieces in the box, 3*10^6 shell offenders listed by the scan report
+    "shell": (("scan", "--ideal", "-", "--j", "1", "--box=-3000000:0,0:0"), "vars 2\n3000000 1\n", 5),
 }
 
 

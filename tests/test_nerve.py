@@ -364,9 +364,11 @@ def test_reisner_transitions_and_mult_maps_match_taylor_inclusions(j):
 
 
 def test_p_local_injectivity_is_decided_once_per_shared_map(monkeypatch):
-    # the nerve's restriction store hands every Reisner level-2 transition
-    # at j = 4 the same map, so each prime costs one kernel block however
-    # many transitions ask; fresh nerves keep no map from earlier tests
+    # every Reisner level-2 transition at j = 4 restricts a nerve to itself:
+    # an identity, decided with no basis, no induced map and no kernel.
+    # Read anyway, the nerve's restriction store hands them all the same
+    # map, so each prime costs one kernel block however many transitions
+    # ask; fresh nerves keep no map from earlier tests
     monkeypatch.setattr(taylor, "_NERVE_CACHE", {})
     ideal = MonomialIdeal(6, REISNER_ROWS)
     low, high = TaylorComplex(power_ideal(ideal, 2)), TaylorComplex(power_ideal(ideal, 3))
@@ -374,14 +376,18 @@ def test_p_local_injectivity_is_decided_once_per_shared_map(monkeypatch):
         transition_between(piece, high.ext_piece(4, piece.alpha))
         for piece in low.support_scan(4).pieces
     ]
-    maps = {id(rep.induced): rep.induced for rep in reps}
-    assert len(reps) == 64 and len(maps) == 1
     kernels = []
     real_kernel = intlinalg.integer_kernel
     monkeypatch.setattr(intlinalg, "integer_kernel", lambda M: kernels.append(M) or real_kernel(M))
-    (induced,) = maps.values()
+    assert all(rep.identity for rep in reps)
     for p in (2, 3, 5):
         assert all(_transition_injective_over(rep, p) for rep in reps)
+    assert kernels == [] and all(not cx._bases for cx, _ in taylor._NERVE_CACHE.values())
+    maps = {id(rep.induced): rep.induced for rep in reps}
+    assert len(reps) == 64 and len(maps) == 1
+    (induced,) = maps.values()
+    for p in (2, 3, 5):
+        assert all(rep.induced.is_injective_localized(p) for rep in reps)
         assert full_block_injective(induced, p)  # uncached reference
     # Z/2 -> Z/2: only p = 2 needs the kernel block, and only once
     assert len(kernels) == 1

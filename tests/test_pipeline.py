@@ -1,10 +1,11 @@
 """The staged annihilator evidence pipeline."""
 
 import json
+import random
 
 import pytest
 
-from mixedchar import pipeline, subsets, taylor
+from mixedchar import intlinalg, pipeline, subsets, taylor
 from mixedchar.monomials import MonomialIdeal
 from mixedchar.pipeline import (
     _transition_injective_over,
@@ -14,10 +15,10 @@ from mixedchar.pipeline import (
     scan_levels,
 )
 from mixedchar.reports import encode
-from mixedchar.taylor import TaylorComplex, transition_between
+from mixedchar.taylor import ScanPieces, TaylorComplex, transition_between
 from mixedchar.textio import reisner_ideal
 
-from .oracles import canonical, support_per_piece
+from .oracles import canonical, per_degree_transitions, support_per_piece
 
 
 def reisner_pipeline(levels):
@@ -187,7 +188,9 @@ def test_check_transitions_checks_each_level_pair_once_from_the_scanned_pieces(m
             )
 
 
-def test_check_transitions_builds_only_the_targets_missing_from_the_next_scan(monkeypatch):
+def test_check_transitions_builds_no_target_piece_and_fails_where_the_next_level_is_zero(
+    monkeypatch,
+):
     # Ext^2 of (x0 x2, x1 x2^2): one of the four Z pieces of level 1 sits
     # in a degree where level 2 is zero, so the next scan has no such target
     ideal = MonomialIdeal(3, [(1, 0, 1), (0, 1, 2)])
@@ -205,7 +208,11 @@ def test_check_transitions_builds_only_the_targets_missing_from_the_next_scan(mo
     monkeypatch.setattr(TaylorComplex, "ext_piece", counted)
     (pair,) = check_transitions(complexes, support, 2, None)
     monkeypatch.undo()
-    assert (len(missing), len(support[1])) == (1, 4) and built == missing
+    # the targets are read off level 2's classes, missing or not
+    assert (len(missing), len(support[1])) == (1, 4) and built == []
+    (want,) = per_degree_transitions(complexes, support, 2)
+    assert list(pair["transitions"]) == want["transitions"]
+    assert (pair["checked"], pair["all_injective"]) == (want["checked"], want["all_injective"])
     high = complexes[2]
     for piece, t in zip(support[1], pair["transitions"]):
         rep = transition_between(piece, high.ext_piece(2, piece.alpha))
@@ -213,6 +220,101 @@ def test_check_transitions_builds_only_the_targets_missing_from_the_next_scan(mo
         if piece.alpha in missing:
             assert not t["injective"]
     assert not pair["all_injective"]
+
+
+def _random_ideal(rng):
+    """1-4 variables, 1-4 generators with exponents 0-3."""
+    n = rng.randint(1, 4)
+    gens = {tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 4))}
+    gens.discard((0,) * n)
+    return MonomialIdeal(n, gens or [(1,) + (0,) * (n - 1)])
+
+
+def test_check_transitions_matches_the_per_degree_oracle(monkeypatch):
+    # every entry, in order, for pipeline (every level scanned) and for
+    # transition (the top level not scanned); the cells counted here are
+    # the maps check_transitions decides
+    rng = random.Random(28028)
+    decided = []
+    real = pipeline.transition_between
+
+    def recorded(*args):
+        decided.append(real(*args))
+        return decided[-1]
+
+    monkeypatch.setattr(pipeline, "transition_between", recorded)
+    entries = products = failed = 0
+    for _ in range(150):
+        ideal = _random_ideal(rng)
+        levels = rng.randint(2, 3)
+        p = rng.choice((2, 3))
+        complexes = build_levels(ideal, p, levels, None)
+        j = rng.randint(1, complexes[1].r + 1)
+        below_top = {ell: tc for ell, tc in complexes.items() if ell < levels}
+        for scanned in (complexes, below_top):
+            _, support, _, _ = scan_levels(scanned, j, p, None, None)
+            got = check_transitions(complexes, support, p, None)
+            want = per_degree_transitions(complexes, support, p)
+            what = (ideal.gens, j, p, levels)
+            assert [list(pair["transitions"]) for pair in got] == [
+                pair["transitions"] for pair in want
+            ], what
+            for pair, oracle in zip(got, want):
+                assert {k: pair[k] for k in ("level", "checked", "all_injective")} == {
+                    k: oracle[k] for k in ("level", "checked", "all_injective")
+                }, what
+            entries += sum(pair["checked"] for pair in want)
+            failed += sum(not t["injective"] for pair in want for t in pair["transitions"])
+            products += sum(len(support[ell].products) for ell in range(1, levels))
+    identities = sum(rep.identity for rep in decided)
+    # products are cut into several cells, complexes differ across a cell
+    # pair, and both answers occur
+    assert len(decided) > products > 100 and entries > 5 * len(decided)
+    assert len(decided) - identities > 100 and identities > 100 and failed > 100, (
+        len(decided), identities, products, entries, failed
+    )
+
+
+def test_reisner_level_four_transitions_build_no_basis_and_no_piece(monkeypatch):
+    # pipeline --p 2 --levels 4: 794 transitions in three cells, each an
+    # identity of a nerve, so no map needs a basis; fresh nerves keep no
+    # basis or map from earlier tests
+    monkeypatch.setattr(taylor, "_NERVE_CACHE", {})
+    complexes = build_levels(reisner_ideal(), 2, 4, None)
+    _, support, _, _ = scan_levels(complexes, 4, 2, None, None)
+    built = {"maps": 0, "bases": 0, "induced": 0, "pieces": 0}
+
+    def counting(key, fn):
+        def counted(*args):
+            built[key] += 1
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(taylor.PieceMap, "__init__", counting("maps", taylor.PieceMap.__init__))
+    for key, cls in (("bases", intlinalg.CohomologyBasis), ("induced", intlinalg.InducedMap)):
+        monkeypatch.setattr(cls, "__init__", counting(key, cls.__init__))
+    monkeypatch.setattr(TaylorComplex, "ext_piece", counting("pieces", TaylorComplex.ext_piece))
+    pairs = check_transitions(complexes, support, 2, None)
+    encode(pairs)
+    assert [pair["checked"] for pair in pairs] == [1, 64, 729]
+    assert all(pair["all_injective"] for pair in pairs)
+    assert built == {"maps": 3, "bases": 0, "induced": 0, "pieces": 0}
+    assert not hasattr(taylor.ScanPieces, "at")
+
+
+def test_a_map_between_two_cards_of_one_complex_is_no_identity():
+    # Ext^2 and Ext^3 of (x0^2, x1^2) at (-1, -1) read one nerve, two
+    # points, at cards 1 and 2: Z, then 0.  Restriction at card 1 is no
+    # identity onto the group at card 2, so the map is zero and not injective
+    tc = TaylorComplex(MonomialIdeal(2, [(2, 0), (0, 2)]))
+    source, target = tc.ext_piece(2, (-1, -1)), tc.ext_piece(3, (-1, -1))
+    assert source.complex is target.complex and (source.card, target.card) == (1, 2)
+    rep = taylor.PieceMap(source, target)
+    assert not rep.identity and rep.zero and rep.matrix == []
+    assert not any(_transition_injective_over(rep, p) for p in (2, 3))
+    same = taylor.PieceMap(source, tc.ext_piece(2, (-2, -1)))
+    assert same.identity and not same.zero and same.matrix == [[1]]
 
 
 class _Clock:
@@ -229,10 +331,11 @@ def test_the_deadline_passes_inside_the_piece_and_transition_loops(monkeypatch):
     # level 4 of Reisner has 4,096 support pieces and as many transitions to
     # level 5; the clock passes the deadline at the first product's
     # invariants, and the check after them must see it, or at the first
-    # transition, and the check at the 1024th must see it
+    # transition, and the next check must see it: at the next cell, or
+    # while the transitions are listed
     complexes = build_levels(reisner_ideal(), 2, 5, None)
     _, support, _, _ = scan_levels({4: complexes[4], 5: complexes[5]}, 4, 2, None, None)
-    support.update({1: [], 2: [], 3: []})
+    support.update({ell: ScanPieces(4, []) for ell in (1, 2, 3)})
     assert len(support[4]) == 4096
     clock = _Clock()
     monkeypatch.setattr(subsets, "time", clock)
@@ -250,7 +353,7 @@ def test_the_deadline_passes_inside_the_piece_and_transition_loops(monkeypatch):
     clock.now = 0.0
     monkeypatch.setattr(pipeline, "transition_between", passing(transition_between))
     with pytest.raises(TimeoutError, match="level 4 transitions"):
-        check_transitions(complexes, support, 2, 1.0)
+        encode(check_transitions(complexes, support, 2, 1.0))
 
 
 def test_transition_between_needs_the_target_of_the_same_degree():

@@ -8,6 +8,7 @@ import pytest
 from mixedchar.intlinalg import FinAbGroup
 from mixedchar.monomials import MonomialIdeal, power_ideal
 from mixedchar.pipeline import _transition_injective_over
+from mixedchar.reports import encode
 from mixedchar.subsets import coboundary_sign_entries
 from mixedchar.taylor import (
     TaylorComplex,
@@ -24,6 +25,7 @@ from tests.oracles import (
     degree_by_degree_scan,
     is_injective,
     scan_by_degree,
+    shell_offenders,
     subset_walk_chain_check,
 )
 
@@ -95,17 +97,19 @@ def test_principal_ideal_scan_reports_truncated_support():
     # the quotient by one monomial has pieces in every degree above -a_full,
     # so the one-step shell must flag the box as truncating
     assert not scan.shell_clean
-    assert set(scan.shell_offenders) == {(-2, 1), (-1, 1), (1, -1)}
+    assert set(shell_offenders(scan)) == {(-2, 1), (-1, 1), (1, -1)}
     assert not scan.complete_support()
-    # describing the pieces checks the budget too: a scan can hold millions
+    # listing the shell and the pieces checks the budget too: a scan can
+    # hold millions
     with pytest.raises(TimeoutError, match="describing the Ext\\^1 scan"):
-        scan.describe(2, time.monotonic() - 1)
-    assert scan.describe(2, time.monotonic() + 60) == scan.describe(2)
+        encode(scan.describe(2, time.monotonic() - 1))
+    assert encode(scan.describe(2, time.monotonic() + 60)) == encode(scan.describe(2))
 
 
 def _assert_same_scan(got, want, tc):
     """got from the class scan on nerves, want from the per-degree strand oracle."""
-    assert got.describe(2) == want.describe(2)
+    assert encode(got.describe(2)) == encode(want.describe(2))
+    assert list(got.describe(2)["pieces"]) == [p.describe(2) for p in want.pieces]
     assert [(p.alpha, p.j, p.group) for p in got.pieces] == [
         (p.alpha, p.j, p.group) for p in want.pieces
     ]
@@ -113,7 +117,7 @@ def _assert_same_scan(got, want, tc):
     assert [(p.complex, p.card) for p in got.pieces] == [
         (e.complex, e.card) for e in (tc.ext_piece(p.j, p.alpha) for p in got.pieces)
     ]
-    assert got.shell_offenders == want.shell_offenders
+    assert shell_offenders(got) == shell_offenders(want)
     assert got.degrees_scanned == want.degrees_scanned
 
 
@@ -154,7 +158,7 @@ def test_class_scan_matches_the_degree_by_degree_oracle():
                     want = degree_by_degree_scan(tc, j, box=box, shell=shell)
                     _assert_same_scan(got, want, tc)
                     pieces += len(got.pieces)
-                    offenders += len(got.shell_offenders)
+                    offenders += len(shell_offenders(got))
     # coordinates with different class counts inside one ideal
     assert any(len(set(counts)) > 1 for counts in class_counts)
     assert pieces > 2000 and offenders > 2000
@@ -182,7 +186,7 @@ def test_run_walk_matches_the_per_degree_oracle():
                 got = [(p.alpha, p.group, p.complex, p.card) for p in scan.pieces]
                 assert got == pieces
                 assert len(scan.pieces) == len(pieces)
-                assert list(scan.shell_offenders) == outside
+                assert list(shell_offenders(scan)) == outside
                 assert scan.shell_clean == (not outside)
                 assert scan.degrees_scanned == count
                 nonzero += len(pieces)
@@ -208,8 +212,34 @@ def test_a_huge_scan_holds_no_piece_per_degree():
     assert len(scan.products) == 1 and scan.complete_support()
     first = scan.pieces[0]
     assert (first.alpha, first.group) == ((-1000000, -1), FinAbGroup(1))
-    assert scan.pieces.at((-1, -1)).group == FinAbGroup(1)
-    assert scan.pieces.at((0, -1)) is None
+    # one walk of the pieces: (-1, -1) is the last one, (0, -1) is none
+    tail = [piece for piece in scan.pieces if piece.alpha[0] >= -1]
+    assert [(piece.alpha, piece.group) for piece in tail] == [((-1, -1), FinAbGroup(1))]
+
+
+def test_a_huge_scan_describes_with_no_dict_per_degree():
+    # the scan report lists a million degrees of one product as Rows: one
+    # shared dict for the product, the entries made only while encoding
+    scan = TaylorComplex(MonomialIdeal(2, [(1000000, 0), (0, 1)])).support_scan(2)
+    tracemalloc.start()
+    try:
+        described = scan.describe(2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1000000, peak
+    # the shell is clean, so the budget is first checked as the pieces are
+    # encoded
+    late = scan.describe(2, time.monotonic() - 1)
+    with pytest.raises(TimeoutError, match="describing the Ext\\^2 scan"):
+        encode(late)
+    rows = iter(described["pieces"])
+    assert next(rows) == {
+        "alpha": [-1000000, -1],
+        "j": 2,
+        "group": {"rank": 1, "torsion": []},
+        "p_local": {"free_rank": 1, "pi_exponents": []},
+    }
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
