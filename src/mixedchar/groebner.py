@@ -126,12 +126,14 @@ def _kernel(ring) -> tuple:
     return subtract, divide
 
 
-def _monic(f: Polynomial, order: str) -> Polynomial:
-    _, c = f.leading_term(order)
+def _monic(f: Polynomial, order: str) -> tuple:
+    """The division record (divisor) of f over its leading coefficient,
+    read off one scan of f for its leading term."""
+    e, c = f.leading_term(order)
     subtract, divide = _kernel(f.ring)
     terms: dict = {}
     subtract(terms, f.terms, (0,) * f.n, -divide(1, c))
-    return Polynomial._of(f.ring, f.n, terms)
+    return e, terms[e], support_mask(e), Polynomial._of(f.ring, f.n, terms)
 
 
 def _multiply(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -254,7 +256,7 @@ def buchberger(
     if n > len(_BITS):  # _update reads coprime pairs off the masks
         raise ValueError(f"at most {len(_BITS)} variables, got {n}")
     unit = [Polynomial.constant(ring, n, ring.one())]
-    elements = [divisor(_monic(g, order), order) for g in basis]
+    elements = [_monic(g, order) for g in basis]
     if any(g.is_constant() for *_, g in elements):
         return unit
     key = ORDER_KEYS[order]
@@ -271,7 +273,7 @@ def buchberger(
             continue
         if h.is_constant():
             return unit
-        elements.append(divisor(_monic(h, order), order))
+        elements.append(_monic(h, order))
         active = _update(heap, key, elements, active, len(elements) - 1)
         divisors = [elements[g] for g in active]
     return [g for *_, g in divisors]
@@ -288,7 +290,7 @@ def reduce_basis(basis: Sequence[Polynomial], order: str = "grlex") -> tuple:
         if not any(exp_leq(other[0], d[0]) for other in minimal):
             minimal.append(d)
     return tuple(
-        _monic(normal_form(d[3], minimal[:i] + minimal[i + 1 :], order), order)
+        _monic(normal_form(d[3], minimal[:i] + minimal[i + 1 :], order), order)[3]
         for i, d in enumerate(minimal)
     )
 

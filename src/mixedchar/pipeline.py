@@ -193,10 +193,10 @@ def check_transitions(complexes: dict, support: dict, p: int, deadline) -> list:
     degree.  A scanned next level and the transition subcommand's
     unscanned top level take the same route.  transitions lists every
     degree as reports.Rows keyed by alpha, with one {"injective": ...}
-    tail per answer; the cells are sorted by their runs' starts, so the
-    list is ascending in alpha.  deadline is a time.monotonic() value,
-    checked once per cell and every 1024 entries while the list is
-    encoded.
+    tail per answer, ascending in alpha in whatever order the cells come
+    (degree_rows).  deadline is a time.monotonic() value, checked once per
+    cell (TaylorComplex.ext_cells) and every 1024 entries while the list
+    is encoded.
     """
     pairs = []
     for ell in range(1, len(complexes)):
@@ -208,14 +208,12 @@ def check_transitions(complexes: dict, support: dict, p: int, deadline) -> list:
         answers = {False: {"injective": False}, True: {"injective": True}}
         cells = []
         for ranges, *source in products:
-            for cut, *target in high.ext_cells(j, ranges):
-                check_deadline(deadline, what)
+            for cut, *target in high.ext_cells(j, ranges, deadline, what):
                 alpha = tuple(values[0] for values in cut)
                 rep = transition_between(
                     GradedExtPiece(j, alpha, *source), GradedExtPiece(j, alpha, *target)
                 )
                 cells.append((cut, answers[_transition_injective_over(rep, p)]))
-        cells.sort(key=lambda cell: [values[0] for values in cell[0]])
         pairs.append(
             {
                 "level": ell,

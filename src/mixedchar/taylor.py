@@ -65,9 +65,12 @@ over S, so it is a chain map exactly when each generator of the higher
 list is divisible by the generator in the same position of the lower
 one (comparison_chain_check), an O(r*n) test.
 
-A piece keeps Delta and the face size its group sits at; so does a
-product, for all of its degrees.  ExtScanResult.pieces is a lazy view
-(ScanPieces) that walks the products' runs in ascending alpha
+Every product of runs, a scan's, a transition's cells or the one cell of
+a single degree, is formed and decided in one place (TaylorComplex._cells),
+and no producer puts its products in any order.  A piece keeps Delta and
+the face size its group sits at; so does a product, for all of its
+degrees.  ExtScanResult.pieces is a lazy view (ScanPieces) that sorts the
+products by their runs' starts, walks their runs in ascending alpha
 (ascending_degrees) and builds a piece only for the degree read.  A
 report lists the degrees the same way, as reports.Rows (degree_rows) with
 one shared tail per product or cell, so it lists a million degrees of one
@@ -84,7 +87,6 @@ from math import comb, prod
 
 from .intlinalg import FinAbGroup
 from .monomials import MonomialIdeal
-from .polynomials import MultiIndex
 from .reports import Rows
 from .scalars import padic_valuation
 from .simplicial import SimplicialComplex, link_is_cone
@@ -153,36 +155,22 @@ class TaylorComplex:
         self.a_full = ideal.lcm_exponent()
         self._classes = [self._breakpoint_classes(i) for i in range(self.n)]
 
-    def _below(self, i: int, t: int) -> int:
-        """V_i at tau_i = t: the bitmask of generators g with g_i < t."""
-        return sum(1 << k for k, g in enumerate(self.gens) if g[i] < t)
-
     def _breakpoint_classes(self, i: int) -> list:
         """Coordinate i's classes of tau_i >= 1 as (first, last, V_i), ascending.
 
         V_i changes only just past a distinct exponent of coordinate i, so
         the classes are the runs between consecutive exponents; the last
-        one (last None) is unbounded and has every generator in V_i.
+        one (last None) is unbounded and has every generator in V_i, the
+        bitmask of the generators g with g_i < first.
         """
-        out = []
-        first = 1
-        for cut in sorted({g[i] for g in self.gens if g[i] > 0}):
-            out.append((first, cut, self._below(i, first)))
-            first = cut + 1
-        out.append((first, None, self._below(i, first)))
-        return out
+        cuts = sorted({g[i] for g in self.gens if g[i] > 0})
+        return [
+            (first, last, sum(1 << k for k, g in enumerate(self.gens) if g[i] < first))
+            for first, last in zip([1] + [cut + 1 for cut in cuts], cuts + [None])
+        ]
 
     def rank(self, j: int) -> int:
         return comb(self.r, j) if 0 <= j <= self.r else 0
-
-    @staticmethod
-    def tau_of(alpha) -> MultiIndex:
-        return tuple(-a if a < 0 else 0 for a in alpha)
-
-    def _cover(self, alpha) -> tuple:
-        """Per variable: None where tau_i = 0, else V_i."""
-        tau = self.tau_of(alpha)
-        return tuple(None if t == 0 else self._below(i, t) for i, t in enumerate(tau))
 
     def _ext_at(self, j: int, simplices) -> tuple:
         """(group, complex, card) of Ext^j where the nonempty V_i are the
@@ -197,11 +185,28 @@ class TaylorComplex:
         group = FinAbGroup.trivial() if cone else nerve.reduced_groups(range(j - 1, j))[0]
         return group, nerve, j - 1
 
+    def _cells(self, j: int, runs, deadline, what: str):
+        """(parts, (group, complex, card)) for each product of runs, one list
+        of (first, last, V_i or None) runs per coordinate, parts the product's
+        run in each.  Each set of V_i is decided once per call (_ext_at), and
+        deadline, a time.monotonic() value, is checked once per product,
+        naming what."""
+        decided = {}  # the frozenset of a product's masks: its (group, complex, card)
+        for parts in itertools.product(*runs):
+            check_deadline(deadline, what)
+            masks = frozenset([members for _, _, members in parts])
+            ext = decided.get(masks)
+            if ext is None:
+                ext = decided[masks] = self._ext_at(j, _simplices(masks))
+            yield parts, ext
+
     def ext_piece(self, j: int, alpha) -> "GradedExtPiece":
         alpha = tuple(alpha)
         if len(alpha) != self.n:
             raise ValueError("degree length does not match the variable count")
-        return GradedExtPiece(j, alpha, *self._ext_at(j, _simplices(self._cover(alpha))))
+        runs = [self._scan_classes(i, a, a) for i, a in enumerate(alpha)]
+        ((_, ext),) = self._cells(j, runs, None, "")
+        return GradedExtPiece(j, alpha, *ext)
 
     def default_box(self):
         return tuple((-self.a_full[i], 0) for i in range(self.n))
@@ -216,17 +221,16 @@ class TaylorComplex:
                 out.append((first, last, members))
         return out
 
-    def ext_cells(self, j: int, ranges) -> list:
+    def ext_cells(self, j: int, ranges, deadline, what: str) -> list:
         """ranges, one nonempty range of degrees per coordinate, cut at this
         complex's breakpoint classes: one (ranges, group, complex, card)
-        cell per product of the cut runs, each decided once.  The cells are
-        in the order of the classes, not ascending in alpha."""
+        cell per product of the cut runs, in no set order.  As in _cells,
+        deadline (a time.monotonic() value) is checked once per cell."""
         runs = [self._scan_classes(i, values[0], values[-1]) for i, values in enumerate(ranges)]
-        cells = []
-        for parts in itertools.product(*runs):
-            cut = tuple(range(first, last + 1) for first, last, _ in parts)
-            cells.append((cut, *self._ext_at(j, _simplices([m for _, _, m in parts]))))
-        return cells
+        return [
+            (tuple(range(first, last + 1) for first, last, _ in parts), *ext)
+            for parts, ext in self._cells(j, runs, deadline, what)
+        ]
 
     def support_scan(
         self, j: int, box=None, shell: bool = True, deadline: float | None = None
@@ -239,17 +243,16 @@ class TaylorComplex:
 
         Each coordinate's scanned values split into runs with one V_i (or
         tau_i = 0), its classes.  Every degree of a product of classes has
-        the same complex, hence the same group, decided once.  A class with
-        every generator in V_i makes Delta the full simplex, a cone, so no
-        product through it is visited.  Each class is then cut at the box
-        edges into runs lying wholly inside the box or wholly in the shell,
-        and each nonzero product of cut runs is kept as (ranges, group,
+        the same complex, hence the same group, decided once (_cells).  A
+        class with every generator in V_i makes Delta the full simplex, a
+        cone, so it is dropped before the products are formed.  Each nonzero
+        product is cut at the box edges into products of runs lying wholly
+        inside the box or wholly in the shell, each kept as (ranges, group,
         complex, card): ExtScanResult.products inside the box, and
-        shell_products outside it.  Both lists are in ascending order of
-        their runs, so ascending_degrees reads their degrees in ascending
-        alpha; nothing is expanded here.  degrees_scanned still counts
-        degrees.  deadline is a time.monotonic() value, checked once per
-        product of classes.
+        shell_products outside it, in no set order (ascending_degrees reads
+        their degrees in ascending alpha); nothing is expanded here.
+        degrees_scanned still counts degrees.  deadline is a
+        time.monotonic() value, checked once per product of classes.
         """
         if box is None:
             box = self.default_box()
@@ -257,62 +260,21 @@ class TaylorComplex:
         if len(box) != self.n or any(lo > hi for lo, hi in box):
             raise ValueError("invalid scan box")
         pad = 1 if shell else 0
-        what = f"Ext^{j} support scan"
-        classes = [
-            self._scan_classes(i, lo - pad, hi + pad) for i, (lo, hi) in enumerate(box)
-        ]
-        masks = [[members for _, _, members in runs] for runs in classes]
         full = (1 << self.r) - 1
-        found = {}  # simplices (or None where tau = 0): (group, complex, card), None if zero
-        n = self.n
-
-        def nonzero(depth, simplices):
-            """The nonzero class products below a prefix, as a trie of
-            class indices ending in (group, complex, card); None if none."""
-            if depth == n:
-                check_deadline(deadline, what)
-                if simplices not in found:
-                    ext = self._ext_at(j, simplices)
-                    found[simplices] = None if ext[0].is_trivial() else ext
-                return found[simplices]
-            node = {}
-            for k, members in enumerate(masks[depth]):
-                if members == full:  # Delta is the full simplex
-                    continue
-                below = simplices
-                if members is not None:  # tau_i > 0: V_i joins the nerve
-                    below = frozenset() if simplices is None else simplices
-                    if members and members not in below:
-                        below = below | {members}
-                child = nonzero(depth + 1, below)
-                if child is not None:
-                    node[k] = child
-            return node or None
-
-        # each coordinate's classes cut at the box edges, ascending in alpha
-        cuts = [
-            [
-                (part, within, k)
-                for k in reversed(range(len(runs)))
-                for part, within in _cut_at_box(runs[k][0], runs[k][1], lo, hi)
-            ]
-            for runs, (lo, hi) in zip(classes, box)
+        runs = [
+            [run for run in self._scan_classes(i, lo - pad, hi + pad) if run[2] != full]
+            for i, (lo, hi) in enumerate(box)
         ]
         products = []
         shell_products = []
-
-        def expand(depth, node, ranges, within):
-            if depth == n:
-                (products if within else shell_products).append((ranges, *node))
-                return
-            for part, inside, k in cuts[depth]:
-                child = node.get(k)
-                if child is not None:
-                    expand(depth + 1, child, ranges + (part,), within and inside)
-
-        trie = nonzero(0, None)
-        if trie is not None:
-            expand(0, trie, (), True)
+        for parts, ext in self._cells(j, runs, deadline, f"Ext^{j} support scan"):
+            if ext[0].is_trivial():
+                continue
+            cuts = (_cut_at_box(run[0], run[1], lo, hi) for run, (lo, hi) in zip(parts, box))
+            for cut in itertools.product(*cuts):
+                ranges = tuple(part for part, _ in cut)
+                inside = all(within for _, within in cut)
+                (products if inside else shell_products).append((ranges, *ext))
         return ExtScanResult(
             j=j,
             box=box,
@@ -331,12 +293,11 @@ class TaylorComplex:
         return PieceMap(self.ext_piece(j, alpha), self.ext_piece(j, target_alpha))
 
 
-def _simplices(cover) -> frozenset | None:
-    """The _ext_at key of a cover, V_i per variable or None where tau_i = 0:
-    the nonempty V_i, or None when every tau_i is 0."""
-    if all(members is None for members in cover):
-        return None
-    return frozenset(filter(None, cover))
+def _simplices(masks: frozenset) -> frozenset | None:
+    """The _ext_at key of the masks of a product, V_i per coordinate or None
+    where tau_i = 0: the nonempty V_i, or None when every tau_i is 0."""
+    simplices = frozenset(filter(None, masks))
+    return simplices if simplices or 0 in masks else None
 
 
 def _cut_at_box(first: int, last: int, lo: int, hi: int) -> list:
@@ -467,43 +428,43 @@ def _piece_fields(j: int, group: FinAbGroup, p: int) -> dict:
 def ascending_degrees(cells):
     """(alpha, cell) for every degree alpha of every cell, ascending in alpha.
 
-    A cell is a tuple whose first item is its ranges, one per coordinate.
-    The cells must come in ascending order of their ranges, and in each
-    coordinate two cells' ranges are equal or disjoint: the products of a
-    scan are.  Ascending alpha over such a grid is a nested walk of the
-    coordinates' runs, so no degree is sorted.  The walk runs on a trie of
-    the cells' ranges, in which a cell that no other shares a prefix with
-    is a leaf, read with itertools.product.
+    A cell is a tuple whose first item is its ranges, one per coordinate,
+    and in each coordinate two cells' ranges are equal or disjoint: the
+    products of a scan and the cells cut from them are.  The cells are
+    sorted by their ranges' starts, in any order they come; no degree is
+    sorted.  Ascending alpha over such a grid is then a nested walk of the
+    coordinates' runs (_walk).
     """
-    if not cells:
-        return iter(())
-    if not cells[0][0]:  # no variables: the one degree ()
-        return iter([((), cells[0])])
-    # trie: (range, child) pairs, a child being a list of those or a cell
-    root = []
-    for cell in cells:
-        ranges = cell[0]
-        node = root
-        depth = 0
-        while node and node[-1][0] == ranges[depth]:
-            child = node[-1][1]
-            if type(child) is not list:  # a leaf shared from here on: split it
-                child = [(child[0][depth + 1], child)]
-                node[-1] = (ranges[depth], child)
-            node = child
-            depth += 1
-        node.append((ranges[depth], cell))
-    return _walk(root, (), 0)
+    cells = sorted(cells, key=lambda cell: [values[0] for values in cell[0]])
+    if len(cells) == 1:  # also the one degree () of no variables
+        return ((alpha, cells[0]) for alpha in itertools.product(*cells[0][0]))
+    return _walk(cells, (), 0)
 
 
-def _walk(node, fixed, depth):
-    for values, child in node:
-        if type(child) is list:
-            for a in values:
-                yield from _walk(child, fixed + ((a,),), depth + 1)
+def _walk(cells, fixed, depth):
+    """The degrees of sorted cells that share their runs before depth,
+    whose values there are fixed: each run at depth shared by neighbouring
+    cells is walked value by value, and a lone cell is read with
+    itertools.product."""
+    for values, shared in itertools.groupby(cells, key=lambda cell: cell[0][depth]):
+        shared = list(shared)
+        if len(shared) == 1:
+            cell = shared[0]
+            for alpha in itertools.product(*fixed, *cell[0][depth:]):
+                yield alpha, cell
         else:
-            for alpha in itertools.product(*fixed, *child[0][depth:]):
-                yield alpha, child
+            for a in values:
+                yield from _walk(shared, fixed + ((a,),), depth + 1)
+
+
+def _entries(cells, deadline, what: str):
+    """(alpha, the cell's second item) for every degree alpha of cells,
+    ascending (ascending_degrees), checking deadline (a time.monotonic()
+    value) every 1024 entries, naming what."""
+    for k, (alpha, cell) in enumerate(ascending_degrees(cells)):
+        if not k & 1023:
+            check_deadline(deadline, what)
+        yield alpha, cell[1]
 
 
 def degree_count(ranges) -> int:
@@ -523,14 +484,7 @@ def degree_rows(cells, deadline, what: str) -> Rows:
     what.
     """
     fields = list({id(cell[1]): cell[1] for cell in cells}.values())
-
-    def rows():
-        for k, (alpha, cell) in enumerate(ascending_degrees(cells)):
-            if not k & 1023:
-                check_deadline(deadline, what)
-            yield alpha, cell[1]
-
-    return Rows("alpha", fields, rows)
+    return Rows("alpha", fields, lambda: _entries(cells, deadline, what))
 
 
 class ScanPieces:
@@ -565,8 +519,8 @@ class ScanPieces:
 
 class ExtScanResult:
     """A support scan: its nonzero products of runs inside the box and in
-    the shell, each (ranges, group, complex, card), in ascending order of
-    their runs (TaylorComplex.support_scan).
+    the shell, each (ranges, group, complex, card), in no set order
+    (TaylorComplex.support_scan).
 
     pieces is a ScanPieces view of the products, so a scan holds no
     per-degree object until one is read; describe lists the shell's
@@ -612,11 +566,7 @@ class ExtScanResult:
         this dict; reports.encode can.  The shell's offenders are listed
         here, checking deadline every 1024 of them."""
         what = f"describing the Ext^{self.j} scan"
-        offenders = []
-        for k, (alpha, _) in enumerate(ascending_degrees(self.shell_products)):
-            if not k & 1023:
-                check_deadline(deadline, what)
-            offenders.append(list(alpha))
+        offenders = [list(alpha) for alpha, _ in _entries(self.shell_products, deadline, what)]
         cells = [(cell[0], _piece_fields(self.j, cell[1], p)) for cell in self.products]
         return {
             "j": self.j,

@@ -238,7 +238,7 @@ def reference_pair_trace(gens, order: str = "grlex"):
     """groebner.buchberger's pair loop run on reference_update and
     reference_normal_form: (the popped pairs (i, j) in order, the active
     set after each update, every S-remainder), and the basis it returns."""
-    basis = [_monic(g, order) for g in gens if not g.is_zero()]
+    basis = [_monic(g, order)[3] for g in gens if not g.is_zero()]
     heap, active, actives, pops, remainders = [], [], [], [], []
     unit = [Polynomial.constant(basis[0].ring, basis[0].n, basis[0].ring.one())] if basis else []
     if any(g.is_constant() for g in basis):
@@ -258,7 +258,7 @@ def reference_pair_trace(gens, order: str = "grlex"):
             continue
         if h.is_constant():
             return (pops, actives, remainders), unit
-        basis.append(_monic(h, order))
+        basis.append(_monic(h, order)[3])
         leads.append(divisor(basis[-1], order))
         active = reference_update(heap, key, leads, active, len(basis) - 1)
         actives.append(active)
@@ -279,7 +279,7 @@ def buchberger_all_pairs(gens, order: str = "grlex", deadline=None) -> list:
     _require_field(ring)
     n = basis[0].n
     unit = [Polynomial.constant(ring, n, ring.one())]
-    basis = [_monic(g, order) for g in basis]
+    basis = [_monic(g, order)[3] for g in basis]
     if any(g.is_constant() for g in basis):
         return unit
     key = ORDER_KEYS[order]
@@ -303,7 +303,7 @@ def buchberger_all_pairs(gens, order: str = "grlex", deadline=None) -> list:
             continue
         if h.is_constant():
             return unit
-        basis.append(_monic(h, order))
+        basis.append(_monic(h, order)[3])
         lts.append(h.leading_term(order)[0])
         push_pairs(len(basis) - 1)
     return basis
@@ -1110,7 +1110,7 @@ class TaylorStrands:
         return bits
 
     def strand_triple(self, j, alpha):
-        tau = self.tc.tau_of(alpha)
+        tau = tuple(max(-a, 0) for a in alpha)
         return tuple(self.level_bits(tau, k) for k in (j - 1, j, j + 1))
 
     def strand_matrices(self, j, alpha):

@@ -356,6 +356,33 @@ def test_reisner_reports_match_golden_digests(capsys, monkeypatch, name):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 and exit code of reports whose supports are many products of
+# breakpoint runs (the Reisner ideal's are one product per level): the scan
+# has 8 products inside the box and 8 in the shell, with groups Z and Z^2,
+# and transition-ext2 28 cells, 16 identities and 12 through InducedMap;
+# taken while scans formed their products in a nested trie
+MANY_PRODUCTS = "vars 3\n2 1 0\n0 3 1\n1 0 2\n"
+GOLDEN_MANY_PRODUCT_REPORTS = {
+    "scan": (("scan", "--j", "2", "--box=-3:0,-1:1,-2:0"), 0,
+             "ac06913fd4fd6048e7d8776618a6fbd5e63e9414dfdf6312093d8312b2b60d20"),
+    "pipeline": (("pipeline", "--j", "2", "--levels", "3", "--p", "3"), 2,
+                 "3bb56bcb2d5fffe99523db5679ddc53377799ef1b92ba20736eba08f4d1dbae3"),
+    "transition-ext2": (("transition", "--j", "2", "--levels", "3", "--p", "3"), 2,
+                        "7198b54f75271edbb2065339ef708e713af10bec03291b088f892b2d1db15d8f"),
+    "transition-ext3": (("transition", "--j", "3", "--levels", "3", "--p", "2"), 2,
+                        "6f84870cf73da2ef0eddab7f1db8830ce9ad629c792671e9e298ff02b3d96c84"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MANY_PRODUCT_REPORTS))
+def test_many_product_reports_match_golden_digests(capsys, monkeypatch, name):
+    argv, exit_code, digest = GOLDEN_MANY_PRODUCT_REPORTS[name]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(MANY_PRODUCTS))
+    code, out, _ = run(capsys, *argv, "--ideal", "-")
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # sha256 of simplicial and hochster reports on RP^2 and two seeded complexes
 # read from stdin, computed when every field had its own elimination and
 # every link was rebuilt once per field

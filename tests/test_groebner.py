@@ -152,6 +152,25 @@ def test_spoly_and_normal_form_read_leading_terms_off_the_records(monkeypatch):
                 assert [normal_form(s, records, order) for s in got] == remainders
 
 
+def test_each_new_element_scans_its_leading_term_once(monkeypatch):
+    """The four radical checks (F2 and Q, grlex and lex) make 427 leading
+    term scans: a generator or new element's record is its monic form's,
+    read off the scan that finds the coefficient to divide by (it was 572
+    when the monic form was scanned again for its record)."""
+    scans = []
+    real = Polynomial.leading_term
+
+    def counted(self, order="grlex"):
+        scans.append(order)
+        return real(self, order)
+
+    monkeypatch.setattr(Polynomial, "leading_term", counted)
+    for order in ("grlex", "lex"):
+        for ring in (F2, QQ):
+            assert sv_containment_check(ring, order)["all_ok"]
+    assert len(scans) == 427
+
+
 def test_groebner_basis_reaches_the_traced_functions(monkeypatch):
     """perfbench/spans.py times groebner.normal_form and groebner.spoly and
     counts their calls by wrapping those module names; inlining either into

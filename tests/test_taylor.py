@@ -12,6 +12,7 @@ from mixedchar.reports import encode
 from mixedchar.subsets import coboundary_sign_entries
 from mixedchar.taylor import (
     TaylorComplex,
+    ascending_degrees,
     comparison_chain_check,
     dvr_invariants,
     require_chain_map,
@@ -197,6 +198,28 @@ def test_run_walk_matches_the_per_degree_oracle():
     assert cuts > 300 and nonzero > 800 and offenders > 2000 and mixed > 4, (
         cuts, nonzero, offenders, mixed
     )
+
+
+def test_the_degree_walk_sorts_the_cells_it_is_given():
+    # a scan's products and shell products, shuffled, still walk to every
+    # (alpha, cell) in ascending alpha: no producer has to order its cells
+    rng = random.Random(2029)
+    scans = walked = several = 0
+    for _ in range(120):
+        tc = TaylorComplex(_random_ideal(rng, n=rng.randint(1, 4), max_gens=5, max_exp=3))
+        for box in (None, _random_box(rng, tc)):
+            for j in (1, 2, 3):
+                scan = tc.support_scan(j, box=box)
+                cells = scan.products + scan.shell_products
+                rng.shuffle(cells)
+                want = sorted(
+                    (alpha, cell) for cell in cells for alpha in itertools.product(*cell[0])
+                )
+                assert list(ascending_degrees(cells)) == want, (tc.gens, j, box)
+                scans += 1
+                walked += len(want)
+                several += len(cells) > 2
+    assert scans == 720 and walked > 5000 and several > 150, (scans, walked, several)
 
 
 def test_a_huge_scan_holds_no_piece_per_degree():
