@@ -56,7 +56,7 @@ from .simplicial import (
     hochster_nonzero_levels,
     reduced_cohomology,
 )
-from .subsets import check_deadline
+from .subsets import budget, check_deadline
 from .taylor import TaylorComplex
 # the layer trace (perfbench/spans.py) wraps this name in this module
 from .taylor import transition_between  # noqa: F401
@@ -150,12 +150,12 @@ def _parse_alpha(text: str, n: int):
     return alpha
 
 
-def cmd_ext(ns, deadline) -> Report:
+def cmd_ext(ns) -> Report:
     if not is_prime(ns.p):
         raise ValueError(f"{ns.p} is not prime")
     ideal, source = _load_ideal(ns.ideal)
     alpha = _parse_alpha(ns.alpha, ideal.n)
-    check_deadline(deadline, "building the Taylor complex")
+    check_deadline("building the Taylor complex")
     piece = TaylorComplex(ideal).ext_piece(ns.j, alpha)
     return Report(
         command="ext",
@@ -166,14 +166,14 @@ def cmd_ext(ns, deadline) -> Report:
     )
 
 
-def cmd_scan(ns, deadline) -> Report:
+def cmd_scan(ns) -> Report:
     if not is_prime(ns.p):
         raise ValueError(f"{ns.p} is not prime")
     ideal, source = _load_ideal(ns.ideal)
     tc = TaylorComplex(ideal)
     box = _parse_box(ns.box, ideal.n) if ns.box is not None else tc.default_box()
-    scan = tc.support_scan(ns.j, box=box, shell=not ns.no_shell, deadline=deadline)
-    results = scan.describe(ns.p, deadline)
+    scan = tc.support_scan(ns.j, box=box, shell=not ns.no_shell)
+    results = scan.describe(ns.p)
     claims = []
     timing = {"degrees_scanned": scan.degrees_scanned, "pieces": len(scan.pieces)}
     socle_scope = (
@@ -208,14 +208,14 @@ def cmd_scan(ns, deadline) -> Report:
     )
 
 
-def cmd_transition(ns, deadline) -> Report:
+def cmd_transition(ns) -> Report:
     if ns.levels < 2:
         raise ValueError("need --levels >= 2 to have maps between levels")
     ideal, source = _load_ideal(ns.ideal)
-    complexes = build_levels(ideal, ns.p, ns.levels, deadline)
+    complexes = build_levels(ideal, ns.p, ns.levels)
     below_top = {ell: tc for ell, tc in complexes.items() if ell < ns.levels}
-    levels, support, _, _ = scan_levels(below_top, ns.j, ns.p, None, deadline)
-    pairs = check_transitions(complexes, support, ns.p, deadline)
+    levels, support, _, _ = scan_levels(below_top, ns.j, ns.p, None)
+    pairs = check_transitions(complexes, support, ns.p)
     checks = [
         {key: lv[key] for key in ("level", "support_size", "complete_support")}
         | {"transitions": pair["transitions"]}
@@ -235,12 +235,10 @@ def cmd_transition(ns, deadline) -> Report:
     )
 
 
-def cmd_pipeline(ns, deadline) -> Report:
+def cmd_pipeline(ns) -> Report:
     ideal, source = _load_ideal(ns.ideal)
     box = _parse_box(ns.box, ideal.n) if ns.box is not None else None
-    rep = annihilator_pipeline(
-        ideal, p=ns.p, j=ns.j, levels=ns.levels, box=box, deadline=deadline
-    )
+    rep = annihilator_pipeline(ideal, p=ns.p, j=ns.j, levels=ns.levels, box=box)
     results = rep.describe()
     conclusive = rep.verdict is not None and rep.verdict.kind != "inconclusive"
     claims = [
@@ -276,9 +274,9 @@ def cmd_pipeline(ns, deadline) -> Report:
     )
 
 
-def cmd_dsub(ns, deadline) -> Report:
+def cmd_dsub(ns) -> Report:
     gens, source = _load_generators(ns.gens, DVR(ns.p))
-    check_deadline(deadline, "classifying the differential submodule")
+    check_deadline("classifying the differential submodule")
     verdict = classify_d_submodule(list(gens))
     return Report(
         command="dsub",
@@ -289,9 +287,9 @@ def cmd_dsub(ns, deadline) -> Report:
     )
 
 
-def cmd_saturate(ns, deadline) -> Report:
+def cmd_saturate(ns) -> Report:
     gens, source = _load_generators(ns.gens, DVR(ns.p))
-    check_deadline(deadline, "saturating the generators")
+    check_deadline("saturating the generators")
     ideal = pi_saturate(list(gens))
     return Report(
         command="saturate",
@@ -316,10 +314,10 @@ def _is_rp2(cx: SimplicialComplex) -> bool:
     )
 
 
-def cmd_simplicial(ns, deadline) -> Report:
+def cmd_simplicial(ns) -> Report:
     cx, source = _load_facets(ns.facets)
     coeffs = ("Z", "Q") if ns.p is None else ("Z", "Q", ns.p)
-    by_coeff = reduced_cohomology(cx, coeffs, deadline=deadline)
+    by_coeff = reduced_cohomology(cx, coeffs)
     tables = {coeff if coeff in ("Z", "Q") else f"F{coeff}": by_coeff[coeff] for coeff in coeffs}
     results = {
         "vertices": cx.n,
@@ -347,7 +345,7 @@ def cmd_simplicial(ns, deadline) -> Report:
     )
 
 
-def cmd_hochster(ns, deadline) -> Report:
+def cmd_hochster(ns) -> Report:
     cx, source = _load_facets(ns.facets)
     inputs = {"facets": source, "p": ns.p}
     claims = []
@@ -358,13 +356,13 @@ def cmd_hochster(ns, deadline) -> Report:
             raise ValueError("--degree needs --i (the cohomological spot)")
         a = _parse_alpha(ns.degree, cx.n)
         coeff = ns.p if ns.p is not None else "Q"
-        dim = hochster_local_cohomology_piece(cx, ns.i, a, coeff, deadline=deadline)
+        dim = hochster_local_cohomology_piece(cx, ns.i, a, coeff)
         inputs.update({"i": ns.i, "degree": list(a)})
         results = {"piece_dimension": dim, "coefficients": "Q" if ns.p is None else f"F{ns.p}"}
         timing = {"pieces": 1}
     else:
         coeffs = [("F2", 2), ("F3", 3), ("Q", "Q")] if ns.p is None else [(f"F{ns.p}", ns.p)]
-        found = hochster_nonzero_levels(cx, tuple(c for _, c in coeffs), deadline=deadline)
+        found = hochster_nonzero_levels(cx, tuple(c for _, c in coeffs))
         levels = {name: list(found[c]) for name, c in coeffs}
         results = {"nonzero_levels": levels}
         timing = {"faces": sum(cx.face_counts()), "fields": len(coeffs)}
@@ -380,7 +378,7 @@ def cmd_hochster(ns, deadline) -> Report:
     )
 
 
-def cmd_filtration(ns, deadline) -> Report:
+def cmd_filtration(ns) -> Report:
     ring = DVR(ns.p)
     if ns.model == "quotient":
         if ns.ell is None:
@@ -405,13 +403,13 @@ def cmd_filtration(ns, deadline) -> Report:
         spec = inject_shift_fault(spec)
     elif ns.fault == "tail":
         spec = inject_tail_fault(spec)
-    axioms = check_axioms(spec, deadline)
+    axioms = check_axioms(spec)
     results = {"spec": spec.describe(), "axioms": axioms.describe()}
     claims = [
         check("filtration-axioms", axioms.ok(), violated=list(axioms.failed_conditions()))
     ]
     if axioms.ok():
-        verdict = finite_type_and_verdict(spec, deadline, axioms)
+        verdict = finite_type_and_verdict(spec, axioms)
         results["verdict"] = verdict.describe()
         claims.append(check("length-verdict", True, verdict=verdict.tag()))
     tiers = len(spec.tiers)
@@ -425,14 +423,14 @@ def cmd_filtration(ns, deadline) -> Report:
     )
 
 
-def cmd_radical_check(ns, deadline) -> Report:
+def cmd_radical_check(ns) -> Report:
     if ns.p is not None:
         fields = [PrimeField(ns.p)]
     else:
         fields = [PrimeField(2), RationalField()]
     per_field = {}
     for ring in fields:
-        out = sv_containment_check(ring, order=ns.order, deadline=deadline)
+        out = sv_containment_check(ring, order=ns.order)
         per_field[ring.name] = {
             "generators_in_ideal": out["generators_in_ideal"],
             "radical_members": out["radical_members"],
@@ -454,7 +452,7 @@ def cmd_radical_check(ns, deadline) -> Report:
 
 
 def _seconds(text: str) -> float:
-    """A --timeout-secs value, finite and >= 0: a nan or inf deadline never passes."""
+    """A --timeout-secs value, finite and >= 0: a nan or inf budget never passes."""
     try:
         value = float(text)
     except ValueError:
@@ -541,12 +539,12 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     start = time.monotonic()
-    # one budget, from here until the report is encoded
-    deadline = None if ns.timeout_secs is None else start + ns.timeout_secs
     try:
-        report = ns.handler(ns, deadline)
-        text = report.to_json()
-        check_deadline(deadline, "writing the report")
+        # one budget, from here until the report is encoded
+        with budget(ns.timeout_secs):
+            report = ns.handler(ns)
+            text = report.to_json()
+            check_deadline("writing the report")
     except TimeoutError as err:  # an OSError subclass, so it must come first
         print(f"timeout: {err}", file=sys.stderr)
         return 1

@@ -1,102 +1,21 @@
-"""Divided-power differential operators on V[x0..x(n-1)], V = Z_(p).
+"""Differential submodules of V[x0..x(n-1)], V = Z_(p), and their annihilators.
 
-The operator d_i^[t] acts on monomials by d_i^[t](x_i^b) = C(b, t) x_i^(b-t)
-with an integer binomial, so it is defined over V even when t! is not
-invertible.  Operators here are finite sums of polynomial coefficients times
-divided-power monomials d^[t]; that is enough for every computation in this
-package (power series inputs are out of scope, only polynomials are handled).
+The divided-power operator d_i^[t] acts on monomials by
+d_i^[t](x_i^b) = C(b, t) x_i^(b-t) with an integer binomial, so it is
+defined over V even when t! is not invertible.  Every nonzero
+differentially stable ideal of V[x] is then pi^ell V[x]
+(classify_d_submodule), and the annihilator of a differentially stable
+module is (1), (pi^ell) or (0) (infer_annihilator).  Those verdicts read
+coefficient valuations and the evidence a computation gathered, so no
+operator is applied here; the operators themselves, with which the tests
+check the classifier, live in the tests' reference oracles.  Only
+polynomials are handled: power series inputs are out of scope.
 """
 
 from __future__ import annotations
 
-from math import comb
-
 from .monomials import MonomialIdeal
-from .polynomials import MultiIndex, Polynomial, exp_sub
 from .scalars import DVR
-
-
-class DividedPowerOp:
-    """Sum of terms (coefficient polynomial) * d^[order].
-
-    >>> from mixedchar.scalars import DVR
-    >>> V = DVR(2)
-    >>> op = DividedPowerOp.single(V, 1, (2,))
-    >>> f = Polynomial.monomial(V, 1, (5,))
-    >>> apply_op(op, f).terms[(3,)].to_fraction()
-    Fraction(10, 1)
-    """
-
-    __slots__ = ("ring", "n", "terms")
-
-    def __init__(self, ring, n: int, terms):
-        # terms: list of (Polynomial coefficient, order multi-index)
-        self.ring = ring
-        self.n = n
-        cleaned = []
-        for coeff, order in terms:
-            order = tuple(order)
-            if len(order) != n or any(t < 0 for t in order):
-                raise ValueError(f"bad operator order {order}")
-            if coeff.n != n or coeff.ring != ring:
-                raise ValueError("coefficient polynomial in the wrong ring")
-            if not coeff.is_zero():
-                cleaned.append((coeff, order))
-        self.terms = tuple(cleaned)
-
-    @classmethod
-    def single(cls, ring, n: int, order: MultiIndex, coeff: Polynomial | None = None):
-        if coeff is None:
-            coeff = Polynomial.constant(ring, n, ring.one())
-        return cls(ring, n, [(coeff, order)])
-
-    @classmethod
-    def partial(cls, ring, n: int, i: int, t: int = 1):
-        """d_i^[t] as an operator."""
-        order = [0] * n
-        order[i] = t
-        return cls.single(ring, n, tuple(order))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for coeff, order in self.terms:
-            d = "*".join(f"d{i}^[{t}]" for i, t in enumerate(order) if t)
-            bits.append(f"({coeff})*{d}" if d else f"({coeff})")
-        return " + ".join(bits)
-
-
-def divided_power_on_monomial(ring, n: int, order: MultiIndex, e: MultiIndex, c):
-    """d^[order] applied to c * x^e: binomial product times the shifted monomial."""
-    mult = 1
-    for b, t in zip(e, order):
-        if t > b:
-            return None
-        mult *= comb(b, t)
-    return exp_sub(e, order), ring.mul(c, ring.from_int(mult))
-
-
-def apply_op(op: DividedPowerOp, f: Polynomial) -> Polynomial:
-    """Apply the operator term by term; exact in every coefficient ring."""
-    if f.ring != op.ring or f.n != op.n:
-        raise ValueError("operator and polynomial rings differ")
-    ring = op.ring
-    out = Polynomial.zero(ring, op.n)
-    for coeff, order in op.terms:
-        part: dict = {}
-        for e, c in f.terms.items():
-            hit = divided_power_on_monomial(ring, op.n, order, e, c)
-            if hit is None:
-                continue
-            ne, nc = hit
-            s = ring.add(part.get(ne, ring.zero()), nc)
-            if ring.is_zero(s):
-                part.pop(ne, None)
-            else:
-                part[ne] = s
-        out = out + coeff * Polynomial(ring, op.n, part)
-    return out
 
 
 def pi_power_tag(p: int, e: int) -> str:

@@ -148,18 +148,17 @@ class AxiomReport:
         return {"ok": self.ok(), "checks": [c.describe() for c in self.checks]}
 
 
-def check_axioms(spec: FiltrationSpec, deadline: float | None = None) -> AxiomReport:
+def check_axioms(spec: FiltrationSpec) -> AxiomReport:
     """The five conditions, each verified on the window and tail flags.
 
     The window conditions compare entry indices, so their cost does not
     depend on the window's length, apart from writing one line per failing
     index.  Every layer built here is differentially stable, so condition
-    1 always holds.  deadline is a time.monotonic() value, checked once
-    per tier.
+    1 always holds.
     """
     checks = []
     for idx, tier in enumerate(spec.tiers):
-        check_deadline(deadline, "checking the filtration axioms")
+        check_deadline("checking the filtration axioms")
         lo, hi = tier.window
         checks.append(AxiomCheck(idx, 1, True))
 
@@ -236,9 +235,7 @@ class InfiniteLength:
         }
 
 
-def finite_type_and_verdict(
-    spec: FiltrationSpec, deadline: float | None = None, axioms: AxiomReport | None = None
-):
+def finite_type_and_verdict(spec: FiltrationSpec, axioms: AxiomReport | None = None):
     """FiniteLength with the summed bound gap, or InfiniteLength with (0).
 
     Axioms must pass first: axioms is check_axioms(spec) when the caller
@@ -247,23 +244,23 @@ def finite_type_and_verdict(
     kills; the infinite branch spot checks that samples of unbounded
     tiers survive a pi power longer than the window.  Each power is
     applied in one pi_action call, so the cost does not depend on the
-    bound gap or the window.  deadline is checked once per tier.
+    bound gap or the window.
     """
     what = "the length verdict"
-    report = check_axioms(spec, deadline) if axioms is None else axioms
+    report = check_axioms(spec) if axioms is None else axioms
     if not report.ok():
         raise ValueError(f"filtration axioms fail: {report.failed_conditions()}")
     if all(t.a is not None and t.b is not None for t in spec.tiers):
         verified = True
         for tier in spec.tiers:
-            check_deadline(deadline, what)
+            check_deadline(what)
             verified &= all(tier.zero(tier.pi_action(x, tier.b - tier.a)) for x in tier.samples)
         return FiniteLength(sum(t.b - t.a for t in spec.tiers), verified)
     powers = 0
     for tier in spec.tiers:
         if tier.a is not None and tier.b is not None:
             continue
-        check_deadline(deadline, what)
+        check_deadline(what)
         lo, hi = tier.window
         steps = hi - lo + 4
         for x in tier.samples:

@@ -236,16 +236,14 @@ def _update(heap, key, elements, active: list, h: int) -> list:
     return keep + [h]
 
 
-def buchberger(
-    gens: Iterable[Polynomial], order: str = "grlex", deadline: float | None = None
-) -> list:
+def buchberger(gens: Iterable[Polynomial], order: str = "grlex") -> list:
     """A (not yet reduced) Groebner basis of the ideal the generators span.
 
     Pairs are pruned by the Gebauer-Moeller update (_update); a popped
     pair's S-polynomial is reduced by the active elements, whose records
     are listed anew only when an update changes the active set.  Stops
     early with the unit ideal as soon as a constant shows up; raises
-    TimeoutError when the deadline passes.
+    TimeoutError when the run budget passes.
     """
     basis = [g for g in gens if not g.is_zero()]
     if not basis:
@@ -266,7 +264,7 @@ def buchberger(
         active = _update(heap, key, elements, active, h)
     divisors = [elements[g] for g in active]
     while heap:
-        check_deadline(deadline, "the Groebner basis")
+        check_deadline("the Groebner basis")
         _, i, j, _ = heapq.heappop(heap)
         h = normal_form(spoly(elements[i], elements[j]), divisors, order)
         if h.is_zero():
@@ -295,10 +293,8 @@ def reduce_basis(basis: Sequence[Polynomial], order: str = "grlex") -> tuple:
     )
 
 
-def groebner_basis(
-    gens: Iterable[Polynomial], order: str = "grlex", deadline: float | None = None
-) -> tuple:
-    return reduce_basis(buchberger(gens, order, deadline), order)
+def groebner_basis(gens: Iterable[Polynomial], order: str = "grlex") -> tuple:
+    return reduce_basis(buchberger(gens, order), order)
 
 
 def power_exponent(f: Polynomial, divisors: Sequence[tuple], order: str = "grlex"):
@@ -320,24 +316,23 @@ def monomial_ideal_member(f: Polynomial, ideal: MonomialIdeal) -> bool:
     return all(ideal.contains_monomial(e) for e in f.terms)
 
 
-def sv_containment_check(ring, order: str = "grlex", deadline: float | None = None) -> dict:
+def sv_containment_check(ring, order: str = "grlex") -> dict:
     """Both halves of the four-element containment certificate.
 
     The four structured cubic sums sit inside the ten-generator ideal
     termwise; each of the ten squarefree cubics has a power inside the
     ideal J the four elements span.  One reduced basis of J serves every
     cubic's power_exponent; a cubic with no power up to POWER_BOUND in J
-    reads false.  The basis and each cubic share the deadline (a
-    time.monotonic() value).
+    reads false.
     """
     _require_field(ring)
     ideal = reisner_ideal()
     four = schmitt_vogel_generators(ring)
     in_ideal = [monomial_ideal_member(g, ideal) for g in four]
-    divisors = [divisor(g, order) for g in groebner_basis(four, order, deadline)]
+    divisors = [divisor(g, order) for g in groebner_basis(four, order)]
     radical = []
     for e in ideal.gens:
-        check_deadline(deadline, "the radical certificate")
+        check_deadline("the radical certificate")
         cubic = Polynomial.monomial(ring, ideal.n, e)
         radical.append(power_exponent(cubic, divisors, order) is not None)
     return {

@@ -101,13 +101,13 @@ class PipelineReport:
         }
 
 
-def build_levels(ideal: MonomialIdeal, p: int, levels: int, deadline) -> dict:
+def build_levels(ideal: MonomialIdeal, p: int, levels: int) -> dict:
     """The power ideals' complexes by level, once p is known to be prime."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     complexes = {}
     for ell in range(1, levels + 1):
-        check_deadline(deadline, f"building level {ell}")
+        check_deadline(f"building level {ell}")
         complexes[ell] = TaylorComplex(power_ideal(ideal, ell))
     return complexes
 
@@ -129,7 +129,7 @@ def _transition_injective_over(report, p: int) -> bool:
     return induced.is_injective_localized(p)
 
 
-def scan_levels(complexes: dict, j: int, p: int, box, deadline) -> tuple:
+def scan_levels(complexes: dict, j: int, p: int, box) -> tuple:
     """(per-level details, p-local support, kill exponent, free rank) by level.
 
     The support at a level is the scan's products that survive p-locally,
@@ -137,23 +137,22 @@ def scan_levels(complexes: dict, j: int, p: int, box, deadline) -> tuple:
     piece only when one is read.  The degrees of a product share their
     group, so the p-local invariants are read once per product, and the
     details list the support as Rows whose free_rank and pi_exponents are
-    one dict per product.  deadline is a time.monotonic() value, checked
-    inside each scan, after each product's invariants and every 1024
-    entries while the Rows are encoded.
+    one dict per product, checking the run budget after each product's
+    invariants and every 1024 entries as the Rows are encoded.
     """
     levels = []
     support = {}
     kills = {}
     frees = {}
     for ell, tc in sorted(complexes.items()):
-        scan = tc.support_scan(j, box=box, deadline=deadline)
+        scan = tc.support_scan(j, box=box)
         what = f"level {ell} support"
         kept = []
         rows = []
         size = free_total = exp_top = 0
         for cell in scan.products:
             free, exps = dvr_invariants(cell[1], p)
-            check_deadline(deadline, what)
+            check_deadline(what)
             if free == 0 and not exps:
                 continue
             count = degree_count(cell[0])
@@ -172,7 +171,7 @@ def scan_levels(complexes: dict, j: int, p: int, box, deadline) -> tuple:
                 "box": [list(iv) for iv in scan.box],
                 "degrees_scanned": scan.degrees_scanned,
                 "support_size": size,
-                "support": degree_rows(rows, deadline, what),
+                "support": degree_rows(rows, what),
                 "free_rank_total": free_total,
                 "kill_exponent": kills[ell],
                 "complete_support": scan.complete_support(),
@@ -181,7 +180,7 @@ def scan_levels(complexes: dict, j: int, p: int, box, deadline) -> tuple:
     return levels, support, kills, frees
 
 
-def check_transitions(complexes: dict, support: dict, p: int, deadline) -> list:
+def check_transitions(complexes: dict, support: dict, p: int) -> list:
     """Per level ell below the last complex, whether the transition to
     level ell + 1 is p-locally injective at each degree of support[ell].
 
@@ -194,9 +193,8 @@ def check_transitions(complexes: dict, support: dict, p: int, deadline) -> list:
     unscanned top level take the same route.  transitions lists every
     degree as reports.Rows keyed by alpha, with one {"injective": ...}
     tail per answer, ascending in alpha in whatever order the cells come
-    (degree_rows).  deadline is a time.monotonic() value, checked once per
-    cell (TaylorComplex.ext_cells) and every 1024 entries while the list
-    is encoded.
+    (degree_rows), checking the run budget once per cell and every 1024
+    entries as the list is encoded.
     """
     pairs = []
     for ell in range(1, len(complexes)):
@@ -208,7 +206,7 @@ def check_transitions(complexes: dict, support: dict, p: int, deadline) -> list:
         answers = {False: {"injective": False}, True: {"injective": True}}
         cells = []
         for ranges, *source in products:
-            for cut, *target in high.ext_cells(j, ranges, deadline, what):
+            for cut, *target in high.ext_cells(j, ranges, what):
                 alpha = tuple(values[0] for values in cut)
                 rep = transition_between(
                     GradedExtPiece(j, alpha, *source), GradedExtPiece(j, alpha, *target)
@@ -219,29 +217,24 @@ def check_transitions(complexes: dict, support: dict, p: int, deadline) -> list:
                 "level": ell,
                 "checked": sum(degree_count(cell[0]) for cell in cells),
                 "all_injective": all(cell[1]["injective"] for cell in cells),
-                "transitions": degree_rows(cells, deadline, what),
+                "transitions": degree_rows(cells, what),
             }
         )
     return pairs
 
 
 def annihilator_pipeline(
-    ideal: MonomialIdeal,
-    p: int = 2,
-    j: int = 4,
-    levels: int = 3,
-    box=None,
-    deadline: float | None = None,
+    ideal: MonomialIdeal, p: int = 2, j: int = 4, levels: int = 3, box=None
 ) -> PipelineReport:
     """Run the three evidence stages for Ext^j of the power-ideal system.
 
-    deadline is a time.monotonic() value; past it the run stops with
-    TimeoutError, checked between levels and inside each support scan.
+    Past the run budget (subsets.budget) it stops with TimeoutError,
+    checked between levels and inside each support scan.
     """
     if levels < 1:
         raise ValueError(f"need at least one level, got {levels}")
-    complexes = build_levels(ideal, p, levels, deadline)
-    level_details, support, kills, frees = scan_levels(complexes, j, p, box, deadline)
+    complexes = build_levels(ideal, p, levels)
+    level_details, support, kills, frees = scan_levels(complexes, j, p, box)
     complete = all(d["complete_support"] for d in level_details)
     # the level-one kill bound must persist at every deeper level
     consistent = None
@@ -261,7 +254,7 @@ def annihilator_pipeline(
     evidence = None
     verdict = None
     if stage1.ok:
-        pairs = check_transitions(complexes, support, p, deadline)
+        pairs = check_transitions(complexes, support, p)
         details2: dict = {"pairs": pairs}
         if levels == 1:
             details2["note"] = "single level: no transition maps to check"

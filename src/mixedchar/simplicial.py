@@ -187,7 +187,7 @@ class SimplicialComplex:
         cards = self._cards
         return cards[k] if 0 <= k < len(cards) else ()
 
-    def coboundary_invariants(self, cards, deadline) -> list:
+    def coboundary_invariants(self, cards) -> list:
         """(rank, nontrivial invariant factors) of the coboundary out of the
         faces of each cardinality in cards; (0, ()) where either side has no
         faces.
@@ -195,8 +195,7 @@ class SimplicialComplex:
         The coboundary out of the empty face is one column of +-1, so its
         rank is 1, with no torsion, whenever the complex has a vertex; it is
         never eliminated.  Every other coboundary is eliminated over Z at
-        most once per complex and kept.  deadline (a time.monotonic() value
-        or None) is checked before each elimination.
+        most once per complex and kept.
         """
         faces, known = self._cards, self._invariants
         if len(faces) > 1:
@@ -205,7 +204,7 @@ class SimplicialComplex:
 
         def before_each():
             for c in todo:
-                check_deadline(deadline, f"cohomology out of faces of cardinality {c}")
+                check_deadline(f"cohomology out of faces of cardinality {c}")
                 yield coboundary_sign_entries(faces[c], faces[c + 1])
 
         for c, (rank, factors) in zip(todo, cochain_invariants(before_each())):
@@ -247,12 +246,11 @@ class SimplicialComplex:
             induced = cache_put(self._restrictions, key, InducedMap(src, tgt, chain))
         return induced
 
-    def core(self, deadline=None) -> "SimplicialComplex":
+    def core(self) -> "SimplicialComplex":
         """The strong-collapse core: vertices whose link is a cone deleted,
         pass after pass, until a pass deletes none.  Homotopy equivalent to
         this complex (see the module docstring), and this complex itself
         when no vertex goes.  Found once and kept; a core is its own core.
-        deadline (a time.monotonic() value) is checked once per deletion.
 
         >>> cx = SimplicialComplex(4, [(0, 1, 2, 3)])
         >>> cx.core().facets, cx.core() is cx.core()
@@ -267,7 +265,7 @@ class SimplicialComplex:
                 b = 1 << v
                 if not link_is_cone(facets, b):
                     continue
-                check_deadline(deadline, "the strong-collapse core")
+                check_deadline("the strong-collapse core")
                 kept = [F for F in facets if not F & b]
                 facets = kept + [
                     G for G in (F ^ b for F in facets if F & b) if not any(G & H == G for H in kept)
@@ -282,18 +280,17 @@ class SimplicialComplex:
         core._core, self._core = True, core
         return core
 
-    def reduced_groups(self, cards: range, deadline=None) -> list:
+    def reduced_groups(self, cards: range) -> list:
         """Reduced cohomology over Z at the spots of the faces with card
         vertices (spot card - 1) for each card in a range, computed on the
         strong-collapse core: free rank faces(card) - r_in - r_out, torsion
-        the factors of the map in.  Trivial past either end.  deadline is
-        checked as in core and before each elimination.
+        the factors of the map in.  Trivial past either end.
 
         >>> SimplicialComplex(3, [(0, 1), (1, 2), (0, 2)]).reduced_groups(range(4))
         [0, 0, Z, 0]
         """
-        core = self.core(deadline)
-        stats = core.coboundary_invariants(range(cards.start - 1, cards.stop), deadline)
+        core = self.core()
+        stats = core.coboundary_invariants(range(cards.start - 1, cards.stop))
         return [
             FinAbGroup(len(core.faces_of_size(card)) - r_in - r_out, t_in)
             for card, (r_in, t_in), (r_out, _) in zip(cards, stats, stats[1:])
@@ -336,15 +333,14 @@ def _dense_coboundary(cols, rows) -> IntMatrix:
     return M
 
 
-def reduced_cohomology(cx: SimplicialComplex, coeff="Z", deadline=None) -> dict:
+def reduced_cohomology(cx: SimplicialComplex, coeff="Z") -> dict:
     """Reduced cohomology table, spots -1 .. dim.
 
     coeff "Z" gives FinAbGroup values; "Q" or a prime p gives dimensions
     over that field.  The void complex yields an empty table, and any
     spot outside the table is zero.  A tuple of coefficients gives a dict
-    of tables keyed by coefficient.  deadline (a time.monotonic() value)
-    is checked once per vertex the core deletes and before each
-    elimination.
+    of tables keyed by coefficient.  The run budget is checked once per
+    vertex the core deletes and before each elimination.
 
     Every table comes from the Z groups (reduced_groups, on the complex's
     strong-collapse core) by universal coefficients: over Q the free rank,
@@ -355,7 +351,7 @@ def reduced_cohomology(cx: SimplicialComplex, coeff="Z", deadline=None) -> dict:
     # one past the largest facet's size: 0 for the void complex, whose tables are empty
     top = max((F.bit_count() + 1 for F in cx._facet_masks), default=0)
     # the group at each cardinality's spot, then the trivial one past the top
-    groups = cx.reduced_groups(range(top + 1), deadline)
+    groups = cx.reduced_groups(range(top + 1))
     tables = {}
     for k in coeffs:
         table = {}
@@ -391,13 +387,13 @@ def link_is_cone(facet_masks, W: int) -> bool:
     return common != -1 and common != W
 
 
-def hochster_local_cohomology_piece(cx: SimplicialComplex, i: int, a, p, deadline=None) -> int:
+def hochster_local_cohomology_piece(cx: SimplicialComplex, i: int, a, p) -> int:
     """Dimension over F_p (or Q) of the degree-a piece at spot i.
 
     For a <= 0 with support W the piece is the reduced link cohomology
     of W one spot below i - |W|; it vanishes unless W is a face, and when
-    the link is a cone.  deadline (a time.monotonic() value) is checked
-    before the link is built and before each elimination.
+    the link is a cone.  The run budget is checked before the link is
+    built and before each elimination.
     """
     _coefficients(p)
     a = tuple(a)
@@ -405,28 +401,28 @@ def hochster_local_cohomology_piece(cx: SimplicialComplex, i: int, a, p, deadlin
         raise ValueError(f"degree has {len(a)} entries, complex has {cx.n} vertices")
     if any(v > 0 for v in a):
         raise ValueError(f"degree {a} has a positive entry")
-    check_deadline(deadline, "the Hochster piece")
+    check_deadline("the Hochster piece")
     W = [i_ for i_, v in enumerate(a) if v]
     if not cx.has_face(W) or link_is_cone(cx._facet_masks, _mask(W)):
         return 0
-    table = reduced_cohomology(cx.link(W), coeff=p, deadline=deadline)
+    table = reduced_cohomology(cx.link(W), coeff=p)
     return table.get(i - len(W) - 1, 0)
 
 
-def hochster_nonzero_levels(cx: SimplicialComplex, p, deadline=None):
+def hochster_nonzero_levels(cx: SimplicialComplex, p):
     """Spots i where some graded piece of the quotient's local cohomology
     over F_p (or Q) survives, by exhaustive scan over face supports.
 
     Each face's link is built once and eliminated once over Z, unless it
     is a cone.  p may be a tuple of fields: the result then maps each to
-    its spots.  deadline (a time.monotonic() value) is checked once per
-    face.
+    its spots.  The run budget is checked once per face, once per vertex
+    a link's core deletes and before each elimination.
     """
     coeffs = _coefficients(p)
     levels = {c: set() for c in coeffs}
     facet_masks = cx._facet_masks
     for W in cx._faces:
-        check_deadline(deadline, "the Hochster link scan")
+        check_deadline("the Hochster link scan")
         if link_is_cone(facet_masks, W):
             continue
         vertices = bits_to_subsets(W)

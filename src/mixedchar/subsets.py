@@ -1,10 +1,16 @@
 """Bitmask subsets, the one sign-coboundary builder, and the package's
-bounded caches and deadlines.
+bounded caches and run budget.
 
 A subset of {0..r-1} is a bitmask.  The sign-coboundary builder takes the
 faces of two consecutive sizes as sorted lists of masks; every complex of
 the package, nerve or facet complex, is a simplicial.SimplicialComplex
 that keeps its faces that way.
+
+The run budget lives here alone: inside `with budget(seconds):`, every
+check_deadline, however deep the call, raises TimeoutError once seconds
+have passed since the block was entered.  A nested budget replaces the
+outer one until its block ends, normally or by an exception; outside
+any block there is no limit.  cli.main enters one budget per run.
 """
 
 from __future__ import annotations
@@ -23,9 +29,29 @@ def cache_put(cache: dict, key, value):
     return value
 
 
-def check_deadline(deadline: float | None, what: str):
-    """Raise TimeoutError once time.monotonic() passes deadline (None: never)."""
-    if deadline is not None and time.monotonic() > deadline:
+# the time.monotonic() value past which check_deadline raises; None: no limit
+_deadline = None
+
+
+class budget:
+    """The context manager of a run budget of seconds (None: no limit)."""
+
+    def __init__(self, seconds: float | None):
+        self.seconds = seconds
+
+    def __enter__(self):
+        global _deadline
+        self.outer = _deadline
+        _deadline = None if self.seconds is None else time.monotonic() + self.seconds
+
+    def __exit__(self, *exc_info):
+        global _deadline
+        _deadline = self.outer
+
+
+def check_deadline(what: str):
+    """Raise TimeoutError, naming what, once the run budget has passed."""
+    if _deadline is not None and time.monotonic() > _deadline:
         raise TimeoutError(f"{what} passed the --timeout-secs budget")
 
 

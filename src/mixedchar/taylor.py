@@ -185,15 +185,14 @@ class TaylorComplex:
         group = FinAbGroup.trivial() if cone else nerve.reduced_groups(range(j - 1, j))[0]
         return group, nerve, j - 1
 
-    def _cells(self, j: int, runs, deadline, what: str):
+    def _cells(self, j: int, runs, what: str):
         """(parts, (group, complex, card)) for each product of runs, one list
         of (first, last, V_i or None) runs per coordinate, parts the product's
         run in each.  Each set of V_i is decided once per call (_ext_at), and
-        deadline, a time.monotonic() value, is checked once per product,
-        naming what."""
+        each product checks the run budget, naming what."""
         decided = {}  # the frozenset of a product's masks: its (group, complex, card)
         for parts in itertools.product(*runs):
-            check_deadline(deadline, what)
+            check_deadline(what)
             masks = frozenset([members for _, _, members in parts])
             ext = decided.get(masks)
             if ext is None:
@@ -205,7 +204,7 @@ class TaylorComplex:
         if len(alpha) != self.n:
             raise ValueError("degree length does not match the variable count")
         runs = [self._scan_classes(i, a, a) for i, a in enumerate(alpha)]
-        ((_, ext),) = self._cells(j, runs, None, "")
+        ((_, ext),) = self._cells(j, runs, f"the Ext^{j} piece")
         return GradedExtPiece(j, alpha, *ext)
 
     def default_box(self):
@@ -221,20 +220,17 @@ class TaylorComplex:
                 out.append((first, last, members))
         return out
 
-    def ext_cells(self, j: int, ranges, deadline, what: str) -> list:
+    def ext_cells(self, j: int, ranges, what: str) -> list:
         """ranges, one nonempty range of degrees per coordinate, cut at this
         complex's breakpoint classes: one (ranges, group, complex, card)
-        cell per product of the cut runs, in no set order.  As in _cells,
-        deadline (a time.monotonic() value) is checked once per cell."""
+        cell per product of the cut runs, in no set order (_cells)."""
         runs = [self._scan_classes(i, values[0], values[-1]) for i, values in enumerate(ranges)]
         return [
             (tuple(range(first, last + 1) for first, last, _ in parts), *ext)
-            for parts, ext in self._cells(j, runs, deadline, what)
+            for parts, ext in self._cells(j, runs, what)
         ]
 
-    def support_scan(
-        self, j: int, box=None, shell: bool = True, deadline: float | None = None
-    ) -> "ExtScanResult":
+    def support_scan(self, j: int, box=None, shell: bool = True) -> "ExtScanResult":
         """The nonzero Ext^j in the box, as products of runs of degrees.
 
         With shell=True the scan also walks the one-step enlargement of the
@@ -251,8 +247,7 @@ class TaylorComplex:
         complex, card): ExtScanResult.products inside the box, and
         shell_products outside it, in no set order (ascending_degrees reads
         their degrees in ascending alpha); nothing is expanded here.
-        degrees_scanned still counts degrees.  deadline is a
-        time.monotonic() value, checked once per product of classes.
+        degrees_scanned still counts degrees.
         """
         if box is None:
             box = self.default_box()
@@ -267,7 +262,7 @@ class TaylorComplex:
         ]
         products = []
         shell_products = []
-        for parts, ext in self._cells(j, runs, deadline, f"Ext^{j} support scan"):
+        for parts, ext in self._cells(j, runs, f"Ext^{j} support scan"):
             if ext[0].is_trivial():
                 continue
             cuts = (_cut_at_box(run[0], run[1], lo, hi) for run, (lo, hi) in zip(parts, box))
@@ -457,13 +452,12 @@ def _walk(cells, fixed, depth):
                 yield from _walk(shared, fixed + ((a,),), depth + 1)
 
 
-def _entries(cells, deadline, what: str):
+def _entries(cells, what: str):
     """(alpha, the cell's second item) for every degree alpha of cells,
-    ascending (ascending_degrees), checking deadline (a time.monotonic()
-    value) every 1024 entries, naming what."""
+    ascending (ascending_degrees), checking the run budget every 1024."""
     for k, (alpha, cell) in enumerate(ascending_degrees(cells)):
         if not k & 1023:
-            check_deadline(deadline, what)
+            check_deadline(what)
         yield alpha, cell[1]
 
 
@@ -472,7 +466,7 @@ def degree_count(ranges) -> int:
     return prod(map(len, ranges))
 
 
-def degree_rows(cells, deadline, what: str) -> Rows:
+def degree_rows(cells, what: str) -> Rows:
     """The report list of every degree of cells, ascending in alpha, as
     reports.Rows keyed by alpha.
 
@@ -480,11 +474,10 @@ def degree_rows(cells, deadline, what: str) -> Rows:
     fields, one object shared by every degree of the cell and maybe by
     other cells; the cells are as ascending_degrees takes them.  The
     entries are first walked when the report is encoded, so the walk
-    checks deadline (a time.monotonic() value) every 1024 entries, naming
-    what.
+    checks the run budget then, every 1024 entries, naming what.
     """
     fields = list({id(cell[1]): cell[1] for cell in cells}.values())
-    return Rows("alpha", fields, lambda: _entries(cells, deadline, what))
+    return Rows("alpha", fields, lambda: _entries(cells, what))
 
 
 class ScanPieces:
@@ -556,22 +549,21 @@ class ExtScanResult:
     def complete_support(self) -> bool:
         return self.shell_checked and self.shell_clean
 
-    def describe(self, p: int, deadline: float | None = None) -> dict:
+    def describe(self, p: int) -> dict:
         """The report entry of the scan, each piece with its invariants over
         Z_(p).  The pieces are reports.Rows (degree_rows): a piece's fields
         but its alpha are one dict per product, and the entries are walked
-        when the report is encoded, checking deadline (a time.monotonic()
-        value) every 1024 of them, since a scan that ends inside the budget
-        can still hold millions.  So the stdlib json module cannot write
-        this dict; reports.encode can.  The shell's offenders are listed
-        here, checking deadline every 1024 of them."""
+        when the report is encoded, checking the run budget every 1024 of
+        them, since a scan that ends inside the budget can still hold
+        millions.  So the stdlib json module cannot write this dict;
+        reports.encode can.  The shell's offenders are listed here."""
         what = f"describing the Ext^{self.j} scan"
-        offenders = [list(alpha) for alpha, _ in _entries(self.shell_products, deadline, what)]
+        offenders = [list(alpha) for alpha, _ in _entries(self.shell_products, what)]
         cells = [(cell[0], _piece_fields(self.j, cell[1], p)) for cell in self.products]
         return {
             "j": self.j,
             "box": [list(iv) for iv in self.box],
-            "pieces": degree_rows(cells, deadline, what),
+            "pieces": degree_rows(cells, what),
             "shell": {
                 "checked": self.shell_checked,
                 "clean": self.shell_clean,

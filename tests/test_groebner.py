@@ -1,12 +1,11 @@
 import heapq
 import random
-import time
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from mixedchar import groebner
+from mixedchar import groebner, subsets
 from mixedchar.groebner import (
     buchberger,
     groebner_basis,
@@ -19,6 +18,7 @@ from mixedchar.groebner import (
 from mixedchar.monomials import MonomialIdeal
 from mixedchar.polynomials import Polynomial, exp_leq
 from mixedchar.scalars import DVR, PrimeField, RationalField
+from mixedchar.subsets import budget
 from mixedchar.textio import schmitt_vogel_generators
 
 from . import oracles
@@ -234,27 +234,30 @@ def test_deadline_interrupts():
     f1 = poly(QQ, 2, {(3, 0): 1, (1, 1): -2})
     f2 = poly(QQ, 2, {(2, 1): 1, (0, 2): -2, (1, 0): 1})
     probe = poly(QQ, 2, {(1, 0): 1})
-    with pytest.raises(TimeoutError):
-        radical_member(probe, [f1, f2], deadline=time.monotonic() - 1.0)
+    # a budget spent before the basis starts
+    with pytest.raises(TimeoutError), budget(-1.0):
+        radical_member(probe, [f1, f2])
 
 
 def test_the_basis_of_j_gets_the_one_deadline(monkeypatch):
-    # the one reduced basis of J is built under the command's deadline, and
-    # each of the ten cubics checks that deadline before its powers
-    deadline = time.monotonic() + 600
+    # the one reduced basis of J is built under the command's budget, and
+    # each of the ten cubics checks that budget before its powers
     bases, checks = [], []
 
-    def basis(gens, order="grlex", deadline=None):
-        bases.append(deadline)
-        return groebner_basis(gens, order, deadline)
+    def basis(gens, order="grlex"):
+        bases.append(subsets._deadline)
+        return groebner_basis(gens, order)
 
-    def check(deadline, what):
+    def check(what):
         if what == "the radical certificate":  # not the pair loop's checks
-            checks.append(deadline)
+            checks.append(subsets._deadline)
 
     monkeypatch.setattr(groebner, "groebner_basis", basis)
     monkeypatch.setattr(groebner, "check_deadline", check)
-    assert sv_containment_check(F2, deadline=deadline)["all_ok"]
+    with budget(600):
+        deadline = subsets._deadline
+        assert sv_containment_check(F2)["all_ok"]
+    assert deadline is not None
     assert bases == [deadline]
     assert checks == [deadline] * 10
 
@@ -313,7 +316,8 @@ def test_monomial_ideal_member_by_terms():
 
 def test_four_element_containment_certificate():
     for ring in (F2, QQ):
-        out = sv_containment_check(ring, deadline=time.monotonic() + 60)
+        with budget(60):
+            out = sv_containment_check(ring)
         assert out["all_ok"]
         assert out["generators_in_ideal"] == [True] * 4
         assert out["radical_members"] == [True] * 10

@@ -62,8 +62,8 @@ def test_reisner_two_levels():
 def test_scan_levels_reads_the_invariants_of_every_piece(p, sizes):
     # the degrees of one product of runs share a group; at p = 3 the
     # 2-torsion dies and the support is empty
-    complexes = build_levels(reisner_ideal(), p, 3, None)
-    details, support, kills, frees = scan_levels(complexes, 4, p, None, None)
+    complexes = build_levels(reisner_ideal(), p, 3)
+    details, support, kills, frees = scan_levels(complexes, 4, p, None)
     want = support_per_piece(complexes, 4, p)
     assert canonical([{key: lv[key] for key in want[0]} for lv in details]) == want
     assert [lv["support_size"] for lv in want] == sizes
@@ -76,8 +76,8 @@ def test_scan_levels_reads_the_invariants_of_every_piece(p, sizes):
 def test_scan_levels_reads_each_group_of_a_mixed_scan(p):
     # the first cubic times a seventh variable: Ext^4 mixes Z/2 and Z pieces
     gens = [g + (int(k == 0),) for k, g in enumerate(reisner_ideal().gens)]
-    complexes = build_levels(MonomialIdeal(7, gens), p, 2, None)
-    details, _, kills, frees = scan_levels(complexes, 4, p, None, None)
+    complexes = build_levels(MonomialIdeal(7, gens), p, 2)
+    details, _, kills, frees = scan_levels(complexes, 4, p, None)
     want = support_per_piece(complexes, 4, p)
     assert canonical([{key: lv[key] for key in want[0]} for lv in details]) == want
     assert {(s["free_rank"], tuple(s["pi_exponents"])) for s in want[0]["support"]} == (
@@ -156,8 +156,8 @@ def test_describe_encodes_as_sorted_json():
 
 
 def test_check_transitions_checks_each_level_pair_once_from_the_scanned_pieces(monkeypatch):
-    complexes = build_levels(reisner_ideal(), 2, 3, None)
-    _, support, _, _ = scan_levels(complexes, 4, 2, None, None)
+    complexes = build_levels(reisner_ideal(), 2, 3)
+    _, support, _, _ = scan_levels(complexes, 4, 2, None)
     chain_checks = []
     pieces_built = {ell: 0 for ell in complexes}
     level_of = {id(tc): ell for ell, tc in complexes.items()}
@@ -170,7 +170,7 @@ def test_check_transitions_checks_each_level_pair_once_from_the_scanned_pieces(m
 
     monkeypatch.setattr(taylor, "comparison_chain_check", lambda *a: chain_checks.append(a) or check(*a))
     monkeypatch.setattr(TaylorComplex, "ext_piece", counted)
-    pairs = check_transitions(complexes, support, 2, None)
+    pairs = check_transitions(complexes, support, 2)
     monkeypatch.undo()
     assert [pair["checked"] for pair in pairs] == [1, 64]
     assert all(pair["all_injective"] for pair in pairs)
@@ -194,8 +194,8 @@ def test_check_transitions_builds_no_target_piece_and_fails_where_the_next_level
     # Ext^2 of (x0 x2, x1 x2^2): one of the four Z pieces of level 1 sits
     # in a degree where level 2 is zero, so the next scan has no such target
     ideal = MonomialIdeal(3, [(1, 0, 1), (0, 1, 2)])
-    complexes = build_levels(ideal, 2, 2, None)
-    _, support, _, _ = scan_levels(complexes, 2, 2, None, None)
+    complexes = build_levels(ideal, 2, 2)
+    _, support, _, _ = scan_levels(complexes, 2, 2, None)
     scanned = {piece.alpha for piece in support[2]}
     missing = [piece.alpha for piece in support[1] if piece.alpha not in scanned]
     built = []
@@ -206,7 +206,7 @@ def test_check_transitions_builds_no_target_piece_and_fails_where_the_next_level
         return ext_piece(tc, j, alpha)
 
     monkeypatch.setattr(TaylorComplex, "ext_piece", counted)
-    (pair,) = check_transitions(complexes, support, 2, None)
+    (pair,) = check_transitions(complexes, support, 2)
     monkeypatch.undo()
     # the targets are read off level 2's classes, missing or not
     assert (len(missing), len(support[1])) == (1, 4) and built == []
@@ -248,12 +248,12 @@ def test_check_transitions_matches_the_per_degree_oracle(monkeypatch):
         ideal = _random_ideal(rng)
         levels = rng.randint(2, 3)
         p = rng.choice((2, 3))
-        complexes = build_levels(ideal, p, levels, None)
+        complexes = build_levels(ideal, p, levels)
         j = rng.randint(1, complexes[1].r + 1)
         below_top = {ell: tc for ell, tc in complexes.items() if ell < levels}
         for scanned in (complexes, below_top):
-            _, support, _, _ = scan_levels(scanned, j, p, None, None)
-            got = check_transitions(complexes, support, p, None)
+            _, support, _, _ = scan_levels(scanned, j, p, None)
+            got = check_transitions(complexes, support, p)
             want = per_degree_transitions(complexes, support, p)
             what = (ideal.gens, j, p, levels)
             assert [list(pair["transitions"]) for pair in got] == [
@@ -280,8 +280,8 @@ def test_reisner_level_four_transitions_build_no_basis_and_no_piece(monkeypatch)
     # identity of a nerve, so no map needs a basis; fresh nerves keep no
     # basis or map from earlier tests
     monkeypatch.setattr(taylor, "_NERVE_CACHE", {})
-    complexes = build_levels(reisner_ideal(), 2, 4, None)
-    _, support, _, _ = scan_levels(complexes, 4, 2, None, None)
+    complexes = build_levels(reisner_ideal(), 2, 4)
+    _, support, _, _ = scan_levels(complexes, 4, 2, None)
     built = {"maps": 0, "bases": 0, "induced": 0, "pieces": 0}
 
     def counting(key, fn):
@@ -295,7 +295,7 @@ def test_reisner_level_four_transitions_build_no_basis_and_no_piece(monkeypatch)
     for key, cls in (("bases", intlinalg.CohomologyBasis), ("induced", intlinalg.InducedMap)):
         monkeypatch.setattr(cls, "__init__", counting(key, cls.__init__))
     monkeypatch.setattr(TaylorComplex, "ext_piece", counting("pieces", TaylorComplex.ext_piece))
-    pairs = check_transitions(complexes, support, 2, None)
+    pairs = check_transitions(complexes, support, 2)
     encode(pairs)
     assert [pair["checked"] for pair in pairs] == [1, 64, 729]
     assert all(pair["all_injective"] for pair in pairs)
@@ -333,8 +333,8 @@ def test_the_deadline_passes_inside_the_piece_and_transition_loops(monkeypatch):
     # invariants, and the check after them must see it, or at the first
     # transition, and the next check must see it: at the next cell, or
     # while the transitions are listed
-    complexes = build_levels(reisner_ideal(), 2, 5, None)
-    _, support, _, _ = scan_levels({4: complexes[4], 5: complexes[5]}, 4, 2, None, None)
+    complexes = build_levels(reisner_ideal(), 2, 5)
+    _, support, _, _ = scan_levels({4: complexes[4], 5: complexes[5]}, 4, 2, None)
     support.update({ell: ScanPieces(4, []) for ell in (1, 2, 3)})
     assert len(support[4]) == 4096
     clock = _Clock()
@@ -348,16 +348,16 @@ def test_the_deadline_passes_inside_the_piece_and_transition_loops(monkeypatch):
         return late
 
     monkeypatch.setattr(pipeline, "dvr_invariants", passing(pipeline.dvr_invariants))
-    with pytest.raises(TimeoutError, match="level 4 support"):
-        scan_levels({4: complexes[4]}, 4, 2, None, 1.0)
+    with pytest.raises(TimeoutError, match="level 4 support"), subsets.budget(1.0):
+        scan_levels({4: complexes[4]}, 4, 2, None)
     clock.now = 0.0
     monkeypatch.setattr(pipeline, "transition_between", passing(transition_between))
-    with pytest.raises(TimeoutError, match="level 4 transitions"):
-        encode(check_transitions(complexes, support, 2, 1.0))
+    with pytest.raises(TimeoutError, match="level 4 transitions"), subsets.budget(1.0):
+        encode(check_transitions(complexes, support, 2))
 
 
 def test_transition_between_needs_the_target_of_the_same_degree():
-    complexes = build_levels(reisner_ideal(), 2, 2, None)
+    complexes = build_levels(reisner_ideal(), 2, 2)
     piece = complexes[1].ext_piece(4, (-1,) * 6)
     with pytest.raises(ValueError, match="same j and alpha"):
         transition_between(piece, complexes[2].ext_piece(4, (-2,) * 6))
@@ -368,7 +368,7 @@ def test_transition_between_needs_the_target_of_the_same_degree():
 def test_check_transitions_rejects_a_pair_that_is_not_a_chain_map():
     low = TaylorComplex(MonomialIdeal(2, [(1, 0)]))
     high = TaylorComplex(MonomialIdeal(2, [(0, 1)]))
-    _, support, _, _ = scan_levels({1: low}, 1, 2, None, None)
+    _, support, _, _ = scan_levels({1: low}, 1, 2, None)
     assert support[1]
     with pytest.raises(ValueError, match="not a chain map"):
-        check_transitions({1: low, 2: high}, support, 2, None)
+        check_transitions({1: low, 2: high}, support, 2)

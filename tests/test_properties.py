@@ -8,12 +8,7 @@ over a thousand independent instances.
 import random
 from math import factorial
 
-from mixedchar.diffops import (
-    DividedPowerOp,
-    apply_op,
-    classify_d_submodule,
-    pi_saturate,
-)
+from mixedchar.diffops import classify_d_submodule, pi_saturate
 from mixedchar.intlinalg import IntMatrix
 from mixedchar.monomials import MonomialIdeal
 from mixedchar.polynomials import Polynomial
@@ -22,7 +17,9 @@ from mixedchar.simplicial import SimplicialComplex
 from mixedchar.taylor import TaylorComplex
 
 from .oracles import (
+    DividedPowerOp,
     TaylorStrands,
+    apply_op,
     coboundaries,
     compose_divided_powers,
     d_closure_constant_valuation,

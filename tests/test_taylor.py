@@ -1,6 +1,5 @@
 import itertools
 import random
-import time
 import tracemalloc
 
 import pytest
@@ -9,7 +8,7 @@ from mixedchar.intlinalg import FinAbGroup
 from mixedchar.monomials import MonomialIdeal, power_ideal
 from mixedchar.pipeline import _transition_injective_over
 from mixedchar.reports import encode
-from mixedchar.subsets import coboundary_sign_entries
+from mixedchar.subsets import budget, coboundary_sign_entries
 from mixedchar.taylor import (
     TaylorComplex,
     ascending_degrees,
@@ -102,9 +101,11 @@ def test_principal_ideal_scan_reports_truncated_support():
     assert not scan.complete_support()
     # listing the shell and the pieces checks the budget too: a scan can
     # hold millions
-    with pytest.raises(TimeoutError, match="describing the Ext\\^1 scan"):
-        encode(scan.describe(2, time.monotonic() - 1))
-    assert encode(scan.describe(2, time.monotonic() + 60)) == encode(scan.describe(2))
+    with pytest.raises(TimeoutError, match="describing the Ext\\^1 scan"), budget(-1.0):
+        encode(scan.describe(2))
+    with budget(60):
+        within = encode(scan.describe(2))
+    assert within == encode(scan.describe(2))
 
 
 def _assert_same_scan(got, want, tc):
@@ -253,9 +254,10 @@ def test_a_huge_scan_describes_with_no_dict_per_degree():
     assert peak < 1000000, peak
     # the shell is clean, so the budget is first checked as the pieces are
     # encoded
-    late = scan.describe(2, time.monotonic() - 1)
-    with pytest.raises(TimeoutError, match="describing the Ext\\^2 scan"):
-        encode(late)
+    with budget(-1.0):
+        late = scan.describe(2)
+        with pytest.raises(TimeoutError, match="describing the Ext\\^2 scan"):
+            encode(late)
     rows = iter(described["pieces"])
     assert next(rows) == {
         "alpha": [-1000000, -1],
